@@ -58,8 +58,8 @@ check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke fleet-
 	@CSRTL=_build/default/bin/csrtl.exe; \
 	$$CSRTL inject _build/check/smoke.rtm --engine kernel --jobs 1 --table \
 	  > _build/check/smoke_kernel.out; \
-	$$CSRTL inject _build/check/smoke.rtm --engine auto --jobs 2 --table \
-	  > _build/check/smoke_batched.out; \
+	$$CSRTL inject _build/check/smoke.rtm --engine auto --jobs 2 --chunks 4 \
+	  --table > _build/check/smoke_batched.out; \
 	cmp _build/check/smoke_kernel.out _build/check/smoke_batched.out || \
 	  { echo "batched-campaign smoke FAILED: reports differ"; exit 1; }; \
 	echo "  2-domain batched campaign is byte-identical to the kernel path"

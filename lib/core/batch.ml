@@ -28,6 +28,7 @@ type plan = {
   pmodel : Model.t;
   base : Sched.t;
   profs : Fu_state.profile array;
+  legs : Legs.t;
   pid : int;
 }
 
@@ -41,9 +42,11 @@ let plan (m : Model.t) =
       Array.map
         (fun (p : Sched.fu_plan) -> Fu_state.profile p.Sched.fu)
         base.Sched.fu_plans;
+    legs = Legs.of_model m;
     pid = Atomic.fetch_and_add plan_ids 1 }
 
 let base_sched p = p.base
+let legs p = p.legs
 
 (* Variant lifecycle, encoded in an int so the dispatch loop reads a
    flat array: -2 waiting to join, -1 running, s >= 0 retired at s. *)
@@ -521,7 +524,7 @@ let golden_with (plan : plan) specs =
         in
         { verdict;
           cycles =
-            Simulate.expected_cycles_injected ~inject:spec.inject plan.pmodel
+            Simulate.expected_cycles_with plan.legs ~inject:spec.inject
               spec.join })
       specs
   in

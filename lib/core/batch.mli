@@ -69,12 +69,14 @@ type result = {
   verdict : verdict;
   cycles : int;
       (** what the kernel would report for this variant resumed at
-          [join]: {!Simulate.expected_cycles_injected} *)
+          [join]: {!Simulate.expected_cycles_injected}, read off the
+          plan's leg table *)
 }
 
 type plan
 (** The reusable per-model part: the validated model, its compiled
-    base schedule and the per-unit pipeline profiles.  Building one
+    base schedule, its leg table ({!Legs}) and the per-unit pipeline
+    profiles.  Building one
     per campaign (instead of per chunk) is what lets parallel workers
     share the compilation work — only the arena is per-domain. *)
 
@@ -86,6 +88,11 @@ val base_sched : plan -> Sched.t
 (** The plan's uninjected compiled schedule — campaigns derive their
     golden fast path ({!Compiled.of_sched}) and checkpoints from it
     instead of recompiling. *)
+
+val legs : plan -> Legs.t
+(** The plan's leg table, built with it: campaigns read their per-fault
+    leg facts ({!Csrtl_fault.Fault.first_step_in}, cycle laws) from it
+    instead of rebuilding {!Model.all_legs} per fault. *)
 
 val run_with : plan -> variant_spec list -> result list
 (** Execute the golden run and every variant in lockstep on the

@@ -36,16 +36,20 @@ let normalize t =
 
 let equal a b = normalize a = normalize b
 
-let diff a b =
-  let a = normalize a and b = normalize b in
+(* Plain concatenation, not [Format]: a campaign diffs every finished
+   faulted run against its golden.  Journals persist these strings, so
+   the fault suite pins their bytes against a [Format.kasprintf]
+   reference. *)
+let diff_normalized a b =
   let out = ref [] in
-  let say fmt = Format.kasprintf (fun s -> out := s :: !out) fmt in
-  if a.cs_max <> b.cs_max then say "cs_max: %d vs %d" a.cs_max b.cs_max;
+  let say parts = out := String.concat "" parts :: !out in
+  if a.cs_max <> b.cs_max then
+    say [ "cs_max: "; string_of_int a.cs_max; " vs "; string_of_int b.cs_max ];
   let reg_names o = List.map fst o.regs in
   if reg_names a <> reg_names b then
-    say "register sets differ: [%s] vs [%s]"
-      (String.concat " " (reg_names a))
-      (String.concat " " (reg_names b))
+    say
+      [ "register sets differ: ["; String.concat " " (reg_names a); "] vs [";
+        String.concat " " (reg_names b); "]" ]
   else
     List.iter2
       (fun (n, va) (_, vb) ->
@@ -53,20 +57,23 @@ let diff a b =
           Array.iteri
             (fun i x ->
               if i < Array.length vb && x <> vb.(i) then
-                say "%s at step %d: %s vs %s" n (i + 1) (Word.to_string x)
-                  (Word.to_string vb.(i)))
+                say
+                  [ n; " at step "; string_of_int (i + 1); ": ";
+                    Word.to_string x; " vs "; Word.to_string vb.(i) ])
             va)
       a.regs b.regs;
-  if a.outputs <> b.outputs then say "output traces differ";
+  if a.outputs <> b.outputs then say [ "output traces differ" ];
   if a.conflicts <> b.conflicts then begin
     let show (s, p, n) =
-      Printf.sprintf "%d/%s:%s" s (Phase.to_string p) n
+      String.concat "" [ string_of_int s; "/"; Phase.to_string p; ":"; n ]
     in
-    say "conflicts: [%s] vs [%s]"
-      (String.concat " " (List.map show a.conflicts))
-      (String.concat " " (List.map show b.conflicts))
+    say
+      [ "conflicts: ["; String.concat " " (List.map show a.conflicts);
+        "] vs ["; String.concat " " (List.map show b.conflicts); "]" ]
   end;
   List.rev !out
+
+let diff a b = diff_normalized (normalize a) (normalize b)
 
 (* ---- serialization ----------------------------------------------
    Same line discipline as {!Snapshot}: one versioned magic line, one

@@ -34,6 +34,12 @@ val equal : t -> t -> bool
 val diff : t -> t -> string list
 (** Human-readable differences (empty iff {!equal}). *)
 
+val diff_normalized : t -> t -> string list
+(** {!diff} of two observations already passed through {!normalize}
+    — a caller diffing many runs against one golden normalizes the
+    golden once.  [diff a b = diff_normalized (normalize a)
+    (normalize b)]. *)
+
 val to_string : t -> string
 (** Versioned text serialization in {!Snapshot}'s line discipline
     (magic ["csrtl-observation 1"], one record per line, explicit end

@@ -17,6 +17,7 @@ type t = {
   sink_index : (string, int) Hashtbl.t;
   slots : action array array;
   slot_prov : int array array;
+  leg_slot : int array;
   static_actions : int;
   fu_plans : fu_plan array;
   nregs : int;
@@ -109,6 +110,7 @@ let compile_base (m : Model.t) =
   let prov_rev = Array.make nslots [] in
   let slot_of step phase = ((step - 1) * Phase.count) + Phase.to_int phase in
   let legs, selects = Model.all_legs m in
+  let leg_slot = Array.make (List.length legs) 0 in
   List.iteri
     (fun idx (l : Transfer.leg) ->
       let a =
@@ -117,7 +119,8 @@ let compile_base (m : Model.t) =
       in
       let s = slot_of l.step l.phase in
       slot_rev.(s) <- a :: slot_rev.(s);
-      prov_rev.(s) <- idx :: prov_rev.(s))
+      prov_rev.(s) <- idx :: prov_rev.(s);
+      leg_slot.(idx) <- s)
     legs;
   List.iter
     (fun (s : Transfer.op_select) ->
@@ -153,7 +156,8 @@ let compile_base (m : Model.t) =
          m.fus)
   in
   { model = m; inject = Inject.none; nsinks; sink_name;
-    sink_index = sink_ids; slots; slot_prov; static_actions; fu_plans;
+    sink_index = sink_ids; slots; slot_prov; leg_slot; static_actions;
+    fu_plans;
     nregs = List.length m.registers;
     reg_init =
       Array.of_list
@@ -191,32 +195,40 @@ let overlay (base : t) (inject : Inject.t) =
     let slots = Array.copy base.slots in
     let last_patched = ref (-1) in
     let note k = if k > !last_patched then last_patched := k in
-    (if inject.Inject.drop_legs <> [] then
-       Array.iteri
-         (fun k prov ->
-           let dropped = ref 0 in
-           Array.iter
-             (fun leg ->
-               if leg >= 0 && Inject.drops_leg inject leg then incr dropped)
-             prov;
-           if !dropped > 0 then begin
-             let old = base.slots.(k) in
-             let kept = Array.length old - !dropped in
-             let na =
-               if kept = 0 then [||] else Array.make kept old.(0)
-             in
-             let j = ref 0 in
-             Array.iteri
-               (fun i leg ->
-                 if leg < 0 || not (Inject.drops_leg inject leg) then begin
-                   na.(!j) <- old.(i);
-                   incr j
-                 end)
-               prov;
-             slots.(k) <- na;
-             note k
-           end)
-         base.slot_prov);
+    (* only the slots holding a dropped leg change; [leg_slot] finds
+       them without scanning the schedule *)
+    let dropped_slots =
+      List.sort_uniq Int.compare
+        (List.filter_map
+           (fun leg ->
+             if leg >= 0 && leg < Array.length base.leg_slot then
+               Some base.leg_slot.(leg)
+             else None)
+           inject.Inject.drop_legs)
+    in
+    List.iter
+      (fun k ->
+        let prov = base.slot_prov.(k) and old = base.slots.(k) in
+        let dropped = ref 0 in
+        Array.iter
+          (fun leg ->
+            if leg >= 0 && Inject.drops_leg inject leg then incr dropped)
+          prov;
+        let na =
+          if Array.length old = !dropped then [||]
+          else Array.make (Array.length old - !dropped) old.(0)
+        in
+        let j = ref 0 in
+        Array.iteri
+          (fun i leg ->
+            if leg < 0 || not (Inject.drops_leg inject leg) then begin
+              na.(!j) <- old.(i);
+              incr j
+            end)
+          prov;
+        slots.(k) <- na;
+        note k)
+      dropped_slots;
     let slot_of step phase = ((step - 1) * Phase.count) + Phase.to_int phase in
     List.iter
       (fun (sb : Inject.saboteur) ->

@@ -55,6 +55,9 @@ type t = {
           index ({!Model.all_legs} order) that produced each action,
           [-1] for op-selects and saboteurs.  Overlays patch slots
           without maintaining it — read it only on a clean compile. *)
+  leg_slot : int array;
+      (** the inverse of [slot_prov]: leg index -> slot index, so an
+          overlay dropping a leg patches that one slot *)
   static_actions : int;
   fu_plans : fu_plan array;
   nregs : int;

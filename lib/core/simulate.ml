@@ -57,27 +57,23 @@ let expected_cycles m = expected_cycles_from m 0
    this prediction as the run's kernel cycle count, and the
    differential suite ([test/test_batch.ml]) pins it against the
    event kernel. *)
-let expected_cycles_injected ~(inject : Inject.t) (m : Model.t) s0 =
-  let legs, _ = Model.all_legs m in
+let expected_cycles_with (lf : Legs.t) ~(inject : Inject.t) s0 =
+  let cs_max = lf.Legs.model.Model.cs_max in
   let surviving_wb_leg =
-    let i = ref (-1) in
-    List.exists
-      (fun (l : Transfer.leg) ->
-        incr i;
-        l.Transfer.step = m.cs_max
-        && Phase.equal l.Transfer.phase Phase.Wb
-        && not (Inject.drops_leg inject !i))
-      legs
+    Array.exists (fun i -> not (Inject.drops_leg inject i)) lf.Legs.final_wb
   in
   let wb_saboteur =
     List.exists
       (fun (sb : Inject.saboteur) ->
-        sb.Inject.sab_step = m.cs_max
+        sb.Inject.sab_step = cs_max
         && Phase.equal sb.Inject.sab_phase Phase.Wb)
       inject.Inject.saboteurs
   in
-  (Phase.count * (m.cs_max - s0))
+  (Phase.count * (cs_max - s0))
   + if surviving_wb_leg || wb_saboteur then 1 else 0
+
+let expected_cycles_injected ~inject m s0 =
+  expected_cycles_with (Legs.of_model m) ~inject s0
 
 let watchdog_slack = 16
 

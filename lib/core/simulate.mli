@@ -93,6 +93,10 @@ val expected_cycles_injected : inject:Inject.t -> Model.t -> int -> int
     the event kernel.  [expected_cycles_injected ~inject:Inject.none m
     s0 = expected_cycles_from m s0]. *)
 
+val expected_cycles_with : Legs.t -> inject:Inject.t -> int -> int
+(** {!expected_cycles_injected} read off a leg table built once per
+    model: time proportional to the injection, not to the model. *)
+
 val snapshot_at : ?config:config -> step:int -> Model.t -> Snapshot.t
 (** Run the model uninjected through control step [step] (0 means the
     initial state) and capture the machine state at that boundary —

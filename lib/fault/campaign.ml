@@ -31,14 +31,22 @@ type report = {
 
 let outcomes_agree = Outcome.agree
 
+(* A golden observation as classification reads it: the raw run (its
+   conflicts decide detection) and its conflict-free part, normalized
+   once per campaign — every faulted run is diffed against it. *)
+type golden = { obs : Observation.t; norm : Observation.t }
+
+let strip o = { o with Observation.conflicts = [] }
+let golden_of obs = { obs; norm = Observation.normalize (strip obs) }
+
 (* A fault is detected iff it produces a conflict the golden run does
    not have; the first chronological new conflict is the diagnosis
    point.  Anything else that changes the observation is silent data
    corruption. *)
-let classify ~golden (faulted : Observation.t) =
+let classify_against g (faulted : Observation.t) =
   let fresh =
     List.filter
-      (fun c -> not (List.mem c golden.Observation.conflicts))
+      (fun c -> not (List.mem c g.obs.Observation.conflicts))
       faulted.Observation.conflicts
     (* several sinks can turn ILLEGAL in the same delta; the paths
        report them in different (but equivalent) orders, so the
@@ -52,21 +60,30 @@ let classify ~golden (faulted : Observation.t) =
   match fresh with
   | (s, p, n) :: _ -> Detected (s, p, n)
   | [] ->
-    let strip o = { o with Observation.conflicts = [] } in
-    (match Observation.diff (strip golden) (strip faulted) with
+    (match
+       Observation.diff_normalized g.norm
+         (Observation.normalize (strip faulted))
+     with
      | [] -> Masked
      | ds -> Corrupted ds)
 
+let classify ~golden faulted = classify_against (golden_of golden) faulted
+
 (* Shared read-only state for every fault run of one campaign: the
-   goldens, the one compile of the golden schedule (the batch plan),
-   plus golden checkpoints at each boundary some fault wants to resume
-   from.  Computed once in the caller, read concurrently by the pool
-   domains. *)
+   goldens, the one compile of the golden schedule (the batch plan)
+   and its leg table, plus golden checkpoints at each boundary some
+   fault wants to resume from.  Computed once in the caller, read
+   concurrently by the pool domains. *)
 type ctx = {
   m : Model.t;
   config : Simulate.config;
-  golden_k : Observation.t;
-  golden_i : Observation.t;
+  golden_k : golden;
+  golden_i : golden;
+  same_golden : bool;
+      (* the two goldens are equal (as under [Record]): classification
+         reads only the golden, so one serves both engines *)
+  legs : Legs.t;
+  law : int;  (* [Simulate.expected_cycles m] *)
   checkpoints : (int, Snapshot.t) Hashtbl.t;
   budget : float option;
   plan : Batch.plan option;
@@ -78,8 +95,10 @@ type ctx = {
          never report bytes, which stay wall-clock-independent. *)
 }
 
-let boundary_of_fault (m : Model.t) f =
-  min (Fault.first_step m f - 1) m.Model.cs_max
+let boundary_in (lf : Legs.t) f =
+  min (Fault.first_step_in lf f - 1) lf.Legs.model.Model.cs_max
+
+let boundary_of_fault m f = boundary_in (Legs.of_model m) f
 
 (* One compile of the clean schedule serves the whole campaign: the
    lockstep batches overlay it per fault, and the golden run and the
@@ -105,13 +124,16 @@ let golden_snapshots ~compiled m boundaries =
   | Some cp -> Compiled.snapshots_at cp ~steps:boundaries
   | None -> Interp.snapshots_at ~steps:boundaries m
 
-let boundaries_of ~faults m =
+let boundaries_of ~faults lf =
   List.sort_uniq compare
     (List.filter_map
        (fun f ->
-         let b = boundary_of_fault m f in
+         let b = boundary_in lf f in
          if b >= 1 then Some b else None)
        faults)
+
+let legs_of ~plan m =
+  match plan with Some p -> Batch.legs p | None -> Legs.of_model m
 
 let prepare ?(config = Simulate.default) ?plan (m : Model.t) =
   let plan = make_plan ?plan m in
@@ -133,7 +155,7 @@ let prepare ?(config = Simulate.default) ?plan (m : Model.t) =
        fault's own boundary, so extra checkpoints never change which
        snapshot a given fault restores from. *)
     if config.Simulate.on_illegal = Simulate.Record then
-      match boundaries_of ~faults:(Fault.enumerate m) m with
+      match boundaries_of ~faults:(Fault.enumerate m) (legs_of ~plan m) with
       | [] -> []
       | bs -> golden_snapshots ~compiled m bs
     else []
@@ -145,6 +167,12 @@ let prepare ?(config = Simulate.default) ?plan (m : Model.t) =
 let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~faults
     (m : Model.t) =
   let plan = make_plan ?plan:plan0 m in
+  let legs = legs_of ~plan m in
+  let ctx ~golden_k ~golden_i ~checkpoints ~est_us =
+    { m; config; golden_k = golden_of golden_k; golden_i = golden_of golden_i;
+      same_golden = Observation.equal golden_k golden_i; legs;
+      law = Simulate.expected_cycles m; checkpoints; budget; plan; est_us }
+  in
   match golden with
   | Some (a : Artifact.t) ->
     if
@@ -169,7 +197,7 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~faults
        let missing =
          List.filter
            (fun b -> not (Hashtbl.mem checkpoints b))
-           (boundaries_of ~faults m)
+           (boundaries_of ~faults legs)
        in
        if missing <> [] then
          let compiled = compiled_of ~config ~plan m in
@@ -178,9 +206,8 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~faults
              Hashtbl.replace checkpoints s.Snapshot.step s)
            (golden_snapshots ~compiled m missing)
      end);
-    { m; config; golden_k = a.Artifact.golden_k;
-      golden_i = a.Artifact.golden_i; checkpoints; budget; plan;
-      est_us = a.Artifact.est_us }
+    ctx ~golden_k:a.Artifact.golden_k ~golden_i:a.Artifact.golden_i
+      ~checkpoints ~est_us:a.Artifact.est_us
   | None ->
     let compiled = compiled_of ~config ~plan m in
     let t0 = Unix.gettimeofday () in
@@ -204,25 +231,28 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~faults
        (the differential suite pins it); [Halt]/[Degrade] goldens
        diverge, so those campaigns re-simulate from step 0. *)
     (if restore && config.Simulate.on_illegal = Simulate.Record then
-       match boundaries_of ~faults m with
+       match boundaries_of ~faults legs with
        | [] -> ()
        | boundaries ->
          List.iter
            (fun (s : Snapshot.t) ->
              Hashtbl.replace checkpoints s.Snapshot.step s)
            (golden_snapshots ~compiled m boundaries));
-    { m; config; golden_k; golden_i; checkpoints; budget; plan; est_us }
+    ctx ~golden_k ~golden_i ~checkpoints ~est_us
+
+(* [Simulate.expected_cycles_from ctx.m s0], off the law computed once *)
+let law_from ctx s0 = ctx.law - (Phase.count * s0)
 
 let kernel_entry ~ctx ~snap inj =
   (* campaigns always arm the watchdog: a fault that stalls the
      controller must classify as Hung, not hang the campaign *)
   let config = { ctx.config with Simulate.watchdog = true } in
-  let full_expected = Simulate.expected_cycles ctx.m in
+  let full_expected = ctx.law in
   let run () =
     match snap with
     | Some from ->
       ( Simulate.resume ~inject:inj ~config ~from ctx.m,
-        Simulate.expected_cycles_from ctx.m from.Snapshot.step )
+        law_from ctx from.Snapshot.step )
     | None -> (Simulate.run_cfg ~inject:inj ~config ctx.m, full_expected)
   in
   match run () with
@@ -235,7 +265,7 @@ let kernel_entry ~ctx ~snap inj =
        (Hung (Format.asprintf "%a" Csrtl_kernel.Types.pp_delta_overflow ov),
         r.Simulate.cycles, expected)
      | Simulate.Finished | Simulate.Halted _ ->
-       (classify ~golden:ctx.golden_k r.Simulate.obs, r.Simulate.cycles,
+       (classify_against ctx.golden_k r.Simulate.obs, r.Simulate.cycles,
         expected))
   | exception e -> (Crashed (Printexc.to_string e), 0, full_expected)
 
@@ -246,7 +276,7 @@ let interp_entry ~ctx ~snap inj =
     | None -> Interp.run ~inject:inj ctx.m
   in
   match run () with
-  | o -> classify ~golden:ctx.golden_i o
+  | o -> classify_against ctx.golden_i o
   | exception Interp.Unstable (step, phase, sink) ->
     (* the kernel path livelocks on the same fault and trips the
        watchdog: both paths classify as hung *)
@@ -262,7 +292,7 @@ let entry_of_fault ~ctx fault =
        before the fault can first act ({!Fault.first_step} is a sound
        lower bound), skipping the steps the fault provably cannot
        touch *)
-    let b = boundary_of_fault ctx.m fault in
+    let b = boundary_in ctx.legs fault in
     if b < 1 then None else Hashtbl.find_opt ctx.checkpoints b
   in
   let kernel_outcome, kernel_cycles, expected = kernel_entry ~ctx ~snap inj in
@@ -324,9 +354,10 @@ let batchable ~ctx f =
    fault: join at the checkpoint boundary exactly when [kernel_entry]
    would restore a snapshot there, else run from reset. *)
 let batch_spec ~ctx f =
-  let b = boundary_of_fault ctx.m f in
+  let b = boundary_in ctx.legs f in
   let join = if b >= 1 && Hashtbl.mem ctx.checkpoints b then b else 0 in
-  { Batch.inject = Fault.to_inject f; join; settle = Fault.last_step ctx.m f }
+  { Batch.inject = Fault.to_inject f; join;
+    settle = Fault.last_step_in ctx.legs f }
 
 (* Entry from a batched verdict, byte-compatible with what
    [entry_of_fault] computes for the same fault: a retired variant's
@@ -334,21 +365,22 @@ let batch_spec ~ctx f =
    classify it masked without materializing it; a finished variant's
    observation classifies against each engine's own golden (the
    differential suite pins the batched observation against both
-   engines).  The cycle count is the law's prediction — which the
-   suite pins against the cycles the kernel actually runs. *)
+   engines) — once, when the two goldens are equal.  The cycle count
+   is the law's prediction — which the suite pins against the cycles
+   the kernel actually runs. *)
 let entry_of_verdict ~ctx fault (spec : Batch.variant_spec)
     (r : Batch.result) =
   let kernel_outcome, interp_outcome =
     match r.Batch.verdict with
     | Batch.Converged _ -> (Masked, Masked)
     | Batch.Finished obs ->
-      (classify ~golden:ctx.golden_k obs, classify ~golden:ctx.golden_i obs)
+      let k = classify_against ctx.golden_k obs in
+      (k, if ctx.same_golden then k else classify_against ctx.golden_i obs)
   in
   let law_ok =
     match kernel_outcome with
     | Masked ->
-      let expected = Simulate.expected_cycles_from ctx.m spec.Batch.join in
-      abs (r.Batch.cycles - expected) <= 1
+      abs (r.Batch.cycles - law_from ctx spec.Batch.join) <= 1
     | _ -> true
   in
   { fault; kernel_outcome; interp_outcome; kernel_cycles = r.Batch.cycles;
@@ -476,21 +508,25 @@ let fault_list ?limit ?faults m =
    across the pool.  2^20 words = 8 MiB per domain. *)
 let campaign_minor_heap_words = 1 lsl 20
 
+let faults_of = function Chunk ifs -> List.length ifs | Single _ -> 1
+
 let map_faults ?pool ?jobs ?chunks ~est_us compute work =
   (* when the caller did not fix a chunk count, plan one from the
-     measured golden cost: a work item is one fault or one batched
-     chunk, both within a small factor of a golden run's wall time.
-     The chunk count only shapes scheduling — results are chunk-count
-     invariant (the pool's contract), so feeding it a measurement
-     keeps reports deterministic. *)
+     measured golden cost: a work item costs about one golden run per
+     fault it holds — a batched chunk of K faults steps K + 1 arena
+     rows.  The chunk count only shapes scheduling — results are
+     chunk-count invariant (the pool's contract), so feeding it a
+     measurement keeps reports deterministic. *)
   let planned p =
     match chunks with
     | Some _ -> chunks
     | None ->
+      let items = List.length work in
+      let faults = List.fold_left (fun n w -> n + faults_of w) 0 work in
       Some
-        (Csrtl_par.Par.plan_chunks ~jobs:(Csrtl_par.Par.jobs p)
-           ~items:(List.length work)
-           ~item_cost_us:(est_us *. 2.))
+        (Csrtl_par.Par.plan_chunks ~jobs:(Csrtl_par.Par.jobs p) ~items
+           ~item_cost_us:
+             (est_us *. float_of_int faults /. float_of_int (max items 1)))
   in
   match pool with
   | Some p -> Csrtl_par.Par.map ?chunks:(planned p) p compute work

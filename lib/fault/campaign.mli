@@ -67,7 +67,9 @@ type engine = [ `Auto | `Kernel | `Compiled ]
     injection compiles into the static schedule
     ({!Csrtl_core.Compiled.compilable}) onto the lockstep executor
     ({!Csrtl_core.Batch}) and derive both engines' outcomes from the
-    one batched observation; faults with no static schedule
+    one batched observation — classified once when the kernel and
+    interpreter goldens are equal (as under [Record]), against each
+    golden otherwise; faults with no static schedule
     (oscillators, [cr] saboteurs) and non-[Record] configs stay on the
     kernel path either way.  Reports, journals and classifications are
     byte-identical across engines — the batched path is a pure
@@ -145,8 +147,10 @@ val run_parallel :
     the runtime cannot provide the requested domains the pool shrinks
     gracefully down to sequential ({!Csrtl_par.Par.create}).
     [chunks], when omitted, is planned from the measured golden-run
-    cost ({!Csrtl_par.Par.plan_chunks}) — the measurement shapes
-    scheduling only, never the report bytes. *)
+    cost ({!Csrtl_par.Par.plan_chunks}): each work item — one
+    kernel-path fault, or a batched chunk of K faults stepping K + 1
+    arena rows — costs its fault count times the golden cost.  The
+    measurement shapes scheduling only, never the report bytes. *)
 
 type resume_info = {
   reused : int;  (** journal entries accepted without re-running *)

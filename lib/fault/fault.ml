@@ -65,20 +65,16 @@ let to_string f = Format.asprintf "%a" pp f
    - a stuck bus (or unit input) yields [value] at every resolution,
      but before the first legitimate write the sink has no resolution
      events, so it still reads DISC on both paths. *)
-let first_step (m : Model.t) fault =
-  let legs, _ = Model.all_legs m in
+let first_step_in (lf : Legs.t) fault =
+  let m = lf.Legs.model in
   let first_write sink =
-    List.fold_left
-      (fun acc (l : Transfer.leg) ->
-        if Transfer.endpoint_name l.dst = sink then min acc l.step else acc)
-      (m.cs_max + 1) legs
+    Option.value ~default:(m.cs_max + 1)
+      (Hashtbl.find_opt lf.Legs.first_write sink)
   in
   match fault with
   | Fu_latency _ -> 1
   | Dropped_leg { index; _ } ->
-    (match List.nth_opt legs index with
-     | Some l -> l.Transfer.step
-     | None -> 1)
+    Option.value ~default:1 (Legs.step lf index)
   | Extra_driver { step; _ } | Oscillator { step; _ } -> step
   | Transient { step; phase; _ } ->
     if Phase.equal phase Phase.Ra then max 1 (step - 1) else step
@@ -93,13 +89,10 @@ let first_step (m : Model.t) fault =
        if not (Word.is_disc r.Model.init) then 1
        else first_write (r.Model.reg_name ^ ".in")
      | None ->
-       if
-         List.mem sink m.buses
-         || List.exists
-              (fun (l : Transfer.leg) -> Transfer.endpoint_name l.dst = sink)
-              legs
-       then first_write sink
-       else 1)
+       (* the table holds every bus and every written sink *)
+       Option.value ~default:1 (Hashtbl.find_opt lf.Legs.first_write sink))
+
+let first_step m fault = first_step_in (Legs.of_model m) fault
 
 (* Last step the fault's mechanism can act in — the dual bound to
    [first_step], used by the batched executor as the earliest
@@ -110,16 +103,16 @@ let first_step (m : Model.t) fault =
    withholds exactly its slot's contribution.  Stuck sinks and
    latency overrides rewrite the transition function permanently, so
    re-converged state does not imply a converged future: [cs_max]. *)
-let last_step (m : Model.t) fault =
+let last_step_in (lf : Legs.t) fault =
+  let m = lf.Legs.model in
   let clamp s = min (max s 1) m.cs_max in
   match fault with
   | Stuck_sink _ | Fu_latency _ | Oscillator _ -> m.cs_max
   | Dropped_leg { index; _ } ->
-    let legs, _ = Model.all_legs m in
-    (match List.nth_opt legs index with
-     | Some l -> clamp l.Transfer.step
-     | None -> 1)
+    (match Legs.step lf index with Some s -> clamp s | None -> 1)
   | Extra_driver { step; _ } | Transient { step; _ } -> clamp step
+
+let last_step m fault = last_step_in (Legs.of_model m) fault
 
 (* Deterministic stride subsample preserving enumeration order. *)
 let subsample limit l =

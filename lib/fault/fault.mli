@@ -73,5 +73,13 @@ val last_step : Model.t -> t -> int
     realization permanently (stuck sinks, latency overrides,
     oscillators) return [cs_max] — they are never retired early. *)
 
+val first_step_in : Legs.t -> t -> int
+val last_step_in : Legs.t -> t -> int
+(** {!first_step} and {!last_step} read off a leg table built once per
+    model ({!Csrtl_core.Legs.of_model}, or a batch plan's
+    {!Csrtl_core.Batch.legs}): time proportional to the fault, not to
+    the model.  [first_step m f = first_step_in (Legs.of_model m) f],
+    likewise for [last_step]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

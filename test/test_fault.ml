@@ -301,6 +301,287 @@ let test_first_step_sound () =
        (F.Fault.Transient
           { sink = "B1"; step = 5; phase = C.Phase.Ra; value = 3 }))
 
+(* -- leg facts and diff strings: table-driven = list-walking ------------- *)
+
+(* The list-walking definitions the leg table ({!C.Legs}) replaced,
+   kept as the reference: they rebuild [Model.all_legs] per call. *)
+let ref_first_step (m : C.Model.t) fault =
+  let legs, _ = C.Model.all_legs m in
+  let first_write sink =
+    List.fold_left
+      (fun acc (l : C.Transfer.leg) ->
+        if C.Transfer.endpoint_name l.dst = sink then min acc l.step else acc)
+      (m.cs_max + 1) legs
+  in
+  match fault with
+  | F.Fault.Fu_latency _ -> 1
+  | F.Fault.Dropped_leg { index; _ } ->
+    (match List.nth_opt legs index with
+     | Some l -> l.C.Transfer.step
+     | None -> 1)
+  | F.Fault.Extra_driver { step; _ } | F.Fault.Oscillator { step; _ } -> step
+  | F.Fault.Transient { step; phase; _ } ->
+    if C.Phase.equal phase C.Phase.Ra then max 1 (step - 1) else step
+  | F.Fault.Stuck_sink { sink; _ } ->
+    let reg_of_out =
+      if Filename.check_suffix sink ".out" then
+        C.Model.find_register m (Filename.chop_suffix sink ".out")
+      else None
+    in
+    (match reg_of_out with
+     | Some r ->
+       if not (C.Word.is_disc r.C.Model.init) then 1
+       else first_write (r.C.Model.reg_name ^ ".in")
+     | None ->
+       if
+         List.mem sink m.buses
+         || List.exists
+              (fun (l : C.Transfer.leg) ->
+                C.Transfer.endpoint_name l.dst = sink)
+              legs
+       then first_write sink
+       else 1)
+
+let ref_last_step (m : C.Model.t) fault =
+  let clamp s = min (max s 1) m.cs_max in
+  match fault with
+  | F.Fault.Stuck_sink _ | F.Fault.Fu_latency _ | F.Fault.Oscillator _ ->
+    m.cs_max
+  | F.Fault.Dropped_leg { index; _ } ->
+    let legs, _ = C.Model.all_legs m in
+    (match List.nth_opt legs index with
+     | Some l -> clamp l.C.Transfer.step
+     | None -> 1)
+  | F.Fault.Extra_driver { step; _ } | F.Fault.Transient { step; _ } ->
+    clamp step
+
+let ref_expected_cycles_injected ~(inject : C.Inject.t) (m : C.Model.t) s0 =
+  let legs, _ = C.Model.all_legs m in
+  let surviving_wb_leg =
+    let i = ref (-1) in
+    List.exists
+      (fun (l : C.Transfer.leg) ->
+        incr i;
+        l.C.Transfer.step = m.cs_max
+        && C.Phase.equal l.C.Transfer.phase C.Phase.Wb
+        && not (C.Inject.drops_leg inject !i))
+      legs
+  in
+  let wb_saboteur =
+    List.exists
+      (fun (sb : C.Inject.saboteur) ->
+        sb.C.Inject.sab_step = m.cs_max
+        && C.Phase.equal sb.C.Inject.sab_phase C.Phase.Wb)
+      inject.C.Inject.saboteurs
+  in
+  (C.Phase.count * (m.cs_max - s0))
+  + if surviving_wb_leg || wb_saboteur then 1 else 0
+
+(* [Observation.diff] as it was written with [Format.kasprintf]: the
+   strings journals persist must not change by one byte. *)
+let ref_diff a b =
+  let a = C.Observation.normalize a and b = C.Observation.normalize b in
+  let out = ref [] in
+  let say fmt = Format.kasprintf (fun s -> out := s :: !out) fmt in
+  if a.cs_max <> b.cs_max then say "cs_max: %d vs %d" a.cs_max b.cs_max;
+  let reg_names (o : C.Observation.t) = List.map fst o.regs in
+  if reg_names a <> reg_names b then
+    say "register sets differ: [%s] vs [%s]"
+      (String.concat " " (reg_names a))
+      (String.concat " " (reg_names b))
+  else
+    List.iter2
+      (fun (n, va) (_, vb) ->
+        if va <> vb then
+          Array.iteri
+            (fun i x ->
+              if i < Array.length vb && x <> vb.(i) then
+                say "%s at step %d: %s vs %s" n (i + 1) (C.Word.to_string x)
+                  (C.Word.to_string vb.(i)))
+            va)
+      a.regs b.regs;
+  if a.outputs <> b.outputs then say "output traces differ";
+  if a.conflicts <> b.conflicts then begin
+    let show (s, p, n) =
+      Printf.sprintf "%d/%s:%s" s (C.Phase.to_string p) n
+    in
+    say "conflicts: [%s] vs [%s]"
+      (String.concat " " (List.map show a.conflicts))
+      (String.concat " " (List.map show b.conflicts))
+  end;
+  List.rev !out
+
+(* Every enumerated fault, plus out-of-range leg indices, stuck unit
+   inputs and an undeclared sink, and a plan dropping every final-step
+   [wb] leg at once (a [wb] saboteur there too), against the reference
+   definitions; and every faulted interpreter observation's diff
+   against the kasprintf one, both ways round and against reshaped
+   goldens. *)
+let leg_facts_agree (m : C.Model.t) =
+  let lf = C.Legs.of_model m in
+  let where f = Format.asprintf "%s: %a" m.C.Model.name F.Fault.pp f in
+  let nlegs = List.length (fst (C.Model.all_legs m)) in
+  let faults =
+    F.Fault.enumerate m
+    @ [ F.Fault.Dropped_leg { index = nlegs; desc = "past the end" };
+        F.Fault.Dropped_leg { index = nlegs + 7; desc = "far past" };
+        F.Fault.Stuck_sink { sink = "nowhere"; value = 1 } ]
+    @ List.concat_map
+        (fun (u : C.Model.fu) ->
+          List.map
+            (fun port ->
+              F.Fault.Stuck_sink { sink = u.fu_name ^ port; value = 1 })
+            [ ".in1"; ".in2"; ".op" ])
+        m.C.Model.fus
+  in
+  List.iter
+    (fun f ->
+      check_int (where f ^ " first_step") (ref_first_step m f)
+        (F.Fault.first_step_in lf f);
+      check_int (where f ^ " last_step") (ref_last_step m f)
+        (F.Fault.last_step_in lf f);
+      let inject = F.Fault.to_inject f in
+      List.iter
+        (fun s0 ->
+          check_int
+            (Printf.sprintf "%s expected cycles from %d" (where f) s0)
+            (ref_expected_cycles_injected ~inject m s0)
+            (C.Simulate.expected_cycles_with lf ~inject s0))
+        [ 0; max 0 (F.Campaign.boundary_of_fault m f) ])
+    faults;
+  let all_wb =
+    { C.Inject.none with
+      drop_legs = Array.to_list lf.C.Legs.final_wb;
+      saboteurs =
+        [ { C.Inject.sab_sink = "none"; sab_step = m.C.Model.cs_max;
+            sab_phase = C.Phase.Wb; sab_value = 1 } ] }
+  in
+  List.iter
+    (fun inject ->
+      check_int (m.C.Model.name ^ " final wb plan")
+        (ref_expected_cycles_injected ~inject m 0)
+        (C.Simulate.expected_cycles_with lf ~inject 0))
+    [ all_wb; { all_wb with saboteurs = [] } ];
+  let golden = C.Interp.run m in
+  let reshaped =
+    [ golden;
+      { golden with cs_max = golden.cs_max + 1 };
+      { golden with
+        regs =
+          (match List.rev golden.regs with
+           | _ :: rest -> List.rev rest
+           | [] -> [ ("extra", [||]) ]) };
+      { golden with outputs = ("extra", [ (1, 3) ]) :: golden.outputs };
+      { golden with conflicts = [ (1, C.Phase.Wa, "X"); (1, C.Phase.Ra, "Y") ] }
+    ]
+  in
+  List.iter
+    (fun f ->
+      match C.Interp.run ~inject:(F.Fault.to_inject f) m with
+      | exception C.Interp.Unstable _ -> ()
+      | o ->
+        List.iter
+          (fun g ->
+            Alcotest.(check (list string)) (where f ^ " diff")
+              (ref_diff g o) (C.Observation.diff g o);
+            Alcotest.(check (list string)) (where f ^ " diff reversed")
+              (ref_diff o g) (C.Observation.diff o g))
+          reshaped)
+    (F.Fault.enumerate m)
+
+let corpus_models () =
+  Sys.readdir "corpus" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".rtm")
+  |> List.sort compare
+  |> List.map (fun f -> C.Rtm.of_file (Filename.concat "corpus" f))
+
+let test_leg_facts_corpus () = List.iter leg_facts_agree (corpus_models ())
+
+let leg_facts_property =
+  QCheck.Test.make ~name:"leg table and diff strings = reference" ~count:25
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      leg_facts_agree (V.Consist.random_model ~conflict:(seed mod 3 = 0) seed);
+      true)
+
+(* A dropped leg patches exactly its own slot: the overlay equals the
+   base compile with the dropped leg's action filtered out of every
+   slot, and [last_patched] is the highest slot that changed. *)
+let test_overlay_patches_own_slot () =
+  List.iter
+    (fun (m : C.Model.t) ->
+      let base = C.Sched.compile m in
+      Array.iteri
+        (fun leg _ ->
+          let inject = C.Inject.dropped_leg leg in
+          let o = C.Sched.overlay base inject in
+          let last = ref (-1) in
+          Array.iteri
+            (fun k acts ->
+              let prov = base.C.Sched.slot_prov.(k) in
+              let kept =
+                List.filteri (fun i _ -> prov.(i) <> leg) (Array.to_list acts)
+              in
+              if List.length kept <> Array.length acts then last := k
+              else
+                check_bool
+                  (Printf.sprintf "%s leg %d: slot %d shared" m.C.Model.name
+                     leg k)
+                  true
+                  (o.C.Sched.slots.(k) == acts);
+              check_bool
+                (Printf.sprintf "%s leg %d: slot %d contents" m.C.Model.name
+                   leg k)
+                true
+                (Array.to_list o.C.Sched.slots.(k) = kept))
+            base.C.Sched.slots;
+          check_int
+            (Printf.sprintf "%s leg %d: last patched" m.C.Model.name leg)
+            !last o.C.Sched.last_patched)
+        base.C.Sched.leg_slot)
+    (List.filter
+       (fun m -> C.Model.validate m = [])
+       (corpus_models ()))
+
+(* The classify-once shortcut applies only when the goldens agree: a
+   warm artifact whose interpreter golden differs from the kernel one
+   must still classify the interpreter side of every batched variant
+   against the interpreter golden — exactly as the per-fault kernel
+   path does.  Stuck faults never retire early, so every variant
+   finishes and is classified. *)
+let test_classify_once_needs_equal_goldens () =
+  let m = fig1 () in
+  let a = F.Campaign.prepare m in
+  let golden_i =
+    let gi = a.F.Artifact.golden_i in
+    match gi.C.Observation.regs with
+    | (n, trace) :: rest ->
+      let trace = Array.copy trace in
+      let last = Array.length trace - 1 in
+      trace.(last) <- (if trace.(last) = 1 then 2 else 1);
+      { gi with regs = (n, trace) :: rest }
+    | [] -> Alcotest.fail "fig1 has no registers"
+  in
+  let a = { a with F.Artifact.golden_i } in
+  let faults =
+    List.filter
+      (function F.Fault.Stuck_sink _ -> true | _ -> false)
+      (F.Fault.enumerate m)
+  in
+  let batched, stats =
+    F.Campaign.run_with_stats ~jobs:1 ~faults ~engine:`Auto ~golden:a m
+  in
+  let kernel = F.Campaign.run ~faults ~engine:`Kernel ~golden:a m in
+  check_bool "stuck faults ran batched" true
+    (stats.F.Campaign.batched = List.length faults);
+  check_bool "the doctored golden changes interpreter outcomes" true
+    (List.exists
+       (fun (e : F.Campaign.entry) ->
+         e.F.Campaign.kernel_outcome <> e.F.Campaign.interp_outcome)
+       batched.F.Campaign.entries);
+  Alcotest.(check string) "batched = kernel path entry for entry"
+    (entries_string kernel) (entries_string batched)
+
 (* -- journal ---------------------------------------------------------------- *)
 
 let with_temp_journal f =
@@ -702,6 +983,14 @@ let () =
           Alcotest.test_case "first_step is sound and in range" `Quick
             test_first_step_sound;
           QCheck_alcotest.to_alcotest ~long:false restore_property ] );
+      ( "leg facts",
+        [ Alcotest.test_case "table = list walk on the corpus" `Quick
+            test_leg_facts_corpus;
+          QCheck_alcotest.to_alcotest ~long:false leg_facts_property;
+          Alcotest.test_case "dropped leg patches its own slot" `Quick
+            test_overlay_patches_own_slot;
+          Alcotest.test_case "classify once only for equal goldens" `Quick
+            test_classify_once_needs_equal_goldens ] );
       ( "journal",
         [ Alcotest.test_case "clean journaled run = plain run" `Quick
             test_journal_clean_run_matches_plain;

@@ -149,6 +149,47 @@ let test_zero_alloc () =
   if words <> 0. then
     Alcotest.failf "lockstep step loop allocated %.0f minor words" words
 
+(* ---- the per-fault allocation bound ----------------------------- *)
+
+(* An adder chain shaped like the benchmark's: two registers swapping
+   sums through one unit, read at 2i+1 and written at 2i+2. *)
+let chain steps =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    (Printf.sprintf
+       "model chain%d\ncsmax %d\nreg A init 5\nreg B init 9\nbus BA BB\n\
+        unit U ops add latency 1\n"
+       steps ((2 * steps) + 1));
+  for i = 0 to steps - 1 do
+    let read = (2 * i) + 1 in
+    Buffer.add_string b
+      (Printf.sprintf "transfer A BA B BB %d U %d BA %s\n" read (read + 1)
+         (if i mod 2 = 0 then "B" else "A"))
+  done;
+  Rtm.of_string (Buffer.contents b)
+
+(* Minor words per fault of a whole sequential campaign — goldens,
+   checkpoints, overlays, lockstep batches, classification.  The
+   bounds sit at about twice the measured count (1.3k and 6.3k), so
+   per-fault work that grows with the model (rebuilding the leg list,
+   formatting every differing step through [Format]) cannot come back
+   unnoticed: it cost about 6k words per fault on fault_chain and 54k
+   on the 32-step chain. *)
+let test_alloc_per_fault () =
+  List.iter
+    (fun ((m : Model.t), bound) ->
+      let faults = Fault.enumerate m in
+      let w0 = Gc.minor_words () in
+      let r = Campaign.run ~faults m in
+      let per_fault =
+        (Gc.minor_words () -. w0) /. float_of_int r.Campaign.total
+      in
+      if per_fault > bound then
+        Alcotest.failf "%s: %.0f minor words per fault, bound %.0f"
+          m.Model.name per_fault bound)
+    [ (Rtm.of_file (Filename.concat "corpus" "fault_chain.rtm"), 2600.);
+      (chain 32, 12500.) ]
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -163,4 +204,6 @@ let () =
         [ Alcotest.test_case "per-domain arena reuse is deterministic" `Quick
             test_arena_reuse;
           Alcotest.test_case "step loop allocates zero minor words" `Quick
-            test_zero_alloc ] ) ]
+            test_zero_alloc;
+          Alcotest.test_case "campaign minor words per fault bounded" `Quick
+            test_alloc_per_fault ] ) ]
