@@ -62,7 +62,13 @@ check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke fleet-
 	  --table > _build/check/smoke_batched.out; \
 	cmp _build/check/smoke_kernel.out _build/check/smoke_batched.out || \
 	  { echo "batched-campaign smoke FAILED: reports differ"; exit 1; }; \
-	echo "  2-domain batched campaign is byte-identical to the kernel path"
+	for k in 1 64; do \
+	  $$CSRTL inject _build/check/smoke.rtm --engine auto --jobs 2 --chunks 4 \
+	    --batch $$k --table > _build/check/smoke_batch$$k.out; \
+	  cmp _build/check/smoke_kernel.out _build/check/smoke_batch$$k.out || \
+	    { echo "batched-campaign smoke FAILED at --batch $$k"; exit 1; }; \
+	done; \
+	echo "  2-domain batched campaign (batch 32, 1, 64) is byte-identical to the kernel path"
 	@echo "BENCH_batch.json schema smoke:"
 	@dune exec --no-build bench/main.exe -- bench-json \
 	  _build/check/BENCH_batch.json smoke

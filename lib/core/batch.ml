@@ -17,7 +17,10 @@
 
 type variant_spec = { inject : Inject.t; join : int; settle : int }
 
-type verdict = Finished of Observation.t | Converged of int
+type verdict =
+  | Finished of Observation.t
+  | Converged of int
+  | Detected of int * Phase.t * string
 
 type result = { verdict : verdict; cycles : int }
 
@@ -49,9 +52,14 @@ let base_sched p = p.base
 let legs p = p.legs
 
 (* Variant lifecycle, encoded in an int so the dispatch loop reads a
-   flat array: -2 waiting to join, -1 running, s >= 0 retired at s. *)
+   flat array: -3 detected, -2 waiting to join, -1 running, s >= 0
+   retired at s. *)
+let st_detected = -3
 let st_waiting = -2
 let st_running = -1
+
+(* Placeholder of [v_found] for rows not detected. *)
+let no_conflict = (0, Phase.Ra, "")
 
 type arena = {
   pid : int;
@@ -97,6 +105,9 @@ type arena = {
       (* an already-recorded observable (trace cell, output write)
          differs from the golden row's: the final observation cannot
          equal the golden one, so retirement is off the table *)
+  v_found : (int * Phase.t * string) array;
+      (* a detected row's diagnosis point, its least conflict the
+         golden row lacks; read only in that state *)
 }
 
 let make_arena (plan : plan) rows =
@@ -140,7 +151,8 @@ let make_arena (plan : plan) rows =
     v_settle = Array.make rows 0;
     v_retire = Array.make rows 0;
     v_state = Array.make rows st_waiting;
-    v_dirty = Bytes.make rows '\000' }
+    v_dirty = Bytes.make rows '\000';
+    v_found = Array.make rows no_conflict }
 
 (* One arena per domain, rebound in place chunk after chunk as long as
    the campaign keeps the same plan and the batch fits.  Domain-local,
@@ -481,6 +493,38 @@ let update_obs_dirty (a : arena) row ~step =
     with Obs_differs -> Bytes.set a.v_dirty row '\001'
   end
 
+(* Early detection.  Conflicts are consed onto a row's list as they
+   are recorded, so the ones a step recorded are the list cells in
+   front of the cell that headed it before the step.  A conflict a
+   variant recorded at step [s] is new to the golden run exactly when
+   the golden row did not record the same (phase, sink) at [s] too. *)
+let rec golden_recorded ((_, p, n) as c) g stop =
+  g != stop
+  && (match g with
+      | [] -> false
+      | (_, gp, gn) :: rest ->
+        (Phase.equal gp p && String.equal gn n) || golden_recorded c rest stop)
+
+let precedes (_, p1, n1) (_, p2, n2) =
+  let c = Int.compare (Phase.to_int p1) (Phase.to_int p2) in
+  c < 0 || (c = 0 && String.compare n1 n2 < 0)
+
+(* The least of the step's new conflicts the golden lacks, in
+   classification order (the step is shared, so phase then sink), or
+   [best] if there is none. *)
+let rec least_new best l stop ~g ~g_stop =
+  if l == stop then best
+  else
+    match l with
+    | [] -> best
+    | c :: rest ->
+      let best =
+        if golden_recorded c g g_stop then best
+        else if best == no_conflict || precedes c best then c
+        else best
+      in
+      least_new best rest stop ~g ~g_stop
+
 let run_arena (a : arena) k =
   let cs = a.cs in
   for step = 1 to cs do
@@ -490,18 +534,33 @@ let run_arena (a : arena) k =
         a.v_state.(r) <- st_running
       end
     done;
+    let g_stop = a.conflicts.(0) in
     exec_row a a.scheds.(0) ~row:0 ~step;
+    let g = a.conflicts.(0) in
     for r = 1 to k do
       if a.v_state.(r) = st_running then begin
+        let stop = a.conflicts.(r) in
         exec_row a a.scheds.(r) ~row:r ~step;
-        update_obs_dirty a r ~step;
-        if
-          Bytes.get a.v_dirty r = '\000'
-          && step < cs
-          && step >= a.v_settle.(r)
-          && step >= a.v_retire.(r)
-          && rows_equal a r
-        then a.v_state.(r) <- step
+        let found =
+          (* only a row that recorded a conflict this step pays for
+             the check, so conflict-free steps stay allocation-free *)
+          if a.conflicts.(r) == stop then no_conflict
+          else least_new no_conflict a.conflicts.(r) stop ~g ~g_stop
+        in
+        if found != no_conflict then begin
+          a.v_found.(r) <- found;
+          a.v_state.(r) <- st_detected
+        end
+        else begin
+          update_obs_dirty a r ~step;
+          if
+            Bytes.get a.v_dirty r = '\000'
+            && step < cs
+            && step >= a.v_settle.(r)
+            && step >= a.v_retire.(r)
+            && rows_equal a r
+          then a.v_state.(r) <- step
+        end
       end
     done
   done
@@ -514,13 +573,16 @@ let golden_with (plan : plan) specs =
       (fun i spec ->
         let r = i + 1 in
         let verdict =
-          match a.v_state.(r) with
-          | -1 -> Finished (observation a r)
-          | -2 ->
+          let s = a.v_state.(r) in
+          if s = st_running then Finished (observation a r)
+          else if s = st_detected then
+            let step, phase, sink = a.v_found.(r) in
+            Detected (step, phase, sink)
+          else if s = st_waiting then
             (* joined at the final boundary: the fault never acts, the
                observation is the golden one by construction *)
             Converged plan.pmodel.Model.cs_max
-          | s -> Converged s
+          else Converged s
         in
         { verdict;
           cycles =

@@ -19,7 +19,7 @@
     pins.  Rows are row-major and stride-contiguous, so a variant's
     whole state is cache-linear and no step boxes a value.
 
-    Two campaign-shaped shortcuts make this faster than K independent
+    Three campaign-shaped shortcuts make this faster than K independent
     compiled runs:
 
     - {e joining}: a variant whose fault provably cannot act before
@@ -35,7 +35,17 @@
       delta accrued — is retired as {!Converged}: its remaining
       future is the golden row's, so its full observation equals the
       golden observation and a campaign classifies it masked without
-      executing the tail.
+      executing the tail;
+    - {e early detection}: a variant that records, at step [s], a
+      conflict the golden row did not record at [s] (same phase, same
+      sink) stops at the end of [s] as {!Detected} at the least such
+      conflict, without building its observation.  A campaign's
+      [Detected] outcome is the least conflict of the full run that the
+      golden run lacks; every conflict a later step records carries a
+      larger step, so no later step can produce an earlier one, and the
+      verdict is the full run's diagnosis point.  Only rows that
+      recorded a conflict in the step are examined, which keeps the
+      conflict-free step loop allocation-free.
 
     Soundness of retirement rests on the static schedule: at a step
     boundary the pending set is empty and the live driver set is
@@ -64,6 +74,10 @@ type verdict =
   | Converged of int
       (** retired at this boundary: the full observation provably
           equals the golden run's *)
+  | Detected of int * Phase.t * string
+      (** stopped at the end of this control step: the least
+          (step, {!Phase.to_int}, sink) conflict of the full run that
+          the golden run does not have *)
 
 type result = {
   verdict : verdict;

@@ -36,20 +36,23 @@ let normalize t =
 
 let equal a b = normalize a = normalize b
 
-(* Plain concatenation, not [Format]: a campaign diffs every finished
-   faulted run against its golden.  Journals persist these strings, so
-   the fault suite pins their bytes against a [Format.kasprintf]
-   reference. *)
-let diff_normalized a b =
-  let out = ref [] in
-  let say parts = out := String.concat "" parts :: !out in
+(* The one walk behind [diff] and [witness_normalized]:
+   [say] gets each difference in listing order, as a renderer for its
+   line, so a caller that only counts differences builds no strings.
+   Lines are plain concatenation, not [Format]; journals persist a
+   corrupted run's first line, so the fault suite pins their bytes
+   against a [Format.kasprintf] reference. *)
+let walk_diff a b (say : (unit -> string) -> unit) =
   if a.cs_max <> b.cs_max then
-    say [ "cs_max: "; string_of_int a.cs_max; " vs "; string_of_int b.cs_max ];
+    say (fun () ->
+        String.concat ""
+          [ "cs_max: "; string_of_int a.cs_max; " vs "; string_of_int b.cs_max ]);
   let reg_names o = List.map fst o.regs in
   if reg_names a <> reg_names b then
-    say
-      [ "register sets differ: ["; String.concat " " (reg_names a); "] vs [";
-        String.concat " " (reg_names b); "]" ]
+    say (fun () ->
+        String.concat ""
+          [ "register sets differ: ["; String.concat " " (reg_names a);
+            "] vs ["; String.concat " " (reg_names b); "]" ])
   else
     List.iter2
       (fun (n, va) (_, vb) ->
@@ -57,23 +60,33 @@ let diff_normalized a b =
           Array.iteri
             (fun i x ->
               if i < Array.length vb && x <> vb.(i) then
-                say
-                  [ n; " at step "; string_of_int (i + 1); ": ";
-                    Word.to_string x; " vs "; Word.to_string vb.(i) ])
+                say (fun () ->
+                    String.concat ""
+                      [ n; " at step "; string_of_int (i + 1); ": ";
+                        Word.to_string x; " vs "; Word.to_string vb.(i) ]))
             va)
       a.regs b.regs;
-  if a.outputs <> b.outputs then say [ "output traces differ" ];
-  if a.conflicts <> b.conflicts then begin
-    let show (s, p, n) =
-      String.concat "" [ string_of_int s; "/"; Phase.to_string p; ":"; n ]
-    in
-    say
-      [ "conflicts: ["; String.concat " " (List.map show a.conflicts);
-        "] vs ["; String.concat " " (List.map show b.conflicts); "]" ]
-  end;
+  if a.outputs <> b.outputs then say (fun () -> "output traces differ");
+  if a.conflicts <> b.conflicts then
+    say (fun () ->
+        let show (s, p, n) =
+          String.concat "" [ string_of_int s; "/"; Phase.to_string p; ":"; n ]
+        in
+        String.concat ""
+          [ "conflicts: ["; String.concat " " (List.map show a.conflicts);
+            "] vs ["; String.concat " " (List.map show b.conflicts); "]" ])
+
+let diff a b =
+  let out = ref [] in
+  walk_diff (normalize a) (normalize b) (fun line -> out := line () :: !out);
   List.rev !out
 
-let diff a b = diff_normalized (normalize a) (normalize b)
+let witness_normalized a b =
+  let count = ref 0 and first = ref "" in
+  walk_diff a b (fun line ->
+      if !count = 0 then first := line ();
+      incr count);
+  if !count = 0 then None else Some (!count, !first)
 
 (* ---- serialization ----------------------------------------------
    Same line discipline as {!Snapshot}: one versioned magic line, one

@@ -34,11 +34,15 @@ val equal : t -> t -> bool
 val diff : t -> t -> string list
 (** Human-readable differences (empty iff {!equal}). *)
 
-val diff_normalized : t -> t -> string list
-(** {!diff} of two observations already passed through {!normalize}
-    — a caller diffing many runs against one golden normalizes the
-    golden once.  [diff a b = diff_normalized (normalize a)
-    (normalize b)]. *)
+val witness_normalized : t -> t -> (int * string) option
+(** How a campaign records silent corruption: the number of
+    differences and the first one, [None] iff {!equal}, for two
+    observations already passed through {!normalize} (a caller
+    comparing many runs against one golden normalizes the golden
+    once).  One walk with {!diff} that renders only the first line, so
+    [witness_normalized (normalize a) (normalize b)] is
+    [Some (List.length (diff a b), List.hd (diff a b))] whenever the
+    diff is non-empty. *)
 
 val to_string : t -> string
 (** Versioned text serialization in {!Snapshot}'s line discipline

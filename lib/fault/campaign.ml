@@ -3,7 +3,7 @@ open Csrtl_core
 type outcome = Outcome.t =
   | Masked
   | Detected of int * Phase.t * string
-  | Corrupted of string list
+  | Corrupted of { count : int; first : string }
   | Hung of string
   | Crashed of string
 
@@ -42,7 +42,7 @@ let golden_of obs = { obs; norm = Observation.normalize (strip obs) }
 (* A fault is detected iff it produces a conflict the golden run does
    not have; the first chronological new conflict is the diagnosis
    point.  Anything else that changes the observation is silent data
-   corruption. *)
+   corruption, recorded as its difference count and first difference. *)
 let classify_against g (faulted : Observation.t) =
   let fresh =
     List.filter
@@ -61,11 +61,11 @@ let classify_against g (faulted : Observation.t) =
   | (s, p, n) :: _ -> Detected (s, p, n)
   | [] ->
     (match
-       Observation.diff_normalized g.norm
+       Observation.witness_normalized g.norm
          (Observation.normalize (strip faulted))
      with
-     | [] -> Masked
-     | ds -> Corrupted ds)
+     | None -> Masked
+     | Some (count, first) -> Corrupted { count; first })
 
 let classify ~golden faulted = classify_against (golden_of golden) faulted
 
@@ -285,16 +285,16 @@ let interp_entry ~ctx ~snap inj =
          (Phase.to_string phase) sink)
   | exception e -> Crashed (Printexc.to_string e)
 
+(* Both engines resume from the latest golden checkpoint strictly
+   before the fault can first act ({!Fault.first_step} is a sound lower
+   bound), skipping the steps the fault provably cannot touch. *)
+let checkpoint_for ~ctx fault =
+  let b = boundary_in ctx.legs fault in
+  if b < 1 then None else Hashtbl.find_opt ctx.checkpoints b
+
 let entry_of_fault ~ctx fault =
   let inj = Fault.to_inject fault in
-  let snap =
-    (* resume both engines from the latest golden checkpoint strictly
-       before the fault can first act ({!Fault.first_step} is a sound
-       lower bound), skipping the steps the fault provably cannot
-       touch *)
-    let b = boundary_in ctx.legs fault in
-    if b < 1 then None else Hashtbl.find_opt ctx.checkpoints b
-  in
+  let snap = checkpoint_for ~ctx fault in
   let kernel_outcome, kernel_cycles, expected = kernel_entry ~ctx ~snap inj in
   let interp_outcome = interp_entry ~ctx ~snap inj in
   let law_ok =
@@ -334,14 +334,17 @@ type batch_stats = {
   batched : int;
   kernel_path : int;
   retired_early : int;
+  detected_early : int;
 }
 
-let no_stats = { batched = 0; kernel_path = 0; retired_early = 0 }
+let no_stats =
+  { batched = 0; kernel_path = 0; retired_early = 0; detected_early = 0 }
 
 let add_stats a b =
   { batched = a.batched + b.batched;
     kernel_path = a.kernel_path + b.kernel_path;
-    retired_early = a.retired_early + b.retired_early }
+    retired_early = a.retired_early + b.retired_early;
+    detected_early = a.detected_early + b.detected_early }
 
 (* A fault rides the batched executor when its injection has a static
    schedule under this campaign's config — the same gate the golden
@@ -354,8 +357,9 @@ let batchable ~ctx f =
    fault: join at the checkpoint boundary exactly when [kernel_entry]
    would restore a snapshot there, else run from reset. *)
 let batch_spec ~ctx f =
-  let b = boundary_in ctx.legs f in
-  let join = if b >= 1 && Hashtbl.mem ctx.checkpoints b then b else 0 in
+  let join =
+    match checkpoint_for ~ctx f with Some s -> s.Snapshot.step | None -> 0
+  in
   { Batch.inject = Fault.to_inject f; join;
     settle = Fault.last_step_in ctx.legs f }
 
@@ -365,14 +369,25 @@ let batch_spec ~ctx f =
    classify it masked without materializing it; a finished variant's
    observation classifies against each engine's own golden (the
    differential suite pins the batched observation against both
-   engines) — once, when the two goldens are equal.  The cycle count
-   is the law's prediction — which the suite pins against the cycles
-   the kernel actually runs. *)
+   engines) — once, when the two goldens are equal.  A detected
+   variant stopped at its diagnosis point against the arena's golden,
+   which is the kernel golden; when the interpreter golden differs the
+   truncated run says nothing about it, so that side reruns the
+   fault on the interpreter.  The cycle count is the law's prediction
+   — which the suite pins against the cycles the kernel actually
+   runs. *)
 let entry_of_verdict ~ctx fault (spec : Batch.variant_spec)
     (r : Batch.result) =
   let kernel_outcome, interp_outcome =
     match r.Batch.verdict with
     | Batch.Converged _ -> (Masked, Masked)
+    | Batch.Detected (s, p, n) ->
+      let k = Detected (s, p, n) in
+      ( k,
+        if ctx.same_golden then k
+        else
+          interp_entry ~ctx ~snap:(checkpoint_for ~ctx fault)
+            spec.Batch.inject )
     | Batch.Finished obs ->
       let k = classify_against ctx.golden_k obs in
       (k, if ctx.same_golden then k else classify_against ctx.golden_i obs)
@@ -449,17 +464,17 @@ let compute_work ~ctx ~on_entry = function
            ifs (List.combine specs results)
        in
        List.iter (fun (i, e) -> on_entry i e) entries;
-       let retired =
+       let count p =
          List.length
-           (List.filter
-              (fun (r : Batch.result) ->
-                match r.Batch.verdict with
-                | Batch.Converged _ -> true
-                | Batch.Finished _ -> false)
-              results)
+           (List.filter (fun (r : Batch.result) -> p r.Batch.verdict) results)
        in
        ( entries,
-         { no_stats with batched = List.length ifs; retired_early = retired } )
+         { no_stats with
+           batched = List.length ifs;
+           retired_early =
+             count (function Batch.Converged _ -> true | _ -> false);
+           detected_early =
+             count (function Batch.Detected _ -> true | _ -> false) } )
      | Csrtl_par.Par.Crashed _ | Csrtl_par.Par.Over_budget _ ->
        let entries =
          List.map
@@ -502,12 +517,6 @@ let summarize (m : Model.t) entries =
 let fault_list ?limit ?faults m =
   match faults with Some fs -> fs | None -> Fault.enumerate ?limit m
 
-(* A fault run allocates freely (observations, diffs, entries), so
-   campaign-owned pools give each worker a roomy nursery: fewer minor
-   collections means fewer of OCaml 5's global stop-the-world barriers
-   across the pool.  2^20 words = 8 MiB per domain. *)
-let campaign_minor_heap_words = 1 lsl 20
-
 let faults_of = function Chunk ifs -> List.length ifs | Single _ -> 1
 
 let map_faults ?pool ?jobs ?chunks ~est_us compute work =
@@ -536,8 +545,8 @@ let map_faults ?pool ?jobs ?chunks ~est_us compute work =
       | Some j -> j
       | None -> Csrtl_par.Par.default_jobs ()
     in
-    Csrtl_par.Par.with_pool ~minor_heap_words:campaign_minor_heap_words ~jobs
-      (fun p -> Csrtl_par.Par.map ?chunks:(planned p) p compute work)
+    Csrtl_par.Par.with_pool ~jobs (fun p ->
+        Csrtl_par.Par.map ?chunks:(planned p) p compute work)
 
 (* Shard the planned work across the pool (or run it inline), then
    reassemble entries in fault order — the report is independent of

@@ -27,9 +27,10 @@ type outcome = Outcome.t =
   | Detected of int * Phase.t * string
       (** a conflict the golden run does not have, localized to the
           first (control step, phase, sink) where it became visible *)
-  | Corrupted of string list
+  | Corrupted of { count : int; first : string }
       (** silent data corruption: no new conflict, but the observation
-          differs (the differences, human-readable) *)
+          differs — in [count] places, the first being [first]
+          ({!Csrtl_core.Observation.witness_normalized}) *)
   | Hung of string  (** watchdog trip, kernel delta overflow, or
                         work-budget overrun *)
   | Crashed of string  (** an exception escaped the run *)
@@ -69,7 +70,10 @@ type engine = [ `Auto | `Kernel | `Compiled ]
     ({!Csrtl_core.Batch}) and derive both engines' outcomes from the
     one batched observation — classified once when the kernel and
     interpreter goldens are equal (as under [Record]), against each
-    golden otherwise; faults with no static schedule
+    golden otherwise.  A variant the executor stops at its first new
+    conflict ({!Csrtl_core.Batch.Detected}) is detected there on both
+    engines; only when the goldens differ does its interpreter side
+    rerun on the interpreter.  Faults with no static schedule
     (oscillators, [cr] saboteurs) and non-[Record] configs stay on the
     kernel path either way.  Reports, journals and classifications are
     byte-identical across engines — the batched path is a pure
@@ -81,6 +85,9 @@ type batch_stats = {
   retired_early : int;
       (** batched variants retired at a re-convergence boundary
           before [cs_max] ({!Csrtl_core.Batch.Converged}) *)
+  detected_early : int;
+      (** batched variants stopped at their first conflict the golden
+          run lacks ({!Csrtl_core.Batch.Detected}) *)
 }
 
 val boundary_of_fault : Model.t -> Fault.t -> int
@@ -143,8 +150,7 @@ val run_parallel :
     which the determinism suite checks.  [pool] reuses an existing pool (then
     [jobs] is ignored); otherwise a pool of [jobs] (default
     {!Csrtl_par.Par.default_jobs}) is created for the call, sized to
-    the host's cores and with campaign-tuned worker nurseries; when
-    the runtime cannot provide the requested domains the pool shrinks
+    the host's cores; when the runtime cannot provide the requested domains the pool shrinks
     gracefully down to sequential ({!Csrtl_par.Par.create}).
     [chunks], when omitted, is planned from the measured golden-run
     cost ({!Csrtl_par.Par.plan_chunks}): each work item — one
@@ -210,7 +216,8 @@ val run_with_stats :
   Model.t -> report * batch_stats
 (** {!run_parallel}, additionally reporting how the faults were
     dispatched — the bench harness uses the early-retirement hit rate
-    and the batched/kernel split for the C12 table. *)
+    and the batched/kernel split for the C12 table, and perfbench's
+    probe reads all four counts. *)
 
 val outcomes_agree : outcome -> outcome -> bool
 (** Same class; [Detected] additionally requires the same localization. *)

@@ -265,8 +265,8 @@ let json_of_outcome = function
     Obj
       [ ("o", Str "detected"); ("step", Int step);
         ("phase", Str (Phase.to_string phase)); ("sink", Str sink) ]
-  | Outcome.Corrupted diffs ->
-    Obj [ ("o", Str "corrupted"); ("diffs", Arr (List.map (fun d -> Str d) diffs)) ]
+  | Outcome.Corrupted { count; first } ->
+    Obj [ ("o", Str "corrupted"); ("n", Int count); ("first", Str first) ]
   | Outcome.Hung why -> Obj [ ("o", Str "hung"); ("why", Str why) ]
   | Outcome.Crashed why -> Obj [ ("o", Str "crashed"); ("why", Str why) ]
 
@@ -281,15 +281,9 @@ let outcome_of_json j =
     in
     Outcome.Detected (int_field "step" j, phase, str_field "sink" j)
   | "corrupted" ->
-    let diffs =
-      match field "diffs" j with
-      | Some (Arr vs) ->
-        List.map
-          (function Str s -> s | _ -> raise (Bad "bad diff entry"))
-          vs
-      | _ -> raise (Bad "missing diffs")
-    in
-    Outcome.Corrupted diffs
+    let count = int_field "n" j in
+    if count < 1 then raise (Bad "corrupted outcome with no differences");
+    Outcome.Corrupted { count; first = str_field "first" j }
   | "hung" -> Outcome.Hung (str_field "why" j)
   | "crashed" -> Outcome.Crashed (str_field "why" j)
   | other -> raise (Bad (Printf.sprintf "unknown outcome %S" other))
@@ -298,10 +292,15 @@ let outcome_of_json j =
 (* Lines                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* v2 records silent corruption as a count plus its first difference
+   ({"o":"corrupted","n":N,"first":S}); v1 listed every difference, so
+   a v1 journal is refused, never misread. *)
+let version = 2
+
 let header_line h =
   json_to_string
     (Obj
-       [ ("journal", Str "csrtl-fault-campaign"); ("v", Int 1);
+       [ ("journal", Str "csrtl-fault-campaign"); ("v", Int version);
          ("model", Str h.model); ("digest", Str h.digest);
          ("config", Str h.config); ("total", Int h.total);
          ("faults", Str h.faults_digest) ])
@@ -310,7 +309,8 @@ let header_of_line line =
   let j = parse_json line in
   if field "journal" j <> Some (Str "csrtl-fault-campaign") then
     raise (Bad "not a campaign journal");
-  if field "v" j <> Some (Int 1) then raise (Bad "unsupported journal version");
+  if field "v" j <> Some (Int version) then
+    raise (Bad "unsupported journal version");
   { model = str_field "model" j; digest = str_field "digest" j;
     config = str_field "config" j; total = int_field "total" j;
     faults_digest = str_field "faults" j }

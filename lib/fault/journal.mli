@@ -8,7 +8,12 @@
     model digest and the entry body.  {!read} treats any line that
     fails to parse, fails its hash, is out of range, or duplicates an
     index as {e torn}: reported by count and re-run on resume, never
-    folded into a report. *)
+    folded into a report.
+
+    The format is version 2: a corrupted outcome is stored as its
+    difference count and first difference,
+    [{"o":"corrupted","n":N,"first":S}].  A journal of any other
+    version fails {!read} with "unsupported journal version". *)
 
 open Csrtl_core
 

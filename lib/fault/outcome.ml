@@ -8,7 +8,9 @@ open Csrtl_core
 type t =
   | Masked
   | Detected of int * Phase.t * string
-  | Corrupted of string list
+  | Corrupted of { count : int; first : string }
+      (** how many lines {!Csrtl_core.Observation.diff} lists, and the
+          first of them *)
   | Hung of string
   | Crashed of string
 
@@ -29,7 +31,7 @@ let pp ppf = function
   | Masked -> Format.pp_print_string ppf "masked"
   | Detected (s, p, n) ->
     Format.fprintf ppf "detected at (%d, %s) on %s" s (Phase.to_string p) n
-  | Corrupted ds ->
-    Format.fprintf ppf "silent corruption (%d differences)" (List.length ds)
+  | Corrupted { count; _ } ->
+    Format.fprintf ppf "silent corruption (%d differences)" count
   | Hung why -> Format.fprintf ppf "hung: %s" why
   | Crashed why -> Format.fprintf ppf "crashed: %s" why

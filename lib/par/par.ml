@@ -93,7 +93,7 @@ let rec worker_loop t w last_gen =
       worker_loop t w gen
   end
 
-let create ?(oversubscribe = false) ?minor_heap_words ~jobs () =
+let create ?(oversubscribe = false) ~jobs () =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Par.create: jobs must be >= 1 (got %d)" jobs);
   (* Domains beyond the machine's cores are pure overhead under OCaml
@@ -119,15 +119,7 @@ let create ?(oversubscribe = false) ?minor_heap_words ~jobs () =
   let spawned = ref [] in
   (try
      for i = 1 to target - 1 do
-       spawned :=
-         Domain.spawn (fun () ->
-             (match minor_heap_words with
-              | None -> ()
-              | Some w -> (
-                try Gc.set { (Gc.get ()) with Gc.minor_heap_size = w }
-                with _ -> ()));
-             worker_loop t i 0)
-         :: !spawned
+       spawned := Domain.spawn (fun () -> worker_loop t i 0) :: !spawned
      done
    with _ -> ());
   t.domains <- !spawned;
@@ -145,8 +137,8 @@ let shutdown t =
     t.domains <- []
   end
 
-let with_pool ?oversubscribe ?minor_heap_words ~jobs f =
-  let t = create ?oversubscribe ?minor_heap_words ~jobs () in
+let with_pool ?oversubscribe ~jobs f =
+  let t = create ?oversubscribe ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* How many chunks a [map] over [items] tasks of roughly

@@ -38,17 +38,13 @@ val available_parallelism : unit -> int
 val default_jobs : unit -> int
 (** Alias of {!available_parallelism} — the default worker count. *)
 
-val create :
-  ?oversubscribe:bool -> ?minor_heap_words:int -> jobs:int -> unit -> t
+val create : ?oversubscribe:bool -> jobs:int -> unit -> t
 (** Spawn worker domains ([Invalid_argument] when [jobs < 1]).  The
     spawn target is [min jobs (available_parallelism ())] unless
     [oversubscribe] (default [false]) forces the requested count —
     tests use that to exercise real cross-domain hand-off on small
     hosts; production campaigns never should (see the sizing note
-    above).  [minor_heap_words], when given, sizes each {e worker}
-    domain's minor heap (best-effort; the caller's domain is left
-    alone) — allocation-heavy map bodies stretch the interval between
-    global minor-GC barriers with a larger nursery.
+    above).
 
     A [jobs = 1] (or fully clamped) pool has no domains and {!map}
     runs entirely in the caller.  When the runtime cannot provide all
@@ -64,9 +60,7 @@ val jobs : t -> int
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent; the pool is unusable after. *)
 
-val with_pool :
-  ?oversubscribe:bool -> ?minor_heap_words:int -> jobs:int ->
-  (t -> 'a) -> 'a
+val with_pool : ?oversubscribe:bool -> jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exception). *)
 
 val plan_chunks : jobs:int -> items:int -> item_cost_us:float -> int

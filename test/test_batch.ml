@@ -2,9 +2,10 @@
    compilable fault the four realizations — event kernel, interpreter,
    per-variant compiled overlay, batched lockstep — must agree on the
    full observation, the batched cycle prediction must equal what the
-   kernel actually ran, and a variant retired early must provably be
-   masked.  The campaign suites then lock report and journal bytes on
-   top of this. *)
+   kernel actually ran, a variant retired early must provably be
+   masked, and a variant stopped early must be detected at the
+   kernel's diagnosis point.  The campaign suites then lock report and
+   journal bytes on top of this. *)
 
 open Csrtl_core
 module Consist = Csrtl_verify.Consist
@@ -16,6 +17,31 @@ let agree name fault a b =
     Alcotest.failf "%s disagree on %s:@.diff: %s" name
       (Fault.to_string fault)
       (String.concat "; " (Observation.diff a b))
+
+(* A batched verdict against the kernel's full run of the same fault: a
+   finished or retired variant must reproduce the kernel's observation
+   (returned for further comparison); a detected one must name the
+   (step, phase, sink) at which that run, classified against the
+   kernel's golden run, is [Detected]. *)
+let verdict_agrees name f ~golden_batch ~golden (r : Batch.result)
+    kernel_obs =
+  match r.Batch.verdict with
+  | Batch.Finished o ->
+    agree name f o kernel_obs;
+    Some o
+  | Batch.Converged _ ->
+    agree name f golden_batch kernel_obs;
+    Some golden_batch
+  | Batch.Detected (s, p, n) ->
+    (match Campaign.classify ~golden kernel_obs with
+     | Campaign.Detected (s', p', n')
+       when s = s' && Phase.equal p p' && String.equal n n' -> ()
+     | o ->
+       Alcotest.failf "%s: batch detected %s at (%d, %s) on %s, kernel \
+                       classifies %a"
+         name (Fault.to_string f) s (Phase.to_string p) n
+         Campaign.pp_outcome o);
+    None
 
 let compilable_faults m =
   List.filter
@@ -37,20 +63,25 @@ let four_way (m : Model.t) =
         faults
     in
     let golden_batch, results = Batch.golden m specs in
+    let golden = (Simulate.run_cfg m).Simulate.obs in
     agree "batch-golden/compiled-golden"
       (List.hd faults) golden_batch golden_compiled;
     List.iter2
       (fun f (r : Batch.result) ->
         let inj = Fault.to_inject f in
-        let batched =
-          match r.Batch.verdict with
-          | Batch.Finished o -> o
-          | Batch.Converged _ -> golden_batch
-        in
         let kernel = Simulate.run_cfg ~inject:inj m in
-        agree "batch/kernel" f batched kernel.Simulate.obs;
-        agree "batch/interp" f batched (Interp.run ~inject:inj m);
-        agree "batch/compiled-overlay" f batched
+        (* a detected variant has no observation: the other engines
+           are then held to the kernel's *)
+        let name, reference =
+          match
+            verdict_agrees "batch/kernel" f ~golden_batch ~golden r
+              kernel.Simulate.obs
+          with
+          | Some batched -> ("batch", batched)
+          | None -> ("kernel", kernel.Simulate.obs)
+        in
+        agree (name ^ "/interp") f reference (Interp.run ~inject:inj m);
+        agree (name ^ "/compiled-overlay") f reference
           (Compiled.run (Compiled.of_model ~inject:inj m));
         if r.Batch.cycles <> kernel.Simulate.cycles then
           Alcotest.failf "cycle law on %s: batch predicts %d, kernel ran %d"
@@ -76,6 +107,7 @@ let join_parity (m : Model.t) =
         faults
     in
     let golden_batch, results = Batch.golden m specs in
+    let golden = (Simulate.run_cfg m).Simulate.obs in
     let snap_cache = Hashtbl.create 8 in
     let snapshot b =
       match Hashtbl.find_opt snap_cache b with
@@ -89,15 +121,12 @@ let join_parity (m : Model.t) =
       (fun f (r : Batch.result) ->
         let inj = Fault.to_inject f in
         let b = Campaign.boundary_of_fault m f in
-        let batched =
-          match r.Batch.verdict with
-          | Batch.Finished o -> o
-          | Batch.Converged _ -> golden_batch
-        in
         let kernel =
           Simulate.resume ~inject:inj ~from:(snapshot (min b m.Model.cs_max)) m
         in
-        agree "joined-batch/kernel-resume" f batched kernel.Simulate.obs;
+        ignore
+          (verdict_agrees "joined-batch/kernel-resume" f ~golden_batch
+             ~golden r kernel.Simulate.obs);
         if r.Batch.cycles <> kernel.Simulate.cycles then
           Alcotest.failf
             "resumed cycle law on %s: batch predicts %d, kernel ran %d"
@@ -105,9 +134,11 @@ let join_parity (m : Model.t) =
       faults results
   end
 
-(* A retired variant claims its observation equals the golden one —
-   so both engines must classify it masked. *)
-let retirement_sound (m : Model.t) =
+(* Early verdicts on campaign-shaped specs (joined at the fault's
+   boundary), each checked against the kernel's full run classified
+   against its golden: [check] sees the fault, the verdict and that
+   classification. *)
+let early_verdicts (m : Model.t) check =
   let faults = compilable_faults m in
   if faults <> [] then begin
     let specs =
@@ -118,26 +149,68 @@ let retirement_sound (m : Model.t) =
             settle = Fault.last_step m f })
         faults
     in
-    let results = Batch.run m specs in
+    let golden = (Simulate.run_cfg m).Simulate.obs in
     List.iter2
       (fun f (r : Batch.result) ->
-        match r.Batch.verdict with
-        | Batch.Finished _ -> ()
-        | Batch.Converged _ ->
+        let classified () =
           let inj = Fault.to_inject f in
-          let kernel = (Simulate.run_cfg ~inject:inj m).Simulate.obs in
-          let golden = (Simulate.run_cfg m).Simulate.obs in
-          (match Campaign.classify ~golden kernel with
-           | Campaign.Masked -> ()
-           | o ->
-             Alcotest.failf "retired %s but kernel classifies %a"
-               (Fault.to_string f) Campaign.pp_outcome o))
-      faults results
+          Campaign.classify ~golden (Simulate.run_cfg ~inject:inj m).Simulate.obs
+        in
+        check f r.Batch.verdict classified)
+      faults (Batch.run m specs)
   end
+
+(* A retired variant claims its observation equals the golden one —
+   so both engines must classify it masked. *)
+let retirement_sound m =
+  early_verdicts m (fun f verdict classified ->
+      match verdict with
+      | Batch.Finished _ | Batch.Detected _ -> ()
+      | Batch.Converged _ ->
+        (match classified () with
+         | Campaign.Masked -> ()
+         | o ->
+           Alcotest.failf "retired %s but kernel classifies %a"
+             (Fault.to_string f) Campaign.pp_outcome o))
+
+(* A variant stopped early claims the full run is detected at the
+   verdict's point — and one that ran to the end must not be a missed
+   detection. *)
+let detection_sound m =
+  early_verdicts m (fun f verdict classified ->
+      match (verdict, classified ()) with
+      | Batch.Detected (s, p, n), Campaign.Detected (s', p', n')
+        when s = s' && Phase.equal p p' && String.equal n n' -> ()
+      | Batch.Detected (s, p, n), o ->
+        Alcotest.failf "stopped %s as detected at (%d, %s) on %s but kernel \
+                        classifies %a"
+          (Fault.to_string f) s (Phase.to_string p) n Campaign.pp_outcome o
+      | (Batch.Finished _ | Batch.Converged _), Campaign.Detected _ ->
+        Alcotest.failf "%s ran past its detection point"
+          (Fault.to_string f)
+      | (Batch.Finished _ | Batch.Converged _), _ -> ())
 
 let test_fig1 () = four_way (Builder.fig1 ())
 let test_fig1_join () = join_parity (Builder.fig1 ())
 let test_fig1_retire () = retirement_sound (Builder.fig1 ())
+let test_fig1_detect () = detection_sound (Builder.fig1 ())
+
+(* The dispatch counts of two campaigns, pinned: retirement counts
+   only re-converged variants (the benchmark probe reads it as the
+   retire ratio), early detection only the ones stopped at a new
+   conflict — every detected batched fault on these models. *)
+let test_early_counts () =
+  List.iter
+    (fun ((m : Model.t), retired, detected) ->
+      let r, st = Campaign.run_with_stats ~jobs:1 m in
+      let name = m.Model.name in
+      Alcotest.(check int) (name ^ " retired early") retired
+        st.Campaign.retired_early;
+      Alcotest.(check int) (name ^ " detected early") detected
+        st.Campaign.detected_early;
+      Alcotest.(check int) (name ^ " every detection early")
+        r.Campaign.detected st.Campaign.detected_early)
+    [ (Builder.fig1 (), 2, 15); (Chain_model.chain 24, 2, 107) ]
 
 (* ---- campaign determinism: the batched path is invisible -------- *)
 
@@ -256,6 +329,16 @@ let prop_retirement =
       retirement_sound (Consist.random_model seed);
       true)
 
+let prop_detection =
+  QCheck.Test.make
+    ~name:"early detection only on detected faults, at the kernel's \
+           diagnosis point"
+    ~count:25
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      detection_sound (Consist.random_model ~conflict:(seed mod 2 = 0) seed);
+      true)
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -264,13 +347,16 @@ let () =
     [ ( "engines",
         [ Alcotest.test_case "fig1 four-way" `Quick test_fig1;
           Alcotest.test_case "fig1 join parity" `Quick test_fig1_join;
-          Alcotest.test_case "fig1 retirement" `Quick test_fig1_retire ] );
+          Alcotest.test_case "fig1 retirement" `Quick test_fig1_retire;
+          Alcotest.test_case "fig1 early detection" `Quick test_fig1_detect ] );
       ( "campaign",
         [ Alcotest.test_case "fig1 engine/jobs/batch invariance" `Quick
             test_invariance;
           Alcotest.test_case "oscillator rides the kernel path" `Quick
             test_oscillator_in_batch;
-          Alcotest.test_case "journal parity" `Quick test_journal_parity ] );
+          Alcotest.test_case "journal parity" `Quick test_journal_parity;
+          Alcotest.test_case "early retirement and detection counts" `Quick
+            test_early_counts ] );
       qsuite "differential"
         [ prop_four_engines; prop_join_parity; prop_retirement;
-          prop_invariance ] ]
+          prop_detection; prop_invariance ] ]

@@ -411,12 +411,22 @@ let ref_diff a b =
   end;
   List.rev !out
 
+(* A corruption witness is the diff's length and first line. *)
+let obs_witness a b =
+  C.Observation.(witness_normalized (normalize a) (normalize b))
+
+let ref_witness a b =
+  match C.Observation.diff a b with
+  | [] -> None
+  | first :: _ as ds -> Some (List.length ds, first)
+
 (* Every enumerated fault, plus out-of-range leg indices, stuck unit
    inputs and an undeclared sink, and a plan dropping every final-step
    [wb] leg at once (a [wb] saboteur there too), against the reference
    definitions; and every faulted interpreter observation's diff
-   against the kasprintf one, both ways round and against reshaped
-   goldens. *)
+   against the kasprintf one and its witness against the diff, both
+   ways round and against reshaped goldens, and its classification's
+   witness against the diff of the conflict-free parts. *)
 let leg_facts_agree (m : C.Model.t) =
   let lf = C.Legs.of_model m in
   let where f = Format.asprintf "%s: %a" m.C.Model.name F.Fault.pp f in
@@ -480,13 +490,25 @@ let leg_facts_agree (m : C.Model.t) =
       match C.Interp.run ~inject:(F.Fault.to_inject f) m with
       | exception C.Interp.Unstable _ -> ()
       | o ->
+        let witness = Alcotest.(option (pair int string)) in
         List.iter
           (fun g ->
             Alcotest.(check (list string)) (where f ^ " diff")
               (ref_diff g o) (C.Observation.diff g o);
             Alcotest.(check (list string)) (where f ^ " diff reversed")
-              (ref_diff o g) (C.Observation.diff o g))
-          reshaped)
+              (ref_diff o g) (C.Observation.diff o g);
+            Alcotest.check witness (where f ^ " witness") (ref_witness g o)
+              (obs_witness g o);
+            Alcotest.check witness (where f ^ " witness reversed")
+              (ref_witness o g) (obs_witness o g))
+          reshaped;
+        (match F.Campaign.classify ~golden o with
+         | F.Campaign.Corrupted { count; first } ->
+           let strip (x : C.Observation.t) = { x with conflicts = [] } in
+           Alcotest.check witness (where f ^ " corrupted outcome")
+             (ref_witness (strip golden) (strip o))
+             (Some (count, first))
+         | _ -> ()))
     (F.Fault.enumerate m)
 
 let corpus_models () =
@@ -547,8 +569,10 @@ let test_overlay_patches_own_slot () =
    warm artifact whose interpreter golden differs from the kernel one
    must still classify the interpreter side of every batched variant
    against the interpreter golden — exactly as the per-fault kernel
-   path does.  Stuck faults never retire early, so every variant
-   finishes and is classified. *)
+   path does.  Stuck faults never retire early: every variant either
+   finishes and is classified, or stops at its detection point and
+   reruns on the interpreter.  The doctored cell is a register's first
+   step, so it is the first difference a corrupted outcome records. *)
 let test_classify_once_needs_equal_goldens () =
   let m = fig1 () in
   let a = F.Campaign.prepare m in
@@ -557,8 +581,7 @@ let test_classify_once_needs_equal_goldens () =
     match gi.C.Observation.regs with
     | (n, trace) :: rest ->
       let trace = Array.copy trace in
-      let last = Array.length trace - 1 in
-      trace.(last) <- (if trace.(last) = 1 then 2 else 1);
+      trace.(0) <- (if trace.(0) = 1 then 2 else 1);
       { gi with regs = (n, trace) :: rest }
     | [] -> Alcotest.fail "fig1 has no registers"
   in

@@ -75,6 +75,8 @@ let result_equal (a : Batch.result) (b : Batch.result) =
   match (a.Batch.verdict, b.Batch.verdict) with
   | Batch.Finished x, Batch.Finished y -> Observation.equal x y
   | Batch.Converged x, Batch.Converged y -> x = y
+  | Batch.Detected (s1, p1, n1), Batch.Detected (s2, p2, n2) ->
+    s1 = s2 && Phase.equal p1 p2 && String.equal n1 n2
   | _ -> false
 
 let compilable_specs (m : Model.t) =
@@ -151,22 +153,7 @@ let test_zero_alloc () =
 
 (* ---- the per-fault allocation bound ----------------------------- *)
 
-(* An adder chain shaped like the benchmark's: two registers swapping
-   sums through one unit, read at 2i+1 and written at 2i+2. *)
-let chain steps =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "model chain%d\ncsmax %d\nreg A init 5\nreg B init 9\nbus BA BB\n\
-        unit U ops add latency 1\n"
-       steps ((2 * steps) + 1));
-  for i = 0 to steps - 1 do
-    let read = (2 * i) + 1 in
-    Buffer.add_string b
-      (Printf.sprintf "transfer A BA B BB %d U %d BA %s\n" read (read + 1)
-         (if i mod 2 = 0 then "B" else "A"))
-  done;
-  Rtm.of_string (Buffer.contents b)
+let chain = Chain_model.chain
 
 (* Minor words per fault of a whole sequential campaign — goldens,
    checkpoints, overlays, lockstep batches, classification.  The
@@ -190,6 +177,29 @@ let test_alloc_per_fault () =
     [ (Rtm.of_file (Filename.concat "corpus" "fault_chain.rtm"), 2600.);
       (chain 32, 12500.) ]
 
+(* ---- persisted bytes per fault ---------------------------------- *)
+
+(* A journal line records an outcome, not the run behind it, so its
+   size must not grow with the schedule: a chain 4x longer may cost at
+   most 1.25x the bytes per fault (fault labels and localizations name
+   longer step numbers).  Listing every differing step of a corrupted
+   run made it 3.6x (2147 to 7660 bytes per fault). *)
+let test_journal_bytes_per_fault () =
+  let per_fault steps =
+    let m = chain steps in
+    let journal = Filename.temp_file "csrtl_scaling" ".jsonl" in
+    Fun.protect ~finally:(fun () -> Sys.remove journal) @@ fun () ->
+    match Campaign.run_journaled ~jobs:1 ~journal ~resume:false m with
+    | Error e -> Alcotest.failf "chain %d: %s" steps e
+    | Ok (r, _) ->
+      let bytes = (Unix.stat journal).Unix.st_size in
+      float_of_int bytes /. float_of_int r.Campaign.total
+  in
+  let short = per_fault 32 and long = per_fault 128 in
+  if long > 1.25 *. short then
+    Alcotest.failf "journal bytes per fault: %.0f at 32 steps, %.0f at 128"
+      short long
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -206,4 +216,7 @@ let () =
           Alcotest.test_case "step loop allocates zero minor words" `Quick
             test_zero_alloc;
           Alcotest.test_case "campaign minor words per fault bounded" `Quick
-            test_alloc_per_fault ] ) ]
+            test_alloc_per_fault ] );
+      ( "bytes",
+        [ Alcotest.test_case "journal bytes per fault bounded" `Quick
+            test_journal_bytes_per_fault ] ) ]

@@ -52,7 +52,7 @@ let gen_outcome =
   let* phase = oneofl [ C.Phase.Ra; Rb; Cm; Wa; Wb; Cr ] in
   oneofl
     [ F.Campaign.Masked; Detected (step, phase, s);
-      Corrupted [ s; "x" ]; Hung s; Crashed s ]
+      Corrupted { count = step + 1; first = s }; Hung s; Crashed s ]
 
 let gen_entry =
   let open QCheck.Gen in
@@ -353,6 +353,48 @@ let test_deadline_drain_then_resume () =
       Alcotest.(check string) "resumed report = offline bytes"
         (S.Engine.render_report ~table:false offline)
         r.text)
+
+(* A journal in an older format at a campaign's token (a state dir
+   kept across an upgrade) is refused by the reader, so the daemon
+   reruns the campaign fresh instead of failing the request. *)
+let test_old_journal_version_reruns () =
+  let text = fig1_text () in
+  let m, _ = Result.get_ok (C.Rtm.parse text) in
+  let offline = F.Campaign.run m in
+  let dir = ref "" in
+  with_engine ~tweak:(fun c -> dir := c.S.Engine.state_dir; c) (fun t ->
+      let q = basic_inject text in
+      let token =
+        match collect t (S.Frame.Inject q) with
+        | S.Frame.Started { token; _ } :: _ -> token
+        | _ -> Alcotest.fail "no Started frame"
+      in
+      let journal = Filename.concat !dir ("inj-" ^ token ^ ".jsonl") in
+      let downgrade line =
+        let v2 = "{\"journal\":\"csrtl-fault-campaign\",\"v\":2," in
+        let n = String.length v2 in
+        if not (String.starts_with ~prefix:v2 line) then
+          Alcotest.failf "unexpected journal header %s" line;
+        "{\"journal\":\"csrtl-fault-campaign\",\"v\":1,"
+        ^ String.sub line n (String.length line - n)
+      in
+      (match String.split_on_char '\n' (read_file journal) with
+       | header :: entries ->
+         let oc = open_out_bin journal in
+         output_string oc (String.concat "\n" (downgrade header :: entries));
+         close_out oc
+       | [] -> Alcotest.fail "empty journal");
+      let r = report_of (collect t (S.Frame.Inject q)) in
+      check_int "nothing reused from the old journal" 0 r.reused;
+      Alcotest.(check string) "fresh rerun = offline bytes"
+        (S.Engine.render_report ~table:false offline)
+        r.text;
+      match F.Journal.read journal with
+      | Ok (_, entries, 0) ->
+        check_int "journal rewritten in the current format"
+          offline.F.Campaign.total (List.length entries)
+      | Ok (_, _, torn) -> Alcotest.failf "%d torn lines after rerun" torn
+      | Error e -> Alcotest.failf "journal unreadable after rerun: %s" e)
 
 let test_shutdown_drain_then_resume () =
   let text = fig1_text () in
@@ -1214,7 +1256,9 @@ let () =
         [ Alcotest.test_case "deadline drain then resume" `Quick
             test_deadline_drain_then_resume;
           Alcotest.test_case "shutdown drain then resume" `Quick
-            test_shutdown_drain_then_resume ] );
+            test_shutdown_drain_then_resume;
+          Alcotest.test_case "old journal version reruns fresh" `Quick
+            test_old_journal_version_reruns ] );
       ( "admission",
         [ Alcotest.test_case "limits, busy, draining" `Quick
             test_admission_control;
