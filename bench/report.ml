@@ -1202,7 +1202,7 @@ let serve_points ~smoke () =
         | Some t -> t
         | None ->
           let t =
-            S.Engine.render_report ~table:false
+            Csrtl_fault.Campaign.render_report ~table:false
               (Csrtl_fault.Campaign.run ~limit:bench_limit
                  (model_named name))
           in

@@ -1067,12 +1067,10 @@ let inject_cmd =
                    Format.eprintf "%s@." msg;
                    exit exit_bad_input)
             in
-            if table then
-              List.iter
-                (fun e ->
-                  Format.printf "%a@." Csrtl_fault.Campaign.pp_entry e)
-                r.Csrtl_fault.Campaign.entries;
-            Format.printf "%a@." Csrtl_fault.Campaign.pp_report r;
+            (* the whole report in one buffered write, not a flush per
+               table line *)
+            print_string (Csrtl_fault.Campaign.render_report ~table r);
+            flush stdout;
             if
               r.Csrtl_fault.Campaign.crashed > 0
               || r.Csrtl_fault.Campaign.disagreements > 0

@@ -222,7 +222,7 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
     let expected =
       match C.Rtm.parse ~file:"<chaos>" text with
       | Ok (m, _) ->
-        S.Engine.render_report ~table:false
+        F.Campaign.render_report ~table:false
           (F.Campaign.run ~engine:`Auto ~batch:32 m)
       | Error _ -> failwith "chaos: corpus model failed to parse"
     in

@@ -139,7 +139,7 @@ let run ?(log = fun _ -> ()) ~csrtl_exe ~seed ~runs ~replicas () =
   let expected_of text =
     match Csrtl_core.Rtm.parse ~file:"<fleet-chaos>" text with
     | Ok (m, _) ->
-      S.Engine.render_report ~table:false
+      Csrtl_fault.Campaign.render_report ~table:false
         (Csrtl_fault.Campaign.run ~engine:`Auto ~batch:32 m)
     | Error _ -> failwith "fleet chaos: corpus model failed to parse"
   in

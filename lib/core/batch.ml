@@ -176,16 +176,15 @@ let get_arena (plan : plan) k =
 
 (* First boundary from which every remaining slot — including the
    boundary step's own (step, wb) slot, whose drivers are the live set
-   crossing it — is physically the golden array.  [Sched.overlay]
-   hands us the highest patched slot directly. *)
+   crossing it — is the golden array: the least [step] whose (step, wb)
+   slot lies past the overlay's highest patched slot, capped at
+   [cs_max + 1]. *)
 let retire_from_of (m : Model.t) last_patched =
   let wb = Phase.to_int Phase.Wb in
-  let rec find step =
-    if step > m.Model.cs_max then step
-    else if ((step - 1) * Phase.count) + wb > last_patched then step
-    else find (step + 1)
+  let step =
+    if last_patched < wb then 1 else ((last_patched - wb) / Phase.count) + 2
   in
-  find 1
+  min step (m.Model.cs_max + 1)
 
 (* Bind K specs onto the arena: overlay schedules, per-row pipeline
    depths (growing the shared slot capacity under a latency override),
@@ -311,7 +310,7 @@ let exec_row (a : arena) (sch : Sched.t) ~row ~step =
       a.acc.(sb + s) <- Word.disc
     done;
     (* this slot's contributions *)
-    let acts = sch.Sched.slots.(((step - 1) * Phase.count) + pi) in
+    let acts = Sched.slot sch (((step - 1) * Phase.count) + pi) in
     for i = 0 to Array.length acts - 1 do
       let { Sched.src; dst } = acts.(i) in
       let v =

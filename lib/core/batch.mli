@@ -7,9 +7,10 @@
     pass over the shared static schedule ({!Sched}): the per-variant
     state lives in one structure-of-arrays {e arena} — flat unboxed
     [Word.t] (and [int]) arrays with one contiguous row per variant,
-    the golden run in row 0 — stepped in lockstep over slots that are
-    physically shared with the golden plan except where each variant's
-    overlay patched them ({!Sched.overlay}).
+    the golden run in row 0 — stepped in lockstep over the golden
+    plan's slot table, read through {!Sched.slot} so each variant sees
+    its overlay's sparse patches ({!Sched.overlay}) and the golden
+    arrays everywhere else.
 
     The arena is preallocated and cached per domain ({!Domain.DLS}):
     consecutive campaign chunks dispatched to the same worker reuse
@@ -28,11 +29,14 @@
       is copied into it (the in-memory equivalent of restoring a
       golden checkpoint, including the tampered register view and the
       snapshot's sorted conflict prefix, so its observation is
-      byte-identical to a kernel resumed from that snapshot);
+      byte-identical to a kernel resumed from that snapshot).  No
+      {!Snapshot.t} is read, so a campaign builds checkpoints only for
+      faults off this path, and on demand for a batched fault that
+      falls back to one;
     - {e early retirement}: a variant whose fault can no longer act
-      (past [settle] and past its last patched slot) and whose state
-      row has re-converged with the golden row — with no observable
-      delta accrued — is retired as {!Converged}: its remaining
+      (past [settle] and past its overlay's [last_patched] slot) and
+      whose state row has re-converged with the golden row — with no
+      observable delta accrued — is retired as {!Converged}: its remaining
       future is the golden row's, so its full observation equals the
       golden observation and a campaign classifies it masked without
       executing the tail;
@@ -49,8 +53,8 @@
 
     Soundness of retirement rests on the static schedule: at a step
     boundary the pending set is empty and the live driver set is
-    exactly the destination set of the (step, [wb]) slot, so physical
-    slot sharing plus state-row equality implies equal futures.  The
+    exactly the destination set of the (step, [wb]) slot, so no patch
+    left ahead plus state-row equality implies equal futures.  The
     arena layout itself is observation-invariant (SEMANTICS §10): the
     differential suite ([test/test_batch.ml]) pins batched results
     against the kernel, the interpreter and the per-variant compiled

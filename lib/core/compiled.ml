@@ -190,7 +190,7 @@ let exec_step t step =
     for pi = 0 to Phase.count - 1 do
       let phase = Phase.of_int_exn pi in
       flip t ~step ~phase;
-      let acts = t.sched.Sched.slots.(((step - 1) * Phase.count) + pi) in
+      let acts = Sched.slot t.sched (((step - 1) * Phase.count) + pi) in
       for a = 0 to Array.length acts - 1 do
         let { Sched.src; dst } = acts.(a) in
         let v =

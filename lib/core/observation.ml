@@ -36,13 +36,22 @@ let normalize t =
 
 let equal a b = normalize a = normalize b
 
-(* The one walk behind [diff] and [witness_normalized]:
-   [say] gets each difference in listing order, as a renderer for its
-   line, so a caller that only counts differences builds no strings.
-   Lines are plain concatenation, not [Format]; journals persist a
-   corrupted run's first line, so the fault suite pins their bytes
+let cell_line n step x y =
+  String.concat ""
+    [ n; " at step "; string_of_int step; ": "; Word.to_string x; " vs ";
+      Word.to_string y ]
+
+(* The one walk behind [diff] and [witness_normalized]: [cell] gets
+   each differing register-trace cell and [say] every other
+   difference, in listing order.  [say] gets a renderer for its line
+   and [cell] the cell's data, so a caller that only counts
+   differences builds no strings and, per cell, allocates nothing: a
+   corrupted run of a long schedule differs in about one cell per
+   step.  Lines are plain concatenation, not [Format]; journals persist
+   a corrupted run's first line, so the fault suite pins their bytes
    against a [Format.kasprintf] reference. *)
-let walk_diff a b (say : (unit -> string) -> unit) =
+let walk_diff a b ~(say : (unit -> string) -> unit)
+    ~(cell : string -> int -> Word.t -> Word.t -> unit) =
   if a.cs_max <> b.cs_max then
     say (fun () ->
         String.concat ""
@@ -60,10 +69,7 @@ let walk_diff a b (say : (unit -> string) -> unit) =
           Array.iteri
             (fun i x ->
               if i < Array.length vb && x <> vb.(i) then
-                say (fun () ->
-                    String.concat ""
-                      [ n; " at step "; string_of_int (i + 1); ": ";
-                        Word.to_string x; " vs "; Word.to_string vb.(i) ]))
+                cell n (i + 1) x vb.(i))
             va)
       a.regs b.regs;
   if a.outputs <> b.outputs then say (fun () -> "output traces differ");
@@ -78,13 +84,19 @@ let walk_diff a b (say : (unit -> string) -> unit) =
 
 let diff a b =
   let out = ref [] in
-  walk_diff (normalize a) (normalize b) (fun line -> out := line () :: !out);
+  walk_diff (normalize a) (normalize b)
+    ~say:(fun line -> out := line () :: !out)
+    ~cell:(fun n step x y -> out := cell_line n step x y :: !out);
   List.rev !out
 
 let witness_normalized a b =
   let count = ref 0 and first = ref "" in
-  walk_diff a b (fun line ->
+  walk_diff a b
+    ~say:(fun line ->
       if !count = 0 then first := line ();
+      incr count)
+    ~cell:(fun n step x y ->
+      if !count = 0 then first := cell_line n step x y;
       incr count);
   if !count = 0 then None else Some (!count, !first)
 

@@ -18,6 +18,8 @@ type t = {
   slots : action array array;
   slot_prov : int array array;
   leg_slot : int array;
+  patch_slot : int array;
+  patch_acts : action array array;
   static_actions : int;
   fu_plans : fu_plan array;
   nregs : int;
@@ -26,7 +28,7 @@ type t = {
   out_sink : int array;
   sink_tamper : Inject.tamper option array;
   reg_tamper : Inject.tamper option array;
-  mutable last_patched : int;
+  last_patched : int;
 }
 
 let oscillator_error (m : Model.t) =
@@ -156,8 +158,8 @@ let compile_base (m : Model.t) =
          m.fus)
   in
   { model = m; inject = Inject.none; nsinks; sink_name;
-    sink_index = sink_ids; slots; slot_prov; leg_slot; static_actions;
-    fu_plans;
+    sink_index = sink_ids; slots; slot_prov; leg_slot;
+    patch_slot = [||]; patch_acts = [||]; static_actions; fu_plans;
     nregs = List.length m.registers;
     reg_init =
       Array.of_list
@@ -175,12 +177,24 @@ let compile_base (m : Model.t) =
       Array.of_list (List.map (fun (_ : Model.register) -> None) m.registers);
     last_patched = -1 }
 
-(* Patch an injection overlay onto a clean compile.  Only the slots a
-   dropped leg or an in-range saboteur touches get fresh action
-   arrays; every other slot of the result is [base]'s array — physical
-   equality IS the "this slot is unpatched" relation the batch
-   executor's early-retirement argument needs, and [last_patched]
-   records the highest patched slot exactly.  The patched slot
+(* The slot table an executor walks: the base compile's arrays except
+   at the overlay's patched indices.  [patch_slot] is sorted and holds
+   one or two entries for a campaign fault, and every slot past
+   [last_patched] is the base's, so the common read is one comparison. *)
+let rec patched t k i =
+  if i >= Array.length t.patch_slot then t.slots.(k)
+  else
+    let p = t.patch_slot.(i) in
+    if p = k then t.patch_acts.(i)
+    else if p > k then t.slots.(k)
+    else patched t k (i + 1)
+
+let slot t k = if k > t.last_patched then t.slots.(k) else patched t k 0
+
+(* Patch an injection overlay onto a clean compile.  The overlay keeps
+   the base's slot table and records only the slots a dropped leg or
+   an in-range saboteur touches, as a sorted sparse patch set, so its
+   cost is independent of the schedule length.  The patched slot
    contents replay [compile_base]'s ordering: surviving legs in leg
    order, then op-selects, then saboteurs in plan order — so an
    overlay is action-for-action identical to a from-scratch compile of
@@ -192,9 +206,14 @@ let overlay (base : t) (inject : Inject.t) =
   else begin
     let m = base.model in
     if inject.Inject.oscillators <> [] then oscillator_error m;
-    let slots = Array.copy base.slots in
-    let last_patched = ref (-1) in
-    let note k = if k > !last_patched then last_patched := k in
+    (* (slot, contents) of every patched slot, most recent first *)
+    let patches = ref [] in
+    let current k =
+      match List.assoc_opt k !patches with
+      | Some a -> a
+      | None -> base.slots.(k)
+    in
+    let set k a = patches := (k, a) :: List.remove_assoc k !patches in
     (* only the slots holding a dropped leg change; [leg_slot] finds
        them without scanning the schedule *)
     let dropped_slots =
@@ -226,8 +245,7 @@ let overlay (base : t) (inject : Inject.t) =
               incr j
             end)
           prov;
-        slots.(k) <- na;
-        note k)
+        set k na)
       dropped_slots;
     let slot_of step phase = ((step - 1) * Phase.count) + Phase.to_int phase in
     List.iter
@@ -238,14 +256,21 @@ let overlay (base : t) (inject : Inject.t) =
         in
         if sb.Inject.sab_step >= 1 && sb.Inject.sab_step <= m.cs_max then begin
           let k = slot_of sb.Inject.sab_step sb.Inject.sab_phase in
-          slots.(k) <-
-            Array.append slots.(k)
-              [| { src = Const sb.Inject.sab_value; dst } |];
-          note k
+          set k
+            (Array.append (current k)
+               [| { src = Const sb.Inject.sab_value; dst } |])
         end)
       inject.Inject.saboteurs;
+    let patches =
+      Array.of_list
+        (List.sort (fun (a, _) (b, _) -> Int.compare a b) !patches)
+    in
+    let patch_slot = Array.map fst patches in
+    let patch_acts = Array.map snd patches in
     let static_actions =
-      Array.fold_left (fun n a -> n + Array.length a) 0 slots
+      Array.fold_left
+        (fun n (k, a) -> n + Array.length a - Array.length base.slots.(k))
+        base.static_actions patches
     in
     let fu_plans =
       if inject.Inject.fu_latency = [] then base.fu_plans
@@ -276,25 +301,16 @@ let overlay (base : t) (inject : Inject.t) =
                Inject.tamper_for inject (r.reg_name ^ ".out"))
              m.registers)
     in
+    let n = Array.length patch_slot in
     { base with
-      inject; slots; static_actions; fu_plans; sink_tamper; reg_tamper;
-      last_patched = !last_patched }
+      inject; patch_slot; patch_acts; static_actions; fu_plans; sink_tamper;
+      reg_tamper;
+      last_patched = (if n = 0 then -1 else patch_slot.(n - 1)) }
   end
 
 let compile ?(inject = Inject.none) (m : Model.t) =
   if inject.Inject.oscillators <> [] then oscillator_error m;
   overlay (compile_base m) inject
-
-let share_slots ~base t =
-  Array.iteri
-    (fun k a -> if a != base.slots.(k) && a = base.slots.(k) then
-        t.slots.(k) <- base.slots.(k))
-    t.slots;
-  let lp = ref (-1) in
-  Array.iteri
-    (fun k a -> if a != base.slots.(k) then lp := k)
-    t.slots;
-  t.last_patched <- !lp
 
 let resolve_value t id ~step ~phase v =
   match t.sink_tamper.(id) with

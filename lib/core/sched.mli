@@ -49,15 +49,22 @@ type t = {
       (** name -> sink id, kept so overlays can validate saboteur
           sinks without rebuilding the table *)
   slots : action array array;
-      (** index [(step - 1) * Phase.count + phase] *)
+      (** the base compile's slot table, index
+          [(step - 1) * Phase.count + phase]; an overlay shares it
+          physically and patches it through [patch_slot].  Executors
+          read slots through {!slot}. *)
   slot_prov : int array array;
-      (** provenance, parallel to [slots] on a clean compile: the leg
-          index ({!Model.all_legs} order) that produced each action,
-          [-1] for op-selects and saboteurs.  Overlays patch slots
-          without maintaining it — read it only on a clean compile. *)
+      (** provenance, parallel to [slots]: the leg index
+          ({!Model.all_legs} order) that produced each action, [-1] for
+          op-selects *)
   leg_slot : int array;
       (** the inverse of [slot_prov]: leg index -> slot index, so an
           overlay dropping a leg patches that one slot *)
+  patch_slot : int array;
+      (** the overlay's patched slot indices, sorted ascending; empty
+          on a clean compile *)
+  patch_acts : action array array;
+      (** the patched slots' contents, parallel to [patch_slot] *)
   static_actions : int;
   fu_plans : fu_plan array;
   nregs : int;
@@ -67,11 +74,10 @@ type t = {
   sink_tamper : Inject.tamper option array;
   reg_tamper : Inject.tamper option array;
       (** register-output tampers, by register index *)
-  mutable last_patched : int;
-      (** highest slot index where [slots] is not physically the base
-          compile's array; [-1] on a clean compile.  The batch
-          executor derives its earliest sound retirement boundary from
-          this. *)
+  last_patched : int;
+      (** highest patched slot index (the last of [patch_slot]); [-1]
+          on a clean compile.  The batch executor derives its earliest
+          sound retirement boundary from this. *)
 }
 
 val compile : ?inject:Inject.t -> Model.t -> t
@@ -83,25 +89,26 @@ val compile : ?inject:Inject.t -> Model.t -> t
 
 val overlay : t -> Inject.t -> t
 (** Patch an injection overlay onto a clean compile without
-    recompiling: only the slots a dropped leg or an in-range saboteur
-    touches get fresh arrays (with [compile]'s action ordering —
-    surviving legs, then op-selects, then saboteurs); every other slot
-    is physically the base's, and [last_patched] records the highest
-    patched slot.  Tamper wrappers and latency overrides rebuild only
-    their own small arrays.  Raises [Invalid_argument] on an
-    oscillator, an unknown saboteur sink (both with [compile]'s
-    messages), or a base that is itself an overlay.  A campaign
-    compiles the model once and overlays each fault, which is what
-    makes per-chunk batch setup cheap. *)
+    recompiling or copying the slot table: the result shares the
+    base's [slots] and records only the slots a dropped leg or an
+    in-range saboteur touches, as a sorted sparse patch set (with
+    [compile]'s action ordering — surviving legs, then op-selects,
+    then saboteurs), so an overlay costs the same on any schedule
+    length.  [last_patched] records the highest patched slot and
+    [static_actions] is the base's count plus the patch delta.  Tamper
+    wrappers and latency overrides rebuild only their own small
+    arrays.  Raises [Invalid_argument] on an oscillator, an unknown
+    saboteur sink (both with [compile]'s messages), or a base that is
+    itself an overlay.  A campaign compiles the model once and
+    overlays each fault, which is what makes per-chunk batch setup
+    cheap. *)
 
-val share_slots : base:t -> t -> unit
-(** Replace every slot of the second schedule that is structurally
-    equal to [base]'s with [base]'s array, so untouched slots are
-    physically shared between a golden plan and its fault overlays —
-    the batch executor's per-variant patches are exactly the slots
-    left unshared, and physical equality is its cheap "this slot is
-    unpatched" test.  Recomputes the target's [last_patched].
-    Superseded by {!overlay}, which shares by construction. *)
+val slot : t -> int -> action array
+(** [slot t k] is the action array of slot [k]: the patch when [k] is
+    in [patch_slot], otherwise physically the base compile's array —
+    physical equality with the base is the batch executor's "this slot
+    is unpatched" relation.  Allocation-free; a slot past
+    [last_patched] costs one comparison. *)
 
 (** {1 Overlay semantics helpers}
 

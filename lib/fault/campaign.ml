@@ -39,10 +39,21 @@ type golden = { obs : Observation.t; norm : Observation.t }
 let strip o = { o with Observation.conflicts = [] }
 let golden_of obs = { obs; norm = Observation.normalize (strip obs) }
 
+(* Masked, or silent data corruption recorded as its difference count
+   and first difference: the classification of a run with no conflict
+   the golden lacks. *)
+let witness_against g (faulted : Observation.t) =
+  match
+    Observation.witness_normalized g.norm
+      (Observation.normalize (strip faulted))
+  with
+  | None -> Masked
+  | Some (count, first) -> Corrupted { count; first }
+
 (* A fault is detected iff it produces a conflict the golden run does
    not have; the first chronological new conflict is the diagnosis
    point.  Anything else that changes the observation is silent data
-   corruption, recorded as its difference count and first difference. *)
+   corruption. *)
 let classify_against g (faulted : Observation.t) =
   let fresh =
     List.filter
@@ -59,21 +70,16 @@ let classify_against g (faulted : Observation.t) =
   in
   match fresh with
   | (s, p, n) :: _ -> Detected (s, p, n)
-  | [] ->
-    (match
-       Observation.witness_normalized g.norm
-         (Observation.normalize (strip faulted))
-     with
-     | None -> Masked
-     | Some (count, first) -> Corrupted { count; first })
+  | [] -> witness_against g faulted
 
 let classify ~golden faulted = classify_against (golden_of golden) faulted
 
-(* Shared read-only state for every fault run of one campaign: the
-   goldens, the one compile of the golden schedule (the batch plan)
-   and its leg table, plus golden checkpoints at each boundary some
-   fault wants to resume from.  Computed once in the caller, read
-   concurrently by the pool domains. *)
+(* Shared state for every fault run of one campaign: the goldens, the
+   one compile of the golden schedule (the batch plan) and its leg
+   table, plus golden checkpoints at each boundary some kernel-path
+   fault resumes from.  Computed once in the caller, read concurrently
+   by the pool domains; the checkpoint table alone grows later, under
+   its lock, on the rare paths that need a snapshot nobody built. *)
 type ctx = {
   m : Model.t;
   config : Simulate.config;
@@ -84,7 +90,13 @@ type ctx = {
          reads only the golden, so one serves both engines *)
   legs : Legs.t;
   law : int;  (* [Simulate.expected_cycles m] *)
-  checkpoints : (int, Snapshot.t) Hashtbl.t;
+  restore_on : bool;
+      (* faults resume from (or join at) their golden boundary: the
+         caller asked for it and the policy is [Record], where golden
+         checkpoints are engine-independent *)
+  checkpoints : (int, Snapshot.t) Hashtbl.t;  (* under [ck_lock] *)
+  ck_lock : Mutex.t;
+  built : int Atomic.t;  (* snapshots this campaign computed *)
   budget : float option;
   plan : Batch.plan option;
       (* None only when the model does not validate or compile — and
@@ -164,14 +176,48 @@ let prepare ?(config = Simulate.default) ?plan (m : Model.t) =
     config = Journal.config_tag config;
     golden_k; golden_i; checkpoints; est_us }
 
-let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~faults
+(* [kernel_faults] are the faults the campaign sends to the kernel
+   path, the only runs that read a checkpoint's observation prefix.  A
+   batched variant joins from the arena's golden row at the boundary
+   the restore rule names ([batch_spec]), so the campaign builds
+   checkpoints for the kernel-path boundaries alone; a warm artifact
+   supplies its own. *)
+let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
     (m : Model.t) =
   let plan = make_plan ?plan:plan0 m in
   let legs = legs_of ~plan m in
-  let ctx ~golden_k ~golden_i ~checkpoints ~est_us =
+  (* Checkpoints are only sound when the golden kernel state equals
+     the interpreter state at every boundary — true under [Record]
+     (the differential suite pins it); [Halt]/[Degrade] goldens
+     diverge, so those campaigns re-simulate from step 0. *)
+  let restore_on = restore && config.Simulate.on_illegal = Simulate.Record in
+  let checkpoints = Hashtbl.create 16 in
+  let built = Atomic.make 0 in
+  let add_missing () =
+    (* compute exactly the kernel-path boundaries nobody supplied, so a
+       warm campaign restores from the same boundaries a cold one
+       would — same joins, same cycle counts, same bytes *)
+    if restore_on then
+      match
+        List.filter
+          (fun b -> not (Hashtbl.mem checkpoints b))
+          (boundaries_of ~faults:kernel_faults legs)
+      with
+      | [] -> ()
+      | missing ->
+        let compiled = compiled_of ~config ~plan m in
+        List.iter
+          (fun (s : Snapshot.t) ->
+            Hashtbl.replace checkpoints s.Snapshot.step s;
+            Atomic.incr built)
+          (golden_snapshots ~compiled m missing)
+  in
+  let ctx ~golden_k ~golden_i ~est_us =
+    add_missing ();
     { m; config; golden_k = golden_of golden_k; golden_i = golden_of golden_i;
       same_golden = Observation.equal golden_k golden_i; legs;
-      law = Simulate.expected_cycles m; checkpoints; budget; plan; est_us }
+      law = Simulate.expected_cycles m; restore_on; checkpoints;
+      ck_lock = Mutex.create (); built; budget; plan; est_us }
   in
   match golden with
   | Some (a : Artifact.t) ->
@@ -184,30 +230,12 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~faults
            "Campaign: golden artifact (digest %s, config %s) does not match \
             this campaign"
            a.Artifact.digest a.Artifact.config);
-    let checkpoints = Hashtbl.create 16 in
-    (if restore && config.Simulate.on_illegal = Simulate.Record then begin
-       List.iter
-         (fun (s : Snapshot.t) ->
-           Hashtbl.replace checkpoints s.Snapshot.step s)
-         a.Artifact.checkpoints;
-       (* a caller-supplied fault list can want a boundary the
-          enumerate-derived artifact never took; compute exactly those,
-          so a warm campaign restores from the same boundaries a cold
-          one would — same joins, same cycle counts, same bytes *)
-       let missing =
-         List.filter
-           (fun b -> not (Hashtbl.mem checkpoints b))
-           (boundaries_of ~faults legs)
-       in
-       if missing <> [] then
-         let compiled = compiled_of ~config ~plan m in
-         List.iter
-           (fun (s : Snapshot.t) ->
-             Hashtbl.replace checkpoints s.Snapshot.step s)
-           (golden_snapshots ~compiled m missing)
-     end);
+    if restore_on then
+      List.iter
+        (fun (s : Snapshot.t) -> Hashtbl.replace checkpoints s.Snapshot.step s)
+        a.Artifact.checkpoints;
     ctx ~golden_k:a.Artifact.golden_k ~golden_i:a.Artifact.golden_i
-      ~checkpoints ~est_us:a.Artifact.est_us
+      ~est_us:a.Artifact.est_us
   | None ->
     let compiled = compiled_of ~config ~plan m in
     let t0 = Unix.gettimeofday () in
@@ -225,20 +253,7 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~faults
     in
     let est_us = (Unix.gettimeofday () -. t0) *. 1e6 in
     let golden_i = Interp.run m in
-    let checkpoints = Hashtbl.create 16 in
-    (* Checkpoints are only sound when the golden kernel state equals
-       the interpreter state at every boundary — true under [Record]
-       (the differential suite pins it); [Halt]/[Degrade] goldens
-       diverge, so those campaigns re-simulate from step 0. *)
-    (if restore && config.Simulate.on_illegal = Simulate.Record then
-       match boundaries_of ~faults legs with
-       | [] -> ()
-       | boundaries ->
-         List.iter
-           (fun (s : Snapshot.t) ->
-             Hashtbl.replace checkpoints s.Snapshot.step s)
-           (golden_snapshots ~compiled m boundaries));
-    ctx ~golden_k ~golden_i ~checkpoints ~est_us
+    ctx ~golden_k ~golden_i ~est_us
 
 (* [Simulate.expected_cycles_from ctx.m s0], off the law computed once *)
 let law_from ctx s0 = ctx.law - (Phase.count * s0)
@@ -285,12 +300,32 @@ let interp_entry ~ctx ~snap inj =
          (Phase.to_string phase) sink)
   | exception e -> Crashed (Printexc.to_string e)
 
-(* Both engines resume from the latest golden checkpoint strictly
-   before the fault can first act ({!Fault.first_step} is a sound lower
-   bound), skipping the steps the fault provably cannot touch. *)
-let checkpoint_for ~ctx fault =
+(* The boundary a fault's run starts from: the latest golden boundary
+   strictly before the fault can first act ({!Fault.first_step} is a
+   sound lower bound) when restoring is on, else reset. *)
+let join_of ~ctx fault =
   let b = boundary_in ctx.legs fault in
-  if b < 1 then None else Hashtbl.find_opt ctx.checkpoints b
+  if ctx.restore_on && b >= 1 then b else 0
+
+(* Both engines resume from the golden checkpoint at [join_of],
+   skipping the steps the fault provably cannot touch.  Kernel-path
+   faults find theirs prebuilt; a batched fault needs one only when its
+   chunk falls back to the kernel path or its interpreter side reruns,
+   and then computes it on first use, under the lock, so every such
+   fault still restores from its own boundary. *)
+let checkpoint_for ~ctx fault =
+  match join_of ~ctx fault with
+  | 0 -> None
+  | b ->
+    Mutex.protect ctx.ck_lock (fun () ->
+        match Hashtbl.find_opt ctx.checkpoints b with
+        | Some _ as s -> s
+        | None ->
+          let compiled = compiled_of ~config:ctx.config ~plan:ctx.plan ctx.m in
+          let s = List.hd (golden_snapshots ~compiled ctx.m [ b ]) in
+          Hashtbl.replace ctx.checkpoints b s;
+          Atomic.incr ctx.built;
+          Some s)
 
 let entry_of_fault ~ctx fault =
   let inj = Fault.to_inject fault in
@@ -335,32 +370,31 @@ type batch_stats = {
   kernel_path : int;
   retired_early : int;
   detected_early : int;
+  checkpoints : int;
 }
 
 let no_stats =
-  { batched = 0; kernel_path = 0; retired_early = 0; detected_early = 0 }
+  { batched = 0; kernel_path = 0; retired_early = 0; detected_early = 0;
+    checkpoints = 0 }
 
 let add_stats a b =
   { batched = a.batched + b.batched;
     kernel_path = a.kernel_path + b.kernel_path;
     retired_early = a.retired_early + b.retired_early;
-    detected_early = a.detected_early + b.detected_early }
+    detected_early = a.detected_early + b.detected_early;
+    checkpoints = a.checkpoints + b.checkpoints }
 
 (* A fault rides the batched executor when its injection has a static
    schedule under this campaign's config — the same gate the golden
    takes, evaluated per overlay. *)
-let batchable ~ctx f =
-  Compiled.compilable ~inject:(Fault.to_inject f) ~config:ctx.config ctx.m
-  = Ok ()
+let batchable ~config m f =
+  Compiled.compilable ~inject:(Fault.to_inject f) ~config m = Ok ()
 
 (* The variant spec mirrors the kernel path decision for the same
-   fault: join at the checkpoint boundary exactly when [kernel_entry]
-   would restore a snapshot there, else run from reset. *)
+   fault: join at the boundary [kernel_entry] would restore a snapshot
+   from, else run from reset. *)
 let batch_spec ~ctx f =
-  let join =
-    match checkpoint_for ~ctx f with Some s -> s.Snapshot.step | None -> 0
-  in
-  { Batch.inject = Fault.to_inject f; join;
+  { Batch.inject = Fault.to_inject f; join = join_of ~ctx f;
     settle = Fault.last_step_in ctx.legs f }
 
 (* Entry from a batched verdict, byte-compatible with what
@@ -369,7 +403,10 @@ let batch_spec ~ctx f =
    classify it masked without materializing it; a finished variant's
    observation classifies against each engine's own golden (the
    differential suite pins the batched observation against both
-   engines) — once, when the two goldens are equal.  A detected
+   engines) — once, when the two goldens are equal.  Against the
+   kernel golden, which is the arena's golden row, a finished variant
+   has no new conflict (early detection would have stopped it), so its
+   witness alone decides it.  A detected
    variant stopped at its diagnosis point against the arena's golden,
    which is the kernel golden; when the interpreter golden differs the
    truncated run says nothing about it, so that side reruns the
@@ -389,7 +426,7 @@ let entry_of_verdict ~ctx fault (spec : Batch.variant_spec)
           interp_entry ~ctx ~snap:(checkpoint_for ~ctx fault)
             spec.Batch.inject )
     | Batch.Finished obs ->
-      let k = classify_against ctx.golden_k obs in
+      let k = witness_against ctx.golden_k obs in
       (k, if ctx.same_golden then k else classify_against ctx.golden_i obs)
   in
   let law_ok =
@@ -407,14 +444,16 @@ type work =
   | Chunk of (int * Fault.t) list
   | Single of (int * Fault.t)
 
-let plan_work ~ctx ~engine ~batch indexed =
+let plan_work ~config ~engine ~batch m indexed =
   if batch < 1 then
     invalid_arg (Printf.sprintf "Campaign: batch size %d < 1" batch);
   let work =
     match engine with
     | `Kernel -> List.map (fun x -> Single x) indexed
     | `Auto | `Compiled ->
-      let fast, slow = List.partition (fun (_, f) -> batchable ~ctx f) indexed in
+      let fast, slow =
+        List.partition (fun (_, f) -> batchable ~config m f) indexed
+      in
       let rec chunk acc = function
         | [] -> List.rev acc
         | l ->
@@ -437,6 +476,9 @@ let plan_work ~ctx ~engine ~batch indexed =
     | Single (i, _) -> i
   in
   List.sort (fun a b -> compare (first a) (first b)) work
+
+let kernel_faults work =
+  List.filter_map (function Single (_, f) -> Some f | Chunk _ -> None) work
 
 (* A batch that crashes or overruns the budget falls back to the
    per-fault kernel path, whose entries the batched ones are
@@ -557,8 +599,7 @@ let map_faults ?pool ?jobs ?chunks ~est_us compute work =
    pool.  Completed items are never discarded, so a drained campaign
    plus its resumption is byte-identical to an uninterrupted one. *)
 let compute_all ?pool ?jobs ?chunks ?(should_stop = fun () -> false) ~par
-    ~ctx ~engine ~batch ~on_entry indexed =
-  let work = plan_work ~ctx ~engine ~batch indexed in
+    ~ctx ~on_entry work =
   let compute w =
     if should_stop () then ([], no_stats) else compute_work ~ctx ~on_entry w
   in
@@ -571,16 +612,29 @@ let compute_all ?pool ?jobs ?chunks ?(should_stop = fun () -> false) ~par
       (fun (i, _) (j, _) -> compare (i : int) j)
       (List.concat_map fst results)
   in
-  (entries, List.fold_left (fun a (_, s) -> add_stats a s) no_stats results)
+  ( entries,
+    { (List.fold_left (fun a (_, s) -> add_stats a s) no_stats results) with
+      checkpoints = Atomic.get ctx.built } )
+
+(* Plan the campaign's work, then build the context its kernel-path
+   items need. *)
+let setup ~config ?budget ?plan ?golden ~restore ~engine ~batch m indexed =
+  let work = plan_work ~config ~engine ~batch m indexed in
+  let ctx =
+    make_ctx ~config ?budget ?plan ?golden ~restore
+      ~kernel_faults:(kernel_faults work) m
+  in
+  (ctx, work)
 
 let run ?(config = Simulate.default) ?limit ?faults ?budget ?(restore = true)
     ?(engine : engine = `Auto) ?(batch = 32) ?plan ?golden (m : Model.t) =
   let faults = fault_list ?limit ?faults m in
-  let ctx = make_ctx ~config ?budget ?plan ?golden ~restore ~faults m in
-  let entries, _ =
-    compute_all ~par:false ~ctx ~engine ~batch
-      ~on_entry:(fun _ _ -> ())
+  let ctx, work =
+    setup ~config ?budget ?plan ?golden ~restore ~engine ~batch m
       (List.mapi (fun i f -> (i, f)) faults)
+  in
+  let entries, _ =
+    compute_all ~par:false ~ctx ~on_entry:(fun _ _ -> ()) work
   in
   summarize m (List.map snd entries)
 
@@ -591,11 +645,13 @@ let run_with_stats ?pool ?jobs ?chunks ?(config = Simulate.default) ?limit
   (* goldens and checkpoints computed once in the caller and shared
      read-only with every domain; each faulted run owns all its
      mutable state *)
-  let ctx = make_ctx ~config ?budget ?plan ?golden ~restore ~faults m in
-  let entries, stats =
-    compute_all ?pool ?jobs ?chunks ~par:true ~ctx ~engine ~batch
-      ~on_entry:(fun _ _ -> ())
+  let ctx, work =
+    setup ~config ?budget ?plan ?golden ~restore ~engine ~batch m
       (List.mapi (fun i f -> (i, f)) faults)
+  in
+  let entries, stats =
+    compute_all ?pool ?jobs ?chunks ~par:true ~ctx
+      ~on_entry:(fun _ _ -> ()) work
   in
   (summarize m (List.map snd entries), stats)
 
@@ -669,11 +725,10 @@ let run_journaled ?pool ?jobs ?chunks ?(config = Simulate.default) ?digest
       else Journal.start journal header
     in
     Fun.protect ~finally:(fun () -> Journal.close w) @@ fun () ->
-    let ctx =
+    let ctx, work =
       (* checkpoints only for the faults actually re-run *)
-      make_ctx ~config ?budget ?plan ?golden ~restore
-        ~faults:(List.map (fun i -> fault_arr.(i)) todo)
-        m
+      setup ~config ?budget ?plan ?golden ~restore ~engine ~batch m
+        (List.map (fun i -> (i, fault_arr.(i))) todo)
     in
     (* every finished fault is journaled before its work item returns
        — batched chunks append their entries as a group, so a crash
@@ -688,9 +743,8 @@ let run_journaled ?pool ?jobs ?chunks ?(config = Simulate.default) ?digest
       match user_on_entry with None -> () | Some f -> f i e
     in
     let computed, _ =
-      compute_all ?pool ?jobs ?chunks ?should_stop ~par:true ~ctx ~engine
-        ~batch ~on_entry
-        (List.map (fun i -> (i, fault_arr.(i))) todo)
+      compute_all ?pool ?jobs ?chunks ?should_stop ~par:true ~ctx ~on_entry
+        work
     in
     (* a wholesale replay appends nothing — there is nothing new to
        pin, so skip the fsync instead of paying disk latency per
@@ -750,3 +804,32 @@ let pp_report ppf r =
     r.total
     (if r.law_violations = 0 then "held"
      else Printf.sprintf "%d violations" r.law_violations)
+
+(* ---- report text, built without [Format] ------------------------ *)
+
+(* [pp_entry]'s line: the label left-justified in 50 columns, as
+   [%-50s] pads it *)
+let add_entry b e =
+  let label = Fault.to_string e.fault in
+  Buffer.add_string b label;
+  for _ = String.length label + 1 to 50 do
+    Buffer.add_char b ' '
+  done;
+  Buffer.add_string b " kernel: ";
+  Buffer.add_string b (Outcome.to_string e.kernel_outcome);
+  Buffer.add_string b " | interp: ";
+  Buffer.add_string b (Outcome.to_string e.interp_outcome);
+  if not (outcomes_agree e.kernel_outcome e.interp_outcome) then
+    Buffer.add_string b "  << DISAGREE"
+
+let render_report ~table r =
+  let b = Buffer.create (if table then 128 * (r.total + 4) else 512) in
+  if table then
+    List.iter
+      (fun e ->
+        add_entry b e;
+        Buffer.add_char b '\n')
+      r.entries;
+  Buffer.add_string b (Format.asprintf "%a" pp_report r);
+  Buffer.add_char b '\n';
+  Buffer.contents b

@@ -14,7 +14,12 @@
       before the fault can act ({!Fault.first_step}), instead of
       re-simulating the healthy prefix from step 0.  Classifications
       are unchanged — SEMANTICS §10's quiescence property makes the
-      restored state indistinguishable from the simulated one;
+      restored state indistinguishable from the simulated one.  Only
+      kernel-path faults get a prebuilt checkpoint; a batched variant
+      joins the golden row in memory at the same boundary, and the
+      rare batched fault that needs a snapshot after all (a chunk
+      falling back to the kernel path, an interpreter rerun) computes
+      it on first use;
     - {b supervision}: a run that raises is retried once then
       classified [Crashed]; with [budget], a run exceeding its
       wall-clock budget classifies as [Hung] — neither aborts the
@@ -88,6 +93,12 @@ type batch_stats = {
   detected_early : int;
       (** batched variants stopped at their first conflict the golden
           run lacks ({!Csrtl_core.Batch.Detected}) *)
+  checkpoints : int;
+      (** golden snapshots the campaign built: one per distinct
+          boundary a kernel-path fault restores from and the supplied
+          artifact lacks, plus any a batched fault needed on a fallback
+          path.  Batched variants join from the arena's golden row, so
+          an all-batchable campaign builds none. *)
 }
 
 val boundary_of_fault : Model.t -> Fault.t -> int
@@ -229,3 +240,11 @@ val classify : golden:Observation.t -> Observation.t -> outcome
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_entry : Format.formatter -> entry -> unit
 val pp_report : Format.formatter -> report -> unit
+
+val render_report : table:bool -> report -> string
+(** Exactly the bytes [csrtl inject] writes to stdout for this report:
+    when [table], one {!pp_entry} line per entry, then the {!pp_report}
+    block, each newline-terminated.  The entry lines are built by
+    concatenation, not through [Format], so a campaign's table costs
+    one buffer; the CLI, the daemon and the chaos harnesses all print
+    through this. *)

@@ -27,11 +27,14 @@ let agree a b =
   | Crashed _, Crashed _ -> true
   | _, _ -> false
 
-let pp ppf = function
-  | Masked -> Format.pp_print_string ppf "masked"
+let to_string = function
+  | Masked -> "masked"
   | Detected (s, p, n) ->
-    Format.fprintf ppf "detected at (%d, %s) on %s" s (Phase.to_string p) n
+    String.concat ""
+      [ "detected at ("; string_of_int s; ", "; Phase.to_string p; ") on "; n ]
   | Corrupted { count; _ } ->
-    Format.fprintf ppf "silent corruption (%d differences)" count
-  | Hung why -> Format.fprintf ppf "hung: %s" why
-  | Crashed why -> Format.fprintf ppf "crashed: %s" why
+    "silent corruption (" ^ string_of_int count ^ " differences)"
+  | Hung why -> "hung: " ^ why
+  | Crashed why -> "crashed: " ^ why
+
+let pp ppf o = Format.pp_print_string ppf (to_string o)

@@ -182,25 +182,6 @@ let bump t f =
   f t.counters;
   Mutex.unlock t.counters_lock
 
-(* ---- report rendering -------------------------------------------- *)
-
-(* Byte-identical to what offline [csrtl inject] writes to stdout:
-   one [pp_entry] line per fault under [--table], then the [pp_report]
-   block.  Both printers use h/v boxes only, so the rendering is
-   margin-independent and [asprintf] reproduces [printf] exactly —
-   the differential suite pins this against the real binary. *)
-let render_report ~table (r : F.Campaign.report) =
-  let b = Buffer.create 1024 in
-  if table then
-    List.iter
-      (fun e ->
-        Buffer.add_string b (Format.asprintf "%a" F.Campaign.pp_entry e);
-        Buffer.add_char b '\n')
-      r.F.Campaign.entries;
-  Buffer.add_string b (Format.asprintf "%a" F.Campaign.pp_report r);
-  Buffer.add_char b '\n';
-  Buffer.contents b
-
 (* The offline exit-code contract for a finished campaign (without
    [--strict]): hard evidence of a defect is 5, hangs are 4. *)
 let inject_code (r : F.Campaign.report) =
@@ -398,7 +379,7 @@ let exec_campaign ?plan ?golden ~runner ~stopping ~journal ~t0
            { status = (if code = 0 then 0 else 1); code; token;
              reused = info.F.Campaign.reused; rerun = info.F.Campaign.rerun;
              torn = info.F.Campaign.torn;
-             text = render_report ~table:q.Frame.table report });
+             text = F.Campaign.render_report ~table:q.Frame.table report });
       `Report
     end
 

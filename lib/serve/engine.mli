@@ -112,10 +112,6 @@ val handle :
 
 val stats : t -> Frame.stats
 
-val render_report : table:bool -> F.Campaign.report -> string
-(** Exactly the bytes offline [csrtl inject] writes to stdout for this
-    report (entry table when [table], then the summary block). *)
-
 val inject_code : F.Campaign.report -> int
 (** The offline exit code for a finished campaign: 5 for crashes,
     disagreements or law violations; 4 for hangs; else 0. *)

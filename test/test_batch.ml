@@ -28,6 +28,15 @@ let verdict_agrees name f ~golden_batch ~golden (r : Batch.result)
   match r.Batch.verdict with
   | Batch.Finished o ->
     agree name f o kernel_obs;
+    (* early detection leaves a finished row no conflict the golden row
+       lacks — what lets a campaign classify it by its witness alone *)
+    List.iter
+      (fun ((s, p, n) as c) ->
+        if not (List.mem c golden_batch.Observation.conflicts) then
+          Alcotest.failf "%s: %s finished with conflict (%d, %s) on %s \
+                          the golden run lacks"
+            name (Fault.to_string f) s (Phase.to_string p) n)
+      o.Observation.conflicts;
     Some o
   | Batch.Converged _ ->
     agree name f golden_batch kernel_obs;

@@ -260,6 +260,66 @@ let test_every_outcome_constructor_covered () =
     [ ("kernel", fun (e : F.Campaign.entry) -> e.F.Campaign.kernel_outcome);
       ("interp", fun (e : F.Campaign.entry) -> e.F.Campaign.interp_outcome) ]
 
+(* The report text [csrtl inject] prints is built by concatenation;
+   [pp_entry] and [pp_report] are its [Format] specification.  Cover
+   every outcome constructor (from real runs, so the hung and crashed
+   messages are the engines' own), labels around and past the 50-column
+   pad, a disagreeing row, and both coverage and law-summary forms. *)
+let test_render_report_matches_printers () =
+  let reference ~table (r : F.Campaign.report) =
+    String.concat ""
+      ((if table then
+          List.map
+            (fun e -> Format.asprintf "%a\n" F.Campaign.pp_entry e)
+            r.F.Campaign.entries
+        else [])
+       @ [ Format.asprintf "%a\n" F.Campaign.pp_report r ])
+  in
+  let same name r =
+    List.iter
+      (fun table ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s, table %b" name table)
+          (reference ~table r)
+          (F.Campaign.render_report ~table r))
+      [ true; false ]
+  in
+  let m = fig1 () in
+  let real =
+    F.Campaign.run m
+      ~faults:
+        (F.Fault.enumerate m
+        @ [ F.Fault.Oscillator
+              { sink = List.hd m.C.Model.buses; step = 1; phase = C.Phase.Ra };
+            F.Fault.Extra_driver
+              { sink = "NO_SUCH_BUS"; step = 1; phase = C.Phase.Ra;
+                value = 1 } ])
+  in
+  same "fig1 with hung and crashed" real;
+  let entry desc kernel_outcome interp_outcome =
+    { F.Campaign.fault = F.Fault.Dropped_leg { index = 3; desc };
+      kernel_outcome; interp_outcome; kernel_cycles = 42; law_ok = false }
+  in
+  (* "dropped leg #3 (" + desc + ")" is 17 + |desc| bytes *)
+  let synthetic =
+    { real with
+      F.Campaign.coverage = None;
+      law_violations = 2;
+      entries =
+        [ entry (String.make 32 'a') F.Campaign.Masked F.Campaign.Masked;
+          entry (String.make 33 'b')
+            (F.Campaign.Detected (7, C.Phase.Wb, "BUS_X"))
+            (F.Campaign.Detected (7, C.Phase.Wb, "BUS_X"));
+          entry (String.make 34 'c')
+            (F.Campaign.Corrupted { count = 12; first = "A@3: 1 vs 2" })
+            (F.Campaign.Corrupted { count = 11; first = "B@3: 1 vs 2" });
+          entry (String.make 60 'd') (F.Campaign.Hung "watchdog tripped")
+            (F.Campaign.Crashed "Failure(\"boom\")");
+          entry "short" F.Campaign.Masked
+            (F.Campaign.Corrupted { count = 1; first = "x" }) ] }
+  in
+  same "synthetic labels, disagreement, no coverage" synthetic
+
 (* -- checkpoint restore ----------------------------------------------------- *)
 
 let report_string r = Format.asprintf "%a" F.Campaign.pp_report r
@@ -526,9 +586,11 @@ let leg_facts_property =
       leg_facts_agree (V.Consist.random_model ~conflict:(seed mod 3 = 0) seed);
       true)
 
-(* A dropped leg patches exactly its own slot: the overlay equals the
-   base compile with the dropped leg's action filtered out of every
-   slot, and [last_patched] is the highest slot that changed. *)
+(* A dropped leg patches exactly its own slot: read through
+   [Sched.slot], the overlay equals the base compile with the dropped
+   leg's action filtered out of every slot, every other slot is
+   physically the base's, the overlay shares the base's table, and
+   [last_patched] is the highest slot that changed. *)
 let test_overlay_patches_own_slot () =
   List.iter
     (fun (m : C.Model.t) ->
@@ -550,13 +612,21 @@ let test_overlay_patches_own_slot () =
                   (Printf.sprintf "%s leg %d: slot %d shared" m.C.Model.name
                      leg k)
                   true
-                  (o.C.Sched.slots.(k) == acts);
+                  (C.Sched.slot o k == acts);
               check_bool
                 (Printf.sprintf "%s leg %d: slot %d contents" m.C.Model.name
                    leg k)
                 true
-                (Array.to_list o.C.Sched.slots.(k) = kept))
+                (Array.to_list (C.Sched.slot o k) = kept))
             base.C.Sched.slots;
+          check_bool
+            (Printf.sprintf "%s leg %d: slot table shared" m.C.Model.name leg)
+            true
+            (o.C.Sched.slots == base.C.Sched.slots);
+          check_int
+            (Printf.sprintf "%s leg %d: static actions" m.C.Model.name leg)
+            (base.C.Sched.static_actions - 1)
+            o.C.Sched.static_actions;
           check_int
             (Printf.sprintf "%s leg %d: last patched" m.C.Model.name leg)
             !last o.C.Sched.last_patched)
@@ -591,19 +661,53 @@ let test_classify_once_needs_equal_goldens () =
       (function F.Fault.Stuck_sink _ -> true | _ -> false)
       (F.Fault.enumerate m)
   in
-  let batched, stats =
-    F.Campaign.run_with_stats ~jobs:1 ~faults ~engine:`Auto ~golden:a m
+  let run (a : F.Artifact.t) =
+    let batched, stats =
+      F.Campaign.run_with_stats ~jobs:1 ~faults ~engine:`Auto ~golden:a m
+    in
+    let kernel = F.Campaign.run ~faults ~engine:`Kernel ~golden:a m in
+    check_bool "stuck faults ran batched" true
+      (stats.F.Campaign.batched = List.length faults);
+    check_bool "the doctored golden changes interpreter outcomes" true
+      (List.exists
+         (fun (e : F.Campaign.entry) ->
+           e.F.Campaign.kernel_outcome <> e.F.Campaign.interp_outcome)
+         batched.F.Campaign.entries);
+    check_bool "batched = kernel path entry for entry, cycles included" true
+      (batched.F.Campaign.entries = kernel.F.Campaign.entries);
+    batched.F.Campaign.entries
   in
-  let kernel = F.Campaign.run ~faults ~engine:`Kernel ~golden:a m in
-  check_bool "stuck faults ran batched" true
-    (stats.F.Campaign.batched = List.length faults);
-  check_bool "the doctored golden changes interpreter outcomes" true
-    (List.exists
-       (fun (e : F.Campaign.entry) ->
-         e.F.Campaign.kernel_outcome <> e.F.Campaign.interp_outcome)
-       batched.F.Campaign.entries);
-  Alcotest.(check string) "batched = kernel path entry for entry"
-    (entries_string kernel) (entries_string batched)
+  let with_checkpoints = run a in
+  (* without the artifact's checkpoints, the interpreter reruns build
+     the snapshots they restore from on first use: same boundaries,
+     same entries *)
+  let without = run { a with F.Artifact.checkpoints = [] } in
+  check_bool "checkpoints removed: same entries" true
+    (with_checkpoints = without)
+
+(* Checkpoints are built only where a run reads one: a batched variant
+   joins the golden row in memory, so an all-batchable campaign builds
+   none, and the kernel path builds one per distinct restore
+   boundary. *)
+let test_checkpoints_only_where_read () =
+  let m = Chain_model.chain 24 in
+  let auto, st = F.Campaign.run_with_stats ~jobs:1 m in
+  check_int "every fault batched" auto.F.Campaign.total st.F.Campaign.batched;
+  check_int "no checkpoint for an all-batchable campaign" 0
+    st.F.Campaign.checkpoints;
+  let kernel, stk = F.Campaign.run_with_stats ~jobs:1 ~engine:`Kernel m in
+  let boundaries =
+    List.sort_uniq Int.compare
+      (List.filter
+         (fun b -> b >= 1)
+         (List.map (F.Campaign.boundary_of_fault m) (F.Fault.enumerate m)))
+  in
+  check_bool "the chain restores from several boundaries" true
+    (List.length boundaries > 1);
+  check_int "one checkpoint per kernel-path boundary"
+    (List.length boundaries) stk.F.Campaign.checkpoints;
+  check_bool "same entries on both paths" true
+    (auto.F.Campaign.entries = kernel.F.Campaign.entries)
 
 (* -- journal ---------------------------------------------------------------- *)
 
@@ -999,12 +1103,16 @@ let () =
           Alcotest.test_case "crashed on both engines" `Quick
             test_crashed_outcome_on_both_engines;
           Alcotest.test_case "every constructor covered" `Quick
-            test_every_outcome_constructor_covered ] );
+            test_every_outcome_constructor_covered;
+          Alcotest.test_case "report text = Format printers" `Quick
+            test_render_report_matches_printers ] );
       ( "checkpointing",
         [ Alcotest.test_case "restore matches scratch" `Quick
             test_restore_matches_scratch;
           Alcotest.test_case "first_step is sound and in range" `Quick
             test_first_step_sound;
+          Alcotest.test_case "checkpoints only where read" `Quick
+            test_checkpoints_only_where_read;
           QCheck_alcotest.to_alcotest ~long:false restore_property ] );
       ( "leg facts",
         [ Alcotest.test_case "table = list walk on the corpus" `Quick

@@ -19,6 +19,8 @@ let full_report_string (r : Campaign.report) =
 
 (* ---- the (engine, jobs, batch) acceptance matrix ---------------- *)
 
+let engines = [ (`Kernel, "kernel"); (`Auto, "auto"); (`Compiled, "compiled") ]
+
 (* Every engine at every jobs in {1,2,4} and batch in {1,8,32,64}
    must print the reference (sequential kernel-path) bytes. *)
 let layout_matrix (m : Model.t) =
@@ -38,9 +40,51 @@ let layout_matrix (m : Model.t) =
                   name jobs batch)
             [ 1; 8; 32; 64 ])
         [ 1; 2; 4 ])
-    [ (`Kernel, "kernel"); (`Auto, "auto"); (`Compiled, "compiled") ]
+    engines
 
 let test_matrix_fig1 () = layout_matrix (Builder.fig1 ())
+
+(* A journal holds more than the report prints: every entry's cycle
+   count and law verdict.  Its entries, sorted by index (append order
+   is scheduling), must be the kernel path's at every point of the
+   matrix. *)
+let journal_entries ~jobs ~engine ~batch m =
+  let journal = Filename.temp_file "csrtl_matrix" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove journal) @@ fun () ->
+  match
+    Campaign.run_journaled ~jobs ~engine ~batch ~journal ~resume:false m
+  with
+  | Error e -> Alcotest.failf "%s: %s" m.Model.name e
+  | Ok _ ->
+    (match Csrtl_fault.Journal.read journal with
+     | Error e -> Alcotest.failf "%s: journal unreadable: %s" m.Model.name e
+     | Ok (_, entries, _) ->
+       List.sort
+         (fun (a : Csrtl_fault.Journal.entry) b ->
+           Int.compare a.Csrtl_fault.Journal.index b.Csrtl_fault.Journal.index)
+         entries)
+
+let journal_matrix (m : Model.t) =
+  let reference = journal_entries ~jobs:1 ~engine:`Kernel ~batch:32 m in
+  if reference = [] then Alcotest.failf "%s: empty journal" m.Model.name;
+  List.iter
+    (fun (engine, name) ->
+      List.iter
+        (fun jobs ->
+          List.iter
+            (fun batch ->
+              if journal_entries ~jobs ~engine ~batch m <> reference then
+                Alcotest.failf "%s: %s journal differs at jobs=%d batch=%d"
+                  m.Model.name name jobs batch)
+            [ 1; 7; 32 ])
+        [ 1; 2 ])
+    engines
+
+let test_journal_matrix () =
+  List.iter journal_matrix
+    [ Builder.fig1 ();
+      Rtm.of_file (Filename.concat "corpus" "fault_chain.rtm");
+      Chain_model.chain 24 ]
 
 let prop_matrix =
   QCheck.Test.make ~name:"bytes invariant over engine x jobs x batch"
@@ -177,6 +221,61 @@ let test_alloc_per_fault () =
     [ (Rtm.of_file (Filename.concat "corpus" "fault_chain.rtm"), 2600.);
       (chain 32, 12500.) ]
 
+(* ---- per-fault overlay cost ------------------------------------- *)
+
+(* Words a call allocates on either heap: the slot table of a long
+   schedule is a major-heap block, which [Gc.minor_words] misses. *)
+let words_allocated f =
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+(* A fault overlay patches one or two slots, so its cost must not grow
+   with the schedule: dropping one leg of a 128-step chain may cost at
+   most 1.25x the words of a 32-step chain's.  Copying the whole slot
+   table per overlay made it about 4x. *)
+let test_overlay_words () =
+  let words steps =
+    let base = Sched.compile (chain steps) in
+    let inject = Inject.dropped_leg 1 in
+    ignore (Sched.overlay base inject);
+    let n = 50 in
+    let total = ref 0. in
+    for _ = 1 to n do
+      total := !total +. words_allocated (fun () -> Sched.overlay base inject)
+    done;
+    !total /. float_of_int n
+  in
+  let short = words 32 and long = words 128 in
+  if long > 1.25 *. short then
+    Alcotest.failf "overlay words: %.0f at 32 steps, %.0f at 128" short long
+
+(* Classifying a finished corrupted variant counts its differing
+   cells but renders only the first, so its cost must not grow with
+   the schedule either: a run corrupted at every step of a 128-step
+   chain may cost at most 1.25x the words of a 32-step chain's.  A
+   renderer closure per differing cell made it about 4x. *)
+let test_witness_words () =
+  let words steps =
+    let golden = Compiled.run (Compiled.of_model (chain steps)) in
+    let corrupted =
+      { golden with
+        Observation.regs =
+          List.map
+            (fun (n, trace) -> (n, Array.map (fun v -> v + 1) trace))
+            golden.Observation.regs }
+    in
+    let g = Observation.normalize golden
+    and c = Observation.normalize corrupted in
+    (match Observation.witness_normalized g c with
+     | Some (count, _) when count >= 2 * steps -> ()
+     | _ -> Alcotest.failf "chain %d: every step should differ" steps);
+    words_allocated (fun () -> Observation.witness_normalized g c)
+  in
+  let short = words 32 and long = words 128 in
+  if long > 1.25 *. short then
+    Alcotest.failf "witness words: %.0f at 32 steps, %.0f at 128" short long
+
 (* ---- persisted bytes per fault ---------------------------------- *)
 
 (* A journal line records an outcome, not the run behind it, so its
@@ -208,7 +307,9 @@ let () =
         [ Alcotest.test_case "fig1 engine x jobs x batch" `Quick
             test_matrix_fig1;
           Alcotest.test_case "chunk count invisible" `Quick
-            test_chunks_invariant ] );
+            test_chunks_invariant;
+          Alcotest.test_case "journal entries over engine x jobs x batch"
+            `Quick test_journal_matrix ] );
       qsuite "matrix-random" [ prop_matrix ];
       ( "arena",
         [ Alcotest.test_case "per-domain arena reuse is deterministic" `Quick
@@ -216,7 +317,11 @@ let () =
           Alcotest.test_case "step loop allocates zero minor words" `Quick
             test_zero_alloc;
           Alcotest.test_case "campaign minor words per fault bounded" `Quick
-            test_alloc_per_fault ] );
+            test_alloc_per_fault;
+          Alcotest.test_case "overlay words independent of schedule length"
+            `Quick test_overlay_words;
+          Alcotest.test_case "witness words independent of schedule length"
+            `Quick test_witness_words ] );
       ( "bytes",
         [ Alcotest.test_case "journal bytes per fault bounded" `Quick
             test_journal_bytes_per_fault ] ) ]

@@ -273,7 +273,7 @@ let test_engine_matches_offline () =
                 | `Kernel -> "kernel"
                 | `Compiled -> "compiled")
                batch table)
-            (S.Engine.render_report ~table offline)
+            (F.Campaign.render_report ~table offline)
             r.text;
           check_int "offline exit code" (S.Engine.inject_code offline) r.code;
           check_int "status is the diag contract"
@@ -351,7 +351,7 @@ let test_deadline_drain_then_resume () =
       (* resending without the deadline completes from the journal *)
       let r = report_of (collect t (S.Frame.Inject q)) in
       Alcotest.(check string) "resumed report = offline bytes"
-        (S.Engine.render_report ~table:false offline)
+        (F.Campaign.render_report ~table:false offline)
         r.text)
 
 (* A journal in an older format at a campaign's token (a state dir
@@ -387,7 +387,7 @@ let test_old_journal_version_reruns () =
       let r = report_of (collect t (S.Frame.Inject q)) in
       check_int "nothing reused from the old journal" 0 r.reused;
       Alcotest.(check string) "fresh rerun = offline bytes"
-        (S.Engine.render_report ~table:false offline)
+        (F.Campaign.render_report ~table:false offline)
         r.text;
       match F.Journal.read journal with
       | Ok (_, entries, 0) ->
@@ -435,7 +435,7 @@ let test_shutdown_drain_then_resume () =
   let r = report_of (collect t2 (S.Frame.Inject { q with stream = false })) in
   check_bool "journal prefix reused" true (r.reused >= 1);
   Alcotest.(check string) "resumed report = offline bytes"
-    (S.Engine.render_report ~table:false offline)
+    (F.Campaign.render_report ~table:false offline)
     r.text
 
 let refused = function
@@ -659,7 +659,7 @@ let test_warm_requests_byte_identical () =
   List.iter
     (fun (engine, batch) ->
       let offline =
-        S.Engine.render_report ~table:false
+        F.Campaign.render_report ~table:false
           (F.Campaign.run ~engine ~batch m)
       in
       with_engine (fun t ->
@@ -673,7 +673,7 @@ let test_warm_requests_byte_identical () =
 let test_tiers_disabled_byte_identical () =
   let text = fig1_text () in
   let m, _ = Result.get_ok (C.Rtm.parse text) in
-  let offline = S.Engine.render_report ~table:false (F.Campaign.run m) in
+  let offline = F.Campaign.render_report ~table:false (F.Campaign.run m) in
   with_engine
     ~tweak:(fun c ->
       { c with
@@ -706,7 +706,7 @@ let test_tier_eviction_under_concurrency () =
     List.map
       (fun m ->
         ( C.Rtm.to_string m,
-          S.Engine.render_report ~table:false
+          F.Campaign.render_report ~table:false
             (F.Campaign.run ~limit:8 m) ))
       models
   in
@@ -779,7 +779,7 @@ let test_forked_matches_offline () =
           (collect t (S.Frame.Inject { (basic_inject text) with resume = false }))
       in
       Alcotest.(check string) "forked worker report = offline bytes"
-        (S.Engine.render_report ~table:false offline)
+        (F.Campaign.render_report ~table:false offline)
         r.text;
       check_int "exit code over the wire" (S.Engine.inject_code offline)
         r.code;
@@ -794,7 +794,7 @@ let test_forked_matches_offline () =
            golden_cached
        | _ -> Alcotest.fail "no Started frame");
       Alcotest.(check string) "warm forked report = offline bytes"
-        (S.Engine.render_report ~table:false offline)
+        (F.Campaign.render_report ~table:false offline)
         (report_of rs2).text;
       let stats = S.Engine.stats t in
       check_int "no crashes" 0 stats.S.Frame.crashes;
@@ -823,7 +823,7 @@ let test_worker_kill_restart () =
       in
       Alcotest.(check string)
         "report after SIGKILL + journal restart = offline bytes"
-        (S.Engine.render_report ~table:false offline)
+        (F.Campaign.render_report ~table:false offline)
         r.text;
       let stats = S.Engine.stats t in
       check_int "one crash observed" 1 stats.S.Frame.crashes;
@@ -876,7 +876,7 @@ let test_daemon_sigkill_resume () =
   let text = fig1_text () in
   let m, _ = Result.get_ok (C.Rtm.parse text) in
   let offline =
-    S.Engine.render_report ~table:false (F.Campaign.run ~engine:`Kernel m)
+    F.Campaign.render_report ~table:false (F.Campaign.run ~engine:`Kernel m)
   in
   let dir = Filename.temp_file "csrtl_serve" ".state" in
   Sys.remove dir;
