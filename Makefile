@@ -62,13 +62,18 @@ check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke fleet-
 	  --table > _build/check/smoke_batched.out; \
 	cmp _build/check/smoke_kernel.out _build/check/smoke_batched.out || \
 	  { echo "batched-campaign smoke FAILED: reports differ"; exit 1; }; \
+	$$CSRTL inject _build/check/smoke.rtm --jobs 0 --table \
+	  > _build/check/smoke_gated.out; \
+	cmp _build/check/smoke_kernel.out _build/check/smoke_gated.out || \
+	  { echo "batched-campaign smoke FAILED: --jobs 0 report differs"; \
+	    exit 1; }; \
 	for k in 1 64; do \
 	  $$CSRTL inject _build/check/smoke.rtm --engine auto --jobs 2 --chunks 4 \
 	    --batch $$k --table > _build/check/smoke_batch$$k.out; \
 	  cmp _build/check/smoke_kernel.out _build/check/smoke_batch$$k.out || \
 	    { echo "batched-campaign smoke FAILED at --batch $$k"; exit 1; }; \
 	done; \
-	echo "  2-domain batched campaign (batch 32, 1, 64) is byte-identical to the kernel path"
+	echo "  2-domain batched campaign (batch 32, 1, 64) and the --jobs 0 gate are byte-identical to the kernel path"
 	@echo "BENCH_batch.json schema smoke:"
 	@dune exec --no-build bench/main.exe -- bench-json \
 	  _build/check/BENCH_batch.json smoke

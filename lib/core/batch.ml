@@ -22,7 +22,7 @@ type verdict =
   | Converged of int
   | Detected of int * Phase.t * string
 
-type result = { verdict : verdict; cycles : int }
+type result = { verdict : verdict; cycles : int; merged : bool; steps : int }
 
 (* A reusable compile of the golden schedule plus the per-unit
    profiles — everything about the model that is shared, read-only,
@@ -52,8 +52,9 @@ let base_sched p = p.base
 let legs p = p.legs
 
 (* Variant lifecycle, encoded in an int so the dispatch loop reads a
-   flat array: -3 detected, -2 waiting to join, -1 running, s >= 0
-   retired at s. *)
+   flat array: -4 following another row (merged), -3 detected, -2
+   waiting to join, -1 running, s >= 0 retired at s. *)
+let st_following = -4
 let st_detected = -3
 let st_waiting = -2
 let st_running = -1
@@ -108,6 +109,22 @@ type arena = {
   v_found : (int * Phase.t * string) array;
       (* a detected row's diagnosis point, its least conflict the
          golden row lacks; read only in that state *)
+  v_lead : int array;
+      (* the earlier row a row stopped at a boundary follows (0 for a
+         retired row); -1 for a row that never stopped at one *)
+  v_at : int array;  (* the boundary a row stopped stepping at *)
+  v_full : Bytes.t;
+      (* a stopped row's trace, output and conflict suffix has been
+         copied in from its leader: its row holds its whole observation *)
+  (* merge candidates of the current boundary: an open-addressing
+     table of row ids keyed by state hash, a slot live when its stamp
+     is the current [gen] — bumping [gen] empties it without a write *)
+  tab_row : int array;
+  tab_hash : int array;
+  tab_gen : int array;
+  tab_mask : int;
+  mutable gen : int;
+  mutable golden_in : bool;  (* row 0 is in the table this boundary *)
 }
 
 let make_arena (plan : plan) rows =
@@ -126,6 +143,11 @@ let make_arena (plan : plan) rows =
     fu_off.(f + 1) <- fu_off.(f) + fu_cap.(f)
   done;
   let fu_row = fu_off.(nf) in
+  (* a power of two at least twice the rows, so probing always ends *)
+  let tab = ref 1 in
+  while !tab < 2 * rows do
+    tab := 2 * !tab
+  done;
   { pid = plan.pid; ns; nr; nf; np; cs; rows;
     profs = plan.profs;
     visible = Array.make (rows * ns) Word.disc;
@@ -152,7 +174,16 @@ let make_arena (plan : plan) rows =
     v_retire = Array.make rows 0;
     v_state = Array.make rows st_waiting;
     v_dirty = Bytes.make rows '\000';
-    v_found = Array.make rows no_conflict }
+    v_found = Array.make rows no_conflict;
+    v_lead = Array.make rows (-1);
+    v_at = Array.make rows 0;
+    v_full = Bytes.make rows '\000';
+    tab_row = Array.make !tab 0;
+    tab_hash = Array.make !tab 0;
+    tab_gen = Array.make !tab 0;
+    tab_mask = !tab - 1;
+    gen = 0;
+    golden_in = false }
 
 (* One arena per domain, rebound in place chunk after chunk as long as
    the campaign keeps the same plan and the batch fits.  Domain-local,
@@ -206,6 +237,7 @@ let bind (plan : plan) specs =
   let k = List.length specs in
   let a = get_arena plan k in
   a.scheds.(0) <- plan.base;
+  a.v_state.(0) <- st_running;
   List.iteri
     (fun i spec ->
       let sched = Sched.overlay plan.base spec.inject in
@@ -217,6 +249,8 @@ let bind (plan : plan) specs =
         (if spec.join = 0 then st_running else st_waiting))
     specs;
   Bytes.fill a.v_dirty 0 (k + 1) '\000';
+  Array.fill a.v_lead 0 (k + 1) (-1);
+  Bytes.fill a.v_full 0 (k + 1) '\000';
   (* pipeline depths; a latency override above the shared capacity
      grows every row's unit region (rare: one realloc per campaign) *)
   let grew = ref false in
@@ -427,36 +461,81 @@ let observation (a : arena) row =
         m.Model.outputs;
     conflicts = List.rev a.conflicts.(row) }
 
-(* Helpers of [rows_equal], at top level so the per-step retirement
-   check allocates no closures. *)
-let rec eq_range (arr : Word.t array) base n i =
-  i >= n || (Word.equal arr.(i) arr.(base + i) && eq_range arr base n (i + 1))
+(* Helpers of [states_equal], at top level so the per-step retirement
+   and merge checks allocate no closures. *)
+let rec eq_range (arr : Word.t array) b1 b2 n i =
+  i >= n || (Word.equal arr.(b1 + i) arr.(b2 + i) && eq_range arr b1 b2 n (i + 1))
 
-let rec slots_eq (slots : Word.t array) off0 offr lat i =
-  i >= lat
-  || (Word.equal slots.(off0 + i) slots.(offr + i)
-      && slots_eq slots off0 offr lat (i + 1))
-
-let rec fus_eq (a : arena) row fob f =
+let rec fus_eq (a : arena) l r f =
   f >= a.nf
-  || (a.fu_lat.(f) = a.fu_lat.((row * a.nf) + f)
-      && slots_eq a.fu_slots a.fu_off.(f) (fob + a.fu_off.(f)) a.fu_lat.(f) 0
-      && fus_eq a row fob (f + 1))
+  || (a.fu_lat.((l * a.nf) + f) = a.fu_lat.((r * a.nf) + f)
+      && eq_range a.fu_slots
+           ((l * a.fu_row) + a.fu_off.(f))
+           ((r * a.fu_row) + a.fu_off.(f))
+           a.fu_lat.((r * a.nf) + f) 0
+      && fus_eq a l r (f + 1))
 
-(* State-row equality against the golden row, cheapest component
-   first; all equal (with no observable delta accrued) means the rows
-   cannot diverge again. *)
-let rows_equal (a : arena) row =
-  eq_range a.regs (row * a.nr) a.nr 0
-  && eq_range a.reg_vis (row * a.nr) a.nr 0
-  && eq_range a.fu_out (row * a.nf) a.nf 0
-  && eq_range a.visible (row * a.ns) a.ns 0
-  && fus_eq a row (row * a.fu_row) 0
-  && (match (a.conflicts.(0), a.conflicts.(row)) with
-     | [], [] -> true  (* the conflict-free fast path must not reach
-                          [List.sort_uniq], which allocates its merge
-                          closures even for empty input *)
-     | c0, cr -> Snapshot.sort_conflicts c0 = Snapshot.sort_conflicts cr)
+(* Machine-state equality of rows [l] and [r] at a boundary, cheapest
+   component first.  The pending set is empty there and the live
+   driver set is the golden (step, wb) slot's for any row past its
+   patches, so these components are the whole state. *)
+let states_equal (a : arena) l r =
+  eq_range a.regs (l * a.nr) (r * a.nr) a.nr 0
+  && eq_range a.reg_vis (l * a.nr) (r * a.nr) a.nr 0
+  && eq_range a.fu_out (l * a.nf) (r * a.nf) a.nf 0
+  && eq_range a.visible (l * a.ns) (r * a.ns) a.ns 0
+  && fus_eq a l r 0
+
+let conflicts_equal (a : arena) l r =
+  match (a.conflicts.(l), a.conflicts.(r)) with
+  | [], [] -> true  (* the conflict-free fast path must not reach
+                       [List.sort_uniq], which allocates its merge
+                       closures even for empty input *)
+  | cl, cr -> Snapshot.sort_conflicts cl = Snapshot.sort_conflicts cr
+
+let is_dirty (a : arena) r = Bytes.get a.v_dirty r <> '\000'
+
+(* Row [r] may stop and follow the earlier row [l] (both past their
+   patches): equal states have equal futures, so every later trace
+   cell, output write, conflict and early verdict of [r] would be
+   [l]'s.  What can still tell them apart is retirement, which also
+   reads the recorded past: a row with an observable delta never
+   retires, so it may follow any equal row; a row without one may
+   follow only a row that retires exactly when it would — one without
+   a delta and with the same conflicts.  Row 0 is the golden row, so
+   following it under the second clause is retirement itself. *)
+let can_follow (a : arena) l r =
+  states_equal a l r
+  && (is_dirty a r || ((not (is_dirty a l)) && conflicts_equal a l r))
+
+(* The hash of a row's registers and unit outputs, which is what tells
+   running variants apart; [states_equal] decides.  Leaving the sinks
+   out of the hash measured 2-3% faster on the benchmark's chains. *)
+let rec mix (arr : Word.t array) base n i h =
+  if i >= n then h else mix arr base n (i + 1) ((h * 31) + arr.(base + i))
+
+let state_hash (a : arena) r =
+  mix a.fu_out (r * a.nf) a.nf 0 (mix a.regs (r * a.nr) a.nr 0 17)
+
+let home (a : arena) h = ((h * 0x2545F4914F6CDD1D) lsr 17) land a.tab_mask
+
+let rec insert (a : arena) r h i =
+  if a.tab_gen.(i) <> a.gen then begin
+    a.tab_gen.(i) <- a.gen;
+    a.tab_row.(i) <- r;
+    a.tab_hash.(i) <- h
+  end
+  else insert a r h ((i + 1) land a.tab_mask)
+
+(* The first row in the table [r] may follow, or -1.  Row 0 goes in
+   first, so a row equal to the golden row finds it before any
+   variant. *)
+let rec leader (a : arena) r h i =
+  if a.tab_gen.(i) <> a.gen then -1
+  else
+    let l = a.tab_row.(i) in
+    if a.tab_hash.(i) = h && can_follow a l r then l
+    else leader a r h ((i + 1) land a.tab_mask)
 
 exception Obs_differs
 
@@ -524,9 +603,32 @@ let rec least_new best l stop ~g ~g_stop =
       in
       least_new best rest stop ~g ~g_stop
 
+(* Row [r] is past its patches at boundary [step]: stop it if an
+   earlier row already stands where it does.  Following row 0 without
+   an observable delta is retirement; any other follow is a merge,
+   settled after the loop ([resolve]). *)
+let stop_if_equal (a : arena) r ~step =
+  if not a.golden_in then begin
+    let h0 = state_hash a 0 in
+    insert a 0 h0 (home a h0);
+    a.golden_in <- true
+  end;
+  let h = state_hash a r in
+  let i = home a h in
+  let l = leader a r h i in
+  if l < 0 then insert a r h i
+  else begin
+    a.v_lead.(r) <- l;
+    a.v_at.(r) <- step;
+    a.v_state.(r) <-
+      (if l = 0 && not (is_dirty a r) then step else st_following)
+  end
+
 let run_arena (a : arena) k =
   let cs = a.cs in
   for step = 1 to cs do
+    a.gen <- a.gen + 1;
+    a.golden_in <- false;
     for r = 1 to k do
       if a.v_state.(r) = st_waiting && a.v_join.(r) = step - 1 then begin
         join_row a ~row:r ~boundary:(step - 1);
@@ -552,21 +654,91 @@ let run_arena (a : arena) k =
         end
         else begin
           update_obs_dirty a r ~step;
-          if
-            Bytes.get a.v_dirty r = '\000'
-            && step < cs
-            && step >= a.v_settle.(r)
-            && step >= a.v_retire.(r)
-            && rows_equal a r
-          then a.v_state.(r) <- step
+          if step < cs && step >= a.v_settle.(r) && step >= a.v_retire.(r)
+          then stop_if_equal a r ~step
         end
       end
     done
   done
 
+(* Append to row [dst], stopped at boundary [from], row [src]'s trace
+   cells, output writes and conflicts of the steps after [from].  Lists
+   of conflicts hold the latest first, so [src]'s later ones are a
+   prefix of its list. *)
+let copy_suffix (a : arena) ~src ~dst ~from =
+  for i = 0 to a.nr - 1 do
+    Array.blit a.traces (((src * a.nr) + i) * a.cs + from) a.traces
+      (((dst * a.nr) + i) * a.cs + from)
+      (a.cs - from)
+  done;
+  for o = 0 to a.np - 1 do
+    let sb = ((src * a.np) + o) * a.cs and db = ((dst * a.np) + o) * a.cs in
+    let sn = a.out_n.((src * a.np) + o) and dn = a.out_n.((dst * a.np) + o) in
+    let first = ref sn in
+    while !first > 0 && a.out_steps.(sb + !first - 1) > from do
+      decr first
+    done;
+    let n = sn - !first in
+    Array.blit a.out_steps (sb + !first) a.out_steps (db + dn) n;
+    Array.blit a.out_vals (sb + !first) a.out_vals (db + dn) n;
+    a.out_n.((dst * a.np) + o) <- dn + n
+  done;
+  let rec later = function
+    | ((s, _, _) as c) :: rest when s > from -> c :: later rest
+    | _ -> a.conflicts.(dst)
+  in
+  a.conflicts.(dst) <- later a.conflicts.(src)
+
+(* Make a stopped row's arena row its whole observation: its own steps
+   up to where it stopped, then its leader's (completed first).  Rows
+   that stepped to the end are complete already, row 0 included. *)
+let rec complete (a : arena) r =
+  let l = a.v_lead.(r) in
+  if l >= 0 && Bytes.get a.v_full r = '\000' then begin
+    complete a l;
+    copy_suffix a ~src:l ~dst:r ~from:a.v_at.(r);
+    Bytes.set a.v_full r '\001'
+  end
+
+(* Settle every merged row from its leader, in row order, so a leader
+   is settled before its followers: a follower inherits a detected
+   leader's verdict and a retired leader's retirement when it has no
+   observable delta of its own — exactly what it would have reached
+   stepping on, since its future is the leader's — and otherwise
+   finishes with its own prefix and the leader's suffix. *)
+let resolve (a : arena) k =
+  for r = 1 to k do
+    if a.v_state.(r) = st_following then begin
+      let l = a.v_lead.(r) in
+      let ls = a.v_state.(l) in
+      if ls = st_detected then begin
+        a.v_found.(r) <- a.v_found.(l);
+        a.v_state.(r) <- st_detected
+      end
+      else if ls >= 0 && not (is_dirty a r) then a.v_state.(r) <- ls
+      else begin
+        complete a r;
+        a.v_state.(r) <- st_running
+      end
+    end
+  done
+
 let golden_with (plan : plan) specs =
   let a, k = bind plan specs in
   run_arena a k;
+  (* control steps each row executed, read before [resolve] rewrites
+     the states of merged rows *)
+  let steps r =
+    let s = a.v_state.(r) in
+    if s = st_waiting then 0
+    else if s = st_running then a.cs - a.v_join.(r)
+    else if s = st_detected then
+      let t, _, _ = a.v_found.(r) in
+      t - a.v_join.(r)
+    else a.v_at.(r) - a.v_join.(r)
+  in
+  let steps = Array.init (k + 1) steps in
+  resolve a k;
   let results =
     List.mapi
       (fun i spec ->
@@ -586,7 +758,10 @@ let golden_with (plan : plan) specs =
         { verdict;
           cycles =
             Simulate.expected_cycles_with plan.legs ~inject:spec.inject
-              spec.join })
+              spec.join;
+          merged =
+            a.v_lead.(r) > 0 || (a.v_lead.(r) = 0 && is_dirty a r);
+          steps = steps.(r) })
       specs
   in
   (observation a 0, results)

@@ -20,7 +20,7 @@
     pins.  Rows are row-major and stride-contiguous, so a variant's
     whole state is cache-linear and no step boxes a value.
 
-    Three campaign-shaped shortcuts make this faster than K independent
+    Four campaign-shaped shortcuts make this faster than K independent
     compiled runs:
 
     - {e joining}: a variant whose fault provably cannot act before
@@ -49,12 +49,28 @@
       larger step, so no later step can produce an earlier one, and the
       verdict is the full run's diagnosis point.  Only rows that
       recorded a conflict in the step are examined, which keeps the
-      conflict-free step loop allocation-free.
+      conflict-free step loop allocation-free;
+    - {e merging}: retirement generalised from the golden row to any
+      earlier running row.  At a boundary where two variants are both
+      past [settle] and their patches and their state rows are equal,
+      the later one stops stepping and follows the earlier one (its
+      {e leader}).  Candidates are found by hashing state rows into a
+      table preallocated in the arena, so the step loop still
+      allocates nothing.  When the batch ends, a follower takes a
+      detected leader's verdict, or its leader's trace, output and
+      conflict suffix (the golden row's past a retired leader).  A
+      variant with an observable delta never retires, so it may follow
+      any equal row, the golden row included; one without a delta
+      follows only a row that has none either and holds the same
+      conflicts, so the two retire at the same boundary or not at all.
+      Verdicts and observations are then exactly those of stepping the
+      follower to the end — equivalent-fault collapsing, found
+      dynamically at the paper's quiescent control-step boundary.
 
-    Soundness of retirement rests on the static schedule: at a step
-    boundary the pending set is empty and the live driver set is
-    exactly the destination set of the (step, [wb]) slot, so no patch
-    left ahead plus state-row equality implies equal futures.  The
+    Soundness of retirement and merging rests on the static schedule:
+    at a step boundary the pending set is empty and the live driver
+    set is exactly the destination set of the (step, [wb]) slot, so no
+    patch left ahead plus state-row equality implies equal futures.  The
     arena layout itself is observation-invariant (SEMANTICS §10): the
     differential suite ([test/test_batch.ml]) pins batched results
     against the kernel, the interpreter and the per-variant compiled
@@ -89,6 +105,12 @@ type result = {
       (** what the kernel would report for this variant resumed at
           [join]: {!Simulate.expected_cycles_injected}, read off the
           plan's leg table *)
+  merged : bool;
+      (** the row stopped stepping at a boundary by following another
+          row (merging) rather than by retiring *)
+  steps : int;
+      (** control steps this variant's row executed: from [join] to
+          where it finished, was detected, retired or merged *)
 }
 
 type plan

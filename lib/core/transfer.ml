@@ -310,9 +310,11 @@ let pp ppf t =
     (pp_opt str) t.write_bus
     (pp_opt pp_dest) t.dst
 
-let pp_leg ppf l =
-  Format.fprintf ppf "%s -> %s @%d/%s"
-    (endpoint_name l.src) (endpoint_name l.dst) l.step
-    (Phase.to_string l.phase)
+let leg_to_string l =
+  String.concat ""
+    [ endpoint_name l.src; " -> "; endpoint_name l.dst; " @";
+      string_of_int l.step; "/"; Phase.to_string l.phase ]
+
+let pp_leg ppf l = Format.pp_print_string ppf (leg_to_string l)
 
 let to_string t = Format.asprintf "%a" pp t

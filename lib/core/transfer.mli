@@ -98,5 +98,10 @@ val pp : Format.formatter -> t -> unit
     absent fields and [:op] after the unit when an operation is
     selected. *)
 
+val leg_to_string : leg -> string
+(** [src -> dst @step/phase], e.g. [R1.out -> B1 @5/ra]. *)
+
 val pp_leg : Format.formatter -> leg -> unit
+(** Prints {!leg_to_string}. *)
+
 val to_string : t -> string

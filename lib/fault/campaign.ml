@@ -370,19 +370,23 @@ type batch_stats = {
   kernel_path : int;
   retired_early : int;
   detected_early : int;
+  merged : int;
   checkpoints : int;
+  domains : int;
 }
 
 let no_stats =
   { batched = 0; kernel_path = 0; retired_early = 0; detected_early = 0;
-    checkpoints = 0 }
+    merged = 0; checkpoints = 0; domains = 0 }
 
 let add_stats a b =
   { batched = a.batched + b.batched;
     kernel_path = a.kernel_path + b.kernel_path;
     retired_early = a.retired_early + b.retired_early;
     detected_early = a.detected_early + b.detected_early;
-    checkpoints = a.checkpoints + b.checkpoints }
+    merged = a.merged + b.merged;
+    checkpoints = a.checkpoints + b.checkpoints;
+    domains = a.domains + b.domains }
 
 (* A fault rides the batched executor when its injection has a static
    schedule under this campaign's config — the same gate the golden
@@ -516,7 +520,11 @@ let compute_work ~ctx ~on_entry = function
            retired_early =
              count (function Batch.Converged _ -> true | _ -> false);
            detected_early =
-             count (function Batch.Detected _ -> true | _ -> false) } )
+             count (function Batch.Detected _ -> true | _ -> false);
+           merged =
+             List.length
+               (List.filter (fun (r : Batch.result) -> r.Batch.merged) results)
+         } )
      | Csrtl_par.Par.Crashed _ | Csrtl_par.Par.Over_budget _ ->
        let entries =
          List.map
@@ -561,13 +569,24 @@ let fault_list ?limit ?faults m =
 
 let faults_of = function Chunk ifs -> List.length ifs | Single _ -> 1
 
+(* Domains of the pool's last map that ran at least one item. *)
+let busy_domains p =
+  Array.fold_left
+    (fun n (w : Csrtl_par.Par.worker_stat) ->
+      if w.Csrtl_par.Par.w_items > 0 then n + 1 else n)
+    0 (Csrtl_par.Par.last_stats p)
+
+(* Run the work items and count the domains that ran them.  Without a
+   pool or a chunk count, the gate in {!Csrtl_par.Par.map_gated} runs
+   items inline and spawns a pool only once their measured time says
+   the rest repays it: a batched fault costs about a tenth of a golden
+   run, so most campaigns finish before that.  An explicit pool or
+   chunk count fans out at once, its chunk count planned from [est_us]
+   times the faults per item — one golden run per fault, which prices
+   a batched fault about ten times too high.  Either way the chunking
+   only shapes scheduling: results are chunk-count invariant (the
+   pool's contract), so reports stay deterministic. *)
 let map_faults ?pool ?jobs ?chunks ~est_us compute work =
-  (* when the caller did not fix a chunk count, plan one from the
-     measured golden cost: a work item costs about one golden run per
-     fault it holds — a batched chunk of K faults steps K + 1 arena
-     rows.  The chunk count only shapes scheduling — results are
-     chunk-count invariant (the pool's contract), so feeding it a
-     measurement keeps reports deterministic. *)
   let planned p =
     match chunks with
     | Some _ -> chunks
@@ -579,16 +598,17 @@ let map_faults ?pool ?jobs ?chunks ~est_us compute work =
            ~item_cost_us:
              (est_us *. float_of_int faults /. float_of_int (max items 1)))
   in
-  match pool with
-  | Some p -> Csrtl_par.Par.map ?chunks:(planned p) p compute work
-  | None ->
-    let jobs =
-      match jobs with
-      | Some j -> j
-      | None -> Csrtl_par.Par.default_jobs ()
-    in
-    Csrtl_par.Par.with_pool ~jobs (fun p ->
-        Csrtl_par.Par.map ?chunks:(planned p) p compute work)
+  let fan_out p =
+    let r = Csrtl_par.Par.map ?chunks:(planned p) p compute work in
+    (r, busy_domains p)
+  in
+  let jobs =
+    match jobs with Some j -> j | None -> Csrtl_par.Par.default_jobs ()
+  in
+  match (pool, chunks) with
+  | Some p, _ -> fan_out p
+  | None, Some _ -> Csrtl_par.Par.with_pool ~jobs fan_out
+  | None, None -> Csrtl_par.Par.map_gated ~jobs compute work
 
 (* Shard the planned work across the pool (or run it inline), then
    reassemble entries in fault order — the report is independent of
@@ -603,9 +623,9 @@ let compute_all ?pool ?jobs ?chunks ?(should_stop = fun () -> false) ~par
   let compute w =
     if should_stop () then ([], no_stats) else compute_work ~ctx ~on_entry w
   in
-  let results =
+  let results, domains =
     if par then map_faults ?pool ?jobs ?chunks ~est_us:ctx.est_us compute work
-    else List.map compute work
+    else (List.map compute work, min (List.length work) 1)
   in
   let entries =
     List.sort
@@ -614,7 +634,7 @@ let compute_all ?pool ?jobs ?chunks ?(should_stop = fun () -> false) ~par
   in
   ( entries,
     { (List.fold_left (fun a (_, s) -> add_stats a s) no_stats results) with
-      checkpoints = Atomic.get ctx.built } )
+      checkpoints = Atomic.get ctx.built; domains } )
 
 (* Plan the campaign's work, then build the context its kernel-path
    items need. *)

@@ -93,12 +93,21 @@ type batch_stats = {
   detected_early : int;
       (** batched variants stopped at their first conflict the golden
           run lacks ({!Csrtl_core.Batch.Detected}) *)
+  merged : int;
+      (** batched variants that stopped stepping at a boundary where
+          their state equalled another running row's and took that
+          row's future ({!Csrtl_core.Batch.result}'s [merged]); they
+          are counted under their verdict too *)
   checkpoints : int;
       (** golden snapshots the campaign built: one per distinct
           boundary a kernel-path fault restores from and the supplied
           artifact lacks, plus any a batched fault needed on a fallback
           path.  Batched variants join from the arena's golden row, so
           an all-batchable campaign builds none. *)
+  domains : int;
+      (** domains that ran at least one work item, the caller included:
+          [1] for a campaign too small to repay a pool
+          ({!Csrtl_par.Par.map_gated}) *)
 }
 
 val boundary_of_fault : Model.t -> Fault.t -> int
@@ -162,12 +171,16 @@ val run_parallel :
     [jobs] is ignored); otherwise a pool of [jobs] (default
     {!Csrtl_par.Par.default_jobs}) is created for the call, sized to
     the host's cores; when the runtime cannot provide the requested domains the pool shrinks
-    gracefully down to sequential ({!Csrtl_par.Par.create}).
-    [chunks], when omitted, is planned from the measured golden-run
-    cost ({!Csrtl_par.Par.plan_chunks}): each work item — one
-    kernel-path fault, or a batched chunk of K faults stepping K + 1
-    arena rows — costs its fault count times the golden cost.  The
-    measurement shapes scheduling only, never the report bytes. *)
+    gracefully down to sequential ({!Csrtl_par.Par.create}).  A work
+    item is one kernel-path fault, or a batched chunk of K faults
+    stepping K + 1 arena rows.  With neither [pool] nor [chunks], the
+    items run on the calling domain until their measured times say the
+    rest repays a pool ({!Csrtl_par.Par.map_gated}), so a small
+    campaign never spawns a domain.  With a [pool] and no [chunks], the
+    chunk count is planned from the measured golden-run cost
+    ({!Csrtl_par.Par.plan_chunks}, each item costing its fault count
+    times the golden cost).  The measurements shape scheduling only,
+    never the report bytes. *)
 
 type resume_info = {
   reused : int;  (** journal entries accepted without re-running *)

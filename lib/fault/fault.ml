@@ -25,24 +25,29 @@ let to_inject = function
     Inject.transient_sink ~sink ~step ~phase value
   | Oscillator { sink; step; phase } -> Inject.oscillator ~sink ~step ~phase
 
-let pp ppf = function
+(* Labels are built by concatenation, not through [Format]: a campaign
+   renders one per fault into its fault-list digest and its report. *)
+let to_string = function
   | Stuck_sink { sink; value } ->
-    Format.fprintf ppf "stuck-at %s on %s" (Word.to_string value) sink
+    String.concat "" [ "stuck-at "; Word.to_string value; " on "; sink ]
   | Dropped_leg { index; desc } ->
-    Format.fprintf ppf "dropped leg #%d (%s)" index desc
+    String.concat "" [ "dropped leg #"; string_of_int index; " ("; desc; ")" ]
   | Extra_driver { sink; step; phase; value } ->
-    Format.fprintf ppf "extra driver %s on %s during (%d, %s)"
-      (Word.to_string value) sink step (Phase.to_string phase)
+    String.concat ""
+      [ "extra driver "; Word.to_string value; " on "; sink; " during (";
+        string_of_int step; ", "; Phase.to_string phase; ")" ]
   | Fu_latency { fu; latency } ->
-    Format.fprintf ppf "latency of %s forced to %d" fu latency
+    String.concat "" [ "latency of "; fu; " forced to "; string_of_int latency ]
   | Transient { sink; step; phase; value } ->
-    Format.fprintf ppf "transient %s on %s at (%d, %s)"
-      (Word.to_string value) sink step (Phase.to_string phase)
+    String.concat ""
+      [ "transient "; Word.to_string value; " on "; sink; " at (";
+        string_of_int step; ", "; Phase.to_string phase; ")" ]
   | Oscillator { sink; step; phase } ->
-    Format.fprintf ppf "oscillator on %s from (%d, %s)" sink step
-      (Phase.to_string phase)
+    String.concat ""
+      [ "oscillator on "; sink; " from ("; string_of_int step; ", ";
+        Phase.to_string phase; ")" ]
 
-let to_string f = Format.asprintf "%a" pp f
+let pp ppf f = Format.pp_print_string ppf (to_string f)
 
 (* Earliest control step at which the fault can make the realization
    diverge from the golden run — a sound lower bound, used by the
@@ -126,11 +131,15 @@ let subsample limit l =
 
 let enumerate ?limit (m : Model.t) =
   let legs, _ = Model.all_legs m in
-  let legs_writing b =
-    List.filter
-      (fun (l : Transfer.leg) -> Transfer.endpoint_name l.dst = b)
-      legs
-  in
+  (* every sink's writer legs in leg order, grouped in one pass *)
+  let writers = Hashtbl.create 16 in
+  List.iter
+    (fun (l : Transfer.leg) ->
+      let d = Transfer.endpoint_name l.dst in
+      Hashtbl.replace writers d
+        (l :: Option.value ~default:[] (Hashtbl.find_opt writers d)))
+    (List.rev legs);
+  let legs_writing b = Option.value ~default:[] (Hashtbl.find_opt writers b) in
   let stuck_faults =
     List.concat_map
       (fun b ->
@@ -148,8 +157,7 @@ let enumerate ?limit (m : Model.t) =
   let drop_faults =
     List.mapi
       (fun index l ->
-        Dropped_leg
-          { index; desc = Format.asprintf "%a" Transfer.pp_leg l })
+        Dropped_leg { index; desc = Transfer.leg_to_string l })
       legs
   in
   let driver_faults =

@@ -145,8 +145,9 @@ let with_pool ?oversubscribe ~jobs f =
    [item_cost_us] µs each should use.  Aim for chunks big enough that
    the claim/complete hand-off (~µs) is noise, small enough that the
    tail rebalances: ~5 ms of work per chunk, between [jobs] and
-   [4 * jobs] chunks, never more than one chunk per item — and a job
-   whose whole cost is under ~1 ms is not worth fanning out at all. *)
+   [4 * jobs] chunks, never more than one chunk per item.  A job whose
+   whole cost is under 1 ms gets one chunk; whether a job is worth a
+   pool at all is {!map_gated}'s call, on measured item times. *)
 let plan_chunks ~jobs ~items ~item_cost_us =
   if items <= 0 || jobs <= 1 then 1
   else begin
@@ -221,6 +222,61 @@ let map ?chunks t f xs =
     end
 
 let last_stats t = Array.copy t.stats
+
+(* Measured fan-out.  Spawning and joining a worker domain costs
+   0.1-0.2 ms in a warm process and 1-2 ms in a fresh one, about as
+   much as a whole small campaign.  So items run inline on the calling
+   domain, timed, until the measured mean item time times the items
+   left exceeds [break_even_us]; only then is a pool of [jobs] spawned,
+   and it takes the remainder in chunks priced from the measured mean.
+   10 ms keeps the spawn under about a fifth of the work it shares.
+   Items are timed in processor time ([Sys.time]), so a caller that is
+   descheduled mid-item does not mistake the wait for work. *)
+let break_even_us = 10_000.
+
+let map_gated ~jobs f xs =
+  if jobs < 1 then
+    invalid_arg (Printf.sprintf "Par.map_gated: jobs must be >= 1 (got %d)" jobs);
+  let arr = Array.of_list xs in
+  let n = Array.length arr in
+  let width = min jobs (available_parallelism ()) in
+  let results = Array.make n None in
+  let t0 = Sys.time () in
+  (* index of the first item left for a pool, with the measured mean
+     item cost, or [None] once every item ran inline *)
+  let rec inline i =
+    if i >= n then None
+    else begin
+      (match f arr.(i) with
+       | v -> results.(i) <- Some v
+       | exception (Task_error _ as e) -> raise e
+       | exception e -> raise (Task_error (i, e)));
+      let i = i + 1 in
+      let mean_us = (Sys.time () -. t0) *. 1e6 /. float_of_int i in
+      if width > 1 && i < n && mean_us *. float_of_int (n - i) > break_even_us
+      then Some (i, mean_us)
+      else inline i
+    end
+  in
+  match inline 0 with
+  | None -> (Array.to_list (Array.map Option.get results), min n 1)
+  | Some (first, mean_us) ->
+    with_pool ~jobs (fun p ->
+        let rest = List.init (n - first) (fun k -> arr.(first + k)) in
+        let chunks =
+          plan_chunks ~jobs:p.njobs ~items:(n - first) ~item_cost_us:mean_us
+        in
+        let tail =
+          try map ~chunks p f rest
+          with Task_error (k, e) -> raise (Task_error (first + k, e))
+        in
+        (* the caller ran the inline prefix, so it always counts *)
+        let helpers = ref 0 in
+        for w = 1 to Array.length p.stats - 1 do
+          if p.stats.(w).w_items > 0 then incr helpers
+        done;
+        ( List.init first (fun i -> Option.get results.(i)) @ tail,
+          1 + !helpers ))
 
 (* ---- per-task supervision --------------------------------------- *)
 

@@ -67,10 +67,10 @@ val plan_chunks : jobs:int -> items:int -> item_cost_us:float -> int
 (** Chunk count for a {!map} of [items] tasks costing roughly
     [item_cost_us] µs each: about 5 ms of work per chunk, clamped to
     [\[jobs, 4 * jobs\]] and to one chunk per item — and [1] when the
-    whole job is under ~1 ms (fan-out overhead would dominate) or
-    [jobs <= 1].  Deterministic in its inputs; campaigns feed it a
-    {e measured} cost, so the chunk count may vary run to run — chunk
-    count never changes {!map} results, only scheduling. *)
+    whole job is under 1 ms or [jobs <= 1].  Deterministic in its
+    inputs; callers feed it a {e measured} cost, so the chunk count may
+    vary run to run — chunk count never changes {!map} results, only
+    scheduling. *)
 
 val map : ?chunks:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** Apply [f] to every element, fanning chunks out across the pool.
@@ -86,6 +86,27 @@ val map : ?chunks:int -> t -> ('a -> 'b) -> 'a list -> 'b list
     state.  Kernel/interpreter/compiled runs are safe — each run owns
     its state — but a single {!Csrtl_core.Compiled.t} plan must not be
     shared across items. *)
+
+val break_even_us : float
+(** [10_000.]: the measured work (µs) that repays spawning a pool in
+    {!map_gated}.  A domain spawn and join costs 0.1-0.2 ms in a warm
+    process and 1-2 ms in a fresh one. *)
+
+val map_gated : jobs:int -> ('a -> 'b) -> 'a list -> 'b list * int
+(** [map_gated ~jobs f xs] applies [f] to every element like {!map},
+    but spawns a pool only when the work repays it.  Items run inline
+    on the calling domain, timed in processor time ([Sys.time]), until
+    the measured mean item time times the number of items left exceeds
+    {!break_even_us}; then a pool of [jobs] ({!with_pool}, clamped like
+    {!create}) takes the rest, in {!plan_chunks} chunks priced from
+    that mean, and is shut down before returning.  With one core, or
+    [jobs = 1], everything runs inline; [Invalid_argument] when
+    [jobs < 1], as {!create}.  Results are in input order, independent
+    of where the gate fell; a raise is re-raised as {!Task_error} with
+    the index in [xs].  The second component counts the domains that ran at least
+    one item (the caller included; [0] for an empty list).  The gate
+    reads a clock, so it shapes scheduling only: [f] must give the same
+    result on any domain. *)
 
 type worker_stat = {
   w_chunks : int;  (** chunks this worker executed *)

@@ -204,13 +204,25 @@ let test_fig1_join () = join_parity (Builder.fig1 ())
 let test_fig1_retire () = retirement_sound (Builder.fig1 ())
 let test_fig1_detect () = detection_sound (Builder.fig1 ())
 
-(* The dispatch counts of two campaigns, pinned: retirement counts
+(* Chains are where variants merge (see "merging" below): the whole
+   fault list in one batch from reset, and joined at the faults'
+   boundaries, against the kernel. *)
+let test_chain_differential () =
+  four_way (Chain_model.chain 16);
+  let m = Chain_model.chain 24 in
+  join_parity m;
+  retirement_sound m;
+  detection_sound m
+
+(* The dispatch counts of three campaigns, pinned: retirement counts
    only re-converged variants (the benchmark probe reads it as the
    retire ratio), early detection only the ones stopped at a new
-   conflict — every detected batched fault on these models. *)
+   conflict — every detected batched fault on these models — and
+   merging the variants that took another row's future.  Merging keeps
+   every verdict, so it moves neither of the first two counts. *)
 let test_early_counts () =
   List.iter
-    (fun ((m : Model.t), retired, detected) ->
+    (fun ((m : Model.t), retired, detected, merged) ->
       let r, st = Campaign.run_with_stats ~jobs:1 m in
       let name = m.Model.name in
       Alcotest.(check int) (name ^ " retired early") retired
@@ -218,8 +230,89 @@ let test_early_counts () =
       Alcotest.(check int) (name ^ " detected early") detected
         st.Campaign.detected_early;
       Alcotest.(check int) (name ^ " every detection early")
-        r.Campaign.detected st.Campaign.detected_early)
-    [ (Builder.fig1 (), 2, 15); (Chain_model.chain 24, 2, 107) ]
+        r.Campaign.detected st.Campaign.detected_early;
+      Alcotest.(check int) (name ^ " merged") merged st.Campaign.merged)
+    [ (Builder.fig1 (), 2, 15, 3);
+      (Chain_model.chain 24, 2, 107, 93);
+      (Chain_model.chain 32, 2, 139, 125) ]
+
+(* ---- merging ------------------------------------------------------ *)
+
+(* Campaign-shaped specs (joined at the fault's boundary) in lockstep
+   batches of [k]. *)
+let campaign_batches ?(k = 32) (m : Model.t) =
+  let specs =
+    List.map
+      (fun f ->
+        { Batch.inject = Fault.to_inject f;
+          join = Campaign.boundary_of_fault m f;
+          settle = Fault.last_step m f })
+      (compilable_faults m)
+  in
+  let rec split = function
+    | [] -> []
+    | l ->
+      List.filteri (fun i _ -> i < k) l
+      :: split (List.filteri (fun i _ -> i >= k) l)
+  in
+  split specs
+
+let same_verdict (a : Batch.result) (b : Batch.result) =
+  a.Batch.cycles = b.Batch.cycles
+  &&
+  match (a.Batch.verdict, b.Batch.verdict) with
+  | Batch.Finished x, Batch.Finished y -> Observation.equal x y
+  | Batch.Converged x, Batch.Converged y -> x = y
+  | Batch.Detected (s1, p1, n1), Batch.Detected (s2, p2, n2) ->
+    s1 = s2 && Phase.equal p1 p2 && String.equal n1 n2
+  | _ -> false
+
+(* Merging is invisible: every batch gives the verdicts, cycle
+   predictions and observations its variants give one at a time — a
+   one-variant batch has no other variant to follow.  Returns the rows
+   merged and the row-steps of the batches (golden rows included) and
+   of the same variants run alone, with the batches' golden rows. *)
+let merge_invisible (m : Model.t) =
+  let plan = Batch.plan m in
+  List.fold_left
+    (fun (merged, on_steps, off_steps) specs ->
+      let on = Batch.run_with plan specs in
+      let off = List.concat_map (fun s -> Batch.run_with plan [ s ]) specs in
+      List.iter2
+        (fun (a : Batch.result) b ->
+          if not (same_verdict a b) then
+            Alcotest.failf "%s: merging changed a verdict" m.Model.name)
+        on off;
+      let count rs =
+        List.length (List.filter (fun (r : Batch.result) -> r.Batch.merged) rs)
+      in
+      let sum rs =
+        List.fold_left (fun n (r : Batch.result) -> n + r.Batch.steps)
+          m.Model.cs_max rs
+      in
+      if count off > 0 then
+        Alcotest.failf "%s: a variant run alone merged" m.Model.name;
+      (merged + count on, on_steps + sum on, off_steps + sum off))
+    (0, 0, 0) (campaign_batches m)
+
+(* On the benchmark-shaped chains, dropping an operand's [ra] or [rb]
+   leg, or a result's [wa] or [wb] leg, leaves the same DISC behind:
+   those variants merge, and the row-steps executed (golden rows
+   included) fall: 1084 to 797 on the 16-step chain, and by at least
+   30%, 3359 to 2273, on the 32-step one. *)
+let test_merge_invisible () =
+  List.iter
+    (fun (m, want, kept_pct) ->
+      let merged, on, off = merge_invisible m in
+      Alcotest.(check int) (m.Model.name ^ " merged") want merged;
+      if on * 100 > off * kept_pct then
+        Alcotest.failf "%s: merging left %d of %d row-steps" m.Model.name on
+          off)
+    [ (Chain_model.chain 16, 62, 75); (Chain_model.chain 32, 125, 70) ]
+
+let test_fig1_merge () =
+  let merged, _, _ = merge_invisible (Builder.fig1 ()) in
+  Alcotest.(check int) "fig1 merged" 3 merged
 
 (* ---- campaign determinism: the batched path is invisible -------- *)
 
@@ -250,6 +343,25 @@ let campaign_invariance (m : Model.t) =
             Alcotest.failf "report differs at jobs=%d batch=%d" jobs batch)
         [ 1; 2 ])
     [ 1; 8; 64 ]
+
+(* A campaign too small to repay a pool runs on the calling domain,
+   even when asked for two. *)
+let test_small_campaign_one_domain () =
+  let _, st = Campaign.run_with_stats ~jobs:2 (Builder.fig1 ()) in
+  Alcotest.(check int) "fig1 domains" 1 st.Campaign.domains
+
+(* A one-variant batch has no other variant to follow, and no
+   corrupted chain variant re-joins the golden row, so batch 1 is the
+   campaign without merging: the bytes must not move at batch 32,
+   where 125 variants merge. *)
+let test_merge_bytes () =
+  let m = Chain_model.chain 32 in
+  let one, st1 = Campaign.run_with_stats ~jobs:1 ~batch:1 m in
+  let many, st32 = Campaign.run_with_stats ~jobs:1 ~batch:32 m in
+  Alcotest.(check int) "merged at batch 1" 0 st1.Campaign.merged;
+  if st32.Campaign.merged = 0 then Alcotest.fail "nothing merged at batch 32";
+  if full_report_string one <> full_report_string many then
+    Alcotest.fail "chain32 report differs between batch 1 and batch 32"
 
 let test_invariance () = campaign_invariance (Builder.fig1 ())
 
@@ -357,7 +469,9 @@ let () =
         [ Alcotest.test_case "fig1 four-way" `Quick test_fig1;
           Alcotest.test_case "fig1 join parity" `Quick test_fig1_join;
           Alcotest.test_case "fig1 retirement" `Quick test_fig1_retire;
-          Alcotest.test_case "fig1 early detection" `Quick test_fig1_detect ] );
+          Alcotest.test_case "fig1 early detection" `Quick test_fig1_detect;
+          Alcotest.test_case "merging chains four-way and joined" `Quick
+            test_chain_differential ] );
       ( "campaign",
         [ Alcotest.test_case "fig1 engine/jobs/batch invariance" `Quick
             test_invariance;
@@ -366,6 +480,15 @@ let () =
           Alcotest.test_case "journal parity" `Quick test_journal_parity;
           Alcotest.test_case "early retirement and detection counts" `Quick
             test_early_counts ] );
+      ( "merging",
+        [ Alcotest.test_case "chains: merging is invisible" `Quick
+            test_merge_invisible;
+          Alcotest.test_case "fig1: merging is invisible" `Quick
+            test_fig1_merge;
+          Alcotest.test_case "chain32 bytes at batch 1 and 32" `Quick
+            test_merge_bytes;
+          Alcotest.test_case "small campaign stays on one domain" `Quick
+            test_small_campaign_one_domain ] );
       qsuite "differential"
         [ prop_four_engines; prop_join_parity; prop_retirement;
           prop_detection; prop_invariance ] ]

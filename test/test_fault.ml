@@ -320,6 +320,46 @@ let test_render_report_matches_printers () =
   in
   same "synthetic labels, disagreement, no coverage" synthetic
 
+(* Fault labels are built by concatenation, and they are what journals
+   hash into their fault-list digest: one literal per constructor pins
+   them, with DISC, ILLEGAL and negative words, a unit-input endpoint,
+   and the labels [Fault.enumerate] derives from a chain's legs. *)
+let test_fault_labels () =
+  let label = Alcotest.(check string) in
+  let open F.Fault in
+  List.iter
+    (fun (want, f) -> label want want (to_string f))
+    [ ("stuck-at DISC on BA", Stuck_sink { sink = "BA"; value = C.Word.disc });
+      ( "stuck-at ILLEGAL on R1.out",
+        Stuck_sink { sink = "R1.out"; value = C.Word.illegal } );
+      ( "dropped leg #14 (BA -> U.in1 @5/rb)",
+        Dropped_leg { index = 14; desc = "BA -> U.in1 @5/rb" } );
+      ( "extra driver -7 on B2 during (3, wa)",
+        Extra_driver { sink = "B2"; step = 3; phase = C.Phase.Wa; value = -7 } );
+      ( "latency of MUL forced to 0",
+        Fu_latency { fu = "MUL"; latency = 0 } );
+      ( "transient ILLEGAL on U.in2 at (12, cm)",
+        Transient
+          { sink = "U.in2"; step = 12; phase = C.Phase.Cm;
+            value = C.Word.illegal } );
+      ( "oscillator on BB from (1, cr)",
+        Oscillator { sink = "BB"; step = 1; phase = C.Phase.Cr } ) ];
+  Alcotest.(check string) "Fault.pp prints the label"
+    "transient 11 on BA at (1, rb)"
+    (Format.asprintf "%a" pp
+       (Transient { sink = "BA"; step = 1; phase = C.Phase.Rb; value = 11 }));
+  let labels = List.map to_string (enumerate (Chain_model.chain 2)) in
+  List.iter
+    (fun want ->
+      check_bool want true (List.mem want labels))
+    [ "stuck-at 13 on BB"; "stuck-at 9 on A.out";
+      "dropped leg #2 (BA -> U.in1 @1/rb)";
+      "dropped leg #5 (BA -> B.in @2/wb)";
+      "extra driver 7 on BA during (1, ra)";
+      "extra driver 7 on BB during (1, rb)";
+      "latency of U forced to 2";
+      "transient ILLEGAL on BA at (1, rb)"; "transient 11 on BB at (1, rb)" ]
+
 (* -- checkpoint restore ----------------------------------------------------- *)
 
 let report_string r = Format.asprintf "%a" F.Campaign.pp_report r
@@ -1105,7 +1145,9 @@ let () =
           Alcotest.test_case "every constructor covered" `Quick
             test_every_outcome_constructor_covered;
           Alcotest.test_case "report text = Format printers" `Quick
-            test_render_report_matches_printers ] );
+            test_render_report_matches_printers;
+          Alcotest.test_case "fault labels, one per constructor" `Quick
+            test_fault_labels ] );
       ( "checkpointing",
         [ Alcotest.test_case "restore matches scratch" `Quick
             test_restore_matches_scratch;

@@ -22,7 +22,12 @@ let full_report_string (r : Campaign.report) =
 let engines = [ (`Kernel, "kernel"); (`Auto, "auto"); (`Compiled, "compiled") ]
 
 (* Every engine at every jobs in {1,2,4} and batch in {1,8,32,64}
-   must print the reference (sequential kernel-path) bytes. *)
+   must print the reference (sequential kernel-path) bytes.  Campaigns
+   this small never repay a pool on their own ([Par.map_gated]), so
+   the multi-job legs fix a chunk count, which fans out at once and
+   keeps the multi-domain path covered. *)
+let chunks_for jobs = if jobs > 1 then Some 4 else None
+
 let layout_matrix (m : Model.t) =
   let reference = full_report_string (Campaign.run ~engine:`Kernel m) in
   List.iter
@@ -33,7 +38,8 @@ let layout_matrix (m : Model.t) =
             (fun batch ->
               let r =
                 full_report_string
-                  (Campaign.run_parallel ~jobs ~engine ~batch m)
+                  (Campaign.run_parallel ~jobs ?chunks:(chunks_for jobs)
+                     ~engine ~batch m)
               in
               if r <> reference then
                 Alcotest.failf "%s report differs at jobs=%d batch=%d"
@@ -52,7 +58,8 @@ let journal_entries ~jobs ~engine ~batch m =
   let journal = Filename.temp_file "csrtl_matrix" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove journal) @@ fun () ->
   match
-    Campaign.run_journaled ~jobs ~engine ~batch ~journal ~resume:false m
+    Campaign.run_journaled ~jobs ?chunks:(chunks_for jobs) ~engine ~batch
+      ~journal ~resume:false m
   with
   | Error e -> Alcotest.failf "%s: %s" m.Model.name e
   | Ok _ ->
@@ -195,6 +202,39 @@ let test_zero_alloc () =
   if words <> 0. then
     Alcotest.failf "lockstep step loop allocated %.0f minor words" words
 
+(* The same law on a chunk whose variants merge: a chain's [wa] and
+   [wb] drops of one transfer leave the same DISC on the register
+   input, so each pair's later row follows the earlier one.  Hashing
+   rows into the arena's table and following a leader must not
+   allocate either. *)
+let test_zero_alloc_merging () =
+  let m = Chain_model.chain 16 in
+  let plan = Batch.plan m in
+  let legs, _ = Model.all_legs m in
+  let specs =
+    List.filter_map (conflict_free_spec m)
+      (List.filter
+         (fun f ->
+           match f with
+           | Fault.Dropped_leg { index; _ } ->
+             let l = List.nth legs index in
+             Phase.equal l.Transfer.phase Phase.Wa
+             || Phase.equal l.Transfer.phase Phase.Wb
+           | _ -> false)
+         (Fault.enumerate m))
+  in
+  let merged =
+    List.length
+      (List.filter (fun (r : Batch.result) -> r.Batch.merged)
+         (Batch.run_with plan specs))
+  in
+  if merged = 0 then
+    Alcotest.failf "none of %d wa/wb drops merged" (List.length specs);
+  ignore (Batch.alloc_probe plan specs);
+  let words = Batch.alloc_probe plan specs in
+  if words <> 0. then
+    Alcotest.failf "merging step loop allocated %.0f minor words" words
+
 (* ---- the per-fault allocation bound ----------------------------- *)
 
 let chain = Chain_model.chain
@@ -316,6 +356,8 @@ let () =
             test_arena_reuse;
           Alcotest.test_case "step loop allocates zero minor words" `Quick
             test_zero_alloc;
+          Alcotest.test_case "merging step loop allocates zero minor words"
+            `Quick test_zero_alloc_merging;
           Alcotest.test_case "campaign minor words per fault bounded" `Quick
             test_alloc_per_fault;
           Alcotest.test_case "overlay words independent of schedule length"
