@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke fleet-smoke bench bench-smoke bench-json report examples doc clean
+.PHONY: all build test check fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke bench bench-smoke bench-json report examples doc clean
 
 all: build
 
@@ -16,7 +16,7 @@ test:
 # (conflict.rtm does, by design), so both 0 and 1 count as a clean
 # diagnosis here; any other exit fails.  The closing inject run shards
 # across two domains, smoking the worker pool end to end.
-check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke fleet-smoke
+check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke
 	OCAMLRUNPARAM=b dune runtest
 	@mkdir -p _build/check
 	@for f in test/corpus/*.rtm; do \
@@ -213,19 +213,6 @@ cache-smoke: build
 chaos-smoke: build
 	@echo "chaos smoke (crash-only recovery, 200 seeded injections):"
 	@dune exec --no-build csrtl -- chaos --seed 42 --runs 200 --quiet
-
-# The replicated-fleet gate (docs/SERVICE.md "Multi-host
-# deployment"): a 3-replica authenticated TCP fleet over one shared
-# state dir, with every 10th worker spawn SIGKILLed, replicas
-# SIGKILLed mid-campaign, connections reset mid-frame, auth tokens
-# corrupted, and partitions injected via SIGSTOP/SIGCONT.  Every
-# completed campaign must be byte-identical to offline inject, and a
-# bad secret must be refused under serve.auth without hurting any
-# replica.  Fixed seed, bounded wall time.
-fleet-smoke: build
-	@echo "fleet smoke (3-replica TCP failover, seeded network chaos):"
-	@dune exec --no-build csrtl -- chaos --fleet --replicas 3 \
-	  --seed 42 --runs 12 --quiet
 
 # The multicore scaling gate: a 2-worker campaign on the widest
 # corpus model must reach efficiency >= 0.6 against the sequential

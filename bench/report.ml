@@ -1130,7 +1130,7 @@ let scaling_check () =
 type serve_point = {
   sp_clients : int;
   sp_mode : string;
-      (* "cold" | "cached" | "warm_plan" | "recovery" | "failover" *)
+      (* "cold" | "cached" | "warm_plan" | "recovery" *)
   sp_requests : int;
   sp_wall_us : float;
   sp_rps : float;
@@ -1154,22 +1154,28 @@ let serve_points ~smoke () =
   Sys.remove state_dir;
   let sock = Filename.temp_file "csrtl" ".sock" in
   Sys.remove sock;
-  let sock_ep = S.Endpoint.Unix_path sock in
   let with_daemon tweak f =
     let config =
       { Csrtl_serve.Server.default_config with
-        transport = sock_ep; signals = false;
+        socket = sock; signals = false;
         engine =
           tweak
             { Csrtl_serve.Engine.default_config with
               state_dir; max_pending = 64 } }
     in
-    let server = Thread.create (fun () -> S.Server.serve ~config ()) () in
-    (match S.Client.connect ~retries:500 ~delay:0.01 sock_ep with
+    let server =
+      Thread.create
+        (fun () ->
+          match S.Server.serve ~config () with
+          | Ok () -> ()
+          | Error e -> failwith ("serve bench: " ^ e))
+        ()
+    in
+    (match S.Client.connect ~retries:500 ~delay:0.01 sock with
      | Ok c -> S.Client.close c
      | Error e -> failwith ("serve bench: daemon never came up: " ^ e));
     let r = f () in
-    (match S.Client.connect sock_ep with
+    (match S.Client.connect sock with
      | Ok c ->
        ignore (S.Client.send c S.Frame.Shutdown);
        (match S.Client.next c with _ -> ());
@@ -1226,7 +1232,7 @@ let serve_points ~smoke () =
       List.init clients (fun ci ->
           Thread.create
             (fun () ->
-              match S.Client.connect sock_ep with
+              match S.Client.connect sock with
               | Error _ -> Atomic.set identical false
               | Ok conn ->
                 Fun.protect
@@ -1289,7 +1295,7 @@ let serve_points ~smoke () =
      the tiers are on, its plan and golden artifact), so the timed
      cached/warm_plan requests price the daemon's steady state *)
   let prime name =
-    match S.Client.connect sock_ep with
+    match S.Client.connect sock with
     | Error e -> failwith ("serve bench: priming connect: " ^ e)
     | Ok conn ->
       Fun.protect
@@ -1373,14 +1379,14 @@ let serve_points ~smoke () =
         (try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
          with Unix.Unix_error _ -> ()))
       (fun () ->
-        (match S.Client.connect ~retries:500 ~delay:0.01 sock_ep with
+        (match S.Client.connect ~retries:500 ~delay:0.01 sock with
          | Ok c -> S.Client.close c
          | Error e ->
            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
            ignore (Unix.waitpid [] pid);
            failwith ("serve bench: recovery daemon never came up: " ^ e));
         let r = f () in
-        (match S.Client.connect sock_ep with
+        (match S.Client.connect sock with
          | Ok c ->
            ignore (S.Client.send c S.Frame.Shutdown);
            (match S.Client.next c with _ -> ());
@@ -1395,103 +1401,7 @@ let serve_points ~smoke () =
         List.map (fun clients -> run_point (clients * 16) clients `Recovery)
           fan)
   in
-  (* failover column: a 3-replica TCP fleet over the shared state dir.
-     Replica 0 is SIGKILLed after each client's first request; the
-     fleet router migrates everything it was carrying to the
-     survivors, and every report must still match the offline bytes.
-     The offline expectations are computed up front, so the timed loop
-     prices routing + migration round trips. *)
-  let failover_clients = if smoke then 2 else 4 in
-  List.iter
-    (fun ci ->
-      for r = 0 to per - 1 do
-        ignore (expected (Printf.sprintf "fo_%d_%d" ci r))
-      done)
-    (List.init failover_clients Fun.id);
-  let free_port () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> assert false)
-  in
-  let spawn_replica port =
-    Unix.create_process csrtl_exe
-      [| csrtl_exe; "serve"; "--tcp"; Printf.sprintf "127.0.0.1:%d" port;
-         "--state-dir"; state_dir; "--quiet"; "--jobs"; "1";
-         "--max-pending"; "64"; "--isolation"; "forked";
-         "--max-restarts"; "3"; "--quarantine-after"; "0" |]
-      Unix.stdin Unix.stdout Unix.stderr
-  in
-  let run_failover_point () =
-    if not (Sys.file_exists csrtl_exe) then
-      failwith ("serve bench: csrtl binary not found at " ^ csrtl_exe);
-    let ports = List.init 3 (fun _ -> free_port ()) in
-    let eps = List.map (fun p -> S.Endpoint.Tcp ("127.0.0.1", p)) ports in
-    let pids = List.map spawn_replica ports in
-    let victim = List.hd pids in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter
-          (fun pid ->
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-          pids)
-      (fun () ->
-        List.iter
-          (fun ep ->
-            match S.Client.connect ~retries:500 ~delay:0.01 ep with
-            | Ok c -> S.Client.close c
-            | Error e ->
-              failwith ("serve bench: fleet replica never came up: " ^ e))
-          eps;
-        let identical = Atomic.make true in
-        let killed = Atomic.make false in
-        let t0 = Unix.gettimeofday () in
-        let threads =
-          List.init failover_clients (fun ci ->
-              Thread.create
-                (fun () ->
-                  let fleet =
-                    S.Fleet.create ~connect_retries:100 ~connect_delay:0.01
-                      ~cooloff_s:30. eps
-                  in
-                  for r = 0 to per - 1 do
-                    if r = 1 && not (Atomic.exchange killed true) then
-                      (try Unix.kill victim Sys.sigkill
-                       with Unix.Unix_error _ -> ());
-                    let name = Printf.sprintf "fo_%d_%d" ci r in
-                    let req =
-                      S.Frame.Inject
-                        { S.Frame.model = model_text name;
-                          engine = `Auto; batch = 32;
-                          limit = Some bench_limit; budget_ms = None;
-                          deadline_ms = None; table = false; stream = false;
-                          resume = false }
-                    in
-                    match S.Fleet.run fleet req with
-                    | Ok { S.Fleet.frame = S.Frame.Report { text; _ }; _ }
-                      when text = expected name ->
-                      ()
-                    | Ok _ | Error _ -> Atomic.set identical false
-                  done)
-                ())
-        in
-        List.iter Thread.join threads;
-        let wall = Unix.gettimeofday () -. t0 in
-        let requests = failover_clients * per in
-        { sp_clients = failover_clients; sp_mode = "failover";
-          sp_requests = requests; sp_wall_us = wall *. 1e6;
-          sp_rps = (if wall > 0. then float_of_int requests /. wall else 0.);
-          sp_identical = Atomic.get identical })
-  in
-  let failover_points = [ run_failover_point () ] in
-  let points =
-    clean_points @ warm_points @ recovery_points @ failover_points
-  in
+  let points = clean_points @ warm_points @ recovery_points in
   let rec rm_rf path =
     match Unix.lstat path with
     | { Unix.st_kind = Unix.S_DIR; _ } ->
@@ -1535,15 +1445,13 @@ let serve_json ?(smoke = false) ~out () =
     points
 
 (* Schema: {schema: "csrtl-bench-serve/4", smoke: bool, points:
-   [{clients >= 1, mode: cold|cached|warm_plan|recovery|failover,
+   [{clients >= 1, mode: cold|cached|warm_plan|recovery,
    requests >= 1, wall_us > 0, requests_per_sec >= 0,
    identical: true}+]}.  As with the batch matrix, [identical] must be
    [true] everywhere — in recovery mode that asserts every injected
-   worker kill was recovered to byte-identical bytes, and in failover
-   mode that a mid-campaign replica SIGKILL was survived by migrating
-   to the rest of the fleet.  The /4 schema requires at least one
-   warm_plan point and at least one failover point: a regenerated file
-   that silently dropped either column must fail the check. *)
+   worker kill was recovered to byte-identical bytes.  The /4 schema
+   requires at least one warm_plan point: a regenerated file that
+   silently dropped the artifact-tier column must fail the check. *)
 let json_check_serve path =
   try
     let ic = open_in_bin path in
@@ -1583,20 +1491,16 @@ let json_check_serve path =
       | _ -> raise (Bad_json "\"points\" must be a list")
     in
     let saw_warm = ref false in
-    let saw_failover = ref false in
     List.iter
       (fun pt ->
         if num "clients" pt < 1. then
           raise (Bad_json "clients must be >= 1");
         let mode = str "mode" pt in
         if mode = "warm_plan" then saw_warm := true;
-        if mode = "failover" then saw_failover := true;
         if
           mode <> "cold" && mode <> "cached" && mode <> "warm_plan"
-          && mode <> "recovery" && mode <> "failover"
-        then
-          raise
-            (Bad_json "mode must be cold|cached|warm_plan|recovery|failover");
+          && mode <> "recovery"
+        then raise (Bad_json "mode must be cold|cached|warm_plan|recovery");
         if num "requests" pt < 1. then
           raise (Bad_json "requests must be >= 1");
         if num "wall_us" pt <= 0. then
@@ -1608,8 +1512,6 @@ let json_check_serve path =
       points;
     if not !saw_warm then
       raise (Bad_json "no warm_plan point: artifact-tier column missing");
-    if not !saw_failover then
-      raise (Bad_json "no failover point: fleet column missing");
     Ok
       (Printf.sprintf "%s: schema csrtl-bench-serve/4 ok (%d points)" path
          (List.length points))

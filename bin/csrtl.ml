@@ -1171,44 +1171,8 @@ let socket_arg =
        & info [ "socket" ] ~docv:"PATH"
            ~doc:"Unix socket path the daemon listens on.")
 
-let secret_file_arg =
-  Arg.(value & opt (some file) None
-       & info [ "secret-file" ] ~docv:"PATH"
-           ~doc:"File whose first line is the fleet's shared secret.  \
-                 On the daemon it arms the TCP auth handshake (clients \
-                 without the secret are refused under serve.auth, \
-                 status 1); on clients it answers the daemon's \
-                 challenge.  Unix sockets never authenticate — \
-                 filesystem permissions already gate them.")
-
-let load_secret_or_die path =
-  match Csrtl_serve.Auth.load_secret path with
-  | Ok s -> s
-  | Error msg -> die2 "%s" msg
-
 let serve_cmd =
   let module Serve = Csrtl_serve in
-  let tcp =
-    Arg.(value & opt (some string) None
-         & info [ "tcp" ] ~docv:"HOST:PORT"
-             ~doc:"Listen on TCP $(docv) instead of the Unix socket — \
-                   the multi-host transport.  Pair with \
-                   $(b,--secret-file) unless the network is trusted.")
-  in
-  let advertise =
-    Arg.(value & opt string ""
-         & info [ "advertise" ] ~docv:"EP,EP,..."
-             ~doc:"Comma-separated fleet endpoints carried in every \
-                   hello frame, so a client reaching one replica \
-                   discovers the rest.")
-  in
-  let idle_timeout_ms =
-    Arg.(value & opt int 0
-         & info [ "idle-timeout-ms" ] ~docv:"MS"
-             ~doc:"Close a TCP connection whose peer sends nothing for \
-                   $(docv) ms (0 disables).  Only reads are timed: a \
-                   client waiting on a long campaign is not idle.")
-  in
   let state_dir =
     Arg.(value & opt string "csrtl-serve-state"
          & info [ "state-dir" ] ~docv:"DIR"
@@ -1303,8 +1267,7 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "quiet" ] ~doc:"Suppress lifecycle notes on stderr.")
   in
-  let run socket tcp secret_file advertise idle_timeout_ms state_dir jobs
-      cache plan_cache golden_cache max_pending
+  let run socket state_dir jobs cache plan_cache golden_cache max_pending
       max_queue isolation
       max_restarts quarantine_after quarantine_cooloff_ms deadline_ms
       max_request_bytes quiet =
@@ -1332,36 +1295,6 @@ let serve_cmd =
          | Some ms when ms < 0 ->
            die2 "--deadline-ms must be >= 0 (got %d)" ms
          | _ -> ());
-        if idle_timeout_ms < 0 then
-          die2 "--idle-timeout-ms must be >= 0 (got %d)" idle_timeout_ms;
-        let transport =
-          match tcp with
-          | None -> Serve.Endpoint.Unix_path socket
-          | Some spec ->
-            (match Serve.Endpoint.of_string spec with
-             | Ok (Serve.Endpoint.Tcp _ as ep) -> ep
-             | Ok (Serve.Endpoint.Unix_path _) ->
-               die2 "--tcp needs HOST:PORT (got %s)" spec
-             | Error msg -> die2 "--tcp: %s" msg)
-        in
-        let secret = Option.map load_secret_or_die secret_file in
-        if secret <> None && tcp = None then
-          die2
-            "--secret-file only applies to --tcp (Unix sockets are \
-             gated by filesystem permissions, not secrets)";
-        let advertise =
-          if advertise = "" then []
-          else begin
-            let eps = String.split_on_char ',' advertise in
-            List.iter
-              (fun e ->
-                match Serve.Endpoint.of_string e with
-                | Ok _ -> ()
-                | Error msg -> die2 "--advertise: %s" msg)
-              eps;
-            eps
-          end
-        in
         (* chaos knob (docs/SERVICE.md): CSRTL_SERVE_KILL_NTH=n
            SIGKILLs every nth worker spawn, exercising the
            crash-restart path from outside.  Unset means disabled. *)
@@ -1390,19 +1323,18 @@ let serve_cmd =
                 quarantine_threshold = quarantine_after;
                 quarantine_cooloff_ms; on_worker;
                 default_deadline_ms = deadline_ms };
-            transport; secret; advertise;
-            idle_timeout_s = float_of_int idle_timeout_ms /. 1000.;
-            max_request_bytes; signals = true;
+            socket; max_request_bytes; signals = true;
             log =
               (if quiet then fun _ -> ()
                else fun msg -> Format.eprintf "serve: %s@." msg) }
         in
-        Serve.Server.serve ~config ())
+        match Serve.Server.serve ~config () with
+        | Ok () -> ()
+        | Error msg -> die2 "%s" msg)
   in
   let doc =
     "Run the campaign-as-a-service daemon: line-delimited JSON over a \
-     Unix socket or, with $(b,--tcp), an authenticated TCP endpoint \
-     (see docs/SERVICE.md).  Campaign responses are \
+     Unix socket (see docs/SERVICE.md).  Campaign responses are \
      byte-identical to offline $(b,csrtl inject) output; every \
      campaign is journaled under $(b,--state-dir) and resumable by \
      resending the request.  The daemon is crash-only: campaigns run \
@@ -1412,8 +1344,7 @@ let serve_cmd =
      checkpoint and exit cleanly."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ socket_arg $ tcp $ secret_file_arg $ advertise
-          $ idle_timeout_ms $ state_dir $ jobs $ cache $ plan_cache
+    Term.(const run $ socket_arg $ state_dir $ jobs $ cache $ plan_cache
           $ golden_cache $ max_pending
           $ max_queue $ isolation $ max_restarts $ quarantine_after
           $ quarantine_cooloff_ms $ deadline_ms $ max_request_bytes
@@ -1421,24 +1352,6 @@ let serve_cmd =
 
 let request_cmd =
   let module Serve = Csrtl_serve in
-  let endpoints_arg =
-    Arg.(value & opt (some string) None
-         & info [ "endpoints" ] ~docv:"EP,EP,..."
-             ~doc:"Route through a replica fleet instead of one \
-                   socket: comma-separated endpoints (HOST:PORT or \
-                   Unix socket paths).  The campaign is sharded to a \
-                   replica by rendezvous hashing; if that replica \
-                   dies mid-campaign the request migrates to the \
-                   next-ranked healthy one and resumes from the \
-                   shared journal.")
-  in
-  let probe =
-    Arg.(value & flag
-         & info [ "probe" ]
-             ~doc:"With --endpoints: ping every replica, print its \
-                   health (latency, failures, ejection) and exit; 0 \
-                   when all replicas answered.")
-  in
   let model_pos =
     Arg.(value & pos 0 (some file) None
          & info [] ~docv:"MODEL"
@@ -1533,10 +1446,10 @@ let request_cmd =
       s.Serve.Frame.drained s.Serve.Frame.refused;
     Format.printf
       "workers: %d crashes, %d restarts, %d quarantined | queue: %d \
-       active, %d waiting | auth: %d failure(s)@."
+       active, %d waiting@."
       s.Serve.Frame.crashes s.Serve.Frame.restarts
       s.Serve.Frame.quarantined s.Serve.Frame.active
-      s.Serve.Frame.queued s.Serve.Frame.auth_failures;
+      s.Serve.Frame.queued;
     let tier name (t : Serve.Frame.tier) =
       Format.printf
         "cache %s: %d hits, %d misses, %d evictions (%d/%d entries)@."
@@ -1548,17 +1461,12 @@ let request_cmd =
     tier "plan" s.Serve.Frame.plan;
     tier "golden" s.Serve.Frame.golden
   in
-  let run socket endpoints secret_file probe model_pos ping stats shutdown
-      raw engine batch limit budget_ms deadline_ms table jsonl no_resume
-      retry =
+  let run socket model_pos ping stats shutdown raw engine batch limit
+      budget_ms deadline_ms table jsonl no_resume retry =
     handle_errors (fun () ->
         Random.self_init ();
-        let secret = Option.map load_secret_or_die secret_file in
         let connect_or_die () =
-          match
-            Serve.Client.connect ~retries:retry ?secret
-              (Serve.Endpoint.Unix_path socket)
-          with
+          match Serve.Client.connect ~retries:retry socket with
           | Ok c -> c
           | Error msg ->
             Format.eprintf "error: %s@." msg;
@@ -1610,10 +1518,9 @@ let request_cmd =
                     "queued at position %d (estimated wait %d ms)@."
                     position retry_after_ms;
                   drain_responses ~can_retry ~conn ~jsonl ~on_report ()
-                | Serve.Frame.Artifact _ | Serve.Frame.Hello _ ->
-                  (* Artifact is an internal worker→daemon frame, and
-                     the hello is consumed during connect; a daemon
-                     never sends either here — tolerate and drain on *)
+                | Serve.Frame.Artifact _ ->
+                  (* an internal worker→daemon frame; a daemon never
+                     sends one here — tolerate and drain on *)
                   drain_responses ~can_retry ~conn ~jsonl ~on_report ()
                 | Serve.Frame.Entry _ ->
                   if jsonl then print_endline raw_line;
@@ -1653,122 +1560,6 @@ let request_cmd =
             Format.eprintf "error: %s@." msg;
             exit exit_bug
         in
-        (* ---- fleet mode: route through the replica router -------- *)
-        (match endpoints with
-         | None ->
-           if probe then
-             die2 "--probe needs --endpoints (a fleet to probe)"
-         | Some spec ->
-           let eps =
-             String.split_on_char ',' spec
-             |> List.filter (fun s -> s <> "")
-             |> List.map (fun e ->
-                    match Serve.Endpoint.of_string e with
-                    | Ok ep -> ep
-                    | Error msg -> die2 "--endpoints: %s" msg)
-           in
-           if eps = [] then die2 "--endpoints needs at least one endpoint";
-           let fleet =
-             Serve.Fleet.create ?secret ~connect_retries:retry
-               ~log:(fun m -> Format.eprintf "%s@." m)
-               eps
-           in
-           if probe then begin
-             let hs = Serve.Fleet.probe fleet in
-             List.iter
-               (fun (h : Serve.Fleet.health) ->
-                 Format.printf "%s: %s%s, %d consecutive failure(s), \
-                                latency %s@."
-                   h.endpoint
-                   (if h.alive then "alive" else "down")
-                   (if h.ejected then " (ejected)" else "")
-                   h.consecutive_failures
-                   (if Float.is_nan h.latency_ms then "-"
-                    else Printf.sprintf "%.1fms" h.latency_ms))
-               hs;
-             exit
-               (if List.for_all (fun (h : Serve.Fleet.health) -> h.alive) hs
-                then 0
-                else 1)
-           end;
-           if raw <> None then
-             die2 "--raw speaks to one daemon; use --socket, not \
-                   --endpoints";
-           let req =
-             if ping then Serve.Frame.Ping
-             else if stats then Serve.Frame.Stats
-             else if shutdown then Serve.Frame.Shutdown
-             else
-               match model_pos with
-               | None ->
-                 die2
-                   "a MODEL argument is required (or one of --ping, \
-                    --stats, --shutdown)"
-               | Some path ->
-                 if
-                   Filename.check_suffix path ".vhd"
-                   || Filename.check_suffix path ".vhdl"
-                 then
-                   die2
-                     "serve requests carry .rtm text; convert VHDL first \
-                      (csrtl import-vhdl)";
-                 Serve.Frame.Inject
-                   { Serve.Frame.model = read_file path; engine; batch;
-                     limit; budget_ms; deadline_ms; table; stream = jsonl;
-                     resume = not no_resume }
-           in
-           let on_frame (raw_line, decoded) =
-             match decoded with
-             | Ok (Serve.Frame.Started { token; total; _ }) ->
-               Format.eprintf "request %s: %d fault(s)@." token total
-             | Ok (Serve.Frame.Queued { position; retry_after_ms }) ->
-               Format.eprintf
-                 "queued at position %d (estimated wait %d ms)@." position
-                 retry_after_ms
-             | Ok (Serve.Frame.Entry _) ->
-               if jsonl then print_endline raw_line
-             | _ -> ()  (* terminal frames render from the outcome *)
-           in
-           (match Serve.Fleet.run ~on_frame fleet req with
-            | Error msg ->
-              Format.eprintf "error: %s@." msg;
-              exit exit_bug
-            | Ok { Serve.Fleet.frame; raw = raw_line; hops; endpoint } ->
-              if hops > 0 then
-                Format.eprintf
-                  "fleet: campaign migrated %d time(s); finished on %s@."
-                  hops endpoint;
-              (match frame with
-               | Serve.Frame.Pong { version } ->
-                 Format.printf "pong %s@." version;
-                 exit 0
-               | Serve.Frame.Stats_reply s ->
-                 print_stats s;
-                 exit 0
-               | Serve.Frame.Bye ->
-                 Format.printf "bye@.";
-                 exit 0
-               | Serve.Frame.Report { status; reused; rerun; torn; text; _ }
-                 ->
-                 if jsonl then print_endline raw_line else print_string text;
-                 Format.eprintf "journal: %d reused, %d re-run, %d torn@."
-                   reused rerun torn;
-                 exit status
-               | Serve.Frame.Drained
-                   { status; token; completed; total; reason } ->
-                 if jsonl then print_endline raw_line
-                 else
-                   Format.printf "drained (%s); resume token %s@." reason
-                     token;
-                 Format.eprintf
-                   "campaign drained after %d/%d fault(s); resend the \
-                    request to resume@."
-                   completed total;
-                 exit status
-               | Serve.Frame.Refused { status; diags; _ } ->
-                 prerr_string (Diag.render_all diags);
-                 exit status
-               | _ -> exit exit_bug)));
         let conn = connect_or_die () in
         match raw with
         | Some line ->
@@ -1860,8 +1651,7 @@ let request_cmd =
      transport failure."
   in
   Cmd.v (Cmd.info "request" ~doc)
-    Term.(const run $ socket_arg $ endpoints_arg $ secret_file_arg $ probe
-          $ model_pos $ ping $ stats $ shutdown
+    Term.(const run $ socket_arg $ model_pos $ ping $ stats $ shutdown
           $ raw $ engine $ batch $ limit $ budget_ms $ deadline_ms $ table
           $ jsonl $ no_resume $ retry)
 
@@ -1882,58 +1672,9 @@ let chaos_cmd =
     Arg.(value & flag
          & info [ "quiet" ] ~doc:"Suppress per-scenario progress lines.")
   in
-  let fleet =
-    Arg.(value & flag
-         & info [ "fleet" ]
-             ~doc:"Network chaos instead of engine chaos: spawn a real \
-                   authenticated TCP replica fleet (this binary, \
-                   $(b,--replicas) wide, shared state dir, every 10th \
-                   worker spawn SIGKILLed) and inject replica kills \
-                   mid-campaign, connection resets mid-frame, \
-                   corrupted auth secrets and SIGSTOP partitions — \
-                   asserting migrated reports stay byte-identical to \
-                   offline inject and replicas survive everything.")
-  in
-  let replicas =
-    Arg.(value & opt int 3
-         & info [ "replicas" ] ~docv:"N"
-             ~doc:"Fleet width for --fleet (at least 2).")
-  in
-  let run seed runs quiet fleet replicas =
+  let run seed runs quiet =
     handle_errors (fun () ->
         if runs < 1 then die2 "--runs must be at least 1 (got %d)" runs;
-        if fleet then begin
-          if replicas < 2 then
-            die2 "--replicas must be at least 2 (got %d)" replicas;
-          let log =
-            if quiet then None
-            else Some (fun line -> Format.eprintf "fleet-chaos: %s@." line)
-          in
-          let s =
-            Csrtl_chaos.Fleet_chaos.run ?log ~csrtl_exe:Sys.executable_name
-              ~seed ~runs ~replicas ()
-          in
-          let module FC = Csrtl_chaos.Fleet_chaos in
-          Format.printf
-            "fleet-chaos: %d scenario(s) over %d replicas | %d replica \
-             kill(s), %d reset(s), %d auth reject(s), %d partition(s)@."
-            s.FC.scenarios replicas s.FC.replica_kills s.FC.resets
-            s.FC.auth_rejects s.FC.partitions;
-          Format.printf "fleet-chaos: %d campaign migration(s) observed@."
-            s.FC.migrations;
-          match s.FC.violations with
-          | [] ->
-            Format.printf
-              "fleet-chaos: every routed report byte-identical to offline \
-               inject; every replica survived@."
-          | vs ->
-            List.iter (fun v -> Format.eprintf "violation: %s@." v) vs;
-            Format.eprintf
-              "fleet-chaos: %d invariant violation(s) (seed %d)@."
-              (List.length vs) seed;
-            exit exit_bug
-        end
-        else begin
         let log =
           if quiet then None
           else Some (fun line -> Format.eprintf "chaos: %s@." line)
@@ -1956,19 +1697,17 @@ let chaos_cmd =
           List.iter (fun v -> Format.eprintf "violation: %s@." v) vs;
           Format.eprintf "chaos: %d invariant violation(s) (seed %d)@."
             (List.length vs) seed;
-          exit exit_bug
-        end)
+          exit exit_bug)
   in
   let doc =
     "Deterministic chaos harness for the crash-only daemon: drive a real \
      forked-worker serve engine through seeded failures (worker SIGKILL, \
      torn journal tails, ENOSPC/EIO on journal writes, delayed frames) \
      and assert every recovered report is byte-identical to offline \
-     $(b,csrtl inject) output.  With $(b,--fleet), network chaos against \
-     a live replicated TCP fleet instead.  Exit code 3 on any violation."
+     $(b,csrtl inject) output.  Exit code 3 on any violation."
   in
   Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(const run $ seed $ runs $ quiet $ fleet $ replicas)
+    Term.(const run $ seed $ runs $ quiet)
 
 let info_cmd =
   let run path =

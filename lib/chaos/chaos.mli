@@ -17,23 +17,6 @@
     failure.  Exposed to the CLI as [csrtl chaos] and to CI as
     [make chaos-smoke]. *)
 
-module Rng : sig
-  (** splitmix64 — the harness's only randomness source, so one seed
-      reproduces the whole run.  Shared with {!Fleet_chaos}. *)
-
-  type t
-
-  val make : int -> t
-  val next : t -> int64
-  val int : t -> int -> int  (** uniform in [\[0, bound)]; 0 if bound <= 0 *)
-end
-
-val model_text : name:string -> transfers:int -> string
-(** The corpus builder: an ADD chain with [transfers] transfers.
-    Distinct [transfers] counts give structurally distinct models
-    (distinct digests, tokens, journals), so chaos aimed at one model
-    cannot splash onto another. *)
-
 type summary = {
   runs : int;
   kills : int;  (** worker-SIGKILL scenarios injected *)

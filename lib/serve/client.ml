@@ -1,111 +1,56 @@
-(* Client-side plumbing for the daemon: connect (with startup retry
-   and, on TCP, the hello/auth handshake), send one request line,
-   iterate response lines.  Used by the [csrtl request] subcommand,
-   the fleet router, the cram lifecycle test and the C13 bench — all
-   of them speak through here, so they exercise the same framing the
-   daemon sees. *)
+(* Client-side plumbing for the daemon: connect to its Unix socket
+   (with startup retry), send one request line, iterate response
+   lines.  Used by the [csrtl request] subcommand, the lifecycle tests
+   and the C13 bench — all of them speak through here, so they
+   exercise the same framing the daemon sees. *)
 
 type conn = {
   fd : Unix.file_descr;
   reader : Lineio.reader;
-  advertised : string list;  (* from the TCP hello; [] on Unix *)
 }
-
-let advertised conn = conn.advertised
 
 (* Startup races are transient: the socket file not created yet
    (ENOENT), nobody listening yet or a stale socket left by a crashed
-   daemon (ECONNREFUSED), a replica mid-restart (EINTR, timeouts,
-   resets).  Permission or address problems are not — retrying EACCES
-   forever just hides a misconfiguration from the operator. *)
+   daemon (ECONNREFUSED), an interrupted or momentarily full accept
+   queue (EINTR, EAGAIN), a reset.  Permission problems are not —
+   retrying EACCES forever just hides a misconfiguration from the
+   operator. *)
 let transient_error = function
   | Unix.ENOENT | Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.EINTR
-  | Unix.EAGAIN | Unix.ETIMEDOUT | Unix.EHOSTUNREACH | Unix.ENETUNREACH
-  | Unix.EADDRNOTAVAIL ->
+  | Unix.EAGAIN ->
     true
   | _ -> false
 
-let connect_hint ep e =
-  match (e, ep) with
-  | Unix.ENOENT, _ -> " (no such socket — daemon not started?)"
-  | Unix.ECONNREFUSED, Endpoint.Unix_path _ ->
+let connect_hint = function
+  | Unix.ENOENT -> " (no such socket — daemon not started?)"
+  | Unix.ECONNREFUSED ->
     " (socket exists but nobody is listening — stale socket from a \
      crashed daemon?)"
-  | Unix.ECONNREFUSED, Endpoint.Tcp _ ->
-    " (connection refused — is the daemon listening on that port?)"
-  | (Unix.EACCES | Unix.EPERM), _ ->
+  | Unix.EACCES | Unix.EPERM ->
     " (permission denied — check the socket's owner and mode)"
   | _ -> ""
 
-(* The client half of the TCP preamble: the daemon speaks first with a
-   [Hello] carrying a challenge nonce; if it demands auth and we hold
-   the secret, answer with the MAC before anything else.  A missing
-   secret is not an error here — the first real request will be
-   refused under [serve.auth], which is exactly the diagnostic the
-   operator needs. *)
-let tcp_handshake ?secret ?hello_timeout_s fd =
-  let r = Lineio.reader ?idle_timeout:hello_timeout_s fd in
-  match Lineio.read_line r with
-  | Lineio.Line line ->
-    (match Frame.decode_response line with
-     | Ok (Frame.Hello { nonce; auth; endpoints }) ->
-       let authed =
-         match (auth, secret) with
-         | true, Some s ->
-           Lineio.write_line fd
-             (Frame.encode_request
-                (Frame.Auth { mac = Auth.hmac ~secret:s nonce }))
-         | true, None | false, _ -> true
-       in
-       if authed then begin
-         (* the timeout guarded the handshake only; campaign frames
-            can legitimately take minutes *)
-         Lineio.set_idle_timeout r None;
-         Ok (r, endpoints)
-       end
-       else Error "connection lost while answering the auth challenge"
-     | Ok _ | Error _ ->
-       Error
-         "unexpected greeting (not a hello frame) — is that endpoint \
-          really a csrtl daemon?")
-  | Lineio.Idle -> Error "timed out waiting for the daemon's hello frame"
-  | Lineio.Too_long | Lineio.Eof ->
-    Error "connection closed before the daemon's hello frame"
+let dial path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> Ok fd
+  | exception Unix.Unix_error (e, _, _) ->
+    (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+    Error e
 
-let connect ?(retries = 0) ?(delay = 0.05) ?secret ?(hello_timeout_s = 10.)
-    endpoint =
+let connect ?(retries = 0) ?(delay = 0.05) path =
   let rec go attempt =
-    match Endpoint.connect endpoint with
-    | Ok fd ->
-      if Endpoint.is_tcp endpoint then begin
-        match tcp_handshake ?secret ~hello_timeout_s fd with
-        | Ok (reader, advertised) -> Ok { fd; reader; advertised }
-        | Error msg ->
-          (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-          Error
-            (Printf.sprintf "cannot connect to %s: %s"
-               (Endpoint.to_string endpoint) msg)
-      end
-      else Ok { fd; reader = Lineio.reader fd; advertised = [] }
-    | Error err ->
-      let transient =
-        match err with `Unix e -> transient_error e | `Msg _ -> false
-      in
-      if transient && attempt < retries then begin
-        (* daemon still starting: the socket file appears before
-           listen, so refusals and absences both deserve patience *)
-        Unix.sleepf delay;
-        go (attempt + 1)
-      end
-      else
-        let detail =
-          match err with
-          | `Unix e -> Unix.error_message e ^ connect_hint endpoint e
-          | `Msg m -> m
-        in
-        Error
-          (Printf.sprintf "cannot connect to %s: %s"
-             (Endpoint.to_string endpoint) detail)
+    match dial path with
+    | Ok fd -> Ok { fd; reader = Lineio.reader fd }
+    | Error e when transient_error e && attempt < retries ->
+      (* daemon still starting: the socket file appears before
+         listen, so refusals and absences both deserve patience *)
+      Unix.sleepf delay;
+      go (attempt + 1)
+    | Error e ->
+      Error
+        (Printf.sprintf "cannot connect to %s: %s%s" path
+           (Unix.error_message e) (connect_hint e))
   in
   go 0
 
@@ -123,7 +68,7 @@ let send_raw conn line =
    the client state machine. *)
 let next ?limits conn =
   match Lineio.read_line conn.reader with
-  | Lineio.Eof | Lineio.Idle -> None
+  | Lineio.Eof -> None
   | Lineio.Too_long ->
     Some ("", Error [ Frame.Diag.error ~rule:"serve.frame"
                         "response line exceeds the client's line cap" ])
@@ -131,14 +76,6 @@ let next ?limits conn =
 
 let close conn =
   try Unix.close conn.fd with Unix.Unix_error (_, _, _) -> ()
-
-(* SO_LINGER with a zero timeout turns close into a hard RST instead
-   of a FIN — the chaos harness uses this to hit the daemon with a
-   reset mid-frame, which a crashing remote client would also do *)
-let close_with_reset conn =
-  (try Unix.setsockopt_optint conn.fd Unix.SO_LINGER (Some 0)
-   with Unix.Unix_error (_, _, _) | Invalid_argument _ -> ());
-  close conn
 
 (* ---- request-level retry ----------------------------------------- *)
 
@@ -160,7 +97,7 @@ let retryable = function
   | _ -> None
 
 (* Exponential backoff with full jitter: the deterministic exponent
-   curbs an individual client, the jitter decorrelates a fleet of them
+   curbs an individual client, the jitter decorrelates a crowd of them
    retrying the same refusal (a synchronized herd re-arrives together
    and gets refused together, forever).  The daemon's [retry_after_ms]
    hint acts as a floor — it knows its queue depth, the client only

@@ -1,32 +1,26 @@
-(** Client plumbing for the daemon transport, shared by the [csrtl
-    request] subcommand, the fleet router ({!Fleet}), the lifecycle
-    tests and the C13 bench. *)
+(** Client plumbing for the daemon's Unix socket, shared by the
+    [csrtl request] subcommand, the lifecycle tests and the C13
+    bench. *)
 
 type conn
 
+val dial : string -> (Unix.file_descr, Unix.error) result
+(** One connect attempt to the Unix socket at the path, keeping the
+    errno: [ENOENT] means no socket file, [ECONNREFUSED] a socket
+    file nobody listens on.  The server's start-up probe reads these
+    to tell a live daemon from a stale socket. *)
+
 val connect :
-  ?retries:int -> ?delay:float -> ?secret:string -> ?hello_timeout_s:float ->
-  Endpoint.t -> (conn, string) result
-(** Connect to the daemon, retrying {e transient} failures (missing
-    socket file, connection refused, resets, timeouts) [retries] times
-    (default 0) every [delay] seconds — the "wait for the daemon to
-    come up" loop.  Non-transient errors (EACCES and friends) fail
-    immediately: retrying a permission problem only hides it.  The
-    error message carries a hint for the common cases — ENOENT means
-    the daemon was probably never started, ECONNREFUSED on a Unix
-    socket means a stale file from a crashed daemon.
-
-    On TCP the connection starts with the daemon's [Hello] challenge
-    (awaited for at most [hello_timeout_s], default 10): when the
-    daemon demands auth and [secret] is given, the challenge is
-    answered with {!Auth.hmac} before [connect] returns.  With no
-    [secret] the connection still opens — the first request will come
-    back as a status-1 [serve.auth] refusal, which is the diagnostic
-    the operator needs.  Unix sockets have no handshake. *)
-
-val advertised : conn -> string list
-(** The fleet endpoints the daemon advertised in its [Hello] frame
-    (empty on Unix sockets and undecorated replicas). *)
+  ?retries:int -> ?delay:float -> string -> (conn, string) result
+(** Connect to the daemon listening on the socket path, retrying
+    {e transient} failures (missing socket file, connection refused,
+    resets) [retries] times (default 0) every [delay] seconds — the
+    "wait for the daemon to come up" loop.  Non-transient errors
+    (EACCES and friends) fail immediately: retrying a permission
+    problem only hides it.  The error message carries a hint for the
+    common cases — ENOENT means the daemon was probably never
+    started, ECONNREFUSED a stale socket file from a crashed
+    daemon. *)
 
 val send : conn -> Frame.request -> (unit, string) result
 
@@ -43,12 +37,6 @@ val next :
 
 val close : conn -> unit
 
-val close_with_reset : conn -> unit
-(** Close with SO_LINGER 0, so a TCP peer sees a hard RST instead of
-    a FIN — how a crashed client looks from the daemon's side.  The
-    chaos harness injects resets mid-frame with this; on Unix sockets
-    it degrades to a plain {!close}. *)
-
 val retryable : Frame.response -> int option option
 (** [Some retry_after_ms] when the response is a transient refusal a
     client should retry — [serve.busy], [serve.quarantined],
@@ -63,5 +51,5 @@ val backoff_delay :
     exponential ([base] * 2^attempt, default base 50ms, capped at
     [cap], default 2s), floored by the daemon's [retry_after_ms] hint,
     with full jitter (uniform in [d/2, d], drawn from [rng] returning
-    uniform [0,1) floats) so a fleet of refused clients decorrelates
+    uniform [0,1) floats) so a crowd of refused clients decorrelates
     instead of re-arriving as the same herd. *)

@@ -69,9 +69,6 @@ type counters = {
   mutable refused : int;
   mutable restarts : int;
   mutable crashes : int;
-  (* handshake refusals counted by the server layer (the engine never
-     sees an unauthenticated connection's requests) *)
-  mutable auth_failures : int;
 }
 
 (* Per-model circuit breaker, keyed by the compile-cache digest.
@@ -149,7 +146,7 @@ let create cfg =
     counters_lock = Mutex.create ();
     counters =
       { requests = 0; campaigns = 0; drained = 0; refused = 0;
-        restarts = 0; crashes = 0; auth_failures = 0 } }
+        restarts = 0; crashes = 0 } }
 
 let pool_of t =
   Mutex.lock t.pool_lock;
@@ -171,11 +168,6 @@ let dispose t =
 
 let request_stop t = Atomic.set t.stop true
 let stopping t = Atomic.get t.stop
-
-let note_auth_failure t =
-  Mutex.lock t.counters_lock;
-  t.counters.auth_failures <- t.counters.auth_failures + 1;
-  Mutex.unlock t.counters_lock
 
 let bump t f =
   Mutex.lock t.counters_lock;
@@ -795,7 +787,6 @@ let stats t =
       drained = c.drained; refused = c.refused;
       active = snap.Admission.active; queued = snap.Admission.queued;
       restarts = c.restarts; crashes = c.crashes; quarantined;
-      auth_failures = c.auth_failures;
       model = tier_stats cs; plan = opt_tier t.plans;
       golden = opt_tier t.goldens }
   in
@@ -810,13 +801,6 @@ let handle ?(client = 0) t (req : Frame.request) ~emit =
   | Frame.Shutdown ->
     request_stop t;
     emit Frame.Bye
-  | Frame.Auth _ ->
-    (* the server layer consumes the handshake; an [Auth] that reaches
-       the engine is out of place (e.g. sent mid-session, or over a
-       Unix socket that never challenged) *)
-    refuse t ~emit 2
-      [ Diag.error ~rule:"serve.request"
-          "unexpected auth frame (no challenge outstanding)" ]
   | Frame.Inject q ->
     (try handle_inject t q ~client ~emit
      with e ->

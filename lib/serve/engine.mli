@@ -87,11 +87,6 @@ val dispose : t -> unit
 (** Join the pool (if one materialised).  The engine is unusable
     after. *)
 
-val note_auth_failure : t -> unit
-(** Count one failed TCP authentication handshake (the server layer
-    refuses those before the engine sees any request; this keeps the
-    refusal visible in {!stats}). *)
-
 val request_stop : t -> unit
 (** Flip the drain flag: in-flight campaigns checkpoint at the next
     work-item boundary and answer [Drained] (forked workers get

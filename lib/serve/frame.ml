@@ -36,7 +36,6 @@ type request =
   | Ping
   | Stats
   | Shutdown
-  | Auth of { mac : string }
   | Inject of inject
 
 type tier = {
@@ -57,14 +56,12 @@ type stats = {
   restarts : int;
   crashes : int;
   quarantined : int;
-  auth_failures : int;
   model : tier;
   plan : tier;
   golden : tier;
 }
 
 type response =
-  | Hello of { nonce : string; auth : bool; endpoints : string list }
   | Pong of { version : string }
   | Started of {
       token : string;
@@ -162,8 +159,6 @@ let encode_request = function
   | Ping -> to_string (Obj (hdr "req" @ [ ("op", Str "ping") ]))
   | Stats -> to_string (Obj (hdr "req" @ [ ("op", Str "stats") ]))
   | Shutdown -> to_string (Obj (hdr "req" @ [ ("op", Str "shutdown") ]))
-  | Auth { mac } ->
-    to_string (Obj (hdr "req" @ [ ("op", Str "auth"); ("mac", Str mac) ]))
   | Inject q ->
     to_string
       (Obj
@@ -188,13 +183,6 @@ let json_of_entry (e : Journal.entry) =
          ("law_ok", Bool e.Journal.law_ok) ])
 
 let encode_response = function
-  | Hello { nonce; auth; endpoints } ->
-    to_string
-      (Obj
-         (hdr "resp"
-          @ [ ("resp", Str "hello"); ("nonce", Str nonce);
-              ("auth", Bool auth);
-              ("endpoints", Arr (List.map (fun e -> Str e) endpoints)) ]))
   | Pong { version = v } ->
     to_string (Obj (hdr "resp" @ [ ("resp", Str "pong"); ("version", Str v) ]))
   | Started { token; total; cached; plan_cached; golden_cached } ->
@@ -255,8 +243,7 @@ let encode_response = function
               ("refused", Int s.refused); ("active", Int s.active);
               ("queued", Int s.queued); ("restarts", Int s.restarts);
               ("crashes", Int s.crashes);
-              ("quarantined", Int s.quarantined);
-              ("auth_failures", Int s.auth_failures) ]
+              ("quarantined", Int s.quarantined) ]
           @ tier "model" s.model @ tier "plan" s.plan
           @ tier "golden" s.golden))
   | Bye -> to_string (Obj (hdr "resp" @ [ ("resp", Str "bye") ]))
@@ -303,11 +290,6 @@ let request_of_json j =
   | "ping" -> Ping
   | "stats" -> Stats
   | "shutdown" -> Shutdown
-  | "auth" ->
-    (match Json.field "mac" j with
-     | Some (Str mac) -> Auth { mac }
-     | Some _ -> raise (Reject "\"mac\" must be a string")
-     | None -> raise (Reject "auth request without a \"mac\""))
   | "inject" ->
     let model =
       match Json.field "model" j with
@@ -365,20 +347,6 @@ let int_field_min ~min name j =
 let response_of_json j =
   check_header ~kind:"resp" j;
   match str_field "resp" j with
-  | "hello" ->
-    let endpoints =
-      match Json.field "endpoints" j with
-      | Some (Arr es) ->
-        List.map
-          (function
-            | Str e -> e
-            | _ -> raise (Reject "\"endpoints\" must be strings"))
-          es
-      | Some _ -> raise (Reject "\"endpoints\" must be an array")
-      | None -> raise (Reject "hello response without \"endpoints\"")
-    in
-    Hello
-      { nonce = str_field "nonce" j; auth = bool_field "auth" j; endpoints }
   | "pong" -> Pong { version = str_field "version" j }
   | "start" ->
     Started
@@ -430,7 +398,6 @@ let response_of_json j =
         drained = f "drained"; refused = f "refused"; active = f "active";
         queued = f "queued"; restarts = f "restarts";
         crashes = f "crashes"; quarantined = f "quarantined";
-        auth_failures = f "auth_failures";
         model = tier "model"; plan = tier "plan"; golden = tier "golden" }
   | "bye" -> Bye
   | r -> raise (Reject (Printf.sprintf "unknown response kind %S" r))

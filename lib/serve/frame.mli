@@ -21,9 +21,9 @@ module Diag = Csrtl_diag.Diag
 module Journal = Csrtl_fault.Journal
 
 val version : int
-(** Protocol version, currently 3 (hello/auth handshake for the TCP
-    transport, endpoint advertisement, auth-failure stats); frames
-    carry it as ["v"]. *)
+(** Protocol version, 3; frames carry it as ["v"].  It is the one
+    protocol the daemon speaks: a frame with any other version is
+    refused under [serve.request]. *)
 
 type engine = [ `Auto | `Kernel | `Compiled ]
 
@@ -48,12 +48,6 @@ type request =
   | Ping
   | Stats
   | Shutdown  (** ask the daemon to drain and exit *)
-  | Auth of { mac : string }
-      (** the answer to a [Hello] challenge on an authenticated TCP
-          connection: hex {!Csrtl_serve.Auth.hmac} of the hello nonce
-          under the shared secret.  Anything else on such a connection
-          — or a wrong MAC — is refused under rule [serve.auth]
-          (status 1) and the connection closed *)
   | Inject of inject
 
 type tier = {
@@ -78,22 +72,12 @@ type stats = {
   restarts : int;  (** crashed workers restarted from their journal *)
   crashes : int;  (** worker processes that died without a terminal frame *)
   quarantined : int;  (** models currently held by an open circuit breaker *)
-  auth_failures : int;
-      (** TCP connections refused at the handshake: wrong or missing
-          MAC, or a handshake that never completed *)
   model : tier;  (** parsed-model compile cache (keyed by text md5) *)
   plan : tier;  (** compiled {!Csrtl_core.Batch.plan} cache *)
   golden : tier;  (** golden {!Csrtl_fault.Artifact} cache *)
 }
 
 type response =
-  | Hello of { nonce : string; auth : bool; endpoints : string list }
-      (** the daemon's first frame on every TCP connection: a fresh
-          challenge nonce, whether an [Auth] answer is required before
-          any other request, and the fleet endpoints this replica
-          advertises (["--advertise"], may be empty).  Unix-socket
-          connections skip the hello entirely — they are v2-shaped
-          plus the v3 frames *)
   | Pong of { version : string }
   | Started of {
       token : string;

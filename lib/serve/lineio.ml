@@ -2,36 +2,22 @@
    and the client.  The reader enforces a per-line byte cap at the
    transport, so an attacker streaming an endless line costs a bounded
    buffer and gets a diagnostic — the frame parser never even sees the
-   flood.  An optional idle timeout bounds how long a read may sit in
-   [select] with no bytes arriving, so a dead or partitioned TCP peer
-   cannot pin a connection thread forever. *)
+   flood. *)
 
 type reader = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (* bytes read but not yet consumed *)
   chunk : Bytes.t;
   max_line : int;
-  mutable idle_timeout : float option;
-      (* seconds with no bytes before [Idle]; mutable so a client can
-         time out the handshake alone and then wait patiently *)
 }
 
 type line =
   | Line of string
   | Too_long  (* the oversized line has been consumed and discarded *)
-  | Idle  (* no bytes within the idle timeout; the peer may be dead *)
   | Eof
 
-let reader ?(max_line = 16 * 1024 * 1024) ?idle_timeout fd =
-  { fd; buf = Buffer.create 4096; chunk = Bytes.create 65536;
-    max_line;
-    idle_timeout =
-      (match idle_timeout with
-       | Some t when t > 0. -> Some t
-       | Some _ | None -> None) }
-
-let set_idle_timeout r t =
-  r.idle_timeout <- (match t with Some v when v > 0. -> Some v | _ -> None)
+let reader ?(max_line = 16 * 1024 * 1024) fd =
+  { fd; buf = Buffer.create 4096; chunk = Bytes.create 65536; max_line }
 
 let take_line r =
   let s = Buffer.contents r.buf in
@@ -46,26 +32,12 @@ let take_line r =
     in
     Some line
 
-(* One transport read, gated by the idle timeout when there is one.
-   [`Bytes 0] is EOF. *)
+(* One transport read.  [`Bytes 0] is EOF. *)
 let fill r =
-  let ready =
-    match r.idle_timeout with
-    | None -> true
-    | Some t ->
-      (match Unix.select [ r.fd ] [] [] t with
-       | [], _, _ -> false
-       | _ -> true
-       | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-         (* treat the interrupted wait as "not yet"; the caller loops *)
-         true)
-  in
-  if not ready then `Idle
-  else
-    match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
-    | n -> `Bytes n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Again
-    | exception Unix.Unix_error (_, _, _) -> `Bytes 0
+  match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+  | n -> `Bytes n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Again
+  | exception Unix.Unix_error (_, _, _) -> `Bytes 0
 
 let rec read_line r =
   match take_line r with
@@ -79,7 +51,6 @@ let rec read_line r =
     end
     else begin
       match fill r with
-      | `Idle -> Idle
       | `Again -> read_line r
       | `Bytes 0 ->
         (* EOF with bytes still buffered: the peer's final line had no
@@ -103,7 +74,6 @@ and skip_to_newline r =
   | None ->
     Buffer.clear r.buf;
     (match fill r with
-     | `Idle -> Idle
      | `Again -> skip_to_newline r
      | `Bytes 0 -> Eof
      | `Bytes n ->

@@ -1,8 +1,7 @@
 (* The daemon transport: accept loop on the main thread, one thread
-   per connection, the engine doing all the thinking.  The same
-   line-framed protocol runs over a Unix socket or TCP
-   ({!Endpoint.t}); the transports differ only in the connection
-   preamble.  Built for graceful degradation end to end:
+   per connection, the engine doing all the thinking.  Line-framed
+   JSON over a Unix socket; filesystem permissions on the socket are
+   the access control.  Built for graceful degradation end to end:
 
    - SIGTERM/SIGINT flip the engine's drain flag; the accept loop
      notices within its select timeout, stops accepting, shuts down
@@ -14,35 +13,22 @@
      its campaign keeps journaling so the work is resumable.
    - Oversized request lines are swallowed by the bounded reader and
      answered with a status-2 diagnostic — the connection survives.
-   - TCP connections open with a [Hello] frame (challenge nonce +
-     advertised fleet endpoints).  When a secret is configured the
-     client's first frame must be the matching [Auth]; anything else
-     is refused under [serve.auth] (status 1) and the connection
-     closed — the engine never sees an unauthenticated request.
-     Unix-socket connections stay auth-free: filesystem permissions
-     already gate them.
-   - An idle timeout (TCP) bounds how long a silent peer may pin a
-     connection thread; keepalive below it surfaces dead peers to the
-     kernel.  Campaign responses are pushed, not polled, so a patient
-     *waiting* client is never idle — its read side is. *)
+   - The socket path belongs to one live daemon at a time: a second
+     daemon on the same path refuses to start, and a daemon removes
+     the socket file at exit only if it is still the one it bound. *)
 
 module Diag = Csrtl_diag.Diag
 
 type config = {
   engine : Engine.config;
-  transport : Endpoint.t;
-  secret : string option;  (* TCP auth; ignored on Unix sockets *)
-  advertise : string list;  (* fleet endpoints carried in Hello *)
-  idle_timeout_s : float;  (* <= 0 disables; TCP reads only *)
+  socket : string;  (* Unix socket path *)
   max_request_bytes : int;  (* per-line transport cap *)
   signals : bool;  (* install SIGTERM/SIGINT handlers *)
   log : string -> unit;
 }
 
 let default_config =
-  { engine = Engine.default_config;
-    transport = Endpoint.Unix_path "csrtl.sock"; secret = None;
-    advertise = []; idle_timeout_s = 0.;
+  { engine = Engine.default_config; socket = "csrtl.sock";
     max_request_bytes = 64 * 1024 * 1024; signals = true;
     log = (fun _ -> ()) }
 
@@ -80,67 +66,11 @@ let too_long_diags max_bytes =
   [ Diag.error ~rule:"serve.frame"
       "request frame exceeds the %d-byte line cap" max_bytes ]
 
-let auth_refusal msg =
-  Frame.Refused
-    { status = 1; retry_after_ms = None;
-      diags = [ Diag.error ~rule:"serve.auth" "%s" msg ] }
-
-(* The TCP preamble: hello out, and — when a secret is configured —
-   exactly one [Auth] frame back before anything else.  Returns false
-   when the connection must close (refusal already written).  Wrong
-   MACs, wrong frames, floods, timeouts and EOFs all land in the same
-   status-1 [serve.auth] refusal: an attacker probing the handshake
-   learns nothing about which check tripped. *)
-let handshake srv conn r =
-  let nonce = Auth.fresh_nonce () in
-  emit_to conn
-    (Frame.Hello
-       { nonce; auth = srv.cfg.secret <> None;
-         endpoints = srv.cfg.advertise });
-  match srv.cfg.secret with
-  | None -> true
-  | Some secret ->
-    let ok =
-      match Lineio.read_line r with
-      | Lineio.Line line ->
-        (match Frame.decode_request ~limits:srv.cfg.engine.Engine.limits
-                 line with
-         | Ok (Frame.Auth { mac }) -> Auth.verify ~secret ~nonce ~mac
-         | Ok _ | Error _ -> false)
-      | Lineio.Too_long | Lineio.Idle | Lineio.Eof -> false
-    in
-    if not ok then begin
-      Engine.note_auth_failure srv.eng;
-      emit_to conn
-        (auth_refusal
-           "authentication failed: this daemon requires a valid auth \
-            frame (HMAC of the hello nonce under the shared secret) \
-            before any request")
-    end;
-    ok
-
 let client_loop srv conn =
-  let idle_timeout =
-    (* only the TCP side times out reads: a Unix-socket peer is a
-       local process whose death closes the socket anyway *)
-    if Endpoint.is_tcp srv.cfg.transport && srv.cfg.idle_timeout_s > 0.
-    then Some srv.cfg.idle_timeout_s
-    else None
-  in
-  let r =
-    Lineio.reader ~max_line:srv.cfg.max_request_bytes ?idle_timeout conn.fd
-  in
+  let r = Lineio.reader ~max_line:srv.cfg.max_request_bytes conn.fd in
   let rec loop () =
     match Lineio.read_line r with
     | Lineio.Eof -> ()
-    | Lineio.Idle ->
-      (* a peer that sent nothing for the whole window is presumed
-         dead or partitioned; release the thread.  Campaigns push
-         their frames from the engine side, so only the *read* side
-         can be idle — closing it does not cut a response short *)
-      srv.cfg.log
-        (Printf.sprintf "conn %d: idle past %.0fs, closing" conn.id
-           srv.cfg.idle_timeout_s)
     | Lineio.Too_long ->
       emit_to conn
         (Frame.Refused
@@ -166,11 +96,7 @@ let client_loop srv conn =
       Mutex.unlock srv.conns_lock;
       Atomic.set conn.dead true;
       try Unix.close conn.fd with Unix.Unix_error (_, _, _) -> ())
-  @@ fun () ->
-  if Endpoint.is_tcp srv.cfg.transport then begin
-    if handshake srv conn r then loop ()
-  end
-  else loop ()
+    loop
 
 let shutdown_reads srv =
   Mutex.lock srv.conns_lock;
@@ -184,12 +110,70 @@ let shutdown_reads srv =
       with Unix.Unix_error (_, _, _) -> ())
     cs
 
+(* Bind the socket path without stealing it.  A connect probe first:
+   if a daemon answers, the path is taken and this one refuses to
+   start.  Only a refused connect (a socket file left by a crashed
+   daemon) or a missing file is safe to replace; anything else is
+   reported, never unlinked.  The bound file's (device, inode) is
+   returned so {!release} can tell it from a successor's. *)
+let listen path =
+  let cannot e =
+    Error
+      (Printf.sprintf "cannot listen on %s: %s" path (Unix.error_message e))
+  in
+  let stale =
+    match Client.dial path with
+    | Ok fd ->
+      (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+      Error (Printf.sprintf "another daemon is listening on %s" path)
+    | Error Unix.ENOENT -> Ok ()
+    | Error Unix.ECONNREFUSED ->
+      (match Unix.lstat path with
+       | { Unix.st_kind = Unix.S_SOCK; _ } ->
+         (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ());
+         Ok ()
+       | _ -> Error (Printf.sprintf "%s exists and is not a socket" path)
+       | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
+       | exception Unix.Unix_error (e, _, _) -> cannot e)
+    | Error e -> cannot e
+  in
+  Result.bind stale @@ fun () ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match
+    Unix.bind fd (Unix.ADDR_UNIX path);
+    let st = Unix.lstat path in
+    Unix.listen fd 64;
+    (st.Unix.st_dev, st.Unix.st_ino)
+  with
+  | id -> Ok (fd, id)
+  | exception Unix.Unix_error (e, _, _) ->
+    (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+    cannot e
+
+(* Remove the socket file only if it is still the one this daemon
+   bound: a successor that replaced it keeps its socket. *)
+let release path (dev, ino) =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_SOCK; st_dev; st_ino; _ }
+    when st_dev = dev && st_ino = ino ->
+    (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ())
+  | _ | (exception Unix.Unix_error (_, _, _)) -> ()
+
 let serve ?(config = default_config) () =
+  (* bind before the engine exists: a refused daemon never touches
+     the state directory *)
+  Result.bind (listen config.socket) @@ fun (lfd, bound) ->
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close lfd with Unix.Unix_error (_, _, _) -> ());
+      release config.socket bound)
+  @@ fun () ->
   let srv =
     { cfg = config; eng = Engine.create config.engine;
       conns = Hashtbl.create 16; conns_lock = Mutex.create ();
       finished = ref []; next_id = Atomic.make 0 }
   in
+  Fun.protect ~finally:(fun () -> Engine.dispose srv.eng) @@ fun () ->
   let log = config.log in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if config.signals then begin
@@ -197,23 +181,7 @@ let serve ?(config = default_config) () =
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop)
   end;
-  let lfd =
-    match Endpoint.listen config.transport with
-    | Ok fd -> fd
-    | Error msg -> failwith msg
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close lfd with Unix.Unix_error (_, _, _) -> ());
-      Endpoint.cleanup config.transport;
-      Engine.dispose srv.eng)
-  @@ fun () ->
-  log
-    (Printf.sprintf "listening on %s%s"
-       (Endpoint.to_string config.transport)
-       (if Endpoint.is_tcp config.transport && config.secret <> None then
-          " (authenticated)"
-        else ""));
+  log (Printf.sprintf "listening on %s" config.socket);
   (* live connection threads, keyed by conn id; accept-loop private *)
   let threads : (int, Thread.t) Hashtbl.t = Hashtbl.create 16 in
   let reap () =
@@ -239,7 +207,6 @@ let serve ?(config = default_config) () =
        | _ ->
          (match Unix.accept lfd with
           | fd, _ ->
-            Endpoint.setup_accepted config.transport fd;
             let conn =
               { id = Atomic.fetch_and_add srv.next_id 1; fd;
                 wlock = Mutex.create (); dead = Atomic.make false }
@@ -260,4 +227,5 @@ let serve ?(config = default_config) () =
   log "draining: no longer accepting connections";
   shutdown_reads srv;
   Hashtbl.iter (fun _ th -> Thread.join th) threads;
-  log "drained; all connections closed"
+  log "drained; all connections closed";
+  Ok ()

@@ -1,5 +1,4 @@
-(** The [csrtl serve] daemon: line-delimited JSON over a Unix socket
-    or TCP ({!Endpoint.t}).
+(** The [csrtl serve] daemon: line-delimited JSON over a Unix socket.
 
     Accept loop on the calling thread, one thread per connection,
     {!Engine.handle} behind each.  Returns after a graceful drain:
@@ -9,11 +8,9 @@
     remove the socket file.  A SIGKILL instead loses nothing but the
     entries in flight — resending a request resumes its journal.
 
-    TCP connections open with a [Hello] challenge frame; when [secret]
-    is set, the client's first frame must be the matching [Auth] or
-    the connection is refused under [serve.auth] (status 1) and
-    closed.  Unix-socket connections skip the handshake — filesystem
-    permissions already gate them.
+    The socket is the only transport and filesystem permissions on it
+    are the only access control; a remote client forwards it (for
+    example [ssh -L local.sock:remote.sock]).
 
     A dead client (reset, full buffer, vanished) only marks its own
     connection; the campaign it started keeps journaling to
@@ -21,18 +18,7 @@
 
 type config = {
   engine : Engine.config;
-  transport : Endpoint.t;
-  secret : string option;
-      (** require an HMAC handshake on TCP connections; [None] (the
-          default) accepts any peer.  Ignored on Unix sockets *)
-  advertise : string list;
-      (** fleet endpoints carried in every [Hello] frame, so a client
-          that reaches one replica can discover the rest *)
-  idle_timeout_s : float;
-      (** close a TCP connection whose peer sends nothing for this
-          long ([<= 0] disables, the default).  Only the read side is
-          timed: a client patiently awaiting campaign frames is never
-          idle by this measure *)
+  socket : string;  (** Unix socket path; default ["csrtl.sock"] *)
   max_request_bytes : int;
       (** transport cap per request line; an over-long line is
           discarded and answered with a status-2 diagnostic, and the
@@ -45,7 +31,15 @@ type config = {
 
 val default_config : config
 
-val serve : ?config:config -> unit -> unit
-(** Run until drained.  Binds the transport (unlinking any stale Unix
-    socket first; [SO_REUSEADDR] on TCP so a restarted replica rebinds
-    immediately), ignores SIGPIPE for the whole process. *)
+val serve : ?config:config -> unit -> (unit, string) result
+(** Run until drained, then [Ok ()].  Ignores SIGPIPE for the whole
+    process.
+
+    Binding never steals the socket path: when a daemon already
+    answers on it, [serve] returns [Error] ("another daemon is
+    listening on ...") before creating the engine or touching the
+    state directory.  A socket file nobody listens on (left by a
+    crashed daemon) is replaced; a path that exists but is not a
+    socket, or any other failure to bind, is an [Error] too.  At exit
+    the socket file is removed only if it is still the one this
+    daemon bound. *)

@@ -42,7 +42,6 @@ let gen_request =
     frequency
       [ (1, return S.Frame.Ping); (1, return S.Frame.Stats);
         (1, return S.Frame.Shutdown);
-        (1, map (fun mac -> S.Frame.Auth { mac }) (gen_bytes 40));
         (5, gen_inject) ])
 
 let gen_outcome =
@@ -86,10 +85,6 @@ let gen_response =
   let nat = int_bound 10_000 in
   frequency
     [ (1, map (fun v -> S.Frame.Pong { version = v }) str);
-      ( 1,
-        let* nonce = str and* auth = bool in
-        let* endpoints = list_size (int_bound 4) (gen_bytes 30) in
-        return (S.Frame.Hello { nonce; auth; endpoints }) );
       ( 2,
         let* token = str and* total = nat and* cached = bool in
         let* plan_cached = bool and* golden_cached = bool in
@@ -131,13 +126,11 @@ let gen_response =
         let* requests = nat and* campaigns = nat and* drained = nat in
         let* refused = nat and* active = nat and* queued = nat in
         let* restarts = nat and* crashes = nat and* quarantined = nat in
-        let* auth_failures = nat in
         let* model = gen_tier and* plan = gen_tier and* golden = gen_tier in
         return
           (S.Frame.Stats_reply
              { requests; campaigns; drained; refused; active; queued;
-               restarts; crashes; quarantined; auth_failures; model; plan;
-               golden }) );
+               restarts; crashes; quarantined; model; plan; golden }) );
       (1, return S.Frame.Bye) ]
 
 (* -- codec properties ------------------------------------------------------- *)
@@ -888,23 +881,22 @@ let test_daemon_sigkill_resume () =
     match Unix.fork () with
     | 0 ->
       (try
-         S.Server.serve
-           ~config:
-             { S.Server.default_config with
-               S.Server.transport = S.Endpoint.Unix_path sock;
-               engine =
-                 { S.Engine.default_config with
-                   S.Engine.state_dir = state; jobs = 1;
-                   isolation = `In_process } }
-           ()
+         ignore
+           (S.Server.serve
+              ~config:
+                { S.Server.default_config with
+                  S.Server.socket = sock;
+                  engine =
+                    { S.Engine.default_config with
+                      S.Engine.state_dir = state; jobs = 1;
+                      isolation = `In_process } }
+              ())
        with _ -> ());
       Unix._exit 0
     | pid -> pid
   in
   let connect () =
-    match
-      S.Client.connect ~retries:200 ~delay:0.02 (S.Endpoint.Unix_path sock)
-    with
+    match S.Client.connect ~retries:200 ~delay:0.02 sock with
     | Ok c -> c
     | Error msg -> Alcotest.failf "connect: %s" msg
   in
@@ -1036,31 +1028,6 @@ let test_backoff_curve () =
 
 (* -- transport units -------------------------------------------------------- *)
 
-let test_endpoint_parse () =
-  let ok s = match S.Endpoint.of_string s with
-    | Ok ep -> ep
-    | Error msg -> Alcotest.failf "%s rejected: %s" s msg
-  in
-  (match ok "127.0.0.1:7430" with
-   | S.Endpoint.Tcp ("127.0.0.1", 7430) -> ()
-   | _ -> Alcotest.fail "host:port must parse as TCP");
-  (match ok "csrtl.sock" with
-   | S.Endpoint.Unix_path "csrtl.sock" -> ()
-   | _ -> Alcotest.fail "bare path stays a Unix path");
-  (match ok "./state:dir/x.sock" with
-   | S.Endpoint.Unix_path _ -> ()
-   | _ -> Alcotest.fail "colon without trailing port stays a path");
-  (match ok ":7430" with
-   | S.Endpoint.Unix_path _ -> ()
-   | _ -> Alcotest.fail "empty host is not TCP");
-  (match S.Endpoint.of_string "host:99999" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "out-of-range port must be an explicit error");
-  Alcotest.(check string) "tcp round-trips" "10.0.0.1:80"
-    (S.Endpoint.to_string (ok "10.0.0.1:80"));
-  check_bool "is_tcp" true (S.Endpoint.is_tcp (ok "h:1"));
-  check_bool "is_tcp on path" false (S.Endpoint.is_tcp (ok "h"))
-
 (* the satellite regression: an unterminated final line at EOF must be
    delivered, not silently discarded — it is a drained daemon's last
    frame or a hand-piped request *)
@@ -1098,136 +1065,139 @@ let test_lineio_final_line () =
    | _ -> Alcotest.fail "empty stream is Eof");
   Unix.close rd
 
-let test_auth_hmac () =
-  (* RFC 2202 test vectors: the hand-rolled HMAC-MD5 must be the real
-     construction, not something HMAC-shaped *)
-  Alcotest.(check string) "rfc2202 case 2"
-    "750c783e6ab0b503eaa86e310a5db738"
-    (S.Auth.hmac ~secret:"Jefe" "what do ya want for nothing?");
-  Alcotest.(check string) "classic fox vector"
-    "80070713463e7749b90c2dc24911e275"
-    (S.Auth.hmac ~secret:"key" "The quick brown fox jumps over the lazy dog");
-  (* keys longer than the 64-byte block are digested first *)
-  let long = String.make 100 'k' in
-  check_bool "long key verifies its own mac" true
-    (S.Auth.verify ~secret:long ~nonce:"n"
-       ~mac:(S.Auth.hmac ~secret:long "n"));
-  check_bool "wrong secret's mac is refused" false
-    (S.Auth.verify ~secret:"s" ~nonce:"n"
-       ~mac:(S.Auth.hmac ~secret:"other" "n"));
-  check_bool "constant-time equality agrees" true
-    (S.Auth.equal_macs "deadbeef" "deadbeef");
-  check_bool "one byte off" false (S.Auth.equal_macs "deadbeef" "deadbeee");
-  check_bool "length mismatch" false (S.Auth.equal_macs "dead" "deadbeef");
-  check_bool "nonces do not repeat" true
-    (S.Auth.fresh_nonce () <> S.Auth.fresh_nonce ())
-
-let test_fleet_rank () =
-  let eps =
-    [ S.Endpoint.Tcp ("10.0.0.1", 7430); S.Endpoint.Tcp ("10.0.0.2", 7430);
-      S.Endpoint.Tcp ("10.0.0.3", 7430) ]
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
   in
-  let fleet = S.Fleet.create eps in
-  let r1 = S.Fleet.rank fleet ~key:"k1" in
-  check_int "every replica ranked" 3 (List.length r1);
-  Alcotest.(check (list string)) "ranking is deterministic" r1
-    (S.Fleet.rank fleet ~key:"k1");
-  Alcotest.(check (list string)) "ranking is a permutation"
-    (List.sort compare (List.map S.Endpoint.to_string eps))
-    (List.sort compare r1);
-  (* rendezvous hashing spreads distinct keys across replicas *)
-  let heads =
-    List.init 64 (fun i ->
-        List.hd (S.Fleet.rank fleet ~key:(Printf.sprintf "key-%d" i)))
-    |> List.sort_uniq compare
-  in
-  check_bool "keys shard across more than one replica" true
-    (List.length heads >= 2);
-  Alcotest.(check string) "default routing key is stable"
-    (S.Fleet.default_key S.Frame.Ping)
-    (S.Fleet.default_key S.Frame.Ping);
-  check_bool "different requests, different keys" true
-    (S.Fleet.default_key S.Frame.Ping <> S.Fleet.default_key S.Frame.Stats)
+  at 0
 
-(* a live TCP daemon: hello advertises the fleet, a good secret gets a
-   pong, wrong and missing secrets get status-1 serve.auth refusals
-   without crashing the daemon, and the failures show in stats *)
-let test_tcp_auth_handshake () =
-  let dir = Filename.temp_file "csrtl_tcp" ".state" in
+let scratch_dir prefix =
+  let dir = Filename.temp_file prefix ".d" in
   Sys.remove dir;
-  let port =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> assert false)
-  in
-  let ep = S.Endpoint.Tcp ("127.0.0.1", port) in
-  let config =
+  Unix.mkdir dir 0o700;
+  dir
+
+(* the hints an operator meets most: no socket file at all, and a
+   socket file nobody listens on (a crashed daemon's leftover) *)
+let test_connect_hints () =
+  let dir = scratch_dir "csrtl_hint" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "d.sock" in
+  (match S.Client.connect path with
+   | Error msg ->
+     check_bool "missing path: daemon not started?" true
+       (contains ~sub:"daemon not started?" msg)
+   | Ok _ -> Alcotest.fail "connect to a missing path must fail");
+  (* bound but never listening: the stale-socket shape *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  (match S.Client.dial path with
+   | Error Unix.ECONNREFUSED -> ()
+   | Ok _ | Error _ -> Alcotest.fail "a non-listening socket refuses");
+  match S.Client.connect ~retries:2 ~delay:0.001 path with
+  | Error msg ->
+    check_bool "errno named" true
+      (contains ~sub:(Unix.error_message Unix.ECONNREFUSED) msg);
+    check_bool "stale socket hint" true (contains ~sub:"stale socket" msg)
+  | Ok _ -> Alcotest.fail "connect to a non-listening socket must fail"
+
+(* One socket path, one live daemon: a second daemon on a live path
+   refuses to start and leaves the first reachable; a stale socket
+   file is replaced; a daemon whose file was replaced by a successor
+   leaves the successor's socket alone when it exits. *)
+let test_socket_ownership () =
+  let dir = scratch_dir "csrtl_own" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sock = Filename.concat dir "d.sock" in
+  let config state =
     { S.Server.default_config with
-      transport = ep; secret = Some "sesame";
-      advertise = [ "a.example:7430"; "b.example:7430" ]; signals = false;
-      engine = { S.Engine.default_config with state_dir = dir } }
+      S.Server.socket = sock; signals = false;
+      engine =
+        { S.Engine.default_config with
+          S.Engine.state_dir = Filename.concat dir state; jobs = 1;
+          isolation = `In_process } }
   in
-  let server = Thread.create (fun () -> S.Server.serve ~config ()) () in
-  let connect ?secret () =
-    match S.Client.connect ~retries:500 ~delay:0.01 ?secret ep with
+  let start state =
+    let result = ref (Error "never ran") in
+    let th =
+      Thread.create
+        (fun () -> result := S.Server.serve ~config:(config state) ())
+        ()
+    in
+    (th, result)
+  in
+  let finished label (th, result) =
+    Thread.join th;
+    match !result with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: %s" label msg
+  in
+  let connect () =
+    match S.Client.connect ~retries:500 ~delay:0.01 sock with
     | Ok c -> c
     | Error msg -> Alcotest.failf "connect: %s" msg
   in
-  (* good secret: the hello advertises the fleet and ping pongs *)
-  let c = connect ~secret:"sesame" () in
-  Alcotest.(check (list string)) "hello advertises the fleet"
-    [ "a.example:7430"; "b.example:7430" ]
-    (S.Client.advertised c);
-  (match S.Client.send c S.Frame.Ping with
-   | Ok () -> ()
-   | Error msg -> Alcotest.failf "send: %s" msg);
-  (match S.Client.next c with
-   | Some (_, Ok (S.Frame.Pong { version })) ->
-     Alcotest.(check string) "pong version" "csrtl-serve/3" version
-   | _ -> Alcotest.fail "authenticated ping must pong");
-  S.Client.close c;
-  let expect_auth_refusal label c =
-    (match S.Client.send c S.Frame.Ping with
+  let ask c req =
+    (match S.Client.send c req with
      | Ok () -> ()
-     | Error _ ->
-       (* the daemon may have closed already; the refusal frame is
-          still in flight *)
-       ());
-    (match S.Client.next c with
-     | Some (_, Ok (S.Frame.Refused { status = 1; diags; _ }))
-       when List.exists (fun (d : Diag.t) -> d.Diag.rule = "serve.auth")
-              diags ->
-       ()
-     | _ -> Alcotest.failf "%s must be refused under serve.auth" label);
+     | Error msg -> Alcotest.failf "send: %s" msg);
+    match S.Client.next c with
+    | Some (_, Ok resp) -> resp
+    | _ -> Alcotest.fail "no decodable answer"
+  in
+  let ping label =
+    let c = connect () in
+    (match ask c S.Frame.Ping with
+     | S.Frame.Pong _ -> ()
+     | _ -> Alcotest.failf "%s: ping must pong" label);
     S.Client.close c
   in
-  expect_auth_refusal "wrong secret" (connect ~secret:"wrong" ());
-  expect_auth_refusal "missing secret" (connect ());
-  (* the daemon survived both and counted them *)
-  let c = connect ~secret:"sesame" () in
-  (match S.Client.send c S.Frame.Stats with
-   | Ok () -> ()
-   | Error msg -> Alcotest.failf "stats send: %s" msg);
-  (match S.Client.next c with
-   | Some (_, Ok (S.Frame.Stats_reply s)) ->
-     check_int "both failed handshakes counted" 2 s.S.Frame.auth_failures
-   | _ -> Alcotest.fail "stats after auth failures");
-  S.Client.close c;
-  let c = connect ~secret:"sesame" () in
-  (match S.Client.send c S.Frame.Shutdown with
-   | Ok () -> ()
-   | Error msg -> Alcotest.failf "shutdown send: %s" msg);
-  (match S.Client.next c with
-   | Some (_, Ok S.Frame.Bye) -> ()
-   | _ -> Alcotest.fail "shutdown must answer Bye");
-  S.Client.close c;
-  Thread.join server;
-  rm_rf dir
+  let shutdown c =
+    (match ask c S.Frame.Shutdown with
+     | S.Frame.Bye -> ()
+     | _ -> Alcotest.fail "shutdown must answer Bye");
+    S.Client.close c
+  in
+  let a = start "a" in
+  ping "a";
+  (match S.Server.serve ~config:(config "b") () with
+   | Error msg ->
+     check_bool "refusal names the live daemon" true
+       (contains ~sub:("another daemon is listening on " ^ sock) msg)
+   | Ok () -> Alcotest.fail "a second daemon on a live socket must refuse");
+  check_bool "the refused daemon never touched its state dir" false
+    (Sys.file_exists (Filename.concat dir "b"));
+  ping "a after the refusal";
+  (* A's file is replaced under it by a successor; A then exits *)
+  let to_a = connect () in
+  Sys.remove sock;
+  let b = start "b" in
+  ping "b";
+  shutdown to_a;
+  finished "a" a;
+  check_bool "a left the successor's socket file" true (Sys.file_exists sock);
+  ping "b after a exited";
+  shutdown (connect ());
+  finished "b" b;
+  check_bool "b removed its own socket file" false (Sys.file_exists sock);
+  (* a stale socket file (bound, nobody listening) is replaced *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX sock);
+  Unix.close fd;
+  let c = start "c" in
+  ping "restart over a stale socket";
+  shutdown (connect ());
+  finished "c" c;
+  (* a path that is not a socket is never unlinked *)
+  Out_channel.with_open_bin sock (fun oc -> output_string oc "data");
+  (match S.Server.serve ~config:(config "d") () with
+   | Error msg ->
+     check_bool "not a socket" true (contains ~sub:"not a socket" msg)
+   | Ok () -> Alcotest.fail "a regular file at the path must refuse");
+  Alcotest.(check string) "the regular file is intact" "data"
+    (read_file sock)
 
 let () =
   Alcotest.run "serve"
@@ -1283,11 +1253,8 @@ let () =
           Alcotest.test_case "deterministic backoff curve" `Quick
             test_backoff_curve ] );
       ( "transport",
-        [ Alcotest.test_case "endpoint parsing" `Quick test_endpoint_parse;
-          Alcotest.test_case "unterminated final line at EOF" `Quick
+        [ Alcotest.test_case "unterminated final line at EOF" `Quick
             test_lineio_final_line;
-          Alcotest.test_case "hmac vectors and verification" `Quick
-            test_auth_hmac;
-          Alcotest.test_case "rendezvous ranking" `Quick test_fleet_rank;
-          Alcotest.test_case "tcp hello/auth handshake" `Quick
-            test_tcp_auth_handshake ] ) ]
+          Alcotest.test_case "connect hints" `Quick test_connect_hints;
+          Alcotest.test_case "socket ownership" `Quick
+            test_socket_ownership ] ) ]
