@@ -1118,9 +1118,10 @@ let scaling_check () =
    against the clean runs).  The clean columns run the daemon
    in-process on a thread with in-process isolation; the recovery
    column spawns the real csrtl binary as a separate daemon process
-   with CSRTL_SERVE_KILL_NTH=10, because Unix.fork from this process —
-   full of busy client threads — can deadlock the worker child on an
-   inherited runtime lock (see lib/serve/worker.ml).  Either way
+   with CSRTL_SERVE_KILL_NTH=10, because forked isolation re-executes
+   the daemon's own program as each worker (see lib/serve/worker.ml)
+   and only csrtl routes that invocation to the worker entry point;
+   this harness does not.  Either way
    clients speak the real socket protocol through Csrtl_serve.Client,
    so the measured path is the shipped one end to end.  Every response
    is byte-compared against the offline report — a fast wrong answer

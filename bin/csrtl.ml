@@ -1704,7 +1704,8 @@ let chaos_cmd =
      forked-worker serve engine through seeded failures (worker SIGKILL, \
      torn journal tails, ENOSPC/EIO on journal writes, delayed frames) \
      and assert every recovered report is byte-identical to offline \
-     $(b,csrtl inject) output.  Exit code 3 on any violation."
+     $(b,csrtl inject) output and every scheduled journal fault fired \
+     in a worker.  Exit code 3 on any violation."
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const run $ seed $ runs $ quiet)
@@ -1730,6 +1731,9 @@ let info_cmd =
   Cmd.v (Cmd.info "info" ~doc) Term.(const run $ model_arg)
 
 let () =
+  (* a serve daemon's campaign workers re-execute this binary as
+     [csrtl worker]: hidden from the command group and --help *)
+  Csrtl_serve.Engine.worker_entry ();
   let doc = "clock-free register-transfer-level models (DATE'98)" in
   let info = Cmd.info "csrtl" ~version:"1.0.0" ~doc in
   exit

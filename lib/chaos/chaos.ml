@@ -12,8 +12,9 @@
    - torn journal tails (truncate a random number of bytes off the
      end, including mid-line tears);
    - ENOSPC on the Nth journal append and EIO on the checkpoint fsync
-     (via the {!Csrtl_fault.Journal.chaos} seam, inherited by the
-     forked worker);
+     (via the {!Csrtl_fault.Journal.set_chaos} seam; the supervisor
+     hands the armed injections to every worker it spawns, and a
+     scheduled injection that never fires is a violation);
    - per-frame delivery delays on a streamed campaign.
 
    Everything derives from one splitmix64 seed, so a failure is a
@@ -252,6 +253,26 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
   prime healthy_t;
   let kills = ref 0 and torn = ref 0 and enospc = ref 0 in
   let eio = ref 0 and delays = ref 0 and healthy_done = ref 0 in
+  (* Arm one journal fault for a fresh campaign on [target], then
+     disarm.  Every worker the supervisor spawns meanwhile installs it
+     with a fresh count, so the failure recurs across restarts until
+     the restart budget runs out — disk "full" until now, and the
+     resend must recover everything journaled.  A firing injection
+     kills its worker, so a request that ends with no crash observed
+     means the fault was scheduled but never reached a worker *)
+  let journal_fault ~label (target : target) inj =
+    let crashes0 = (S.Engine.stats eng).S.Frame.crashes in
+    F.Journal.set_chaos [ inj ];
+    let frames = request { (base_inject target.text) with resume = false } in
+    F.Journal.set_chaos [];
+    if (S.Engine.stats eng).S.Frame.crashes = crashes0 then
+      violate "%s: scheduled journal fault never fired" label;
+    match report_text frames with
+    | Some text ->
+      if text <> target.expected then
+        violate "%s: report differs from offline inject" label
+    | None -> recover ~label target
+  in
   (* -- one scenario ------------------------------------------------- *)
   let scenario i =
     let target = corpus.(Rng.int rng (Array.length corpus)) in
@@ -319,44 +340,14 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
           violate "%s: journal vanished before tear" label)
      | Journal_enospc n ->
        incr enospc;
-       let count = ref 0 in
-       F.Journal.chaos :=
-         Some
-           (fun op ->
-             match op with
-             | `Append path when path = target.journal ->
-               incr count;
-               if !count = n then
-                 raise (Unix.Unix_error (Unix.ENOSPC, "write", path))
-             | _ -> ());
-       let frames = request { (base_inject target.text) with resume = false } in
-       F.Journal.chaos := None;
-       (match report_text frames with
-        | Some text ->
-          if text <> target.expected then
-            violate "%s: report differs from offline inject" label
-        | None ->
-          (* the injector outlived the restart budget: disk "full"
-             until now — a resend must recover everything journaled *)
-          recover ~label target)
+       journal_fault ~label target
+         { F.Journal.path = target.journal; op = `Append; nth = n;
+           errno = `ENOSPC }
      | Journal_eio ->
        incr eio;
-       let fired = ref false in
-       F.Journal.chaos :=
-         Some
-           (fun op ->
-             match op with
-             | `Sync path when path = target.journal && not !fired ->
-               fired := true;
-               raise (Unix.Unix_error (Unix.EIO, "fsync", path))
-             | _ -> ());
-       let frames = request { (base_inject target.text) with resume = false } in
-       F.Journal.chaos := None;
-       (match report_text frames with
-        | Some text ->
-          if text <> target.expected then
-            violate "%s: report differs from offline inject" label
-        | None -> recover ~label target)
+       journal_fault ~label target
+         { F.Journal.path = target.journal; op = `Sync; nth = 1;
+           errno = `EIO }
      | Frame_delay ms ->
        incr delays;
        let frames =

@@ -12,6 +12,10 @@
     - a healthy client's concurrent campaign on an untouched model
       always completes, byte-identically.
 
+    A scheduled journal fault (ENOSPC/EIO) reaches the workers as
+    data ({!Csrtl_fault.Journal.set_chaos}); one that no observed
+    worker crash follows never fired, and counts as a violation.
+
     Everything derives from the splitmix64 [seed]: same seed, same
     fault sequence, same verdict — a chaos failure is a reproducible
     failure.  Exposed to the CLI as [csrtl chaos] and to CI as

@@ -362,16 +362,44 @@ let entry_of_line ~digest line =
 (* Writer                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type io_op = [ `Create of string | `Append of string | `Sync of string ]
+(* Fault-injection seam for the chaos harness: armed injections are
+   consulted before each journal I/O operation, [[]] in production (one
+   load per append).  An injection that fires raises the errno a full
+   or dying disk would, so the daemon's crash-only recovery path can be
+   driven deterministically.  Injections are plain data so that a
+   supervisor can hand them to the worker processes it spawns; each
+   process counts matching operations from its own arming. *)
+type injection = {
+  path : string;
+  op : [ `Create | `Append | `Sync ];
+  nth : int;
+  errno : [ `ENOSPC | `EIO ];
+}
 
-(* Fault-injection seam for the chaos harness: consulted before each
-   journal I/O operation, [None] in production (one load per append).
-   A hook that raises (say ENOSPC) makes the write fail exactly as a
-   full disk would, so the daemon's crash-only recovery path can be
-   driven deterministically. *)
-let chaos : (io_op -> unit) option ref = ref None
+let armed : (injection * int Atomic.t) list Atomic.t = Atomic.make []
+let chaos () = List.map fst (Atomic.get armed)
 
-let chaos_poke op = match !chaos with None -> () | Some f -> f op
+let set_chaos injs =
+  Atomic.set armed (List.map (fun i -> (i, Atomic.make 0)) injs)
+
+let chaos_poke op path =
+  match Atomic.get armed with
+  | [] -> ()
+  | armed ->
+    List.iter
+      (fun (i, count) ->
+        if i.op = op && i.path = path
+           && Atomic.fetch_and_add count 1 + 1 = i.nth
+        then
+          raise
+            (Unix.Unix_error
+               ( (match i.errno with `ENOSPC -> Unix.ENOSPC | `EIO -> Unix.EIO),
+                 (match op with
+                  | `Create -> "open"
+                  | `Append -> "write"
+                  | `Sync -> "fsync"),
+                 path )))
+      armed
 
 type writer = {
   oc : out_channel;
@@ -394,7 +422,7 @@ let fsync_dir path =
   | exception Unix.Unix_error (_, _, _) -> ()
 
 let start path (h : header) =
-  chaos_poke (`Create path);
+  chaos_poke `Create path;
   (* O_APPEND even for a fresh journal: if two daemons race on the same
      path (or a stale writer survives a partial shutdown), appends from
      both interleave at line granularity instead of overwriting each
@@ -435,7 +463,7 @@ let append w (e : entry) =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.lock)
     (fun () ->
-      chaos_poke (`Append w.path);
+      chaos_poke `Append w.path;
       output_string w.oc line;
       output_char w.oc '\n';
       flush w.oc)
@@ -445,7 +473,7 @@ let sync w =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.lock)
     (fun () ->
-      chaos_poke (`Sync w.path);
+      chaos_poke `Sync w.path;
       flush w.oc;
       (* flush hands the bytes to the kernel; fsync pins them to the
          platter.  Called at checkpoint boundaries (campaign completion,

@@ -90,19 +90,28 @@ type writer
     [O_APPEND], so concurrent writers interleave at line granularity
     instead of clobbering each other's offsets. *)
 
-type io_op = [ `Create of string | `Append of string | `Sync of string ]
-(** A journal I/O operation about to happen, carrying the journal
-    path so an injector can target one campaign and leave concurrent
-    healthy ones alone. *)
+type injection = {
+  path : string;  (** the journal it targets, so concurrent healthy
+                      campaigns are left alone *)
+  op : [ `Create | `Append | `Sync ];
+  nth : int;  (** the [nth] such operation on [path] fails (1-based);
+                  every other one succeeds *)
+  errno : [ `ENOSPC | `EIO ];
+}
+(** One scheduled journal I/O failure.  Plain data, so a supervisor
+    can hand its armed injections to the worker processes it spawns. *)
 
-val chaos : (io_op -> unit) option ref
-(** Fault-injection seam for the chaos harness ([lib/chaos]): when
-    set, called before every create/append/sync.  A hook that raises
-    (say [Unix.Unix_error (ENOSPC, ...)]) makes the operation fail
-    exactly as a full or dying disk would.  [None] in production —
-    the cost is one pointer load per append.  Set only from tests and
-    harnesses; the hook runs under the writer lock, so it must not
-    call back into the same writer. *)
+val set_chaos : injection list -> unit
+(** Fault-injection seam for the chaos harness ([lib/chaos]): arm
+    these injections in this process, replacing any armed before and
+    counting operations afresh; [[]] disarms.  An injection that fires
+    raises [Unix.Unix_error] with its errno before the operation
+    touches the file, exactly as a full or dying disk would.  Nothing
+    is armed in production — the cost is one atomic load per
+    create/append/sync.  Set only from tests and harnesses. *)
+
+val chaos : unit -> injection list
+(** The injections armed in this process. *)
 
 val start : string -> header -> writer
 (** Truncate/create the file and write the header line.  The

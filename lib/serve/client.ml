@@ -31,7 +31,7 @@ let connect_hint = function
   | _ -> ""
 
 let dial path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX path) with
   | () -> Ok fd
   | exception Unix.Unix_error (e, _, _) ->

@@ -5,7 +5,7 @@
    reduces to line framing plus thread bookkeeping.
 
    Since PR 8 the engine is crash-only.  Campaigns run (by default,
-   for the CLI daemon) in forked worker processes supervised here: a
+   for the CLI daemon) in worker processes supervised here: a
    worker that crashes, hangs, or is killed is reaped, classified, and
    restarted from its journal checkpoint with capped exponential
    backoff; a model whose campaigns keep crashing trips a circuit
@@ -85,9 +85,7 @@ type breaker = {
 type t = {
   cfg : config;
   (* lazy: the daemon only materialises a domain pool if it actually
-     runs an in-process campaign.  In forked mode the parent stays
-     domain-free, which is what makes [Unix.fork] sound — forking a
-     multi-domain OCaml process is undefined *)
+     runs an in-process campaign; forked workers bring their own *)
   pool : Par.t option ref;
   pool_lock : Mutex.t;
   cache : compiled Cache.t;
@@ -98,9 +96,16 @@ type t = {
      compile, so repeated requests don't retry the compile) plus the
      full fault enumeration, which a limited request subsamples
      without re-walking the model; the golden tier holds full
-     artifacts (goldens + checkpoints). *)
+     artifacts (goldens + checkpoints).  A forked engine's golden tier
+     is [shipped] instead: the [csrtl-artifact 1] bytes a worker built
+     and sent home, handed unparsed to the next worker for the model —
+     the daemon itself never runs a campaign, so parsing them here
+     would be pure cost.  At most one of [goldens] and [shipped] is
+     [Some], by isolation; forked plan entries carry no plan, since a
+     compiled plan (closures) cannot cross into a worker. *)
   plans : plan_entry Cache.t option;
   goldens : F.Artifact.t Cache.t option;
+  shipped : string Cache.t option;
   stop : bool Atomic.t;
   adm : Admission.t;
   (* in-process campaigns run one at a time on the shared pool *)
@@ -134,7 +139,14 @@ let create cfg =
   { cfg; pool = ref None; pool_lock = Mutex.create ();
     cache = Cache.create ~capacity:cfg.cache_capacity;
     plans = tier cfg.plan_cache_capacity;
-    goldens = tier cfg.golden_cache_capacity;
+    goldens =
+      (match cfg.isolation with
+       | `In_process -> tier cfg.golden_cache_capacity
+       | `Forked -> None);
+    shipped =
+      (match cfg.isolation with
+       | `Forked -> tier cfg.golden_cache_capacity
+       | `In_process -> None);
     stop = Atomic.make false;
     adm =
       Admission.create ~max_active:cfg.max_pending ~max_queue:cfg.max_queue
@@ -377,28 +389,139 @@ let exec_campaign ?plan ?golden ~runner ~stopping ~journal ~t0
 
 (* ---- the forked worker ------------------------------------------- *)
 
-(* Worker body.  Runs in the freshly forked child: fresh stop flag,
-   fresh journal writer, fresh width-limited pool — nothing shared
-   with the daemon beyond the pipe and the journal file (O_APPEND, so
-   even an orphan from a killed daemon interleaves safely).  The
-   parent already validated the model from the same bytes, so a parse
-   failure here is unreachable; it still exits cleanly rather than
-   trusting that.
+(* What a worker process is told, as bytes on its stdin: line 1 is the
+   request as the wire encodes it; line 2 a JSON object with the config
+   fields a worker reads, the golden-tier decision and the armed
+   journal injections ({!F.Journal.set_chaos}); the rest, on a golden
+   hit, is the artifact's [csrtl-artifact 1] text.  Nothing else crosses
+   the exec: the worker rebuilds the model, fault list and plan from
+   the request text. *)
+type job = {
+  cfg : config;  (* state_dir, jobs, limits, default_deadline_ms *)
+  q : Frame.inject;
+  golden : [ `Off | `Miss of string | `Hit of string ];
+      (* [`Miss] carries the tier key, [`Hit] the artifact bytes *)
+  chaos : F.Journal.injection list;
+}
 
-   [plan] is the parent's plan-tier entry, inherited through fork at
-   spawn: a warm worker starts executing faults without compiling
-   anything.  [golden] is the golden-tier decision: [`Hit] inherits
-   the artifact the same way; [`Miss key] makes this worker build it
+module Json = F.Journal.Json
+
+let limits_fields (l : Diag.Limits.t) =
+  [ ("max_input_bytes", l.Diag.Limits.max_input_bytes);
+    ("max_tokens", l.max_tokens); ("max_nesting", l.max_nesting);
+    ("max_registers", l.max_registers); ("max_fus", l.max_fus);
+    ("max_buses", l.max_buses); ("max_steps", l.max_steps);
+    ("max_transfers", l.max_transfers) ]
+
+let journal_ops = [ (`Create, "create"); (`Append, "append"); (`Sync, "sync") ]
+let errnos = [ (`ENOSPC, "ENOSPC"); (`EIO, "EIO") ]
+
+let named table name =
+  match List.find_opt (fun (_, n) -> n = name) table with
+  | Some (v, _) -> v
+  | None -> raise (Json.Bad ("unknown name " ^ name))
+
+let encode_job j =
+  let injection (i : F.Journal.injection) =
+    Json.Obj
+      [ ("path", Json.Str i.F.Journal.path);
+        ("op", Json.Str (List.assoc i.F.Journal.op journal_ops));
+        ("nth", Json.Int i.F.Journal.nth);
+        ("errno", Json.Str (List.assoc i.F.Journal.errno errnos)) ]
+  in
+  let header =
+    Json.Obj
+      ([ ("state_dir", Json.Str j.cfg.state_dir); ("jobs", Json.Int j.cfg.jobs);
+         ( "limits",
+           Json.Obj
+             (List.map (fun (k, v) -> (k, Json.Int v))
+                (limits_fields j.cfg.limits)) );
+         ( "golden",
+           Json.Str
+             (match j.golden with
+              | `Off -> "off"
+              | `Miss _ -> "miss"
+              | `Hit _ -> "hit") );
+         ("chaos", Json.Arr (List.map injection j.chaos)) ]
+      @ (match j.cfg.default_deadline_ms with
+         | Some ms -> [ ("deadline_ms", Json.Int ms) ]
+         | None -> [])
+      @ match j.golden with `Miss key -> [ ("key", Json.Str key) ] | _ -> [])
+  in
+  String.concat ""
+    [ Frame.encode_request (Frame.Inject j.q); "\n"; Json.to_string header;
+      "\n"; (match j.golden with `Hit bytes -> bytes | `Off | `Miss _ -> "") ]
+
+(* Raises [Json.Bad] on anything {!encode_job} would not produce. *)
+let decode_job text =
+  let cut s =
+    match String.index_opt s '\n' with
+    | Some i ->
+      (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+    | None -> raise (Json.Bad "truncated worker job")
+  in
+  let request, rest = cut text in
+  let header, artifact = cut rest in
+  let h = Json.parse header in
+  let l =
+    match Json.field "limits" h with
+    | Some l -> l
+    | None -> raise (Json.Bad "missing limits")
+  in
+  let int k = Json.int_field k l in
+  let limits =
+    { Diag.Limits.max_input_bytes = int "max_input_bytes";
+      max_tokens = int "max_tokens"; max_nesting = int "max_nesting";
+      max_registers = int "max_registers"; max_fus = int "max_fus";
+      max_buses = int "max_buses"; max_steps = int "max_steps";
+      max_transfers = int "max_transfers" }
+  in
+  let q =
+    match Frame.decode_request ~limits request with
+    | Ok (Frame.Inject q) -> q
+    | Ok _ | Error _ -> raise (Json.Bad "worker job carries no inject request")
+  in
+  let injection j =
+    { F.Journal.path = Json.str_field "path" j;
+      op = named journal_ops (Json.str_field "op" j);
+      nth = Json.int_field "nth" j;
+      errno = named errnos (Json.str_field "errno" j) }
+  in
+  { cfg =
+      { default_config with
+        state_dir = Json.str_field "state_dir" h;
+        jobs = Json.int_field "jobs" h; limits;
+        default_deadline_ms =
+          (match Json.field "deadline_ms" h with
+           | Some (Json.Int ms) -> Some ms
+           | _ -> None) };
+    q;
+    golden =
+      (match Json.str_field "golden" h with
+       | "off" -> `Off
+       | "miss" -> `Miss (Json.str_field "key" h)
+       | "hit" -> `Hit artifact
+       | g -> raise (Json.Bad ("unknown golden decision " ^ g)));
+    chaos =
+      (match Json.field "chaos" h with
+       | Some (Json.Arr js) -> List.map injection js
+       | _ -> raise (Json.Bad "missing chaos list")) }
+
+(* Worker body, in a fresh process: fresh stop flag, fresh journal
+   writer, fresh width-limited pool — nothing shared with the daemon
+   beyond the pipes and the journal file (O_APPEND, so even an orphan
+   from a killed daemon interleaves safely).  The parent already
+   validated the model from the same bytes, so a parse failure here is
+   unreachable; it still exits cleanly rather than trusting that.
+
+   The plan is compiled here, once: a [Batch.plan] holds closures and
+   cannot be sent.  [golden] is the golden-tier decision: [`Hit]
+   brings the artifact's bytes; [`Miss key] makes this worker build it
    and ship it back over the pipe ({!Frame.Artifact}) {e before} the
    campaign runs, so the parent's tier warms even if the worker later
    crashes mid-campaign; [`Off] disables the tier. *)
-let child_main (cfg : config) (q : Frame.inject) ~plan ~golden fd =
-  let stop = Atomic.make false in
-  Sys.set_signal Sys.sigterm
-    (Sys.Signal_handle (fun _ -> Atomic.set stop true));
-  Sys.set_signal Sys.sigint Sys.Signal_ignore;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let t0 = Unix.gettimeofday () in
+let child_main ~stop ~t0 { cfg; q; golden; chaos } fd =
+  F.Journal.set_chaos chaos;
   let wlock = Mutex.create () in
   let emit resp =
     Mutex.lock wlock;
@@ -411,10 +534,10 @@ let child_main (cfg : config) (q : Frame.inject) ~plan ~golden fd =
     ignore ok
   in
   match C.Rtm.parse ~limits:cfg.limits ~file:"<request>" q.Frame.model with
-  | Error _ -> Unix._exit 2
+  | Error _ -> exit 2
   | Ok (model, _warnings) ->
     if Diag.has_errors (C.Model.validate_diags ~limits:cfg.limits model)
-    then Unix._exit 2;
+    then exit 2;
     let digest = C.Snapshot.digest_of_model model in
     let faults = F.Fault.enumerate ?limit:q.Frame.limit model in
     let labels = List.map F.Fault.to_string faults in
@@ -423,6 +546,9 @@ let child_main (cfg : config) (q : Frame.inject) ~plan ~golden fd =
     let token = token_of ~digest ~config_tag ~faults_digest in
     let journal = journal_path cfg token in
     let jobs = if cfg.jobs <= 0 then Par.default_jobs () else cfg.jobs in
+    let plan =
+      match C.Batch.plan model with p -> Some p | exception _ -> None
+    in
     let golden =
       let fresh key =
         (* build the campaign's golden work once and ship it to the
@@ -440,13 +566,15 @@ let child_main (cfg : config) (q : Frame.inject) ~plan ~golden fd =
       match golden with
       | `Off -> None
       | `Miss key -> fresh (Some key)
-      | `Hit a ->
-        (* inherited artifacts were checked by whoever cached them;
-           re-check the content-addressed header against this child's
-           own parse — O(1), so a daemon bug can only cost the
-           optimization, never the report or the warm latency *)
-        if F.Artifact.matches ~digest ~config_tag a then Some a
-        else fresh None
+      | `Hit text ->
+        (* the tier's bytes came from an earlier worker's [to_string];
+           re-check the content-addressed header against this
+           worker's own parse — O(1), so a daemon bug can only cost
+           the optimization, never the report.  The deep [validate]
+           walk would cost more than rebuilding the goldens *)
+        (match F.Artifact.of_string text with
+         | Ok a when F.Artifact.matches ~digest ~config_tag a -> Some a
+         | Ok _ | Error _ -> fresh None)
     in
     ignore
       (exec_campaign ?plan ?golden ~runner:(`Jobs jobs)
@@ -454,11 +582,49 @@ let child_main (cfg : config) (q : Frame.inject) ~plan ~golden fd =
          ~default_deadline_ms:cfg.default_deadline_ms q ~model ~digest
          ~faults ~labels ~token ~emit)
 
+let read_all fd =
+  let b = Buffer.create 65536 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents b
+    | n ->
+      Buffer.add_subbytes b chunk 0 n;
+      go ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
+let worker_entry () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = Worker.arg then begin
+    (* the deadline anchors at the spawn, and a drain's SIGTERM may
+       arrive while the job is still being read *)
+    let t0 = Unix.gettimeofday () in
+    let stop = Atomic.make false in
+    Sys.set_signal Sys.sigterm
+      (Sys.Signal_handle (fun _ -> Atomic.set stop true));
+    Sys.set_signal Sys.sigint Sys.Signal_ignore;
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    (match decode_job (read_all Unix.stdin) with
+     | job -> (try child_main ~stop ~t0 job Unix.stdout with _ -> exit 1)
+     | exception Json.Bad _ -> exit 2);
+    exit 0
+  end
+
 let backoff_s cfg attempt =
   let ms =
     min cfg.backoff_cap_ms (cfg.backoff_base_ms * (1 lsl min attempt 16))
   in
   float_of_int ms /. 1000.
+
+(* a golden-tier decision: hit (the cached value), miss (with the key
+   a worker ships its build under) or off *)
+let tier_lookup tier key =
+  match tier with
+  | None -> `Off
+  | Some cache ->
+    (match Cache.find cache key with Some v -> `Hit v | None -> `Miss key)
+
+let is_hit = function `Hit _ -> true | `Miss _ | `Off -> false
 
 (* Supervision loop: spawn the worker, relay its frames, and on a
    crash restart it — resuming from the journal checkpoint — with
@@ -466,8 +632,7 @@ let backoff_s cfg attempt =
    circuit breaker opens.  The client sees at most one terminal frame;
    entries already journaled before a crash are reused, not
    re-streamed. *)
-let run_forked t (q : Frame.inject) ~key ~tier_key ~plan ~golden0 ~token
-    ~emit =
+let run_forked (t : t) (q : Frame.inject) ~key ~tier_key ~golden0 ~token ~emit =
   let cfg = t.cfg in
   let grace_s = float_of_int cfg.worker_grace_ms /. 1000. in
   let timeout_s =
@@ -490,16 +655,7 @@ let run_forked t (q : Frame.inject) ~key ~tier_key ~plan ~golden0 ~token
        warm — it resumes from the journal AND skips the golden
        rebuild.  Attempt 0 reuses the lookup [handle_inject] already
        did for the [Started] flags *)
-    let golden =
-      if n = 0 then golden0
-      else
-        match t.goldens with
-        | None -> `Off
-        | Some cache ->
-          (match Cache.find cache tier_key with
-           | Some a -> `Hit a
-           | None -> `Miss tier_key)
-    in
+    let golden = if n = 0 then golden0 else tier_lookup t.shipped tier_key in
     let outcome =
       Worker.supervise ?timeout_s ~grace_s
         ~should_stop:(fun () -> Atomic.get t.stop)
@@ -507,20 +663,19 @@ let run_forked t (q : Frame.inject) ~key ~tier_key ~plan ~golden0 ~token
           match cfg.on_worker with
           | Some f -> f ~pid ~token
           | None -> ())
-        ~child:(fun fd ->
-          child_main cfg { q with Frame.resume } ~plan ~golden fd)
+        ~job:
+          (encode_job
+             { cfg; q = { q with Frame.resume }; golden;
+               chaos = F.Journal.chaos () })
         ~on_line:(fun line ->
           match Frame.decode_response ~limits:cfg.limits line with
           | Ok (Frame.Artifact { key = akey; text }) ->
-            (* the worker's golden work, shipped home: deposit and
-               never relay — clients speak campaign frames only.  A
-               mangled artifact is dropped (the next cold request just
-               rebuilds), keyed-elsewhere ones too *)
-            (match t.goldens with
-             | Some cache when akey = tier_key ->
-               (match F.Artifact.of_string text with
-                | Ok a -> Cache.add cache tier_key a
-                | Error _ -> ())
+            (* the worker's golden work, shipped home: deposit the bytes
+               unparsed and never relay — clients speak campaign frames
+               only.  The next worker for this key parses and checks
+               them; keyed-elsewhere ones are dropped *)
+            (match t.shipped with
+             | Some cache when akey = tier_key -> Cache.add cache tier_key text
              | Some _ | None -> ());
             `Continue
           | Ok (Frame.Entry _ as resp) ->
@@ -678,13 +833,16 @@ let handle_inject t (q : Frame.inject) ~client ~emit =
                    | None ->
                      (* compile and enumerate once in the parent:
                         bounded, deterministic, exception-fenced work,
-                        safe outside the crash boundary — and the
-                        entry is inherited by every forked worker at
-                        spawn *)
+                        safe outside the crash boundary.  A forked
+                        worker compiles its own plan, so a forked
+                        engine keeps only the enumeration *)
                      let p =
-                       match C.Batch.plan model with
-                       | p -> Some p
-                       | exception _ -> None
+                       match t.cfg.isolation with
+                       | `Forked -> None
+                       | `In_process ->
+                         (match C.Batch.plan model with
+                          | p -> Some p
+                          | exception _ -> None)
                      in
                      let e =
                        { pe_plan = p; pe_faults = F.Fault.enumerate model }
@@ -702,67 +860,63 @@ let handle_inject t (q : Frame.inject) ~client ~emit =
               let faults_digest = F.Journal.faults_digest labels in
               let token = token_of ~digest ~config_tag ~faults_digest in
               let journal = journal_path t.cfg token in
-              let golden0 =
-                match t.goldens with
-                | None -> `Off
-                | Some cache ->
-                  (match Cache.find cache tier_key with
-                   | Some a -> `Hit a
-                   | None -> `Miss tier_key)
-              in
-              let golden_cached =
-                match golden0 with `Hit _ -> true | `Miss _ | `Off -> false
+              let golden_cached, run =
+                match t.cfg.isolation with
+                | `Forked ->
+                  let golden0 = tier_lookup t.shipped tier_key in
+                  ( is_hit golden0,
+                    fun () ->
+                      run_forked t q ~key ~tier_key ~golden0 ~token ~emit )
+                | `In_process ->
+                  let golden0 = tier_lookup t.goldens tier_key in
+                  ( is_hit golden0,
+                    fun () ->
+                      let golden =
+                        (* the golden simulations run here either way —
+                           inside [make_ctx] on the cold path, in [prepare]
+                           on this one — so building the artifact in the
+                           handling thread adds no latency, and the next
+                           request for this model skips them entirely *)
+                        let fresh key =
+                          match F.Campaign.prepare ?plan model with
+                          | a ->
+                            (match (key, t.goldens) with
+                             | Some key, Some cache -> Cache.add cache key a
+                             | _ -> ());
+                            Some a
+                          | exception _ -> None
+                        in
+                        match golden0 with
+                        | `Off -> None
+                        | `Miss k -> fresh (Some k)
+                        | `Hit a ->
+                          (* the tier key is (digest | config tag), so a
+                             hit only needs the O(1) header re-check — the
+                             deep walk would cost more than the golden
+                             work the hit saves *)
+                          if F.Artifact.matches ~digest ~config_tag a then
+                            Some a
+                          else fresh None
+                      in
+                      (match
+                         exec_campaign ?plan ?golden
+                           ~runner:(`Pool (pool_of t, t.campaign_lock))
+                           ~stopping:(fun () -> Atomic.get t.stop) ~journal ~t0
+                           ~default_deadline_ms:t.cfg.default_deadline_ms q
+                           ~model ~digest ~faults ~labels ~token ~emit
+                       with
+                       | `Report ->
+                         bump t (fun c -> c.campaigns <- c.campaigns + 1)
+                       | `Drained ->
+                         bump t (fun c -> c.drained <- c.drained + 1)
+                       | `Refused ->
+                         bump t (fun c -> c.refused <- c.refused + 1)) )
               in
               emit
                 (Frame.Started
                    { token; total; cached; plan_cached; golden_cached });
               inflight_enter t token;
-              Fun.protect ~finally:(fun () -> inflight_exit t token)
-              @@ fun () ->
-              (match t.cfg.isolation with
-               | `Forked ->
-                 run_forked t q ~key ~tier_key ~plan ~golden0 ~token ~emit
-               | `In_process ->
-                 let golden =
-                   (* the golden simulations run here either way —
-                      inside [make_ctx] on the cold path, in [prepare]
-                      on this one — so building the artifact in the
-                      handling thread adds no latency, and the next
-                      request for this model skips them entirely *)
-                   let fresh key =
-                     match F.Campaign.prepare ?plan model with
-                     | a ->
-                       (match (key, t.goldens) with
-                        | Some key, Some cache -> Cache.add cache key a
-                        | _ -> ());
-                       Some a
-                     | exception _ -> None
-                   in
-                   match golden0 with
-                   | `Off -> None
-                   | `Miss k -> fresh (Some k)
-                   | `Hit a ->
-                     (* the tier key is (digest | config tag), so a
-                        hit only needs the O(1) header re-check — the
-                        deep walk would cost more than the golden
-                        work the hit saves *)
-                     if F.Artifact.matches ~digest ~config_tag a then
-                       Some a
-                     else fresh None
-                 in
-                 (match
-                    exec_campaign ?plan ?golden
-                      ~runner:(`Pool (pool_of t, t.campaign_lock))
-                      ~stopping:(fun () -> Atomic.get t.stop) ~journal ~t0
-                      ~default_deadline_ms:t.cfg.default_deadline_ms q
-                      ~model ~digest ~faults ~labels ~token ~emit
-                  with
-                  | `Report ->
-                    bump t (fun c -> c.campaigns <- c.campaigns + 1)
-                  | `Drained ->
-                    bump t (fun c -> c.drained <- c.drained + 1)
-                  | `Refused ->
-                    bump t (fun c -> c.refused <- c.refused + 1)))))
+              Fun.protect ~finally:(fun () -> inflight_exit t token) run))
 
 let tier_stats (cs : Cache.stats) =
   { Frame.hits = cs.Cache.hits; misses = cs.Cache.misses;
@@ -788,7 +942,10 @@ let stats t =
       active = snap.Admission.active; queued = snap.Admission.queued;
       restarts = c.restarts; crashes = c.crashes; quarantined;
       model = tier_stats cs; plan = opt_tier t.plans;
-      golden = opt_tier t.goldens }
+      golden =
+        (match t.shipped with
+         | Some c -> tier_stats (Cache.stats c)
+         | None -> opt_tier t.goldens) }
   in
   Mutex.unlock t.counters_lock;
   r

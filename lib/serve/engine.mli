@@ -28,9 +28,12 @@ type config = {
   jobs : int;  (** pool width; [<= 0] means {!Csrtl_par.Par.default_jobs} *)
   cache_capacity : int;  (** compile-cache entries (LRU beyond that) *)
   plan_cache_capacity : int;
-      (** compiled {!Csrtl_core.Batch.plan} tier, keyed by (model
-          digest | config tag); [<= 0] disables it — every campaign
-          then compiles its own plan, the pre-tier behaviour *)
+      (** compiled {!Csrtl_core.Batch.plan} and fault-enumeration
+          tier, keyed by (model digest | config tag); [<= 0] disables
+          it — every campaign then compiles its own plan, the pre-tier
+          behaviour.  A [`Forked] engine keeps only the enumeration
+          here: a plan cannot cross into a worker, which compiles its
+          own *)
   golden_cache_capacity : int;
       (** golden {!Csrtl_fault.Artifact} tier (clean observations +
           checkpoints), same key; [<= 0] disables it.  Warm campaigns
@@ -45,7 +48,8 @@ type config = {
       (** server-wide per-request deadline when the request names none *)
   isolation : [ `In_process | `Forked ];
       (** [`Forked] (the CLI daemon's default) runs each campaign in a
-          supervised worker process — the crash-only mode.
+          supervised worker process — the crash-only mode; see
+          {!worker_entry}.
           [`In_process] is the PR 6 behaviour for embedders: campaigns
           share the daemon's lazy domain pool *)
   max_queue : int;  (** total requests waiting in the admission queue *)
@@ -80,8 +84,19 @@ type t
 
 val create : config -> t
 (** Creates the state directory.  The domain pool is lazy: it only
-    materialises when an in-process campaign runs, so a [`Forked]
-    daemon stays domain-free — the precondition for [Unix.fork]. *)
+    materialises when an in-process campaign runs.  A [`Forked]
+    engine starts its workers as fresh processes of the running
+    executable, which must therefore call {!worker_entry} first thing
+    in its main. *)
+
+val worker_entry : unit -> unit
+(** The campaign worker's entry point.  When this process was started
+    as a [`Forked] engine's worker ([argv] is exactly the executable
+    and {!Worker.arg}), read the job from stdin, run the campaign,
+    write its frames to stdout and exit — 0 after a terminal frame, 1
+    on an escaped exception, 2 on an unreadable job.  Otherwise return
+    at once.  Every executable that runs a [`Forked] engine calls it
+    at the top of its main, before parsing its own command line. *)
 
 val dispose : t -> unit
 (** Join the pool (if one materialised).  The engine is unusable

@@ -13,6 +13,8 @@
      its campaign keeps journaling so the work is resumable.
    - Oversized request lines are swallowed by the bounded reader and
      answered with a status-2 diagnostic — the connection survives.
+   - The listening and connection sockets are close-on-exec: a
+     campaign worker process never holds a client's connection open.
    - The socket path belongs to one live daemon at a time: a second
      daemon on the same path refuses to start, and a daemon removes
      the socket file at exit only if it is still the one it bound. *)
@@ -138,7 +140,7 @@ let listen path =
     | Error e -> cannot e
   in
   Result.bind stale @@ fun () ->
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match
     Unix.bind fd (Unix.ADDR_UNIX path);
     let st = Unix.lstat path in
@@ -205,7 +207,7 @@ let serve ?(config = default_config) () =
       (match Unix.select [ lfd ] [] [] 0.2 with
        | [], _, _ -> ()
        | _ ->
-         (match Unix.accept lfd with
+         (match Unix.accept ~cloexec:true lfd with
           | fd, _ ->
             let conn =
               { id = Atomic.fetch_and_add srv.next_id 1; fd;

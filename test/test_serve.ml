@@ -793,6 +793,23 @@ let test_forked_matches_offline () =
       check_int "no crashes" 0 stats.S.Frame.crashes;
       check_int "no restarts" 0 stats.S.Frame.restarts)
 
+(* OCaml 5 refuses to fork a process for the rest of its life once it
+   has spawned a domain, joined or not; a worker started without fork
+   does not care *)
+let test_forked_after_domain () =
+  Domain.join (Domain.spawn ignore);
+  let text = fig1_text () in
+  let m, _ = Result.get_ok (C.Rtm.parse text) in
+  let offline = F.Campaign.run ~batch:32 m in
+  forked (fun t ->
+      let r =
+        report_of
+          (collect t (S.Frame.Inject { (basic_inject text) with resume = false }))
+      in
+      Alcotest.(check string) "forked report after a domain = offline bytes"
+        (F.Campaign.render_report ~table:false offline)
+        r.text)
+
 let test_worker_kill_restart () =
   let text = fig1_text () in
   let m, _ = Result.get_ok (C.Rtm.parse text) in
@@ -877,23 +894,18 @@ let test_daemon_sigkill_resume () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let sock = Filename.concat dir "d.sock" in
   let state = Filename.concat dir "state" in
+  (* the daemon is the real csrtl binary in its own process, built
+     next to this test (a test/dune dependency) *)
+  let csrtl =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "csrtl.exe" ]
+  in
   let spawn_daemon () =
-    match Unix.fork () with
-    | 0 ->
-      (try
-         ignore
-           (S.Server.serve
-              ~config:
-                { S.Server.default_config with
-                  S.Server.socket = sock;
-                  engine =
-                    { S.Engine.default_config with
-                      S.Engine.state_dir = state; jobs = 1;
-                      isolation = `In_process } }
-              ())
-       with _ -> ());
-      Unix._exit 0
-    | pid -> pid
+    Unix.create_process csrtl
+      [| csrtl; "serve"; "--socket"; sock; "--state-dir"; state; "--jobs";
+         "1"; "--isolation"; "in-process"; "--quiet" |]
+      Unix.stdin Unix.stdout Unix.stderr
   in
   let connect () =
     match S.Client.connect ~retries:200 ~delay:0.02 sock with
@@ -1200,6 +1212,8 @@ let test_socket_ownership () =
     (read_file sock)
 
 let () =
+  (* forked engines re-execute this binary as their campaign workers *)
+  S.Engine.worker_entry ();
   Alcotest.run "serve"
     [ ( "codec",
         [ QCheck_alcotest.to_alcotest ~long:false request_round_trip;
@@ -1246,7 +1260,9 @@ let () =
           Alcotest.test_case "repeated crashes quarantine the model" `Quick
             test_quarantine;
           Alcotest.test_case "daemon SIGKILL, restart, token reuse" `Quick
-            test_daemon_sigkill_resume ] );
+            test_daemon_sigkill_resume;
+          Alcotest.test_case "forked report after a domain ran" `Quick
+            test_forked_after_domain ] );
       ( "client",
         [ Alcotest.test_case "retry classification and backoff" `Quick
             test_client_retry_policy;
