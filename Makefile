@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke bench bench-smoke bench-json report examples doc clean
+.PHONY: all build test check fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke oneshot-smoke bench bench-smoke bench-json report examples doc clean
 
 all: build
 
@@ -16,7 +16,7 @@ test:
 # (conflict.rtm does, by design), so both 0 and 1 count as a clean
 # diagnosis here; any other exit fails.  The closing inject run shards
 # across two domains, smoking the worker pool end to end.
-check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke
+check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke oneshot-smoke
 	OCAMLRUNPARAM=b dune runtest
 	@mkdir -p _build/check
 	@for f in test/corpus/*.rtm; do \
@@ -85,6 +85,35 @@ check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke
 	@dune exec --no-build bench/main.exe -- json-check-serve \
 	  _build/check/BENCH_serve.json
 	@echo "make check: all corpus models validated"
+
+# A one-shot campaign on a 32-transfer chain allocates less than one
+# minor heap, so its process must finish without a single minor
+# collection: OCAMLRUNPARAM=v=0x400 prints the GC counters at exit, and
+# a forced collection (an `Array.make` of more than 256 slots seeded
+# with a young value) shows up as minor_collections > 0.  Its report
+# must still equal the kernel path's byte for byte.
+oneshot-smoke: build
+	@echo "one-shot campaign smoke (no minor collection, kernel bytes):"
+	@CSRTL=_build/default/bin/csrtl.exe; mkdir -p _build/check; \
+	{ echo "model oneshot"; echo "csmax 65"; \
+	  echo "reg R0 init 1"; echo "reg R1 init 2"; \
+	  echo "bus BA BB"; echo "unit ADD ops add latency 1"; \
+	  i=0; while [ $$i -lt 32 ]; do r=$$((2 * i + 1)); \
+	    d=R1; [ $$((i % 2)) -eq 1 ] && d=R0; \
+	    echo "transfer R0 BA R1 BB $$r ADD $$((r + 1)) BA $$d"; \
+	    i=$$((i + 1)); done; } > _build/check/oneshot.rtm; \
+	OCAMLRUNPARAM=v=0x400 $$CSRTL inject _build/check/oneshot.rtm \
+	  --jobs 0 --table > _build/check/oneshot.out \
+	  2> _build/check/oneshot.gc; \
+	grep -q '^minor_collections: 0$$' _build/check/oneshot.gc || \
+	  { echo "oneshot-smoke FAILED: the campaign collected"; \
+	    grep '^minor_' _build/check/oneshot.gc; exit 1; }; \
+	$$CSRTL inject _build/check/oneshot.rtm --engine kernel --table \
+	  > _build/check/oneshot_kernel.out; \
+	cmp _build/check/oneshot_kernel.out _build/check/oneshot.out || \
+	  { echo "oneshot-smoke FAILED: report differs from --engine kernel"; \
+	    exit 1; }; \
+	echo "  $$(grep '^minor_words' _build/check/oneshot.gc), 0 minor collections, bytes = --engine kernel"
 
 # Deterministic fuzz pass over the untrusted-input frontier (VHDL,
 # .rtm, .alg): a fixed seed, so the run is reproducible everywhere;

@@ -6,25 +6,24 @@ type t = {
 }
 
 let of_model (m : Model.t) =
-  let legs = Array.of_list (fst (Model.all_legs m)) in
+  (* one walk over the leg list; an [Array.of_list] of it would seed a
+     long array with a young leg and force a minor collection *)
+  let legs = fst (Model.all_legs m) in
+  let leg_step = Array.make (List.length legs) 0 in
   let first_write = Hashtbl.create 32 in
   List.iter (fun b -> Hashtbl.replace first_write b (m.cs_max + 1)) m.buses;
-  Array.iter
-    (fun (l : Transfer.leg) ->
-      let sink = Transfer.endpoint_name l.dst in
-      match Hashtbl.find_opt first_write sink with
-      | Some s when s <= l.step -> ()
-      | _ -> Hashtbl.replace first_write sink l.step)
-    legs;
   let final_wb = ref [] in
-  Array.iteri
+  List.iteri
     (fun i (l : Transfer.leg) ->
+      leg_step.(i) <- l.step;
+      let sink = Transfer.endpoint_name l.dst in
+      (match Hashtbl.find_opt first_write sink with
+       | Some s when s <= l.step -> ()
+       | _ -> Hashtbl.replace first_write sink l.step);
       if l.step = m.cs_max && Phase.equal l.phase Phase.Wb then
         final_wb := i :: !final_wb)
     legs;
-  { model = m;
-    leg_step = Array.map (fun (l : Transfer.leg) -> l.step) legs;
-    first_write;
+  { model = m; leg_step; first_write;
     final_wb = Array.of_list (List.rev !final_wb) }
 
 let step t index =

@@ -237,19 +237,18 @@ let validate_diags ?limits m =
   check_limits ?limits m @ List.map (error_to_diag m) (validate m)
 
 let all_legs m =
-  let legs, selects =
-    List.fold_left
-      (fun (legs, sels) t ->
-        let t =
-          match (t : Transfer.t).op with
-          | Some _ -> t
-          | None -> { t with op = effective_op m t }
-        in
-        let l, s = Transfer.decompose t in
-        (List.rev_append l legs, List.rev_append s sels))
-      ([], []) m.transfers
-  in
-  (List.rev legs, List.rev selects)
+  (* from the last tuple to the first, so each tuple's legs are copied
+     once onto the result *)
+  List.fold_right
+    (fun t (legs, sels) ->
+      let t =
+        match (t : Transfer.t).op with
+        | Some _ -> t
+        | None -> { t with op = effective_op m t }
+      in
+      let l, s = Transfer.decompose t in
+      (l @ legs, s @ sels))
+    m.transfers ([], [])
 
 let pp_error ppf e =
   match e.transfer with

@@ -142,8 +142,14 @@ let compile_base (m : Model.t) =
         slot_rev.(k) <- a :: slot_rev.(k);
         prov_rev.(k) <- -1 :: prov_rev.(k))
     selects;
-  let slots = Array.map (fun l -> Array.of_list (List.rev l)) slot_rev in
-  let slot_prov = Array.map (fun l -> Array.of_list (List.rev l)) prov_rev in
+  (* filled in place: [Array.map] would seed these schedule-length
+     tables with a freshly allocated row, and a young initial value
+     forces a minor collection once a table passes 256 slots *)
+  let slots = Array.make nslots [||] and slot_prov = Array.make nslots [||] in
+  for k = 0 to nslots - 1 do
+    slots.(k) <- Array.of_list (List.rev slot_rev.(k));
+    slot_prov.(k) <- Array.of_list (List.rev prov_rev.(k))
+  done;
   let static_actions =
     Array.fold_left (fun n a -> n + Array.length a) 0 slots
   in

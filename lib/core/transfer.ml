@@ -52,39 +52,47 @@ let leg_dest_name = function To_reg n | To_output n -> n
 let endpoint_name = function
   | Reg_out r -> r ^ ".out"
   | Reg_in r -> r ^ ".in"
-  | Fu_in (f, i) -> Printf.sprintf "%s.in%d" f i
+  | Fu_in (f, 1) -> f ^ ".in1"
+  | Fu_in (f, 2) -> f ^ ".in2"
+  | Fu_in (f, i) -> String.concat "" [ f; ".in"; string_of_int i ]
   | Fu_out f -> f ^ ".out"
   | Bus b -> b
   | In_port p -> p
   | Out_port p -> p
 
 let decompose t =
-  let read_legs port src bus =
-    match src, bus, t.read_step with
-    | Some s, Some b, Some step ->
-      [ { step; phase = Phase.Ra; src = source_endpoint s; dst = Bus b };
-        { step; phase = Phase.Rb; src = Bus b; dst = Fu_in (t.fu, port) } ]
-    | _, _, _ -> []
-  in
-  let write_legs =
+  (* consed straight into phase order — [Ra] a, [Ra] b, [Rb] a, [Rb] b,
+     then the write legs — since every model's leg table is built
+     from this *)
+  let writes =
     match t.write_step, t.write_bus with
     | Some step, Some b ->
-      let wa =
-        { step; phase = Phase.Wa; src = Fu_out t.fu; dst = Bus b }
+      let bus = Bus b in
+      let wb =
+        match t.dst with
+        | Some d ->
+          [ { step; phase = Phase.Wb; src = bus; dst = dest_endpoint d } ]
+        | None -> []
       in
-      (match t.dst with
-       | Some d ->
-         [ wa; { step; phase = Phase.Wb; src = Bus b;
-                 dst = dest_endpoint d } ]
-       | None -> [ wa ])
+      { step; phase = Phase.Wa; src = Fu_out t.fu; dst = bus } :: wb
     | _, _ -> []
   in
+  let ra src bus rest =
+    match src, bus, t.read_step with
+    | Some s, Some b, Some step ->
+      { step; phase = Phase.Ra; src = source_endpoint s; dst = Bus b } :: rest
+    | _, _, _ -> rest
+  in
+  let rb port src bus rest =
+    match src, bus, t.read_step with
+    | Some _, Some b, Some step ->
+      { step; phase = Phase.Rb; src = Bus b; dst = Fu_in (t.fu, port) } :: rest
+    | _, _, _ -> rest
+  in
   let legs =
-    let ra_rb_a = read_legs 1 t.src_a t.bus_a in
-    let ra_rb_b = read_legs 2 t.src_b t.bus_b in
-    let by_phase p l = List.filter (fun leg -> leg.phase = p) l in
-    let reads = ra_rb_a @ ra_rb_b in
-    by_phase Phase.Ra reads @ by_phase Phase.Rb reads @ write_legs
+    ra t.src_a t.bus_a
+      (ra t.src_b t.bus_b
+         (rb 1 t.src_a t.bus_a (rb 2 t.src_b t.bus_b writes)))
   in
   let selects =
     match t.read_step, t.op with

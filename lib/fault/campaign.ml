@@ -147,9 +147,14 @@ let boundaries_of ~faults lf =
 let legs_of ~plan m =
   match plan with Some p -> Batch.legs p | None -> Legs.of_model m
 
-let prepare ?(config = Simulate.default) ?plan (m : Model.t) =
-  let plan = make_plan ?plan m in
-  let compiled = compiled_of ~config ~plan m in
+(* A campaign's goldens, computed afresh: the kernel-side one, timed
+   as the campaign's [est_us], then the interpreter's.  The kernel-side
+   golden takes the phase-compiled fast path when the configuration
+   stays on its schedule (fault runs themselves always need the kernel
+   or the interpreter — injection is dynamic).  The differential suite
+   pins Compiled = Simulate on the full observation, so classification
+   is unchanged. *)
+let run_goldens ~config ~compiled m =
   let t0 = Unix.gettimeofday () in
   let golden_k =
     match compiled with
@@ -159,7 +164,12 @@ let prepare ?(config = Simulate.default) ?plan (m : Model.t) =
         .Simulate.obs
   in
   let est_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-  let golden_i = Interp.run m in
+  (golden_k, Interp.run m, est_us)
+
+let prepare ?(config = Simulate.default) ?plan (m : Model.t) =
+  let plan = make_plan ?plan m in
+  let compiled = compiled_of ~config ~plan m in
+  let golden_k, golden_i, est_us = run_goldens ~config ~compiled m in
   let checkpoints =
     (* every boundary any enumerated fault can restore from — a
        superset of what any limited or resumed campaign needs, so one
@@ -237,22 +247,9 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
     ctx ~golden_k:a.Artifact.golden_k ~golden_i:a.Artifact.golden_i
       ~est_us:a.Artifact.est_us
   | None ->
-    let compiled = compiled_of ~config ~plan m in
-    let t0 = Unix.gettimeofday () in
-    let golden_k =
-      (* the kernel-side golden takes the phase-compiled fast path when
-         the configuration stays on its schedule (fault runs themselves
-         always need the kernel or the interpreter — injection is
-         dynamic).  The differential suite pins Compiled = Simulate on
-         the full observation, so classification is unchanged. *)
-      match compiled with
-      | Some cp -> Compiled.run cp
-      | None ->
-        (Simulate.run_cfg ~config:{ config with Simulate.watchdog = true } m)
-          .Simulate.obs
+    let golden_k, golden_i, est_us =
+      run_goldens ~config ~compiled:(compiled_of ~config ~plan m) m
     in
-    let est_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-    let golden_i = Interp.run m in
     ctx ~golden_k ~golden_i ~est_us
 
 (* [Simulate.expected_cycles_from ctx.m s0], off the law computed once *)

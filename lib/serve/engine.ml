@@ -275,6 +275,15 @@ let refuse ?retry_after_ms t ~emit status diags =
   bump t (fun c -> c.refused <- c.refused + 1);
   emit (Frame.Refused { status; retry_after_ms; diags })
 
+(* Count a campaign's terminal frame before it goes out: a client that
+   asks for [--stats] as soon as it reads its report finds the
+   campaign counted. *)
+let count_terminal t = function
+  | Frame.Report _ -> bump t (fun c -> c.campaigns <- c.campaigns + 1)
+  | Frame.Drained _ -> bump t (fun c -> c.drained <- c.drained + 1)
+  | Frame.Refused _ -> bump t (fun c -> c.refused <- c.refused + 1)
+  | _ -> ()
+
 let compile t (q : Frame.inject) =
   let key = Digest.to_hex (Digest.string q.Frame.model) in
   match Cache.find t.cache key with
@@ -294,8 +303,7 @@ let compile t (q : Frame.inject) =
 (* The campaign core, free of engine state so the forked worker and
    the in-process path run the same code — which is what keeps their
    reports byte-identical.  [stopping] is the drain flag only (engine
-   stop or worker SIGTERM); the deadline is computed here from [t0].
-   Returns what the terminal frame was, for the caller's counters. *)
+   stop or worker SIGTERM); the deadline is computed here from [t0]. *)
 let exec_campaign ?plan ?golden ~runner ~stopping ~journal ~t0
     ~default_deadline_ms (q : Frame.inject) ~model ~digest ~faults ~labels
     ~token ~emit =
@@ -364,28 +372,23 @@ let exec_campaign ?plan ?golden ~runner ~stopping ~journal ~t0
     emit
       (Frame.Refused
          { status = 2; retry_after_ms = None;
-           diags = [ Diag.error ~rule:"serve.journal" "%s" msg ] });
-    `Refused
+           diags = [ Diag.error ~rule:"serve.journal" "%s" msg ] })
   | Ok (report, info) ->
-    if info.F.Campaign.remaining > 0 then begin
+    if info.F.Campaign.remaining > 0 then
       emit
         (Frame.Drained
            { status = 1; token;
              completed = info.F.Campaign.reused + info.F.Campaign.rerun;
              total;
-             reason = (if stopping () then "shutdown" else "deadline") });
-      `Drained
-    end
-    else begin
+             reason = (if stopping () then "shutdown" else "deadline") })
+    else
       let code = inject_code report in
       emit
         (Frame.Report
            { status = (if code = 0 then 0 else 1); code; token;
              reused = info.F.Campaign.reused; rerun = info.F.Campaign.rerun;
              torn = info.F.Campaign.torn;
-             text = F.Campaign.render_report ~table:q.Frame.table report });
-      `Report
-    end
+             text = F.Campaign.render_report ~table:q.Frame.table report })
 
 (* ---- the forked worker ------------------------------------------- *)
 
@@ -576,11 +579,10 @@ let child_main ~stop ~t0 { cfg; q; golden; chaos } fd =
          | Ok a when F.Artifact.matches ~digest ~config_tag a -> Some a
          | Ok _ | Error _ -> fresh None)
     in
-    ignore
-      (exec_campaign ?plan ?golden ~runner:(`Jobs jobs)
-         ~stopping:(fun () -> Atomic.get stop) ~journal ~t0
-         ~default_deadline_ms:cfg.default_deadline_ms q ~model ~digest
-         ~faults ~labels ~token ~emit)
+    exec_campaign ?plan ?golden ~runner:(`Jobs jobs)
+      ~stopping:(fun () -> Atomic.get stop) ~journal ~t0
+      ~default_deadline_ms:cfg.default_deadline_ms q ~model ~digest ~faults
+      ~labels ~token ~emit
 
 let read_all fd =
   let b = Buffer.create 65536 and chunk = Bytes.create 65536 in
@@ -649,7 +651,6 @@ let run_forked (t : t) (q : Frame.inject) ~key ~tier_key ~golden0 ~token ~emit =
     | None, None -> None
   in
   let rec attempt n ~resume =
-    let terminal = ref `None in
     (* re-consult the golden tier on restarts: the first spawn ships
        the artifact before campaigning, so a crash-restart is already
        warm — it resumes from the journal AND skips the golden
@@ -682,15 +683,12 @@ let run_forked (t : t) (q : Frame.inject) ~key ~tier_key ~golden0 ~token ~emit =
             emit resp;
             `Continue
           | Ok (Frame.Report _ as resp) ->
-            terminal := `Report;
+            breaker_success t key;
+            count_terminal t resp;
             emit resp;
             `Terminal
-          | Ok (Frame.Drained _ as resp) ->
-            terminal := `Drained;
-            emit resp;
-            `Terminal
-          | Ok (Frame.Refused _ as resp) ->
-            terminal := `Refused;
+          | Ok ((Frame.Drained _ | Frame.Refused _) as resp) ->
+            count_terminal t resp;
             emit resp;
             `Terminal
           | Ok _ | Error _ ->
@@ -702,14 +700,7 @@ let run_forked (t : t) (q : Frame.inject) ~key ~tier_key ~golden0 ~token ~emit =
         ()
     in
     match outcome with
-    | Worker.Terminal ->
-      (match !terminal with
-       | `Report ->
-         breaker_success t key;
-         bump t (fun c -> c.campaigns <- c.campaigns + 1)
-       | `Drained -> bump t (fun c -> c.drained <- c.drained + 1)
-       | `Refused -> bump t (fun c -> c.refused <- c.refused + 1)
-       | `None -> ())
+    | Worker.Terminal -> ()
     | Worker.Crashed crash ->
       bump t (fun c -> c.crashes <- c.crashes + 1);
       let opened = breaker_crash t key in
@@ -809,11 +800,25 @@ let handle_inject t (q : Frame.inject) ~client ~emit =
                   instance" ]
          | Admission.Admitted ->
            let started = Unix.gettimeofday () in
-           Fun.protect
-             ~finally:(fun () ->
+           let released = ref false in
+           let release () =
+             if not !released then begin
+               released := true;
                Admission.release t.adm
-                 ~wall_ms:((Unix.gettimeofday () -. started) *. 1000.))
-           @@ fun () ->
+                 ~wall_ms:((Unix.gettimeofday () -. started) *. 1000.)
+             end
+           in
+           (* the lane is free before the terminal frame goes out, so
+              the client's next request is never queued behind, or
+              counted with, the campaign it has just seen finish *)
+           let emit resp =
+             (match resp with
+              | Frame.Report _ | Frame.Drained _ | Frame.Refused _ ->
+                release ()
+              | _ -> ());
+             emit resp
+           in
+           Fun.protect ~finally:release @@ fun () ->
            let cached, compiled = compile t q in
            (match compiled with
             | Error diags -> refuse t ~emit 2 diags
@@ -898,19 +903,14 @@ let handle_inject t (q : Frame.inject) ~client ~emit =
                             Some a
                           else fresh None
                       in
-                      (match
-                         exec_campaign ?plan ?golden
-                           ~runner:(`Pool (pool_of t, t.campaign_lock))
-                           ~stopping:(fun () -> Atomic.get t.stop) ~journal ~t0
-                           ~default_deadline_ms:t.cfg.default_deadline_ms q
-                           ~model ~digest ~faults ~labels ~token ~emit
-                       with
-                       | `Report ->
-                         bump t (fun c -> c.campaigns <- c.campaigns + 1)
-                       | `Drained ->
-                         bump t (fun c -> c.drained <- c.drained + 1)
-                       | `Refused ->
-                         bump t (fun c -> c.refused <- c.refused + 1)) )
+                      exec_campaign ?plan ?golden
+                        ~runner:(`Pool (pool_of t, t.campaign_lock))
+                        ~stopping:(fun () -> Atomic.get t.stop) ~journal ~t0
+                        ~default_deadline_ms:t.cfg.default_deadline_ms q
+                        ~model ~digest ~faults ~labels ~token
+                        ~emit:(fun resp ->
+                          count_terminal t resp;
+                          emit resp) )
               in
               emit
                 (Frame.Started

@@ -261,6 +261,36 @@ let test_alloc_per_fault () =
     [ (Rtm.of_file (Filename.concat "corpus" "fault_chain.rtm"), 2600.);
       (chain 32, 12500.) ]
 
+(* A one-shot campaign allocates less than one minor heap, so it need
+   never collect, unless something forces it.  [Array.make n v] with
+   n > 256 and a freshly allocated [v] does: it runs a minor
+   collection first, which then promotes the whole young heap.
+   Compiling the 390-slot table of a 32-transfer chain must not. *)
+let test_plan_forces_no_minor_gc () =
+  let m = chain 32 in
+  if m.Model.cs_max * Phase.count <= 256 then
+    Alcotest.fail "the chain no longer has more than 256 slots";
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  ignore (Sys.opaque_identity (Batch.plan m));
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  if after <> before then
+    Alcotest.failf "Batch.plan ran %d minor collection(s)" (after - before)
+
+(* The interpreter golden every campaign runs for its cross-check:
+   about 9.7k minor words on the 32-transfer chain, most of them the
+   leg list and model validation.  Hashtable state copied per phase
+   and names built per leg cost 79k. *)
+let test_interp_words () =
+  let m = chain 32 in
+  ignore (Interp.run m);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Interp.run m));
+  let words = Gc.minor_words () -. w0 in
+  if words > 10_000. then
+    Alcotest.failf "Interp.run (chain 32): %.0f minor words, bound 10000"
+      words
+
 (* ---- per-fault overlay cost ------------------------------------- *)
 
 (* Words a call allocates on either heap: the slot table of a long
@@ -360,6 +390,10 @@ let () =
             `Quick test_zero_alloc_merging;
           Alcotest.test_case "campaign minor words per fault bounded" `Quick
             test_alloc_per_fault;
+          Alcotest.test_case "plan of a long chain forces no minor GC" `Quick
+            test_plan_forces_no_minor_gc;
+          Alcotest.test_case "interpreter golden minor words bounded" `Quick
+            test_interp_words;
           Alcotest.test_case "overlay words independent of schedule length"
             `Quick test_overlay_words;
           Alcotest.test_case "witness words independent of schedule length"

@@ -810,6 +810,28 @@ let test_forked_after_domain () =
         (F.Campaign.render_report ~table:false offline)
         r.text)
 
+(* A client that asks for the stats as soon as it reads its report
+   must find that campaign counted and its lane free, under either
+   isolation.  [stats] taken inside [emit] sees the engine exactly as
+   the report leaves it. *)
+let test_stats_settled_at_report () =
+  let text = fig1_text () in
+  let check t =
+    let seen = ref None in
+    S.Engine.handle t
+      (S.Frame.Inject { (basic_inject text) with resume = false })
+      ~emit:(function
+        | S.Frame.Report _ -> seen := Some (S.Engine.stats t)
+        | _ -> ());
+    match !seen with
+    | Some s ->
+      check_int "campaign counted" 1 s.S.Frame.campaigns;
+      check_int "lane released" 0 s.S.Frame.active
+    | None -> Alcotest.fail "no Report frame"
+  in
+  with_engine check;
+  forked check
+
 let test_worker_kill_restart () =
   let text = fig1_text () in
   let m, _ = Result.get_ok (C.Rtm.parse text) in
@@ -1251,7 +1273,9 @@ let () =
           Alcotest.test_case "per-client round-robin fairness" `Quick
             test_admission_fairness;
           Alcotest.test_case "queue bounds, deadlines, drain" `Quick
-            test_admission_bounds ] );
+            test_admission_bounds;
+          Alcotest.test_case "stats settled when the report goes out" `Quick
+            test_stats_settled_at_report ] );
       ( "workers",
         [ Alcotest.test_case "forked report = offline bytes" `Quick
             test_forked_matches_offline;
