@@ -243,8 +243,8 @@ chaos-smoke: build
 	@echo "chaos smoke (crash-only recovery, 200 seeded injections):"
 	@dune exec --no-build csrtl -- chaos --seed 42 --runs 200 --quiet
 
-# The multicore scaling gate: a 2-worker campaign on the widest
-# corpus model must reach efficiency >= 0.6 against the sequential
+# The multicore scaling gate: a 2-worker kernel-path campaign on a
+# 48-transfer chain must reach efficiency >= 0.6 against the sequential
 # run (normalized by the host's core count, so a 1-core container
 # passes on overhead alone) with byte-identical reports.
 scaling-smoke: build

@@ -853,13 +853,12 @@ let inject_cmd =
     let doc =
       "Reuse the campaign's golden work across invocations via an \
        on-disk content-addressed store in $(docv) (created if absent): \
-       the clean golden runs of both engines plus the golden \
-       checkpoints are keyed by (model digest, config tag), so a warm \
-       campaign skips them entirely.  Editing the model changes the \
-       key — stale hits are impossible.  A corrupt or mismatched entry \
-       is diagnosed on stderr (rule $(b,serve.artifact)) and rebuilt, \
-       never trusted.  The report is byte-identical with or without \
-       the cache."
+       the clean golden runs of both engines are keyed by (model \
+       digest, config tag), so a warm campaign skips them entirely.  \
+       Editing the model changes the key — stale hits are impossible.  \
+       A corrupt or mismatched entry is diagnosed on stderr (rule \
+       $(b,serve.artifact)) and rebuilt, never trusted.  The report \
+       is byte-identical with or without the cache."
     in
     Arg.(value & opt (some string) None
          & info [ "artifact-cache" ] ~docv:"DIR" ~doc)
@@ -1202,9 +1201,8 @@ let serve_cmd =
   let golden_cache =
     Arg.(value & opt int 64
          & info [ "golden-cache" ] ~docv:"N"
-             ~doc:"Golden-tier capacity (golden observations and \
-                   checkpoints, keyed by structural digest); 0 \
-                   disables the tier.")
+             ~doc:"Golden-tier capacity (golden observations, keyed \
+                   by structural digest); 0 disables the tier.")
   in
   let max_pending =
     Arg.(value & opt int 4

@@ -20,9 +20,10 @@ let op_printer (ops : Ops.t list) v =
     | None -> Printf.sprintf "?op:%d" v
 
 let build ?kernel ?(wait_impl = `Keyed) ?(resolution_impl = `Incremental)
-    ?(inject = Inject.none) ?(degrade_illegal = false) ?from (m : Model.t) =
+    ?(inject = Inject.none) ?(degrade_illegal = false) ?digest ?from
+    (m : Model.t) =
   Model.validate_exn m;
-  (match from with Some s -> Snapshot.validate_exn m s | None -> ());
+  (match from with Some s -> Snapshot.validate_exn ?digest m s | None -> ());
   (* Resuming from a control-step boundary: the controller starts at
      the snapshot step, restored state becomes each process's initial
      assignment, and every statically-scheduled process whose slot lies

@@ -28,6 +28,7 @@ val build :
   ?resolution_impl:[ `Incremental | `Fold ] ->
   ?inject:Inject.t ->
   ?degrade_illegal:bool ->
+  ?digest:string ->
   ?from:Snapshot.t ->
   Model.t -> t
 (** Validates the model ({!Model.validate_exn}) and instantiates all
@@ -62,8 +63,9 @@ val build :
     oscillator) whose slot lies at or before the boundary is not
     elaborated — the quiescence property of SEMANTICS §10 makes this
     complete.  Raises [Invalid_argument] when the snapshot does not
-    validate against the model, or when a latency override conflicts
-    with the snapshot's pipeline depth. *)
+    validate against the model ({!Snapshot.validate}; a caller holding
+    the model's [digest] passes it to skip re-digesting), or when a
+    latency override conflicts with the snapshot's pipeline depth. *)
 
 val bus_signals : t -> (string * Csrtl_kernel.Signal.t) list
 val register_outputs : t -> (string * Csrtl_kernel.Signal.t) list

@@ -489,9 +489,9 @@ let snapshot_at ~step m =
   | [ s ] -> s
   | _ -> assert false
 
-let resume ?inject ~(from : Snapshot.t) (m : Model.t) =
+let resume ?digest ?inject ~(from : Snapshot.t) (m : Model.t) =
   Model.validate_exn m;
-  Snapshot.validate_exn m from;
+  Snapshot.validate_exn ?digest m from;
   let inject = Option.value ~default:Inject.none inject in
   let st = init ~inject m in
   (* a validated snapshot lists registers and units in declaration

@@ -51,7 +51,9 @@ val snapshots_at : steps:int list -> Model.t -> Snapshot.t list
 (** One golden run, capturing every requested boundary; returned in
     ascending step order with duplicates removed. *)
 
-val resume : ?inject:Inject.t -> from:Snapshot.t -> Model.t -> Observation.t
+val resume :
+  ?digest:string -> ?inject:Inject.t -> from:Snapshot.t -> Model.t ->
+  Observation.t
 (** Reinstall a snapshot and run the remaining [cs_max - from.step]
     control steps.  Without [inject], the result equals the
     uninterrupted {!run} observation-for-observation.  With [inject],
@@ -60,4 +62,4 @@ val resume : ?inject:Inject.t -> from:Snapshot.t -> Model.t -> Observation.t
     {!Csrtl_fault.Fault.first_step}); latency overrides that reshape a
     unit pipeline are rejected with [Invalid_argument].  Raises
     [Invalid_argument] when the snapshot does not validate against the
-    model. *)
+    model ({!Snapshot.validate}, which [digest] skips re-digesting). *)

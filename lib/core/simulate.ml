@@ -77,12 +77,12 @@ let expected_cycles_injected ~inject m s0 =
 
 let watchdog_slack = 16
 
-let run_internal ?vcd ?(trace = false) ?inject ?(config = default) ?from
-    ?capture_at (m : Model.t) =
+let run_internal ?vcd ?(trace = false) ?inject ?(config = default) ?digest
+    ?from ?capture_at (m : Model.t) =
   let { wait_impl; resolution_impl; on_illegal; watchdog } = config in
   let e =
     Elaborate.build ~wait_impl ~resolution_impl ?inject
-      ~degrade_illegal:(on_illegal = Degrade) ?from m
+      ~degrade_illegal:(on_illegal = Degrade) ?digest ?from m
   in
   let s0 = match from with Some s -> s.Snapshot.step | None -> 0 in
   let k = e.kernel in
@@ -282,8 +282,8 @@ let snapshot_at ?(config = default) ~step (m : Model.t) =
        an uninjected model cannot do *)
     invalid_arg "Simulate.snapshot_at: run ended before the boundary"
 
-let resume ?vcd ?trace ?inject ?config ~from m =
-  fst (run_internal ?vcd ?trace ?inject ?config ~from m)
+let resume ?vcd ?trace ?inject ?config ?digest ~from m =
+  fst (run_internal ?vcd ?trace ?inject ?config ?digest ~from m)
 
 let run ?vcd ?trace ?wait_impl ?resolution_impl ?inject ?on_illegal
     ?watchdog m =

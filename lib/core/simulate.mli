@@ -106,7 +106,7 @@ val snapshot_at : ?config:config -> step:int -> Model.t -> Snapshot.t
 
 val resume :
   ?vcd:Buffer.t -> ?trace:bool -> ?inject:Inject.t -> ?config:config ->
-  from:Snapshot.t -> Model.t -> result
+  ?digest:string -> from:Snapshot.t -> Model.t -> result
 (** Reinstall a snapshot (from any engine) and run the remaining
     control steps on the kernel.  Without [inject] the observation
     equals the uninterrupted run's; the reported [cycles] cover only
@@ -114,7 +114,8 @@ val resume :
     result is meaningful when the fault cannot act at or before the
     boundary ({!Csrtl_fault.Fault.first_step}); the watchdog, when
     enabled, bounds the segment by its own law.  Raises
-    [Invalid_argument] when the snapshot does not validate. *)
+    [Invalid_argument] when the snapshot does not validate
+    ({!Snapshot.validate}, which [digest] skips re-digesting). *)
 
 val watchdog_slack : int
 (** Delta cycles of grace beyond {!expected_cycles} before the

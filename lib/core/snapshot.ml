@@ -26,13 +26,15 @@ let equal a b = a = b
 
 (* ---- validation ------------------------------------------------- *)
 
-let validate (m : Model.t) s =
+let validate ?digest (m : Model.t) s =
   let err fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  let digest =
+    match digest with Some d -> d | None -> digest_of_model m
+  in
   if s.model_name <> m.name then
     err "snapshot is of model %s, not %s" s.model_name m.name
-  else if s.digest <> digest_of_model m then
-    err "snapshot digest %s does not match the model (%s)" s.digest
-      (digest_of_model m)
+  else if s.digest <> digest then
+    err "snapshot digest %s does not match the model (%s)" s.digest digest
   else if s.step < 0 || s.step > m.cs_max then
     err "snapshot step %d outside [0, %d]" s.step m.cs_max
   else
@@ -56,8 +58,8 @@ let validate (m : Model.t) s =
     then err "snapshot output write outside [1, %d]" s.step
     else Ok ()
 
-let validate_exn m s =
-  match validate m s with
+let validate_exn ?digest m s =
+  match validate ?digest m s with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Snapshot.validate: " ^ msg)
 

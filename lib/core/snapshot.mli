@@ -45,11 +45,16 @@ val sort_conflicts :
     discover simultaneous conflicts in different (equivalent) orders;
     snapshots store the sorted form so serializations agree. *)
 
-val validate : Model.t -> t -> (unit, string) result
+val validate : ?digest:string -> Model.t -> t -> (unit, string) result
 (** Structural compatibility with a model: digest, step range,
-    register/unit names and order, pipeline depths, trace lengths. *)
+    register/unit names and order, pipeline depths, trace lengths.
+    [digest], when given, must be [digest_of_model m]: a caller that
+    already holds it (a campaign restoring the checkpoints it captured
+    from [m]) skips re-rendering and hashing the model, and every
+    other check still runs.  A file loaded from disk is checked
+    without it. *)
 
-val validate_exn : Model.t -> t -> unit
+val validate_exn : ?digest:string -> Model.t -> t -> unit
 (** Raises [Invalid_argument] when {!validate} fails. *)
 
 val equal : t -> t -> bool

@@ -1,23 +1,25 @@
 open Csrtl_core
 
 (* The cacheable result of a campaign's golden work: both engines'
-   clean observations, the golden checkpoints at every control-step
-   boundary some enumerated fault can resume from, and the measured
-   golden wall cost that feeds chunk planning.  Content-addressed by
-   (model digest, config tag): the digest covers the model text, so a
-   changed model can never reuse a stale artifact.
+   clean observations and the measured golden wall cost that feeds
+   chunk planning.  Content-addressed by (model digest, config tag):
+   the digest covers the model text, so a changed model can never
+   reuse a stale artifact.
 
-   The plan (compiled Sched + Batch closures) is deliberately absent:
-   it holds closures and hash tables and is cheap to rebuild from the
-   model, whereas the golden simulations are the expensive part.  A
-   warm campaign rebuilds the plan and skips the simulations. *)
+   Golden checkpoints are deliberately absent, and so is the plan
+   (compiled Sched + Batch closures).  Every control-step boundary is
+   quiescent, so the golden state there is one compiled run away; a
+   stored checkpoint would carry its whole observation prefix, making
+   the artifact quadratic in schedule length, and parsing it costs
+   more than recomputing it.  A warm campaign rebuilds the plan and
+   the few checkpoints its kernel-path faults read, and skips the
+   golden simulations. *)
 
 type t = {
   digest : string;
   config : string;
   golden_k : Observation.t;
   golden_i : Observation.t;
-  checkpoints : Snapshot.t list;
   est_us : float;
 }
 
@@ -40,26 +42,15 @@ let validate (m : Model.t) ~config a =
   else if a.golden_i.Observation.model_name <> m.Model.name then
     err "artifact interpreter golden is of model %s, not %s"
       a.golden_i.Observation.model_name m.Model.name
-  else
-    let rec steps_ok prev = function
-      | [] -> Ok ()
-      | (s : Snapshot.t) :: rest ->
-        if s.Snapshot.step <= prev then
-          err "artifact checkpoints out of order at step %d" s.Snapshot.step
-        else (
-          match Snapshot.validate m s with
-          | Error msg -> err "artifact checkpoint: %s" msg
-          | Ok () -> steps_ok s.Snapshot.step rest)
-    in
-    steps_ok 0 a.checkpoints
+  else Ok ()
 
 (* ---- serialization ----------------------------------------------
    One versioned text format in {!Snapshot}'s line discipline.  The
-   golden observations and checkpoints are embedded verbatim between
-   section markers, so their own [end] lines never terminate the
-   artifact — only the top-level [end] does. *)
+   golden observations are embedded verbatim between section markers,
+   so their own [end] lines never terminate the artifact — only the
+   top-level [end] does. *)
 
-let magic = "csrtl-artifact 1"
+let magic = "csrtl-artifact 2"
 
 let to_string a =
   let b = Buffer.create 1024 in
@@ -77,12 +68,6 @@ let to_string a =
   line "golden-interp";
   Buffer.add_string b (Observation.to_string a.golden_i);
   line "golden-interp-end";
-  List.iter
-    (fun s ->
-      line "checkpoint";
-      Buffer.add_string b (Snapshot.to_string s);
-      line "checkpoint-end")
-    a.checkpoints;
   line "end";
   Buffer.contents b
 
@@ -99,7 +84,6 @@ let of_string text =
     | m :: rest when String.trim m = magic ->
       let digest = ref "" and config = ref "" and est_us = ref 0. in
       let golden_k = ref None and golden_i = ref None in
-      let checkpoints = ref [] in
       let seen_end = ref false in
       (* [section] is [Some (end_marker, deposit, accumulated)] while
          inside an embedded block; its lines are collected verbatim *)
@@ -143,15 +127,6 @@ let of_string text =
                        | Ok o -> golden_i := Some o
                        | Error msg -> bad "interpreter golden: %s" msg),
                      [] )
-             | [ "checkpoint" ] ->
-               section :=
-                 Some
-                   ( "checkpoint-end",
-                     (fun t ->
-                       match Snapshot.of_string t with
-                       | Ok s -> checkpoints := s :: !checkpoints
-                       | Error msg -> bad "checkpoint: %s" msg),
-                     [] )
              | [ "end" ] -> seen_end := true
              | _ -> bad "unrecognized line %S" l))
         rest;
@@ -167,7 +142,6 @@ let of_string text =
              config = !config;
              golden_k;
              golden_i;
-             checkpoints = List.rev !checkpoints;
              est_us = !est_us;
            }
        | None, _ -> bad "missing kernel golden"

@@ -94,7 +94,10 @@ type ctx = {
       (* faults resume from (or join at) their golden boundary: the
          caller asked for it and the policy is [Record], where golden
          checkpoints are engine-independent *)
-  checkpoints : (int, Snapshot.t) Hashtbl.t;  (* under [ck_lock] *)
+  checkpoints : (int, Snapshot.t) Hashtbl.t;
+      (* under [ck_lock].  This campaign captured every one from [m],
+         so each carries [m]'s digest: a resume passes it on instead of
+         re-rendering and hashing the model per fault *)
   ck_lock : Mutex.t;
   built : int Atomic.t;  (* snapshots this campaign computed *)
   budget : float option;
@@ -166,32 +169,23 @@ let run_goldens ~config ~compiled m =
   let est_us = (Unix.gettimeofday () -. t0) *. 1e6 in
   (golden_k, Interp.run m, est_us)
 
+(* The artifact holds only the goldens: a checkpoint is one compiled
+   run away at any boundary, which is cheaper than parsing it and far
+   smaller than storing its observation prefix. *)
 let prepare ?(config = Simulate.default) ?plan (m : Model.t) =
   let plan = make_plan ?plan m in
-  let compiled = compiled_of ~config ~plan m in
-  let golden_k, golden_i, est_us = run_goldens ~config ~compiled m in
-  let checkpoints =
-    (* every boundary any enumerated fault can restore from — a
-       superset of what any limited or resumed campaign needs, so one
-       artifact serves them all.  Per-fault lookups are keyed by the
-       fault's own boundary, so extra checkpoints never change which
-       snapshot a given fault restores from. *)
-    if config.Simulate.on_illegal = Simulate.Record then
-      match boundaries_of ~faults:(Fault.enumerate m) (legs_of ~plan m) with
-      | [] -> []
-      | bs -> golden_snapshots ~compiled m bs
-    else []
+  let golden_k, golden_i, est_us =
+    run_goldens ~config ~compiled:(compiled_of ~config ~plan m) m
   in
   { Artifact.digest = Snapshot.digest_of_model m;
-    config = Journal.config_tag config;
-    golden_k; golden_i; checkpoints; est_us }
+    config = Journal.config_tag config; golden_k; golden_i; est_us }
 
 (* [kernel_faults] are the faults the campaign sends to the kernel
    path, the only runs that read a checkpoint's observation prefix.  A
    batched variant joins from the arena's golden row at the boundary
    the restore rule names ([batch_spec]), so the campaign builds
-   checkpoints for the kernel-path boundaries alone; a warm artifact
-   supplies its own. *)
+   checkpoints for the kernel-path boundaries alone, warm or cold, from
+   the compile its goldens use — same boundaries, same bytes. *)
 let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
     (m : Model.t) =
   let plan = make_plan ?plan:plan0 m in
@@ -201,56 +195,35 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
      (the differential suite pins it); [Halt]/[Degrade] goldens
      diverge, so those campaigns re-simulate from step 0. *)
   let restore_on = restore && config.Simulate.on_illegal = Simulate.Record in
+  let compiled = lazy (compiled_of ~config ~plan m) in
+  let golden_k, golden_i, est_us =
+    match golden with
+    | Some (a : Artifact.t) ->
+      if
+        a.Artifact.digest <> Snapshot.digest_of_model m
+        || a.Artifact.config <> Journal.config_tag config
+      then
+        invalid_arg
+          (Printf.sprintf
+             "Campaign: golden artifact (digest %s, config %s) does not \
+              match this campaign"
+             a.Artifact.digest a.Artifact.config);
+      (a.Artifact.golden_k, a.Artifact.golden_i, a.Artifact.est_us)
+    | None -> run_goldens ~config ~compiled:(Lazy.force compiled) m
+  in
   let checkpoints = Hashtbl.create 16 in
-  let built = Atomic.make 0 in
-  let add_missing () =
-    (* compute exactly the kernel-path boundaries nobody supplied, so a
-       warm campaign restores from the same boundaries a cold one
-       would — same joins, same cycle counts, same bytes *)
-    if restore_on then
-      match
-        List.filter
-          (fun b -> not (Hashtbl.mem checkpoints b))
-          (boundaries_of ~faults:kernel_faults legs)
-      with
-      | [] -> ()
-      | missing ->
-        let compiled = compiled_of ~config ~plan m in
-        List.iter
-          (fun (s : Snapshot.t) ->
-            Hashtbl.replace checkpoints s.Snapshot.step s;
-            Atomic.incr built)
-          (golden_snapshots ~compiled m missing)
-  in
-  let ctx ~golden_k ~golden_i ~est_us =
-    add_missing ();
-    { m; config; golden_k = golden_of golden_k; golden_i = golden_of golden_i;
-      same_golden = Observation.equal golden_k golden_i; legs;
-      law = Simulate.expected_cycles m; restore_on; checkpoints;
-      ck_lock = Mutex.create (); built; budget; plan; est_us }
-  in
-  match golden with
-  | Some (a : Artifact.t) ->
-    if
-      a.Artifact.digest <> Snapshot.digest_of_model m
-      || a.Artifact.config <> Journal.config_tag config
-    then
-      invalid_arg
-        (Printf.sprintf
-           "Campaign: golden artifact (digest %s, config %s) does not match \
-            this campaign"
-           a.Artifact.digest a.Artifact.config);
-    if restore_on then
+  if restore_on then (
+    match boundaries_of ~faults:kernel_faults legs with
+    | [] -> ()
+    | bs ->
       List.iter
         (fun (s : Snapshot.t) -> Hashtbl.replace checkpoints s.Snapshot.step s)
-        a.Artifact.checkpoints;
-    ctx ~golden_k:a.Artifact.golden_k ~golden_i:a.Artifact.golden_i
-      ~est_us:a.Artifact.est_us
-  | None ->
-    let golden_k, golden_i, est_us =
-      run_goldens ~config ~compiled:(compiled_of ~config ~plan m) m
-    in
-    ctx ~golden_k ~golden_i ~est_us
+        (golden_snapshots ~compiled:(Lazy.force compiled) m bs));
+  { m; config; golden_k = golden_of golden_k; golden_i = golden_of golden_i;
+    same_golden = Observation.equal golden_k golden_i; legs;
+    law = Simulate.expected_cycles m; restore_on; checkpoints;
+    ck_lock = Mutex.create ();
+    built = Atomic.make (Hashtbl.length checkpoints); budget; plan; est_us }
 
 (* [Simulate.expected_cycles_from ctx.m s0], off the law computed once *)
 let law_from ctx s0 = ctx.law - (Phase.count * s0)
@@ -263,7 +236,8 @@ let kernel_entry ~ctx ~snap inj =
   let run () =
     match snap with
     | Some from ->
-      ( Simulate.resume ~inject:inj ~config ~from ctx.m,
+      ( Simulate.resume ~inject:inj ~config ~digest:from.Snapshot.digest
+          ~from ctx.m,
         law_from ctx from.Snapshot.step )
     | None -> (Simulate.run_cfg ~inject:inj ~config ctx.m, full_expected)
   in
@@ -284,7 +258,8 @@ let kernel_entry ~ctx ~snap inj =
 let interp_entry ~ctx ~snap inj =
   let run () =
     match snap with
-    | Some from -> Interp.resume ~inject:inj ~from ctx.m
+    | Some from ->
+      Interp.resume ~digest:from.Snapshot.digest ~inject:inj ~from ctx.m
     | None -> Interp.run ~inject:inj ctx.m
   in
   match run () with

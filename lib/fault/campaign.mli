@@ -100,10 +100,11 @@ type batch_stats = {
           are counted under their verdict too *)
   checkpoints : int;
       (** golden snapshots the campaign built: one per distinct
-          boundary a kernel-path fault restores from and the supplied
-          artifact lacks, plus any a batched fault needed on a fallback
-          path.  Batched variants join from the arena's golden row, so
-          an all-batchable campaign builds none. *)
+          boundary a kernel-path fault restores from, plus any a
+          batched fault needed on a fallback path.  An {!Artifact}
+          carries none, so a warm campaign builds the same ones as a
+          cold one.  Batched variants join from the arena's golden
+          row, so an all-batchable campaign builds none. *)
   domains : int;
       (** domains that ran at least one work item, the caller included:
           [1] for a campaign too small to repay a pool
@@ -117,12 +118,11 @@ val boundary_of_fault : Model.t -> Fault.t -> int
 val prepare :
   ?config:Simulate.config -> ?plan:Batch.plan -> Model.t -> Artifact.t
 (** Compute the campaign's golden work once, as a cacheable
-    {!Artifact}: both engines' clean golden runs, checkpoints at every
-    boundary an enumerated fault can restore from (a superset of what
-    any limited, filtered or resumed campaign needs — per-fault
-    restores are keyed by the fault's own boundary, so the superset
-    never changes which snapshot a fault uses), and the measured
-    golden wall cost.  [plan] reuses an existing compile.  Passing the
+    {!Artifact}: both engines' clean golden runs and the measured
+    golden wall cost.  No fault is enumerated and no boundary is
+    snapshotted: a campaign builds the checkpoints its kernel-path
+    faults restore from itself, warm or cold, so both restore from the
+    same boundaries.  [plan] reuses an existing compile.  Passing the
     artifact back through [?golden] below yields byte-identical
     reports to a cold run — the warm path is a pure optimization. *)
 
@@ -148,7 +148,8 @@ val run :
     [plan] supplies a pre-compiled {!Csrtl_core.Batch.plan} (a
     plan-cache hit) and [golden] a pre-built {!Artifact} (a golden
     hit): with both, the campaign skips compilation and the golden
-    simulations entirely and starts on its first fault immediately.
+    simulations entirely; it still builds the checkpoints its
+    kernel-path faults read, from one compiled run.
     Both are pure optimizations — report bytes are unchanged, which
     the warm-path qcheck suite pins.  A [golden] whose digest or
     config tag does not match this campaign raises
@@ -162,9 +163,9 @@ val run_parallel :
   ?plan:Batch.plan -> ?golden:Artifact.t ->
   Model.t -> report
 (** {!run} with the fault list sharded across a domain pool.  The
-    goldens and checkpoints are computed once in the caller; each
-    faulted run owns its kernel/interpreter state, so runs are
-    embarrassingly parallel.  Entry order follows the fault list
+    goldens and kernel-path checkpoints are computed once in the
+    caller; each faulted run owns its kernel/interpreter state, so runs
+    are embarrassingly parallel.  Entry order follows the fault list
     regardless of scheduling: the report is {e identical} to {!run}'s
     — same bytes from {!pp_report} at any [jobs]/[chunks]/[batch] —
     which the determinism suite checks.  [pool] reuses an existing pool (then

@@ -95,12 +95,12 @@ type t = {
      plan: the compiled batch plan ([None] for models that do not
      compile, so repeated requests don't retry the compile) plus the
      full fault enumeration, which a limited request subsamples
-     without re-walking the model; the golden tier holds full
-     artifacts (goldens + checkpoints).  A forked engine's golden tier
-     is [shipped] instead: the [csrtl-artifact 1] bytes a worker built
-     and sent home, handed unparsed to the next worker for the model —
-     the daemon itself never runs a campaign, so parsing them here
-     would be pure cost.  At most one of [goldens] and [shipped] is
+     without re-walking the model; the golden tier holds artifacts
+     (both goldens and their measured cost).  A forked engine's golden
+     tier is [shipped] instead: the {!F.Artifact.to_string} bytes a
+     worker built and sent home, handed unparsed to the next worker for
+     the model — the daemon itself never runs a campaign, so parsing
+     them here would be pure cost.  At most one of [goldens] and [shipped] is
      [Some], by isolation; forked plan entries carry no plan, since a
      compiled plan (closures) cannot cross into a worker. *)
   plans : plan_entry Cache.t option;
@@ -396,9 +396,9 @@ let exec_campaign ?plan ?golden ~runner ~stopping ~journal ~t0
    request as the wire encodes it; line 2 a JSON object with the config
    fields a worker reads, the golden-tier decision and the armed
    journal injections ({!F.Journal.set_chaos}); the rest, on a golden
-   hit, is the artifact's [csrtl-artifact 1] text.  Nothing else crosses
-   the exec: the worker rebuilds the model, fault list and plan from
-   the request text. *)
+   hit, is the artifact's {!F.Artifact.to_string} text.  Nothing else
+   crosses the exec: the worker rebuilds the model, fault list and plan
+   from the request text. *)
 type job = {
   cfg : config;  (* state_dir, jobs, limits, default_deadline_ms *)
   q : Frame.inject;
@@ -573,8 +573,9 @@ let child_main ~stop ~t0 { cfg; q; golden; chaos } fd =
         (* the tier's bytes came from an earlier worker's [to_string];
            re-check the content-addressed header against this
            worker's own parse — O(1), so a daemon bug can only cost
-           the optimization, never the report.  The deep [validate]
-           walk would cost more than rebuilding the goldens *)
+           the optimization, never the report.  [validate]'s only
+           costly step is re-digesting the model, whose digest this
+           worker already holds *)
         (match F.Artifact.of_string text with
          | Ok a when F.Artifact.matches ~digest ~config_tag a -> Some a
          | Ok _ | Error _ -> fresh None)
@@ -896,9 +897,8 @@ let handle_inject t (q : Frame.inject) ~client ~emit =
                         | `Miss k -> fresh (Some k)
                         | `Hit a ->
                           (* the tier key is (digest | config tag), so a
-                             hit only needs the O(1) header re-check — the
-                             deep walk would cost more than the golden
-                             work the hit saves *)
+                             hit only needs the O(1) header re-check, not
+                             [validate]'s re-digest of the model *)
                           if F.Artifact.matches ~digest ~config_tag a then
                             Some a
                           else fresh None

@@ -717,13 +717,25 @@ let test_classify_once_needs_equal_goldens () =
       (batched.F.Campaign.entries = kernel.F.Campaign.entries);
     batched.F.Campaign.entries
   in
-  let with_checkpoints = run a in
-  (* without the artifact's checkpoints, the interpreter reruns build
-     the snapshots they restore from on first use: same boundaries,
-     same entries *)
-  let without = run { a with F.Artifact.checkpoints = [] } in
-  check_bool "checkpoints removed: same entries" true
-    (with_checkpoints = without)
+  let warm = run a in
+  (* the doctored artifact changes only the interpreter golden: on the
+     kernel path it builds the same checkpoints as a cold campaign and
+     gives every fault the same kernel outcome and cycle count *)
+  let cold, cold_st =
+    F.Campaign.run_with_stats ~jobs:1 ~faults ~engine:`Kernel m
+  in
+  let _, warm_st =
+    F.Campaign.run_with_stats ~jobs:1 ~faults ~engine:`Kernel ~golden:a m
+  in
+  check_int "warm builds the cold checkpoints" cold_st.F.Campaign.checkpoints
+    warm_st.F.Campaign.checkpoints;
+  let kernel_side (e : F.Campaign.entry) =
+    ( e.F.Campaign.fault,
+      e.F.Campaign.kernel_outcome,
+      e.F.Campaign.kernel_cycles )
+  in
+  check_bool "warm = cold on the kernel side" true
+    (List.map kernel_side warm = List.map kernel_side cold.F.Campaign.entries)
 
 (* Checkpoints are built only where a run reads one: a batched variant
    joins the golden row in memory, so an all-batchable campaign builds
@@ -946,7 +958,18 @@ let test_artifact_round_trip () =
   (match F.Artifact.validate m ~config:C.Simulate.default a with
    | Ok () -> ()
    | Error e -> Alcotest.failf "fresh artifact invalid: %s" e);
-  check_bool "checkpoints were taken" true (a.F.Artifact.checkpoints <> []);
+  (* the artifact carries no checkpoints: a warm kernel-path campaign
+     builds the ones a cold one builds and gives the same entries *)
+  let cold, cold_st = F.Campaign.run_with_stats ~jobs:1 ~engine:`Kernel m in
+  let warm, warm_st =
+    F.Campaign.run_with_stats ~jobs:1 ~engine:`Kernel ~golden:a m
+  in
+  check_bool "the cold campaign took checkpoints" true
+    (cold_st.F.Campaign.checkpoints > 0);
+  check_int "warm builds the cold checkpoints" cold_st.F.Campaign.checkpoints
+    warm_st.F.Campaign.checkpoints;
+  check_bool "warm = cold entries" true
+    (warm.F.Campaign.entries = cold.F.Campaign.entries);
   (* the embedded observation format round-trips on its own *)
   (match
      C.Observation.of_string

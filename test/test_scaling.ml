@@ -291,6 +291,33 @@ let test_interp_words () =
     Alcotest.failf "Interp.run (chain 32): %.0f minor words, bound 10000"
       words
 
+(* A kernel-path fault resumes the interpreter from a checkpoint the
+   campaign captured from its own model, passing the digest it holds:
+   resuming at the middle boundary of the 32-transfer chain may cost at
+   most 1.25x the words of a whole [Interp.run].  Re-rendering and
+   hashing the model on every resume made it about 3.3x (31.5k words
+   against 9.7k). *)
+let test_resume_words () =
+  let m = chain 32 in
+  let from =
+    List.hd
+      (Compiled.snapshots_at (Compiled.of_model m)
+         ~steps:[ m.Model.cs_max / 2 ])
+  in
+  let digest = from.Snapshot.digest in
+  let inject = Inject.dropped_leg 20 in
+  let words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let run = words (fun () -> Interp.run m)
+  and resume = words (fun () -> Interp.resume ~digest ~inject ~from m) in
+  if resume > 1.25 *. run then
+    Alcotest.failf "Interp.resume (chain 32): %.0f minor words, run %.0f"
+      resume run
+
 (* ---- per-fault overlay cost ------------------------------------- *)
 
 (* Words a call allocates on either heap: the slot table of a long
@@ -369,6 +396,42 @@ let test_journal_bytes_per_fault () =
     Alcotest.failf "journal bytes per fault: %.0f at 32 steps, %.0f at 128"
       short long
 
+(* A golden artifact holds the two golden observations and no
+   checkpoints, so its size is linear in the schedule: a chain 4x
+   longer may cost at most 1.25x the bytes per control step.  Storing a
+   checkpoint with its whole observation prefix at every boundary made
+   it about 3.3x.  The registers start at ten digits, so every value the
+   chain sums prints about as wide and the bytes count stored values;
+   from small initial values the longer chain's sums also print wider. *)
+let artifact_bytes m =
+  String.length (Csrtl_fault.Artifact.to_string (Campaign.prepare m))
+
+let test_artifact_bytes_per_step () =
+  let per_step steps =
+    let m = chain ~init:(3_000_000_019, 4_000_000_007) steps in
+    float_of_int (artifact_bytes m) /. float_of_int m.Model.cs_max
+  in
+  let short = per_step 32 and long = per_step 128 in
+  if long > 1.25 *. short then
+    Alcotest.failf "artifact bytes per step: %.0f at 32 steps, %.0f at 128"
+      short long
+
+(* The paper's IKS application (about 2300 control steps) must fit an
+   artifact under the input limit that guards reading one back, so the
+   artifact cache can hit on it without raising the limit. *)
+let test_iks_artifact_fits () =
+  let module Iks = Csrtl_iks in
+  let f = Iks.Fixed.of_float in
+  let t = Iks.Ikprog.build ~l1:(f 2.0) ~l2:(f 1.5) ~px:(f 1.2) ~py:(f 0.8) in
+  let m =
+    Iks.Translate.to_model ~inputs:t.Iks.Ikprog.inputs
+      ~reg_init:t.Iks.Ikprog.reg_init t.Iks.Ikprog.program
+  in
+  let limit = Csrtl_diag.Diag.Limits.(default.max_input_bytes) in
+  let bytes = artifact_bytes m in
+  if bytes > limit then
+    Alcotest.failf "IKS artifact: %d bytes, input limit %d" bytes limit
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -394,10 +457,16 @@ let () =
             test_plan_forces_no_minor_gc;
           Alcotest.test_case "interpreter golden minor words bounded" `Quick
             test_interp_words;
+          Alcotest.test_case "campaign-side resume minor words bounded"
+            `Quick test_resume_words;
           Alcotest.test_case "overlay words independent of schedule length"
             `Quick test_overlay_words;
           Alcotest.test_case "witness words independent of schedule length"
             `Quick test_witness_words ] );
       ( "bytes",
         [ Alcotest.test_case "journal bytes per fault bounded" `Quick
-            test_journal_bytes_per_fault ] ) ]
+            test_journal_bytes_per_fault;
+          Alcotest.test_case "artifact bytes per step bounded" `Quick
+            test_artifact_bytes_per_step;
+          Alcotest.test_case "IKS artifact fits the input limit" `Quick
+            test_iks_artifact_fits ] ) ]
