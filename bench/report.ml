@@ -1123,20 +1123,17 @@ let scaling_check () =
 
 (* Requests/sec against a live csrtl-serve daemon, N concurrent
    clients, cold (every request a fresh model, compile-cache miss) vs
-   cached (one model repeated, model cache only — the artifact tiers
-   are disabled so this column keeps its pre-tier meaning) vs
-   warm_plan (the same repeated model against a daemon with the plan
-   and golden tiers on: every timed request skips compilation and the
-   golden simulations) vs recovery (forked workers with a 10%
-   injected worker-kill rate — the crash-only restart path priced
-   against the clean runs).  The clean columns run the daemon
-   in-process on a thread with in-process isolation; the recovery
-   column spawns the real csrtl binary as a separate daemon process
-   with CSRTL_SERVE_KILL_NTH=10, because forked isolation re-executes
-   the daemon's own program as each worker (see lib/serve/worker.ml)
-   and only csrtl routes that invocation to the worker entry point;
-   this harness does not.  Either way
-   clients speak the real socket protocol through Csrtl_serve.Client,
+   cached (one model repeated, model cache only — the daemon runs with
+   --plan-cache 0 --golden-cache 0 so this column keeps its pre-tier
+   meaning) vs warm_plan (the same repeated model against a daemon with
+   the plan and golden tiers on: every timed request skips fault
+   enumeration and the golden simulations) vs recovery (a 10% injected
+   worker-kill rate — the crash-only restart path priced against the
+   clean runs).  Every column runs the real csrtl binary as a separate
+   daemon process, because each campaign worker re-executes the
+   daemon's own program (see lib/serve/worker.ml) and only csrtl routes
+   that invocation to the worker entry point; this harness does not.
+   Clients speak the real socket protocol through Csrtl_serve.Client,
    so the measured path is the shipped one end to end.  Every response
    is byte-compared against the offline report — a fast wrong answer
    is not a data point, and neither is a crash the supervisor failed
@@ -1169,36 +1166,6 @@ let serve_points ~smoke () =
   Sys.remove state_dir;
   let sock = Filename.temp_file "csrtl" ".sock" in
   Sys.remove sock;
-  let with_daemon tweak f =
-    let config =
-      { Csrtl_serve.Server.default_config with
-        socket = sock; signals = false;
-        engine =
-          tweak
-            { Csrtl_serve.Engine.default_config with
-              state_dir; max_pending = 64 } }
-    in
-    let server =
-      Thread.create
-        (fun () ->
-          match S.Server.serve ~config () with
-          | Ok () -> ()
-          | Error e -> failwith ("serve bench: " ^ e))
-        ()
-    in
-    (match S.Client.connect ~retries:500 ~delay:0.01 sock with
-     | Ok c -> S.Client.close c
-     | Error e -> failwith ("serve bench: daemon never came up: " ^ e));
-    let r = f () in
-    (match S.Client.connect sock with
-     | Ok c ->
-       ignore (S.Client.send c S.Frame.Shutdown);
-       (match S.Client.next c with _ -> ());
-       S.Client.close c
-     | Error _ -> ());
-    Thread.join server;
-    r
-  in
   let expected_cache = Hashtbl.create 16 in
   let expected_lock = Mutex.create () in
   (* the request text per model name, rendered once — a real client
@@ -1330,63 +1297,21 @@ let serve_points ~smoke () =
           | Ok text when text = expected name -> ()
           | Ok _ | Error _ -> failwith "serve bench: priming request failed")
   in
-  (* cold and cached price the pre-tier daemon: artifact tiers off, so
-     "cached" stays the model-cache-only baseline warm_plan is
-     compared against — its requests reuse the journal but still
-     rebuild the plan and re-run both goldens every time *)
-  let clean_points =
-    with_daemon
-      (fun e ->
-        { e with
-          Csrtl_serve.Engine.isolation = `In_process;
-          plan_cache_capacity = 0; golden_cache_capacity = 0 })
-      (fun () ->
-        prime "cached_chain";
-        List.concat_map
-          (fun clients ->
-            List.mapi
-              (fun i mode -> run_point ((clients * 2) + i) clients mode)
-              [ `Cold; `Cached ])
-          fan)
-  in
-  (* warm_plan: same requests against a daemon with the tiers on — the
-     plan and golden hits are the only difference from "cached" *)
-  let warm_points =
-    with_daemon
-      (fun e -> { e with Csrtl_serve.Engine.isolation = `In_process })
-      (fun () ->
-        prime "warm_chain";
-        List.map
-          (fun clients -> run_point ((clients * 8) + 1) clients `Warm)
-          fan)
-  in
-  (* recovery column: a real csrtl-serve daemon process with forked
-     workers, every 10th spawn SIGKILLed by the daemon's own chaos
-     knob.  The offline expectations are computed up front so the
-     timed loop prices recovery round trips, not Campaign.run. *)
-  List.iter
-    (fun clients ->
-      for ci = 0 to clients - 1 do
-        for r = 0 to per - 1 do
-          ignore (expected (Printf.sprintf "rec_%d_%d_%d" (clients * 16) ci r))
-        done
-      done)
-    fan;
   let csrtl_exe =
     List.fold_left Filename.concat
       (Filename.dirname Sys.executable_name)
       [ Filename.parent_dir_name; "bin"; "csrtl.exe" ]
   in
-  let with_external_daemon f =
+  let with_daemon ?(env = [||]) args f =
     if not (Sys.file_exists csrtl_exe) then
       failwith ("serve bench: csrtl binary not found at " ^ csrtl_exe);
     let pid =
       Unix.create_process_env csrtl_exe
-        [| csrtl_exe; "serve"; "--socket"; sock; "--state-dir"; state_dir;
-           "--quiet"; "--jobs"; "1"; "--max-pending"; "64";
-           "--isolation"; "forked"; "--max-restarts"; "3";
-           "--quarantine-after"; "0" |]
-        (Array.append (Unix.environment ()) [| "CSRTL_SERVE_KILL_NTH=10" |])
+        (Array.append
+           [| csrtl_exe; "serve"; "--socket"; sock; "--state-dir"; state_dir;
+              "--quiet"; "--jobs"; "1"; "--max-pending"; "64" |]
+           args)
+        (Array.append (Unix.environment ()) env)
         Unix.stdin Unix.stdout Unix.stderr
     in
     Fun.protect
@@ -1399,7 +1324,7 @@ let serve_points ~smoke () =
          | Error e ->
            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
            ignore (Unix.waitpid [] pid);
-           failwith ("serve bench: recovery daemon never came up: " ^ e));
+           failwith ("serve bench: daemon never came up: " ^ e));
         let r = f () in
         (match S.Client.connect sock with
          | Ok c ->
@@ -1411,8 +1336,46 @@ let serve_points ~smoke () =
         ignore (Unix.waitpid [] pid);
         r)
   in
+  (* cold and cached price the pre-tier daemon: artifact tiers off, so
+     "cached" stays the model-cache-only baseline warm_plan is
+     compared against — its requests reuse the journal but still
+     re-enumerate the faults and re-run both goldens every time *)
+  let clean_points =
+    with_daemon [| "--plan-cache"; "0"; "--golden-cache"; "0" |] (fun () ->
+        prime "cached_chain";
+        List.concat_map
+          (fun clients ->
+            List.mapi
+              (fun i mode -> run_point ((clients * 2) + i) clients mode)
+              [ `Cold; `Cached ])
+          fan)
+  in
+  (* warm_plan: same requests against a daemon with the tiers on — the
+     plan and golden hits are the only difference from "cached" *)
+  let warm_points =
+    with_daemon [||] (fun () ->
+        prime "warm_chain";
+        List.map
+          (fun clients -> run_point ((clients * 8) + 1) clients `Warm)
+          fan)
+  in
+  (* recovery column: every 10th worker spawn SIGKILLed by the
+     daemon's own chaos knob.  The offline expectations are computed up
+     front so the timed loop prices recovery round trips, not
+     Campaign.run. *)
+  List.iter
+    (fun clients ->
+      for ci = 0 to clients - 1 do
+        for r = 0 to per - 1 do
+          ignore (expected (Printf.sprintf "rec_%d_%d_%d" (clients * 16) ci r))
+        done
+      done)
+    fan;
   let recovery_points =
-    with_external_daemon (fun () ->
+    with_daemon
+      ~env:[| "CSRTL_SERVE_KILL_NTH=10" |]
+      [| "--max-restarts"; "3"; "--quarantine-after"; "0" |]
+      (fun () ->
         List.map (fun clients -> run_point (clients * 16) clients `Recovery)
           fan)
   in

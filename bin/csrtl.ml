@@ -1183,7 +1183,7 @@ let serve_cmd =
   let jobs =
     Arg.(value & opt int 0
          & info [ "jobs" ] ~docv:"N"
-             ~doc:"Domain-pool width shared by all campaigns; 0 means \
+             ~doc:"Domain-pool width of each campaign worker; 0 means \
                    one per core.")
   in
   let cache =
@@ -1194,9 +1194,8 @@ let serve_cmd =
   let plan_cache =
     Arg.(value & opt int 64
          & info [ "plan-cache" ] ~docv:"N"
-             ~doc:"Plan-tier capacity (compiled batch plans plus fault \
-                   enumerations, keyed by structural digest); 0 \
-                   disables the tier.")
+             ~doc:"Plan-tier capacity (fault enumerations, keyed by \
+                   structural digest); 0 disables the tier.")
   in
   let golden_cache =
     Arg.(value & opt int 64
@@ -1216,17 +1215,6 @@ let serve_cmd =
              ~doc:"Requests waiting in the admission queue (round-robin \
                    fair across clients); past this the daemon refuses \
                    with status 1 and a retry_after_ms hint.")
-  in
-  let isolation =
-    Arg.(value
-         & opt (enum [ ("forked", `Forked); ("in-process", `In_process) ])
-             `Forked
-         & info [ "isolation" ] ~docv:"MODE"
-             ~doc:"$(b,forked) (default) runs each campaign in a \
-                   supervised worker process — a crashing campaign is \
-                   restarted from its journal, never takes the daemon \
-                   down.  $(b,in-process) shares the daemon's domain \
-                   pool (lower overhead, no crash isolation).")
   in
   let max_restarts =
     Arg.(value & opt int 3
@@ -1266,7 +1254,7 @@ let serve_cmd =
          & info [ "quiet" ] ~doc:"Suppress lifecycle notes on stderr.")
   in
   let run socket state_dir jobs cache plan_cache golden_cache max_pending
-      max_queue isolation
+      max_queue
       max_restarts quarantine_after quarantine_cooloff_ms deadline_ms
       max_request_bytes quiet =
     handle_errors (fun () ->
@@ -1317,7 +1305,7 @@ let serve_cmd =
                 state_dir; jobs; cache_capacity = cache;
                 plan_cache_capacity = plan_cache;
                 golden_cache_capacity = golden_cache; max_pending;
-                max_queue; isolation; max_restarts;
+                max_queue; max_restarts;
                 quarantine_threshold = quarantine_after;
                 quarantine_cooloff_ms; on_worker;
                 default_deadline_ms = deadline_ms };
@@ -1344,7 +1332,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ socket_arg $ state_dir $ jobs $ cache $ plan_cache
           $ golden_cache $ max_pending
-          $ max_queue $ isolation $ max_restarts $ quarantine_after
+          $ max_queue $ max_restarts $ quarantine_after
           $ quarantine_cooloff_ms $ deadline_ms $ max_request_bytes
           $ quiet)
 
@@ -1699,7 +1687,7 @@ let chaos_cmd =
   in
   let doc =
     "Deterministic chaos harness for the crash-only daemon: drive a real \
-     forked-worker serve engine through seeded failures (worker SIGKILL, \
+     serve engine and its workers through seeded failures (worker SIGKILL, \
      torn journal tails, ENOSPC/EIO on journal writes, delayed frames) \
      and assert every recovered report is byte-identical to offline \
      $(b,csrtl inject) output and every scheduled journal fault fired \

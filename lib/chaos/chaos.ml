@@ -4,8 +4,8 @@
    injected failure sequence, the recovered campaign report is
    byte-identical to what undisturbed offline [csrtl inject] prints,
    and the daemon itself keeps answering.  This module drives a real
-   [`Forked] engine — the exact code [csrtl serve] runs, minus the
-   socket — through seeded sequences of:
+   engine — the exact code [csrtl serve] runs, minus the socket —
+   through seeded sequences of:
 
    - worker SIGKILL at a random point in the campaign lifecycle
      (before the journal opens, mid-append, after completion);
@@ -157,7 +157,6 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
     S.Engine.create
       { S.Engine.default_config with
         state_dir; jobs = 1; cache_capacity = 8; max_pending = 2;
-        isolation = `Forked;
         (* one restart then give up: chaos wants to see both the
            recovery path and the exhausted-restarts refusal quickly *)
         max_restarts = 1; backoff_base_ms = 10; backoff_cap_ms = 50;
@@ -374,7 +373,6 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
     scenario i
   done;
   let stats = S.Engine.stats eng in
-  S.Engine.dispose eng;
   (* best-effort scrub of the scratch state dir *)
   (try
      Array.iter

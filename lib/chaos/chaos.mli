@@ -1,10 +1,10 @@
 (** Deterministic chaos harness for the crash-only daemon.
 
-    Drives a real [`Forked] {!Csrtl_serve.Engine} — the code [csrtl
-    serve] runs, minus the socket — through a seeded sequence of
-    injected failures (worker SIGKILL, torn journal tails, ENOSPC on
-    append, EIO on checkpoint fsync, delayed frames) and checks the
-    service's signature invariant after every one:
+    Drives a real {!Csrtl_serve.Engine} — the code [csrtl serve] runs,
+    minus the socket — through a seeded sequence of injected failures
+    (worker SIGKILL, torn journal tails, ENOSPC on append, EIO on
+    checkpoint fsync, delayed frames) and checks the service's
+    signature invariant after every one:
 
     - the recovered campaign report is byte-identical to undisturbed
       offline [csrtl inject] output;

@@ -655,7 +655,7 @@ let run_parallel ?pool ?jobs ?chunks ?config ?limit ?faults ?budget ?restore
 
 type resume_info = { reused : int; rerun : int; torn : int; remaining : int }
 
-let run_journaled ?pool ?jobs ?chunks ?(config = Simulate.default) ?digest
+let run_journaled ?jobs ?chunks ?(config = Simulate.default) ?digest
     ?limit ?faults ?budget ?(restore = true) ?(engine : engine = `Auto)
     ?(batch = 32) ?plan ?golden ?should_stop ?on_entry:user_on_entry ~journal
     ~resume (m : Model.t) =
@@ -735,8 +735,7 @@ let run_journaled ?pool ?jobs ?chunks ?(config = Simulate.default) ?digest
       match user_on_entry with None -> () | Some f -> f i e
     in
     let computed, _ =
-      compute_all ?pool ?jobs ?chunks ?should_stop ~par:true ~ctx ~on_entry
-        work
+      compute_all ?jobs ?chunks ?should_stop ~par:true ~ctx ~on_entry work
     in
     (* a wholesale replay appends nothing — there is nothing new to
        pin, so skip the fsync instead of paying disk latency per

@@ -197,7 +197,7 @@ type resume_info = {
 }
 
 val run_journaled :
-  ?pool:Csrtl_par.Par.t -> ?jobs:int -> ?chunks:int ->
+  ?jobs:int -> ?chunks:int ->
   ?config:Simulate.config -> ?digest:string -> ?limit:int ->
   ?faults:Fault.t list ->
   ?budget:float -> ?restore:bool -> ?engine:engine -> ?batch:int ->
@@ -205,14 +205,15 @@ val run_journaled :
   ?should_stop:(unit -> bool) -> ?on_entry:(int -> entry -> unit) ->
   journal:string -> resume:bool ->
   Model.t -> (report * resume_info, string) result
-(** {!run_parallel} with crash durability: every finished fault is
+(** {!run_parallel} (on a pool of its own, never a shared one) with
+    crash durability: every finished fault is
     appended to the JSONL [journal] ({!Journal}) before the campaign
     moves on, and the journal is fsynced ({!Journal.sync}) when the
     campaign completes or drains with new entries — a wholesale replay
     writes nothing and skips the fsync.  With [resume] false the
     journal is truncated and the whole campaign runs.  [digest], when
     given, must be [Snapshot.digest_of_model m] (a caller that already
-    computed it — the daemon — skips the per-request model re-render
+    computed it — a daemon's campaign worker — skips the model re-render
     and hash; a wrong value can only fail the header match, never
     corrupt a report).  With [resume] true the
     journal is read first: entries that parse, pass their integrity

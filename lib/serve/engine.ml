@@ -4,15 +4,16 @@
    fuzzer drive the exact code the daemon runs, and the server layer
    reduces to line framing plus thread bookkeeping.
 
-   Since PR 8 the engine is crash-only.  Campaigns run (by default,
-   for the CLI daemon) in worker processes supervised here: a
-   worker that crashes, hangs, or is killed is reaped, classified, and
+   The engine is crash-only, and it never runs a campaign itself.
+   Every campaign runs in a worker process supervised here: a worker
+   that crashes, hangs, or is killed is reaped, classified, and
    restarted from its journal checkpoint with capped exponential
    backoff; a model whose campaigns keep crashing trips a circuit
-   breaker and is quarantined for a cooloff.  Admission is a bounded
-   per-client-fair queue ({!Admission}) instead of a hard busy
-   refusal, and busy/quarantined refusals carry a [retry_after_ms]
-   backpressure hint. *)
+   breaker and is quarantined for a cooloff.  What is left in the
+   daemon is parsing, tier lookups, admission and moving bytes.
+   Admission is a bounded per-client-fair queue ({!Admission}) instead
+   of a hard busy refusal, and busy/quarantined refusals carry a
+   [retry_after_ms] backpressure hint. *)
 
 module C = Csrtl_core
 module Diag = Csrtl_diag.Diag
@@ -28,7 +29,6 @@ type config = {
   limits : Diag.Limits.t;
   max_pending : int;
   default_deadline_ms : int option;
-  isolation : [ `In_process | `Forked ];
   max_queue : int;
   max_queue_per_client : int;
   max_restarts : int;
@@ -45,22 +45,12 @@ let default_config =
   { state_dir = "csrtl-serve-state"; jobs = 0; cache_capacity = 64;
     plan_cache_capacity = 64; golden_cache_capacity = 64;
     limits = Diag.Limits.default; max_pending = 4;
-    default_deadline_ms = None;
-    (* in-process by default so embedders (tests, bench, fuzz) get the
-       PR 6 behaviour; the CLI daemon flips to [`Forked] *)
-    isolation = `In_process; max_queue = 16; max_queue_per_client = 8;
+    default_deadline_ms = None; max_queue = 16; max_queue_per_client = 8;
     max_restarts = 3; backoff_base_ms = 25; backoff_cap_ms = 1000;
     quarantine_threshold = 3; quarantine_cooloff_ms = 30_000;
     worker_grace_ms = 2000; worker_timeout_ms = None; on_worker = None }
 
 type compiled = { model : C.Model.t; digest : string }
-
-(* one plan-tier entry: everything about a model's campaigns that is
-   independent of the request's limit/engine/batch knobs *)
-type plan_entry = {
-  pe_plan : C.Batch.plan option;
-  pe_faults : F.Fault.t list;  (* the full enumeration *)
-}
 
 type counters = {
   mutable requests : int;
@@ -84,32 +74,21 @@ type breaker = {
 
 type t = {
   cfg : config;
-  (* lazy: the daemon only materialises a domain pool if it actually
-     runs an in-process campaign; forked workers bring their own *)
-  pool : Par.t option ref;
-  pool_lock : Mutex.t;
   cache : compiled Cache.t;
   (* the two warm tiers above the parsed-model cache, keyed by
      (structural model digest | config tag).  [None] when disabled by
-     a zero capacity.  The plan tier holds the campaign's whole static
-     plan: the compiled batch plan ([None] for models that do not
-     compile, so repeated requests don't retry the compile) plus the
-     full fault enumeration, which a limited request subsamples
-     without re-walking the model; the golden tier holds artifacts
-     (both goldens and their measured cost).  A forked engine's golden
-     tier is [shipped] instead: the {!F.Artifact.to_string} bytes a
-     worker built and sent home, handed unparsed to the next worker for
-     the model — the daemon itself never runs a campaign, so parsing
-     them here would be pure cost.  At most one of [goldens] and [shipped] is
-     [Some], by isolation; forked plan entries carry no plan, since a
-     compiled plan (closures) cannot cross into a worker. *)
-  plans : plan_entry Cache.t option;
-  goldens : F.Artifact.t Cache.t option;
-  shipped : string Cache.t option;
+     a zero capacity.  The plan tier holds a model's full fault
+     enumeration, which a limited request subsamples without
+     re-walking the model; the worker compiles its own batch plan,
+     since a compiled plan (closures) cannot cross into it.  The
+     golden tier holds the {!F.Artifact.to_string} bytes a worker
+     built and sent home (both goldens and their measured cost),
+     handed unparsed to the next worker for the model: the daemon
+     never runs a campaign, so parsing them here would be pure cost. *)
+  plans : F.Fault.t list Cache.t option;
+  goldens : string Cache.t option;
   stop : bool Atomic.t;
   adm : Admission.t;
-  (* in-process campaigns run one at a time on the shared pool *)
-  campaign_lock : Mutex.t;
   (* one campaign per resume token at a time: two concurrent requests
      for the same model must not interleave appends in one journal
      from two workers; the second waits and then resumes the first's
@@ -136,22 +115,13 @@ let create cfg =
   let tier capacity =
     if capacity <= 0 then None else Some (Cache.create ~capacity)
   in
-  { cfg; pool = ref None; pool_lock = Mutex.create ();
-    cache = Cache.create ~capacity:cfg.cache_capacity;
+  { cfg; cache = Cache.create ~capacity:cfg.cache_capacity;
     plans = tier cfg.plan_cache_capacity;
-    goldens =
-      (match cfg.isolation with
-       | `In_process -> tier cfg.golden_cache_capacity
-       | `Forked -> None);
-    shipped =
-      (match cfg.isolation with
-       | `Forked -> tier cfg.golden_cache_capacity
-       | `In_process -> None);
+    goldens = tier cfg.golden_cache_capacity;
     stop = Atomic.make false;
     adm =
       Admission.create ~max_active:cfg.max_pending ~max_queue:cfg.max_queue
         ~max_per_client:cfg.max_queue_per_client ();
-    campaign_lock = Mutex.create ();
     inflight = Hashtbl.create 8; inflight_lock = Mutex.create ();
     inflight_cond = Condition.create ();
     breakers = Hashtbl.create 8; breakers_lock = Mutex.create ();
@@ -159,24 +129,6 @@ let create cfg =
     counters =
       { requests = 0; campaigns = 0; drained = 0; refused = 0;
         restarts = 0; crashes = 0 } }
-
-let pool_of t =
-  Mutex.lock t.pool_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.pool_lock)
-  @@ fun () ->
-  match !(t.pool) with
-  | Some p -> p
-  | None ->
-    let jobs = if t.cfg.jobs <= 0 then Par.default_jobs () else t.cfg.jobs in
-    let p = Par.create ~jobs () in
-    t.pool := Some p;
-    p
-
-let dispose t =
-  Mutex.lock t.pool_lock;
-  (match !(t.pool) with Some p -> Par.shutdown p | None -> ());
-  t.pool := None;
-  Mutex.unlock t.pool_lock
 
 let request_stop t = Atomic.set t.stop true
 let stopping t = Atomic.get t.stop
@@ -300,11 +252,11 @@ let compile t (q : Frame.inject) =
          (false, Ok c)
        end)
 
-(* The campaign core, free of engine state so the forked worker and
-   the in-process path run the same code — which is what keeps their
-   reports byte-identical.  [stopping] is the drain flag only (engine
-   stop or worker SIGTERM); the deadline is computed here from [t0]. *)
-let exec_campaign ?plan ?golden ~runner ~stopping ~journal ~t0
+(* ---- the campaign worker ----------------------------------------- *)
+
+(* The campaign core a worker runs.  [stopping] is the drain flag only
+   (the worker's SIGTERM); the deadline is computed here from [t0]. *)
+let exec_campaign ?plan ?golden ~jobs ~stopping ~journal ~t0
     ~default_deadline_ms (q : Frame.inject) ~model ~digest ~faults ~labels
     ~token ~emit =
   let label_arr = Array.of_list labels in
@@ -342,20 +294,9 @@ let exec_campaign ?plan ?golden ~runner ~stopping ~journal ~t0
     Option.map (fun ms -> float_of_int ms /. 1000.) q.Frame.budget_ms
   in
   let run ~resume =
-    match runner with
-    | `Pool (pool, lock) ->
-      Mutex.lock lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock lock)
-      @@ fun () ->
-      F.Campaign.run_journaled ~pool ~digest ~faults ?budget
-        ~engine:q.Frame.engine
-        ~batch:q.Frame.batch ?plan ?golden ~should_stop ?on_entry ~journal
-        ~resume model
-    | `Jobs jobs ->
-      F.Campaign.run_journaled ~jobs ~digest ~faults ?budget
-        ~engine:q.Frame.engine
-        ~batch:q.Frame.batch ?plan ?golden ~should_stop ?on_entry ~journal
-        ~resume model
+    F.Campaign.run_journaled ~jobs ~digest ~faults ?budget
+      ~engine:q.Frame.engine ~batch:q.Frame.batch ?plan ?golden ~should_stop
+      ?on_entry ~journal ~resume model
   in
   let resume = q.Frame.resume && Sys.file_exists journal in
   let result =
@@ -389,8 +330,6 @@ let exec_campaign ?plan ?golden ~runner ~stopping ~journal ~t0
              reused = info.F.Campaign.reused; rerun = info.F.Campaign.rerun;
              torn = info.F.Campaign.torn;
              text = F.Campaign.render_report ~table:q.Frame.table report })
-
-(* ---- the forked worker ------------------------------------------- *)
 
 (* What a worker process is told, as bytes on its stdin: line 1 is the
    request as the wire encodes it; line 2 a JSON object with the config
@@ -580,7 +519,7 @@ let child_main ~stop ~t0 { cfg; q; golden; chaos } fd =
          | Ok a when F.Artifact.matches ~digest ~config_tag a -> Some a
          | Ok _ | Error _ -> fresh None)
     in
-    exec_campaign ?plan ?golden ~runner:(`Jobs jobs)
+    exec_campaign ?plan ?golden ~jobs
       ~stopping:(fun () -> Atomic.get stop) ~journal ~t0
       ~default_deadline_ms:cfg.default_deadline_ms q ~model ~digest ~faults
       ~labels ~token ~emit
@@ -635,7 +574,7 @@ let is_hit = function `Hit _ -> true | `Miss _ | `Off -> false
    circuit breaker opens.  The client sees at most one terminal frame;
    entries already journaled before a crash are reused, not
    re-streamed. *)
-let run_forked (t : t) (q : Frame.inject) ~key ~tier_key ~golden0 ~token ~emit =
+let run_worker (t : t) (q : Frame.inject) ~key ~tier_key ~golden0 ~token ~emit =
   let cfg = t.cfg in
   let grace_s = float_of_int cfg.worker_grace_ms /. 1000. in
   let timeout_s =
@@ -657,7 +596,7 @@ let run_forked (t : t) (q : Frame.inject) ~key ~tier_key ~golden0 ~token ~emit =
        warm — it resumes from the journal AND skips the golden
        rebuild.  Attempt 0 reuses the lookup [handle_inject] already
        did for the [Started] flags *)
-    let golden = if n = 0 then golden0 else tier_lookup t.shipped tier_key in
+    let golden = if n = 0 then golden0 else tier_lookup t.goldens tier_key in
     let outcome =
       Worker.supervise ?timeout_s ~grace_s
         ~should_stop:(fun () -> Atomic.get t.stop)
@@ -676,7 +615,7 @@ let run_forked (t : t) (q : Frame.inject) ~key ~tier_key ~golden0 ~token ~emit =
                unparsed and never relay — clients speak campaign frames
                only.  The next worker for this key parses and checks
                them; keyed-elsewhere ones are dropped *)
-            (match t.shipped with
+            (match t.goldens with
              | Some cache when akey = tier_key -> Cache.add cache tier_key text
              | Some _ | None -> ());
             `Continue
@@ -829,32 +768,19 @@ let handle_inject t (q : Frame.inject) ~client ~emit =
                  — content-addressed, so an edited model is a
                  different key, never a stale hit *)
               let tier_key = digest ^ "|" ^ config_tag in
-              let plan, all_faults, plan_cached =
+              let all_faults, plan_cached =
                 match t.plans with
-                | None ->
-                  (None, F.Fault.enumerate model, false)
+                | None -> (F.Fault.enumerate model, false)
                 | Some cache ->
                   (match Cache.find cache tier_key with
-                   | Some e -> (e.pe_plan, e.pe_faults, true)
+                   | Some faults -> (faults, true)
                    | None ->
-                     (* compile and enumerate once in the parent:
-                        bounded, deterministic, exception-fenced work,
-                        safe outside the crash boundary.  A forked
-                        worker compiles its own plan, so a forked
-                        engine keeps only the enumeration *)
-                     let p =
-                       match t.cfg.isolation with
-                       | `Forked -> None
-                       | `In_process ->
-                         (match C.Batch.plan model with
-                          | p -> Some p
-                          | exception _ -> None)
-                     in
-                     let e =
-                       { pe_plan = p; pe_faults = F.Fault.enumerate model }
-                     in
-                     Cache.add cache tier_key e;
-                     (p, e.pe_faults, false))
+                     (* enumerate once in the daemon: bounded,
+                        deterministic, exception-fenced work, safe
+                        outside the crash boundary *)
+                     let faults = F.Fault.enumerate model in
+                     Cache.add cache tier_key faults;
+                     (faults, false))
               in
               let faults =
                 match q.Frame.limit with
@@ -862,61 +788,16 @@ let handle_inject t (q : Frame.inject) ~client ~emit =
                 | Some n -> F.Fault.subsample n all_faults
               in
               let labels = List.map F.Fault.to_string faults in
-              let total = List.length faults in
               let faults_digest = F.Journal.faults_digest labels in
               let token = token_of ~digest ~config_tag ~faults_digest in
-              let journal = journal_path t.cfg token in
-              let golden_cached, run =
-                match t.cfg.isolation with
-                | `Forked ->
-                  let golden0 = tier_lookup t.shipped tier_key in
-                  ( is_hit golden0,
-                    fun () ->
-                      run_forked t q ~key ~tier_key ~golden0 ~token ~emit )
-                | `In_process ->
-                  let golden0 = tier_lookup t.goldens tier_key in
-                  ( is_hit golden0,
-                    fun () ->
-                      let golden =
-                        (* the golden simulations run here either way —
-                           inside [make_ctx] on the cold path, in [prepare]
-                           on this one — so building the artifact in the
-                           handling thread adds no latency, and the next
-                           request for this model skips them entirely *)
-                        let fresh key =
-                          match F.Campaign.prepare ?plan model with
-                          | a ->
-                            (match (key, t.goldens) with
-                             | Some key, Some cache -> Cache.add cache key a
-                             | _ -> ());
-                            Some a
-                          | exception _ -> None
-                        in
-                        match golden0 with
-                        | `Off -> None
-                        | `Miss k -> fresh (Some k)
-                        | `Hit a ->
-                          (* the tier key is (digest | config tag), so a
-                             hit only needs the O(1) header re-check, not
-                             [validate]'s re-digest of the model *)
-                          if F.Artifact.matches ~digest ~config_tag a then
-                            Some a
-                          else fresh None
-                      in
-                      exec_campaign ?plan ?golden
-                        ~runner:(`Pool (pool_of t, t.campaign_lock))
-                        ~stopping:(fun () -> Atomic.get t.stop) ~journal ~t0
-                        ~default_deadline_ms:t.cfg.default_deadline_ms q
-                        ~model ~digest ~faults ~labels ~token
-                        ~emit:(fun resp ->
-                          count_terminal t resp;
-                          emit resp) )
-              in
+              let golden0 = tier_lookup t.goldens tier_key in
               emit
                 (Frame.Started
-                   { token; total; cached; plan_cached; golden_cached });
+                   { token; total = List.length faults; cached; plan_cached;
+                     golden_cached = is_hit golden0 });
               inflight_enter t token;
-              Fun.protect ~finally:(fun () -> inflight_exit t token) run))
+              Fun.protect ~finally:(fun () -> inflight_exit t token)
+              @@ fun () -> run_worker t q ~key ~tier_key ~golden0 ~token ~emit))
 
 let tier_stats (cs : Cache.stats) =
   { Frame.hits = cs.Cache.hits; misses = cs.Cache.misses;
@@ -942,10 +823,7 @@ let stats t =
       active = snap.Admission.active; queued = snap.Admission.queued;
       restarts = c.restarts; crashes = c.crashes; quarantined;
       model = tier_stats cs; plan = opt_tier t.plans;
-      golden =
-        (match t.shipped with
-         | Some c -> tier_stats (Cache.stats c)
-         | None -> opt_tier t.goldens) }
+      golden = opt_tier t.goldens }
   in
   Mutex.unlock t.counters_lock;
   r

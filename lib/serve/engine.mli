@@ -12,11 +12,11 @@
     renderer is margin-independent, and campaigns reuse
     {!Csrtl_fault.Campaign.run_journaled} unchanged.
 
-    The engine is {e crash-only}: in [`Forked] isolation each campaign
-    runs in a supervised worker process, restarted from its journal
-    checkpoint (capped exponential backoff) when it crashes, and a
-    model whose workers keep crashing is quarantined by a per-digest
-    circuit breaker.  Admission is a bounded per-client-fair queue
+    The engine is {e crash-only}: every campaign runs in a supervised
+    worker process, restarted from its journal checkpoint (capped
+    exponential backoff) when it crashes, and a model whose workers
+    keep crashing is quarantined by a per-digest circuit breaker; the
+    engine itself never runs a campaign.  Admission is a bounded per-client-fair queue
     ({!Admission}); busy and quarantined refusals carry a
     [retry_after_ms] hint. *)
 
@@ -25,20 +25,22 @@ module F = Csrtl_fault
 
 type config = {
   state_dir : string;  (** journals live here, one per resume token *)
-  jobs : int;  (** pool width; [<= 0] means {!Csrtl_par.Par.default_jobs} *)
+  jobs : int;
+      (** each worker's domain-pool width; [<= 0] means
+          {!Csrtl_par.Par.default_jobs} *)
   cache_capacity : int;  (** compile-cache entries (LRU beyond that) *)
   plan_cache_capacity : int;
-      (** compiled {!Csrtl_core.Batch.plan} and fault-enumeration
-          tier, keyed by (model digest | config tag); [<= 0] disables
-          it — every campaign then compiles its own plan, the pre-tier
-          behaviour.  A [`Forked] engine keeps only the enumeration
-          here: a plan cannot cross into a worker, which compiles its
-          own *)
+      (** fault-enumeration tier, keyed by (model digest | config
+          tag); [<= 0] disables it — every request then enumerates its
+          model's faults again.  The batch plan is not cached: it holds
+          closures, cannot cross into a worker, and each worker
+          compiles its own *)
   golden_cache_capacity : int;
-      (** golden {!Csrtl_fault.Artifact} tier (clean observations +
-          checkpoints), same key; [<= 0] disables it.  Warm campaigns
-          skip the golden simulations entirely; reports stay
-          byte-identical either way *)
+      (** golden {!Csrtl_fault.Artifact} tier (both clean observations
+          and their measured cost, as the bytes a worker shipped home),
+          same key; [<= 0] disables it.  Warm campaigns skip the golden
+          simulations entirely; reports stay byte-identical either
+          way *)
   limits : Diag.Limits.t;  (** applied to every request's model text *)
   max_pending : int;
       (** campaigns running concurrently; excess requests queue.
@@ -46,12 +48,6 @@ type config = {
           zero-width configuration the admission tests use *)
   default_deadline_ms : int option;
       (** server-wide per-request deadline when the request names none *)
-  isolation : [ `In_process | `Forked ];
-      (** [`Forked] (the CLI daemon's default) runs each campaign in a
-          supervised worker process — the crash-only mode; see
-          {!worker_entry}.
-          [`In_process] is the PR 6 behaviour for embedders: campaigns
-          share the daemon's lazy domain pool *)
   max_queue : int;  (** total requests waiting in the admission queue *)
   max_queue_per_client : int;  (** one client's share of that queue *)
   max_restarts : int;
@@ -76,36 +72,29 @@ type config = {
 }
 
 val default_config : config
-(** [`In_process], max_pending 4, queue 16 (8 per client), 3 restarts
-    with 25ms..1s backoff, quarantine after 3 crashes for 30s, 2s
-    worker grace. *)
+(** max_pending 4, queue 16 (8 per client), 3 restarts with 25ms..1s
+    backoff, quarantine after 3 crashes for 30s, 2s worker grace. *)
 
 type t
 
 val create : config -> t
-(** Creates the state directory.  The domain pool is lazy: it only
-    materialises when an in-process campaign runs.  A [`Forked]
-    engine starts its workers as fresh processes of the running
-    executable, which must therefore call {!worker_entry} first thing
-    in its main. *)
+(** Creates the state directory.  The engine starts its workers as
+    fresh processes of the running executable, which must therefore
+    call {!worker_entry} first thing in its main. *)
 
 val worker_entry : unit -> unit
 (** The campaign worker's entry point.  When this process was started
-    as a [`Forked] engine's worker ([argv] is exactly the executable
-    and {!Worker.arg}), read the job from stdin, run the campaign,
-    write its frames to stdout and exit — 0 after a terminal frame, 1
-    on an escaped exception, 2 on an unreadable job.  Otherwise return
-    at once.  Every executable that runs a [`Forked] engine calls it
-    at the top of its main, before parsing its own command line. *)
-
-val dispose : t -> unit
-(** Join the pool (if one materialised).  The engine is unusable
-    after. *)
+    as an engine's worker ([argv] is exactly the executable and
+    {!Worker.arg}), read the job from stdin, run the campaign, write
+    its frames to stdout and exit — 0 after a terminal frame, 1 on an
+    escaped exception, 2 on an unreadable job.  Otherwise return at
+    once.  Every executable that creates an engine calls it at the top
+    of its main, before parsing its own command line. *)
 
 val request_stop : t -> unit
-(** Flip the drain flag: in-flight campaigns checkpoint at the next
-    work-item boundary and answer [Drained] (forked workers get
-    SIGTERM and the grace period to do the same); queued requests are
+(** Flip the drain flag: in-flight workers get SIGTERM and the grace
+    period to checkpoint at the next work-item boundary and answer
+    [Drained]; queued requests are
     released with [serve.draining]; new inject requests are refused.
     Signal-handler safe (one atomic store). *)
 
@@ -116,9 +105,8 @@ val handle :
 (** Process one request, calling [emit] for each response frame in
     order.  [client] identifies the connection for queue fairness
     (default 0 — embedders that don't multiplex clients get plain
-    FIFO).  Never raises; [emit] may be called from pool domains or
-    the worker supervisor while a streamed campaign runs, so it must
-    be thread-safe. *)
+    FIFO).  Never raises; [emit] runs only on the calling thread,
+    which also supervises the campaign's worker. *)
 
 val stats : t -> Frame.stats
 

@@ -87,10 +87,10 @@ type response =
       golden_cached : bool;
     }
       (** accepted: resume token, fault count, and which cache tiers
-          hit — model (parse skipped), plan (compile skipped), golden
-          (clean simulations skipped) *)
+          hit — model (parse skipped), plan (fault enumeration
+          skipped), golden (clean simulations skipped) *)
   | Artifact of { key : string; text : string }
-      (** internal worker→daemon frame: a forked worker ships the
+      (** internal worker→daemon frame: a campaign worker ships the
           golden artifact it built ({!Csrtl_fault.Artifact.to_string}
           bytes under the golden-tier [key]) back over its pipe before
           running the campaign, so the parent's golden cache warms

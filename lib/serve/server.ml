@@ -175,7 +175,6 @@ let serve ?(config = default_config) () =
       conns = Hashtbl.create 16; conns_lock = Mutex.create ();
       finished = ref []; next_id = Atomic.make 0 }
   in
-  Fun.protect ~finally:(fun () -> Engine.dispose srv.eng) @@ fun () ->
   let log = config.log in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if config.signals then begin

@@ -24,8 +24,8 @@ type config = {
           discarded and answered with a status-2 diagnostic, and the
           connection stays up *)
   signals : bool;
-      (** install SIGTERM/SIGINT drain handlers (default true; the
-          in-process bench harness turns it off) *)
+      (** install SIGTERM/SIGINT drain handlers (default true; a test
+          that serves from a thread of its own process turns it off) *)
   log : string -> unit;  (** lifecycle notes; default drops them *)
 }
 

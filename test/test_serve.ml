@@ -216,22 +216,20 @@ let rec rm_rf path =
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
+(* every campaign runs in a worker process: a re-execution of this
+   binary (see the [worker_entry] call in main) *)
 let with_engine ?(tweak = fun c -> c) f =
   let dir = Filename.temp_file "csrtl_serve" ".state" in
   Sys.remove dir;
   let cfg = tweak { S.Engine.default_config with state_dir = dir } in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
-      let t = S.Engine.create cfg in
-      Fun.protect ~finally:(fun () -> S.Engine.dispose t) (fun () -> f t))
+      f (S.Engine.create cfg))
 
-(* collect every emitted frame, in order; emit may fire from pool
-   domains, so the accumulator is locked like the socket writer is *)
+(* collect every emitted frame, in order; emit runs on the calling
+   thread, so a plain accumulator will do *)
 let collect t req =
-  let acc = ref [] and lock = Mutex.create () in
-  S.Engine.handle t req ~emit:(fun r ->
-      Mutex.lock lock;
-      acc := r :: !acc;
-      Mutex.unlock lock);
+  let acc = ref [] in
+  S.Engine.handle t req ~emit:(fun r -> acc := r :: !acc);
   List.rev !acc
 
 let basic_inject model =
@@ -404,16 +402,13 @@ let test_shutdown_drain_then_resume () =
   in
   let t1 = S.Engine.create cfg in
   let drained =
-    Fun.protect ~finally:(fun () -> S.Engine.dispose t1) (fun () ->
-        let acc = ref [] and lock = Mutex.create () in
-        S.Engine.handle t1 (S.Frame.Inject q) ~emit:(fun r ->
-            Mutex.lock lock;
-            acc := r :: !acc;
-            Mutex.unlock lock;
-            match r with
-            | S.Frame.Entry _ -> S.Engine.request_stop t1
-            | _ -> ());
-        List.rev !acc)
+    let acc = ref [] in
+    S.Engine.handle t1 (S.Frame.Inject q) ~emit:(fun r ->
+        acc := r :: !acc;
+        match r with
+        | S.Frame.Entry _ -> S.Engine.request_stop t1
+        | _ -> ());
+    List.rev !acc
   in
   (match List.rev drained with
    | S.Frame.Drained d :: _ ->
@@ -424,7 +419,6 @@ let test_shutdown_drain_then_resume () =
   (* a fresh engine over the same state dir resumes to the full,
      byte-identical report *)
   let t2 = S.Engine.create cfg in
-  Fun.protect ~finally:(fun () -> S.Engine.dispose t2) @@ fun () ->
   let r = report_of (collect t2 (S.Frame.Inject { q with stream = false })) in
   check_bool "journal prefix reused" true (r.reused >= 1);
   Alcotest.(check string) "resumed report = offline bytes"
@@ -751,22 +745,21 @@ let test_tier_eviction_under_concurrency () =
         (st.S.Frame.plan.S.Frame.entries <= 1
         && st.S.Frame.golden.S.Frame.entries <= 1))
 
-(* -- forked workers --------------------------------------------------------- *)
+(* -- workers ---------------------------------------------------------------- *)
 
-let forked ?(tweak = fun c -> c) f =
+(* one domain per worker and a short restart backoff *)
+let with_workers ?(tweak = fun c -> c) f =
   with_engine
     ~tweak:(fun c ->
       tweak
-        { c with
-          S.Engine.isolation = `Forked; jobs = 1; backoff_base_ms = 10;
-          backoff_cap_ms = 20 })
+        { c with S.Engine.jobs = 1; backoff_base_ms = 10; backoff_cap_ms = 20 })
     f
 
 let test_forked_matches_offline () =
   let text = fig1_text () in
   let m, _ = Result.get_ok (C.Rtm.parse text) in
   let offline = F.Campaign.run ~batch:32 m in
-  forked (fun t ->
+  with_workers (fun t ->
       let r =
         report_of
           (collect t (S.Frame.Inject { (basic_inject text) with resume = false }))
@@ -801,7 +794,7 @@ let test_forked_after_domain () =
   let text = fig1_text () in
   let m, _ = Result.get_ok (C.Rtm.parse text) in
   let offline = F.Campaign.run ~batch:32 m in
-  forked (fun t ->
+  with_workers (fun t ->
       let r =
         report_of
           (collect t (S.Frame.Inject { (basic_inject text) with resume = false }))
@@ -811,33 +804,29 @@ let test_forked_after_domain () =
         r.text)
 
 (* A client that asks for the stats as soon as it reads its report
-   must find that campaign counted and its lane free, under either
-   isolation.  [stats] taken inside [emit] sees the engine exactly as
-   the report leaves it. *)
+   must find that campaign counted and its lane free.  [stats] taken
+   inside [emit] sees the engine exactly as the report leaves it. *)
 let test_stats_settled_at_report () =
   let text = fig1_text () in
-  let check t =
-    let seen = ref None in
-    S.Engine.handle t
-      (S.Frame.Inject { (basic_inject text) with resume = false })
-      ~emit:(function
-        | S.Frame.Report _ -> seen := Some (S.Engine.stats t)
-        | _ -> ());
-    match !seen with
-    | Some s ->
-      check_int "campaign counted" 1 s.S.Frame.campaigns;
-      check_int "lane released" 0 s.S.Frame.active
-    | None -> Alcotest.fail "no Report frame"
-  in
-  with_engine check;
-  forked check
+  with_engine @@ fun t ->
+  let seen = ref None in
+  S.Engine.handle t
+    (S.Frame.Inject { (basic_inject text) with resume = false })
+    ~emit:(function
+      | S.Frame.Report _ -> seen := Some (S.Engine.stats t)
+      | _ -> ());
+  match !seen with
+  | Some s ->
+    check_int "campaign counted" 1 s.S.Frame.campaigns;
+    check_int "lane released" 0 s.S.Frame.active
+  | None -> Alcotest.fail "no Report frame"
 
 let test_worker_kill_restart () =
   let text = fig1_text () in
   let m, _ = Result.get_ok (C.Rtm.parse text) in
   let offline = F.Campaign.run ~batch:32 m in
   let killed = ref false in
-  forked
+  with_workers
     ~tweak:(fun c ->
       { c with
         S.Engine.max_restarts = 2; quarantine_threshold = 0;
@@ -865,7 +854,7 @@ let test_worker_kill_restart () =
 let test_quarantine () =
   let text = fig1_text () in
   let arm = ref true in
-  forked
+  with_workers
     ~tweak:(fun c ->
       { c with
         S.Engine.max_restarts = 0; quarantine_threshold = 2;
@@ -926,7 +915,7 @@ let test_daemon_sigkill_resume () =
   let spawn_daemon () =
     Unix.create_process csrtl
       [| csrtl; "serve"; "--socket"; sock; "--state-dir"; state; "--jobs";
-         "1"; "--isolation"; "in-process"; "--quiet" |]
+         "1"; "--quiet" |]
       Unix.stdin Unix.stdout Unix.stderr
   in
   let connect () =
@@ -1150,8 +1139,7 @@ let test_socket_ownership () =
       S.Server.socket = sock; signals = false;
       engine =
         { S.Engine.default_config with
-          S.Engine.state_dir = Filename.concat dir state; jobs = 1;
-          isolation = `In_process } }
+          S.Engine.state_dir = Filename.concat dir state; jobs = 1 } }
   in
   let start state =
     let result = ref (Error "never ran") in
@@ -1234,7 +1222,7 @@ let test_socket_ownership () =
     (read_file sock)
 
 let () =
-  (* forked engines re-execute this binary as their campaign workers *)
+  (* engines re-execute this binary as their campaign workers *)
   S.Engine.worker_entry ();
   Alcotest.run "serve"
     [ ( "codec",
