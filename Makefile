@@ -40,20 +40,33 @@ check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke onesho
 	    d=R1; [ $$((i % 2)) -eq 1 ] && d=R0; \
 	    echo "transfer R0 BA R1 BB $$r ADD $$((r + 1)) BA $$d"; \
 	    i=$$((i + 1)); done; } > _build/check/smoke.rtm; \
-	rm -f _build/check/smoke.jsonl; \
-	$$CSRTL inject _build/check/smoke.rtm > _build/check/smoke_clean.out || true; \
-	( $$CSRTL inject _build/check/smoke.rtm --jobs 2 \
-	    --journal _build/check/smoke.jsonl > /dev/null 2>&1 & \
-	  pid=$$!; sleep 0.1; kill -9 $$pid 2> /dev/null; \
-	  wait $$pid 2> /dev/null; true ); \
-	$$CSRTL inject _build/check/smoke.rtm --jobs 2 \
-	    --resume _build/check/smoke.jsonl \
+	{ echo "model killsmoke"; echo "csmax 129"; \
+	  echo "reg R0 init 1"; echo "reg R1 init 2"; \
+	  echo "bus BA BB"; echo "unit ADD ops add latency 1"; \
+	  i=0; while [ $$i -lt 64 ]; do r=$$((2 * i + 1)); \
+	    d=R1; [ $$((i % 2)) -eq 1 ] && d=R0; \
+	    echo "transfer R0 BA R1 BB $$r ADD $$((r + 1)) BA $$d"; \
+	    i=$$((i + 1)); done; } > _build/check/killsmoke.rtm; \
+	J=_build/check/smoke.jsonl; rm -f $$J; \
+	$$CSRTL inject _build/check/killsmoke.rtm \
+	  > _build/check/smoke_clean.out || true; \
+	$$CSRTL inject _build/check/killsmoke.rtm --engine kernel --jobs 2 \
+	  --journal $$J > /dev/null 2>&1 & pid=$$!; \
+	n=0; while [ "$$(cat $$J 2> /dev/null | wc -l)" -lt 6 ] \
+	  && [ $$n -lt 5000 ]; do sleep 0.002; n=$$((n + 1)); done; \
+	kill -9 $$pid 2> /dev/null; wait $$pid 2> /dev/null; \
+	$$CSRTL inject _build/check/killsmoke.rtm --engine kernel --jobs 2 \
+	    --resume $$J \
 	    > _build/check/smoke_resumed.out 2> _build/check/smoke_resume.err \
 	  || true; \
 	sed 's/^/  /' _build/check/smoke_resume.err; \
+	grep -q ': [1-9][0-9]* reused, [1-9][0-9]* re-run,' \
+	  _build/check/smoke_resume.err || \
+	  { echo "kill-and-resume smoke FAILED: the resume did not find a" \
+	      "partial journal"; exit 1; }; \
 	cmp _build/check/smoke_clean.out _build/check/smoke_resumed.out || \
 	  { echo "kill-and-resume smoke FAILED"; exit 1; }; \
-	echo "  SIGKILLed journaled campaign resumed to a byte-identical report"
+	echo "  SIGKILLed journaled campaign resumed a partial journal to a byte-identical report"
 	@echo "batched-campaign smoke (2 domains, lockstep vs kernel path):"
 	@CSRTL=_build/default/bin/csrtl.exe; \
 	$$CSRTL inject _build/check/smoke.rtm --engine kernel --jobs 1 --table \

@@ -1050,8 +1050,9 @@ let inject_cmd =
                 (match
                    Csrtl_fault.Campaign.run_journaled
                      ?jobs:(match jobs with Some 0 -> None | j -> j)
-                     ?chunks ~faults ?budget ~restore ~engine ~batch ?plan
-                     ?golden ~journal:journal_path ~resume:resuming m
+                     ?chunks ~faults ?budget ~restore ~engine ~batch
+                     ~warm:(fun () -> (plan, golden))
+                     ~journal:journal_path ~resume:resuming m
                  with
                  | Ok (r, info) ->
                    (* progress chatter goes to stderr so the report on
@@ -1112,8 +1113,8 @@ let fuzz_cmd =
   in
   let targets =
     let doc =
-      "Frontier to fuzz: $(b,vhdl), $(b,rtm) or $(b,alg) (repeatable; \
-       default all three)."
+      "Frontier to fuzz: $(b,vhdl), $(b,rtm), $(b,alg), $(b,frame) or \
+       $(b,journal) (repeatable; default all)."
     in
     Arg.(value & opt_all string [] & info [ "target" ] ~docv:"TARGET" ~doc)
   in
@@ -1141,7 +1142,8 @@ let fuzz_cmd =
               (fun n ->
                 match F.target_of_string n with
                 | Some t -> t
-                | None -> die2 "unknown fuzz target %s (vhdl|rtm|alg|frame)" n)
+                | None ->
+                  die2 "unknown fuzz target %s (vhdl|rtm|alg|frame|journal)" n)
               names
         in
         let progress done_ crashes =

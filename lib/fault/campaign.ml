@@ -657,7 +657,7 @@ type resume_info = { reused : int; rerun : int; torn : int; remaining : int }
 
 let run_journaled ?jobs ?chunks ?(config = Simulate.default) ?digest
     ?limit ?faults ?budget ?(restore = true) ?(engine : engine = `Auto)
-    ?(batch = 32) ?plan ?golden ?should_stop ?on_entry:user_on_entry ~journal
+    ?(batch = 32) ?warm ?should_stop ?on_entry:user_on_entry ~journal
     ~resume (m : Model.t) =
   let faults = fault_list ?limit ?faults m in
   let labels = List.map Fault.to_string faults in
@@ -717,30 +717,41 @@ let run_journaled ?jobs ?chunks ?(config = Simulate.default) ?digest
       else Journal.start journal header
     in
     Fun.protect ~finally:(fun () -> Journal.close w) @@ fun () ->
-    let ctx, work =
-      (* checkpoints only for the faults actually re-run *)
-      setup ~config ?budget ?plan ?golden ~restore ~engine ~batch m
-        (List.map (fun i -> (i, fault_arr.(i))) todo)
+    (* a wholesale replay computes nothing, so it builds nothing: no
+       plan, no goldens, no checkpoints, and no fsync, since there is
+       nothing new to pin *)
+    let computed =
+      if todo = [] then []
+      else begin
+        let plan, golden =
+          match warm with Some f -> f () | None -> (None, None)
+        in
+        let ctx, work =
+          (* checkpoints only for the faults actually re-run *)
+          setup ~config ?budget ?plan ?golden ~restore ~engine ~batch m
+            (List.map (fun i -> (i, fault_arr.(i))) todo)
+        in
+        (* every finished fault is journaled before its work item
+           returns — batched chunks append their entries as a group, so
+           a crash loses at most the chunk in flight.  The user callback
+           (a daemon streaming entries to its client) fires after the
+           journal write: a streamed entry is always recoverable from
+           disk *)
+        let on_entry i (e : entry) =
+          Journal.append w
+            { Journal.index = i; fault_label = label_arr.(i);
+              kernel = e.kernel_outcome; interp = e.interp_outcome;
+              cycles = e.kernel_cycles; law_ok = e.law_ok };
+          match user_on_entry with None -> () | Some f -> f i e
+        in
+        let computed, _ =
+          compute_all ?jobs ?chunks ?should_stop ~par:true ~ctx ~on_entry
+            work
+        in
+        Journal.sync w;
+        computed
+      end
     in
-    (* every finished fault is journaled before its work item returns
-       — batched chunks append their entries as a group, so a crash
-       loses at most the chunk in flight.  The user callback (a daemon
-       streaming entries to its client) fires after the journal write:
-       a streamed entry is always recoverable from disk *)
-    let on_entry i (e : entry) =
-      Journal.append w
-        { Journal.index = i; fault_label = label_arr.(i);
-          kernel = e.kernel_outcome; interp = e.interp_outcome;
-          cycles = e.kernel_cycles; law_ok = e.law_ok };
-      match user_on_entry with None -> () | Some f -> f i e
-    in
-    let computed, _ =
-      compute_all ?jobs ?chunks ?should_stop ~par:true ~ctx ~on_entry work
-    in
-    (* a wholesale replay appends nothing — there is nothing new to
-       pin, so skip the fsync instead of paying disk latency per
-       re-render of a completed campaign *)
-    if todo <> [] then Journal.sync w;
     let computed_tbl = Hashtbl.create 64 in
     List.iter
       (fun (i, e) -> Hashtbl.replace computed_tbl i e)

@@ -201,7 +201,7 @@ val run_journaled :
   ?config:Simulate.config -> ?digest:string -> ?limit:int ->
   ?faults:Fault.t list ->
   ?budget:float -> ?restore:bool -> ?engine:engine -> ?batch:int ->
-  ?plan:Batch.plan -> ?golden:Artifact.t ->
+  ?warm:(unit -> Batch.plan option * Artifact.t option) ->
   ?should_stop:(unit -> bool) -> ?on_entry:(int -> entry -> unit) ->
   journal:string -> resume:bool ->
   Model.t -> (report * resume_info, string) result
@@ -216,14 +216,20 @@ val run_journaled :
     computed it — a daemon's campaign worker — skips the model re-render
     and hash; a wrong value can only fail the header match, never
     corrupt a report).  With [resume] true the
-    journal is read first: entries that parse, pass their integrity
-    hash and match the fault list are reused verbatim; torn or
+    journal is read first: entries that decode
+    ({!Journal.entry_of_line}), pass their integrity hash and match the
+    fault list are reused verbatim; torn or
     missing entries are re-run (and appended).  The resumed report is
     byte-identical to an uninterrupted run's — reused entries
     round-trip through the journal losslessly.  [Error] when the
     journal is unreadable, malformed, or was written for a different
     campaign (model digest, config tag, or fault-list digest
     disagree).
+
+    [warm] supplies {!run}'s [plan] and [golden].  It is called at most
+    once, and only when a fault is left to run: a resume whose journal
+    already covers every fault compiles no plan, reads no artifact, and
+    runs no golden or checkpoint — it costs the journal read.
 
     [should_stop] is polled between work items (from pool domains —
     it must be thread-safe and cheap, e.g. an [Atomic.t] read or a

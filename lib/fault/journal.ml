@@ -71,6 +71,77 @@ module Json = struct
 
   exception Bad of string
 
+  let fail_at pos msg = raise (Bad (Printf.sprintf "%s at offset %d" msg pos))
+
+  (* The one JSON string unescaper.  Reads the literal opening at
+     [!pos] and leaves [pos] just past its closing quote.  A literal
+     without escapes is one [String.sub].  With [canonical], only the
+     bytes [buf_add_escaped] writes are accepted: no raw control byte,
+     no [\/], and a [\u] escape only in the lower-case [%04x] form of a
+     control byte that has no short escape — so a decoded string
+     re-escapes to exactly the bytes it was read from. *)
+  let read_string ?(canonical = false) s pos =
+    let n = String.length s in
+    if !pos >= n || s.[!pos] <> '"' then fail_at !pos "expected \"";
+    incr pos;
+    let start = !pos in
+    let rec plain i =
+      if i >= n then (pos := i; fail_at i "unterminated string")
+      else
+        match s.[i] with
+        | '"' -> i
+        | '\\' -> -1
+        | c when canonical && Char.code c < 0x20 ->
+          fail_at i "raw control byte in string"
+        | _ -> plain (i + 1)
+    in
+    match plain start with
+    | stop when stop >= 0 ->
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    | _ ->
+      let b = Buffer.create 16 in
+      let rec loop () =
+        if !pos >= n then fail_at !pos "unterminated string";
+        match s.[!pos] with
+        | '"' -> incr pos
+        | '\\' ->
+          incr pos;
+          if !pos >= n then fail_at !pos "unterminated escape";
+          (match s.[!pos] with
+           | '"' -> Buffer.add_char b '"'
+           | '\\' -> Buffer.add_char b '\\'
+           | '/' when not canonical -> Buffer.add_char b '/'
+           | 'n' -> Buffer.add_char b '\n'
+           | 't' -> Buffer.add_char b '\t'
+           | 'r' -> Buffer.add_char b '\r'
+           | 'u' ->
+             if !pos + 4 >= n then fail_at !pos "truncated \\u escape";
+             let hex = String.sub s (!pos + 1) 4 in
+             (match int_of_string_opt ("0x" ^ hex) with
+              | Some code
+                when canonical
+                     && (code >= 0x20 || code = 0x09 || code = 0x0a
+                         || code = 0x0d
+                         || hex <> Printf.sprintf "%04x" code) ->
+                fail_at !pos "non-canonical \\u escape"
+              | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
+              | Some _ -> fail_at !pos "non-ASCII \\u escape"
+              | None -> fail_at !pos "bad \\u escape");
+             pos := !pos + 4
+           | _ -> fail_at !pos "unknown escape");
+          incr pos;
+          loop ()
+        | c when canonical && Char.code c < 0x20 ->
+          fail_at !pos "raw control byte in string"
+        | c ->
+          Buffer.add_char b c;
+          incr pos;
+          loop ()
+      in
+      loop ();
+      Buffer.contents b
+
   (* [max_depth] bounds container nesting: this parser also sits on the
      serve daemon's wire frontier, where an adversarial ["[[[[..."] line
      must yield a [Bad] diagnostic, not a stack overflow.  Journal lines
@@ -80,7 +151,7 @@ module Json = struct
   let pos = ref 0 in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let fail msg = fail_at !pos msg in
   let skip_ws () =
     while
       !pos < n && (match s.[!pos] with ' ' | '\t' -> true | _ -> false)
@@ -97,42 +168,7 @@ module Json = struct
     then (pos := !pos + String.length lit; v)
     else fail ("expected " ^ lit)
   in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (if !pos >= n then fail "unterminated escape";
-         (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'u' ->
-            if !pos + 4 >= n then fail "truncated \\u escape";
-            let hex = String.sub s (!pos + 1) 4 in
-            (match int_of_string_opt ("0x" ^ hex) with
-             | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-             | Some _ -> fail "non-ASCII \\u escape"
-             | None -> fail "bad \\u escape");
-            pos := !pos + 4
-          | _ -> fail "unknown escape");
-         advance ());
-        loop ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
+  let parse_string () = read_string s pos in
     let rec parse_value depth =
       if depth > max_depth then fail "nesting too deep";
       skip_ws ();
@@ -217,7 +253,6 @@ let parse_json s = Json.parse s
 let field = Json.field
 let str_field = Json.str_field
 let int_field = Json.int_field
-let bool_field = Json.bool_field
 
 (* ------------------------------------------------------------------ *)
 (* Wire types                                                         *)
@@ -339,24 +374,119 @@ let entry_line ~digest e =
          ("interp", json_of_outcome e.interp); ("cycles", Int e.cycles);
          ("law_ok", Bool e.law_ok); ("h", Str h) ])
 
-let entry_of_line ~digest line =
-  let j = parse_json line in
-  let e =
-    { index = int_field "i" j; fault_label = str_field "fault" j;
-      kernel =
-        (match field "kernel" j with
-         | Some o -> outcome_of_json o
-         | None -> raise (Bad "missing kernel outcome"));
-      interp =
-        (match field "interp" j with
-         | Some o -> outcome_of_json o
-         | None -> raise (Bad "missing interp outcome"));
-      cycles = int_field "cycles" j; law_ok = bool_field "law_ok" j }
+(* An entry line is decoded in one pass over its own bytes, without a
+   JSON tree: each field must sit exactly where [entry_line] puts it,
+   in its exact spelling, so a line that decodes re-encodes to itself.
+   The hash then covers the line's own body bytes — everything before
+   [,"h":] plus the closing brace — and nothing is re-serialized.  Any
+   other line (reordered fields, added whitespace, a truncation, a
+   foreign or non-canonical escape) is torn: re-run, never misread. *)
+exception Torn
+
+let decode ~digest s start stop =
+  let pos = ref start in
+  let lit l =
+    let k = String.length l in
+    if !pos + k > stop then raise Torn;
+    for j = 0 to k - 1 do
+      if String.unsafe_get s (!pos + j) <> String.unsafe_get l j then
+        raise Torn
+    done;
+    pos := !pos + k
   in
-  let h = str_field "h" j in
-  if h <> entry_hash ~digest (entry_body e) then
-    raise (Bad "integrity hash mismatch");
-  e
+  let int () =
+    let neg = !pos < stop && s.[!pos] = '-' in
+    if neg then incr pos;
+    let first = !pos in
+    (* accumulated as a non-positive number, so [min_int] fits *)
+    let acc = ref 0 in
+    while !pos < stop && s.[!pos] >= '0' && s.[!pos] <= '9' do
+      let d = Char.code s.[!pos] - 48 in
+      if !acc < (min_int + d) / 10 then raise Torn;
+      acc := (!acc * 10) - d;
+      incr pos
+    done;
+    let len = !pos - first in
+    if len = 0 || (s.[first] = '0' && (len > 1 || neg)) then raise Torn;
+    if neg then !acc else if !acc = min_int then raise Torn else - !acc
+  in
+  let str () =
+    (* a canonical string holds no raw newline, so it cannot run past
+       [stop] into the next line *)
+    match Json.read_string ~canonical:true s pos with
+    | v -> v
+    | exception Bad _ -> raise Torn
+  in
+  let outcome () =
+    lit "{\"o\":";
+    let o =
+      match str () with
+      | "masked" -> Outcome.Masked
+      | "detected" ->
+        lit ",\"step\":";
+        let step = int () in
+        lit ",\"phase\":";
+        let name = str () in
+        let phase =
+          match Phase.of_string name with
+          | Some p when Phase.to_string p = name -> p
+          | _ -> raise Torn
+        in
+        lit ",\"sink\":";
+        Outcome.Detected (step, phase, str ())
+      | "corrupted" ->
+        lit ",\"n\":";
+        let count = int () in
+        if count < 1 then raise Torn;
+        lit ",\"first\":";
+        Outcome.Corrupted { count; first = str () }
+      | "hung" ->
+        lit ",\"why\":";
+        Outcome.Hung (str ())
+      | "crashed" ->
+        lit ",\"why\":";
+        Outcome.Crashed (str ())
+      | _ -> raise Torn
+    in
+    lit "}";
+    o
+  in
+  lit "{\"i\":";
+  let index = int () in
+  lit ",\"fault\":";
+  let fault_label = str () in
+  lit ",\"kernel\":";
+  let kernel = outcome () in
+  lit ",\"interp\":";
+  let interp = outcome () in
+  lit ",\"cycles\":";
+  let cycles = int () in
+  lit ",\"law_ok\":";
+  let law_ok =
+    if !pos < stop && s.[!pos] = 't' then (lit "true"; true)
+    else (lit "false"; false)
+  in
+  let body_end = !pos in
+  lit ",\"h\":\"";
+  let h = !pos in
+  pos := h + 32;
+  lit "\"}";
+  if !pos <> stop then raise Torn;
+  let dl = String.length digest and bl = body_end - start in
+  let b = Bytes.create (dl + bl + 1) in
+  Bytes.blit_string digest 0 b 0 dl;
+  Bytes.blit_string s start b dl bl;
+  Bytes.set b (dl + bl) '}';
+  let want = Digest.to_hex (Digest.bytes b) in
+  for j = 0 to 31 do
+    if s.[h + j] <> want.[j] then raise Torn
+  done;
+  { index; fault_label; kernel; interp; cycles; law_ok }
+
+let entry_of_line ~digest line =
+  match decode ~digest line 0 (String.length line) with
+  | e -> Some e
+  | exception Torn -> None
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                             *)
@@ -488,41 +618,48 @@ let close w = close_out w.oc
 (* Reader                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec loop acc =
-        match input_line ic with
-        | line -> loop (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      loop [])
+let is_blank s start stop =
+  let rec go i =
+    i >= stop
+    || (match s.[i] with
+        | ' ' | '\t' | '\n' | '\r' | '\012' -> go (i + 1)
+        | _ -> false)
+  in
+  go start
 
-let read path : (header * entry list * int, string) result =
-  match read_lines path with
+let of_string text : (header * entry list * int, string) result =
+  let len = String.length text in
+  let line_end i =
+    match String.index_from_opt text i '\n' with Some j -> j | None -> len
+  in
+  if len = 0 then Error "empty journal (no header line)"
+  else
+    let first = line_end 0 in
+    match header_of_line (String.sub text 0 first) with
+    | exception Bad msg -> Error (Printf.sprintf "bad journal header: %s" msg)
+    | h ->
+      let torn = ref 0 in
+      let seen = Hashtbl.create 64 in
+      let rec lines acc i =
+        if i >= len then List.rev acc
+        else
+          let stop = line_end i in
+          let acc =
+            if is_blank text i stop then acc
+            else
+              match decode ~digest:h.digest text i stop with
+              | e when e.index >= 0 && e.index < h.total
+                       && not (Hashtbl.mem seen e.index) ->
+                Hashtbl.replace seen e.index ();
+                e :: acc
+              | _ | (exception Torn) -> incr torn; acc
+          in
+          lines acc (stop + 1)
+      in
+      let entries = lines [] (first + 1) in
+      Ok (h, entries, !torn)
+
+let read path =
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | [] -> Error "empty journal (no header line)"
-  | first :: rest ->
-    (match header_of_line first with
-     | exception Bad msg -> Error (Printf.sprintf "bad journal header: %s" msg)
-     | h ->
-       let torn = ref 0 in
-       let seen = Hashtbl.create 64 in
-       let entries =
-         List.filter_map
-           (fun line ->
-             if String.trim line = "" then None
-             else
-               match entry_of_line ~digest:h.digest line with
-               | e ->
-                 if
-                   e.index < 0 || e.index >= h.total
-                   || Hashtbl.mem seen e.index
-                 then (incr torn; None)
-                 else (Hashtbl.replace seen e.index (); Some e)
-               | exception Bad _ -> incr torn; None)
-           rest
-       in
-       Ok (h, entries, !torn))
+  | text -> of_string text

@@ -6,9 +6,9 @@
     digest, kernel-config tag, fault count, digest of the fault
     labels); each entry line carries an md5 integrity hash over the
     model digest and the entry body.  {!read} treats any line that
-    fails to parse, fails its hash, is out of range, or duplicates an
-    index as {e torn}: reported by count and re-run on resume, never
-    folded into a report.
+    is not exactly what the writer emits, fails its hash, is out of
+    range, or duplicates an index as {e torn}: reported by count and
+    re-run on resume, never folded into a report.
 
     The format is version 2: a corrupted outcome is stored as its
     difference count and first difference,
@@ -138,8 +138,31 @@ val sync : writer -> unit
 
 val close : writer -> unit
 
+val header_line : header -> string
+(** The first line of a journal for this campaign, without its
+    newline. *)
+
+val entry_line : digest:string -> entry -> string
+(** The line {!append} writes for [e] in a journal whose header
+    carries the model digest [digest], without its newline. *)
+
+val entry_of_line : digest:string -> string -> entry option
+(** The inverse of {!entry_line}, decoded in one pass over the line's
+    own bytes: [Some e] exactly when the line is, byte for byte, what
+    [entry_line ~digest e] writes.  Anything else — a truncation, a
+    failed hash, a line hashed under another digest, reordered fields,
+    added whitespace, a non-canonical escape — is [None], a torn
+    line. *)
+
 val read : string -> (header * entry list * int, string) result
 (** [Ok (header, entries, torn)] — [entries] are the lines that
-    parsed and passed their integrity hash, first occurrence winning
-    per index; [torn] counts the rest.  [Error] for an unreadable
-    file or a malformed/alien header line. *)
+    decode and pass their integrity hash, first occurrence winning per
+    index; [torn] counts the rest.  The hash covers the line's own
+    body bytes (everything before [,"h":], then the closing brace), so
+    nothing is re-serialized to check it, and a line that is not
+    byte for byte what the writer emits ({!entry_of_line}) counts as
+    torn.  [Error] for an unreadable file or a malformed/alien header
+    line. *)
+
+val of_string : string -> (header * entry list * int, string) result
+(** {!read} on a journal's contents: total on any bytes. *)

@@ -3,6 +3,7 @@ module C = Csrtl_core
 module V = Csrtl_vhdl
 module H = Csrtl_hls
 module S = Csrtl_serve
+module J = Csrtl_fault.Journal
 module Par = Csrtl_par.Par
 
 (* -- deterministic PRNG (splitmix64) -------------------------------------- *)
@@ -39,21 +40,23 @@ end
 
 (* -- targets ---------------------------------------------------------------- *)
 
-type target = Vhdl | Rtm | Alg | Frame
+type target = Vhdl | Rtm | Alg | Frame | Journal
 
-let all_targets = [ Vhdl; Rtm; Alg; Frame ]
+let all_targets = [ Vhdl; Rtm; Alg; Frame; Journal ]
 
 let target_to_string = function
   | Vhdl -> "vhdl"
   | Rtm -> "rtm"
   | Alg -> "alg"
   | Frame -> "frame"
+  | Journal -> "journal"
 
 let target_of_string = function
   | "vhdl" -> Some Vhdl
   | "rtm" -> Some Rtm
   | "alg" -> Some Alg
   | "frame" -> Some Frame
+  | "journal" -> Some Journal
   | _ -> None
 
 let extension = function
@@ -61,6 +64,7 @@ let extension = function
   | Rtm -> ".rtm"
   | Alg -> ".alg"
   | Frame -> ".json"
+  | Journal -> ".jsonl"
 
 (* -- seed corpus ------------------------------------------------------------ *)
 
@@ -307,6 +311,51 @@ let gen_frame r =
     done;
     Buffer.contents b
 
+(* campaign journals: a header and entry lines from the writer itself,
+   with valid hashes, so mutation starts inside the line decoder;
+   indices stray out of range and lines repeat, as a crash or two
+   racing writers leave them *)
+let gen_journal r =
+  let text () =
+    let b = Buffer.create 16 in
+    for _ = 0 to Rng.int r 4 do
+      Buffer.add_string b
+        (Rng.pick r
+           [| "stuck-at 3 on B1"; "R1"; " "; "\""; "\\"; "\n"; "\t";
+              "\001"; "\127"; "\200"; "/"; "at step 4: 7 vs 13" |])
+    done;
+    Buffer.contents b
+  in
+  let total = Rng.int r 6 in
+  let header =
+    { J.model = "fuzz"; digest = Rng.pick r [| "d0"; "475c87b3"; "" |];
+      config = "keyed+incr+record"; total; faults_digest = "f0" }
+  in
+  let outcome () =
+    match Rng.int r 5 with
+    | 0 -> Csrtl_fault.Outcome.Masked
+    | 1 ->
+      Csrtl_fault.Outcome.Detected
+        (Rng.int r 9, Rng.pick_list r C.Phase.all, text ())
+    | 2 ->
+      Csrtl_fault.Outcome.Corrupted { count = 1 + Rng.int r 9; first = text () }
+    | 3 -> Csrtl_fault.Outcome.Hung (text ())
+    | _ -> Csrtl_fault.Outcome.Crashed (text ())
+  in
+  let b = Buffer.create 512 in
+  Buffer.add_string b (J.header_line header);
+  for _ = 0 to Rng.int r 8 do
+    Buffer.add_char b '\n';
+    if Rng.int r 8 > 0 then
+      Buffer.add_string b
+        (J.entry_line ~digest:header.J.digest
+           { J.index = Rng.int r (total + 2) - 1; fault_label = text ();
+             kernel = outcome (); interp = outcome (); cycles = Rng.int r 99;
+             law_ok = Rng.bool r })
+  done;
+  if Rng.bool r then Buffer.add_char b '\n';
+  Buffer.contents b
+
 let seeds target =
   match target with
   | Vhdl -> [ V.Emit.to_string tiny_model; "entity e is\nend e;\n" ]
@@ -320,6 +369,7 @@ let seeds target =
              table = false; stream = false; resume = true });
       S.Frame.encode_request S.Frame.Ping;
       "{\"csrtl\":\"req\",\"v\":1,\"op\":\"stats\"}" ]
+  | Journal -> [ gen_journal (Rng.make 1) ]
 
 (* -- mutation --------------------------------------------------------------- *)
 
@@ -375,6 +425,7 @@ let gen_fresh r = function
   | Rtm -> gen_rtm r
   | Alg -> gen_alg r
   | Frame -> gen_frame r
+  | Journal -> gen_journal r
 
 let gen_input r target =
   match Rng.int r 4 with
@@ -443,6 +494,27 @@ let exercise ?(limits = Diag.Limits.default) target (src : string) =
         | Ok req2 when req2 = req -> `Clean
         | Ok _ -> failwith "Bug: request round-trip changed the frame"
         | Error _ -> failwith "Bug: re-encoded request rejected"))
+  | Journal ->
+    (match J.of_string src with
+     | Error _ -> `Rejected
+     | Ok (h, entries, torn) ->
+       (* every non-blank line after the header is reused or torn, and a
+          reused entry is exactly what the writer emits for it *)
+       let lines =
+         match String.split_on_char '\n' src with
+         | [] -> []
+         | _ :: rest -> List.filter (fun l -> String.trim l <> "") rest
+       in
+       if List.length entries + torn <> List.length lines then
+         failwith "Bug: a journal line was neither reused nor torn";
+       List.iter
+         (fun (e : J.entry) ->
+           if e.J.index < 0 || e.J.index >= h.J.total then
+             failwith "Bug: an out-of-range entry was reused";
+           if not (List.mem (J.entry_line ~digest:h.J.digest e) lines) then
+             failwith "Bug: a reused entry is not one of the journal's lines")
+         entries;
+       `Clean)
 
 (* -- crash bookkeeping ------------------------------------------------------ *)
 

@@ -3,8 +3,8 @@
     Every entry point that accepts bytes from outside — the VHDL
     lexer/parser/linter/extractor, the [.rtm] corpus reader, the
     [.alg] program parser, the serve daemon's wire-frame decoder,
-    model validation and one bounded simulation
-    step — promises to return diagnostics instead of raising.  This
+    the campaign journal reader, model validation and one bounded
+    simulation step — promises to return diagnostics instead of raising.  This
     harness hammers that promise: seeded grammar-aware generation plus
     byte-level mutation produce inputs, each input is pushed through
     the full pipeline under {!Csrtl_par.Par.run_supervised}, and {e
@@ -16,7 +16,7 @@
     deduplicated by signature (exception text with digits masked) and
     shrunk greedily before being reported or written out. *)
 
-type target = Vhdl | Rtm | Alg | Frame
+type target = Vhdl | Rtm | Alg | Frame | Journal
 
 val target_of_string : string -> target option
 val target_to_string : target -> string
@@ -46,7 +46,10 @@ val exercise :
     The [Frame] target drives the serve daemon's wire codec instead:
     both decoders must be total, a rejected frame must carry
     diagnostics, and an accepted request must survive an
-    encode/decode round trip unchanged.  Raising is precisely the bug
+    encode/decode round trip unchanged.  The [Journal] target reads
+    the bytes as a campaign journal ({!Csrtl_fault.Journal.of_string}):
+    it must answer [Ok] or [Error], count every line it does not reuse
+    as torn, and reuse only lines the writer would emit.  Raising is precisely the bug
     the fuzzer exists to find; the {!run} driver supervises this
     call, tests may call it directly. *)
 

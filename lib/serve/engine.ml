@@ -255,8 +255,9 @@ let compile t (q : Frame.inject) =
 (* ---- the campaign worker ----------------------------------------- *)
 
 (* The campaign core a worker runs.  [stopping] is the drain flag only
-   (the worker's SIGTERM); the deadline is computed here from [t0]. *)
-let exec_campaign ?plan ?golden ~jobs ~stopping ~journal ~t0
+   (the worker's SIGTERM, or its supervisor's death); the deadline is
+   computed here from [t0]. *)
+let exec_campaign ~warm ~jobs ~stopping ~journal ~t0
     ~default_deadline_ms (q : Frame.inject) ~model ~digest ~faults ~labels
     ~token ~emit =
   let label_arr = Array.of_list labels in
@@ -295,7 +296,7 @@ let exec_campaign ?plan ?golden ~jobs ~stopping ~journal ~t0
   in
   let run ~resume =
     F.Campaign.run_journaled ~jobs ~digest ~faults ?budget
-      ~engine:q.Frame.engine ~batch:q.Frame.batch ?plan ?golden ~should_stop
+      ~engine:q.Frame.engine ~batch:q.Frame.batch ~warm ~should_stop
       ?on_entry ~journal ~resume model
   in
   let resume = q.Frame.resume && Sys.file_exists journal in
@@ -452,17 +453,18 @@ let decode_job text =
 (* Worker body, in a fresh process: fresh stop flag, fresh journal
    writer, fresh width-limited pool — nothing shared with the daemon
    beyond the pipes and the journal file (O_APPEND, so even an orphan
-   from a killed daemon interleaves safely).  The parent already
-   validated the model from the same bytes, so a parse failure here is
-   unreachable; it still exits cleanly rather than trusting that.
+   from a killed daemon interleaves safely until it drains).  The
+   parent already validated the model from the same bytes, so a parse
+   failure here is unreachable; it still exits cleanly rather than
+   trusting that.
 
-   The plan is compiled here, once: a [Batch.plan] holds closures and
-   cannot be sent.  [golden] is the golden-tier decision: [`Hit]
-   brings the artifact's bytes; [`Miss key] makes this worker build it
-   and ship it back over the pipe ({!Frame.Artifact}) {e before} the
-   campaign runs, so the parent's tier warms even if the worker later
-   crashes mid-campaign; [`Off] disables the tier. *)
-let child_main ~stop ~t0 { cfg; q; golden; chaos } fd =
+   The plan is compiled here, at most once: a [Batch.plan] holds
+   closures and cannot be sent.  [golden] is the golden-tier decision:
+   [`Hit] brings the artifact's bytes; [`Miss key] makes this worker
+   build it and ship it back over the pipe ({!Frame.Artifact}) {e
+   before} the campaign runs, so the parent's tier warms even if the
+   worker later crashes mid-campaign; [`Off] disables the tier. *)
+let child_main ~stopping ~t0 { cfg; q; golden; chaos } fd =
   F.Journal.set_chaos chaos;
   let wlock = Mutex.create () in
   let emit resp =
@@ -488,39 +490,46 @@ let child_main ~stop ~t0 { cfg; q; golden; chaos } fd =
     let token = token_of ~digest ~config_tag ~faults_digest in
     let journal = journal_path cfg token in
     let jobs = if cfg.jobs <= 0 then Par.default_jobs () else cfg.jobs in
-    let plan =
+    let plan () =
       match C.Batch.plan model with p -> Some p | exception _ -> None
     in
-    let golden =
-      let fresh key =
-        (* build the campaign's golden work once and ship it to the
-           parent before touching a single fault: a later crash then
-           costs a restart, not the artifact *)
-        match F.Campaign.prepare ?plan model with
-        | a ->
-          (match key with
-           | Some key ->
-             emit (Frame.Artifact { key; text = F.Artifact.to_string a })
-           | None -> ());
-          Some a
-        | exception _ -> None
-      in
-      match golden with
-      | `Off -> None
-      | `Miss key -> fresh (Some key)
-      | `Hit text ->
-        (* the tier's bytes came from an earlier worker's [to_string];
-           re-check the content-addressed header against this
-           worker's own parse — O(1), so a daemon bug can only cost
-           the optimization, never the report.  [validate]'s only
-           costly step is re-digesting the model, whose digest this
-           worker already holds *)
-        (match F.Artifact.of_string text with
-         | Ok a when F.Artifact.matches ~digest ~config_tag a -> Some a
-         | Ok _ | Error _ -> fresh None)
+    let fresh ?key plan =
+      (* build the campaign's golden work once and ship it to the
+         parent before touching a single fault: a later crash then
+         costs a restart, not the artifact *)
+      match F.Campaign.prepare ?plan model with
+      | a ->
+        (match key with
+         | Some key ->
+           emit (Frame.Artifact { key; text = F.Artifact.to_string a })
+         | None -> ());
+        Some a
+      | exception _ -> None
     in
-    exec_campaign ?plan ?golden ~jobs
-      ~stopping:(fun () -> Atomic.get stop) ~journal ~t0
+    (* the plan and a hit's artifact are built only when a fault is
+       left to run: a replay of a finished journal needs neither *)
+    let warm =
+      match golden with
+      | `Off -> fun () -> (plan (), None)
+      | `Miss key ->
+        let plan = plan () in
+        let golden = fresh ~key plan in
+        fun () -> (plan, golden)
+      | `Hit text ->
+        fun () ->
+          let plan = plan () in
+          (* the tier's bytes came from an earlier worker's [to_string];
+             re-check the content-addressed header against this
+             worker's own parse — O(1), so a daemon bug can only cost
+             the optimization, never the report.  [validate]'s only
+             costly step is re-digesting the model, whose digest this
+             worker already holds *)
+          ( plan,
+            match F.Artifact.of_string text with
+            | Ok a when F.Artifact.matches ~digest ~config_tag a -> Some a
+            | Ok _ | Error _ -> fresh plan )
+    in
+    exec_campaign ~warm ~jobs ~stopping ~journal ~t0
       ~default_deadline_ms:cfg.default_deadline_ms q ~model ~digest ~faults
       ~labels ~token ~emit
 
@@ -546,8 +555,13 @@ let worker_entry () =
       (Sys.Signal_handle (fun _ -> Atomic.set stop true));
     Sys.set_signal Sys.sigint Sys.Signal_ignore;
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    (* a worker whose supervisor died (a SIGKILLed daemon) drains as on
+       SIGTERM: the restarted daemon's worker resumes the same journal,
+       and an orphan still computing would only duplicate its faults *)
+    let ppid = Unix.getppid () in
+    let stopping () = Atomic.get stop || Unix.getppid () <> ppid in
     (match decode_job (read_all Unix.stdin) with
-     | job -> (try child_main ~stop ~t0 job Unix.stdout with _ -> exit 1)
+     | job -> (try child_main ~stopping ~t0 job Unix.stdout with _ -> exit 1)
      | exception Json.Bad _ -> exit 2);
     exit 0
   end

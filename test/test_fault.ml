@@ -945,6 +945,155 @@ let test_journal_outcome_round_trip () =
       Alcotest.(check string) "entries rebuilt byte-identically"
         (entries_string plain) (entries_string r))
 
+(* -- journal line decoder ------------------------------------------------------ *)
+
+(* Strings that stress the escaper: quotes, backslashes, newline, tab,
+   carriage return, the other control bytes, DEL and bytes >= 0x80. *)
+let nasty_string =
+  let open QCheck.Gen in
+  let special =
+    oneofl
+      [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\001'; '\031'; '\127'; '\128';
+        '\255'; '/'; 'u' ]
+  in
+  string_size ~gen:(frequency [ (3, printable); (2, special); (1, char) ])
+    (int_range 0 24)
+
+let gen_outcome =
+  let open QCheck.Gen in
+  let open Csrtl_fault.Outcome in
+  let int = oneof [ int_range (-3) 1000; int ] in
+  oneof
+    [ return Masked;
+      map3 (fun s p n -> Detected (s, p, n)) int (oneofl C.Phase.all)
+        nasty_string;
+      map2 (fun count first -> Corrupted { count; first })
+        (oneof [ int_range 1 1000; int_range 1 max_int ]) nasty_string;
+      map (fun w -> Hung w) nasty_string;
+      map (fun w -> Crashed w) nasty_string ]
+
+let gen_entry =
+  let open QCheck.Gen in
+  let int = oneof [ int_range 0 1000; int ] in
+  map3
+    (fun (index, fault_label) (kernel, interp) (cycles, law_ok) ->
+      { Csrtl_fault.Journal.index; fault_label; kernel; interp; cycles;
+        law_ok })
+    (pair int nasty_string) (pair gen_outcome gen_outcome) (pair int bool)
+
+let line_decoder_round_trip =
+  QCheck.Test.make ~name:"entry_of_line (entry_line e) = e" ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_entry (string_size (int_range 0 40))))
+    (fun (e, digest) ->
+      let module J = Csrtl_fault.Journal in
+      J.entry_of_line ~digest (J.entry_line ~digest e) = Some e)
+
+(* [body] with the "h" field the writer would append, hashed over
+   exactly these bytes: only its shape can make it torn. *)
+let forge ~digest body =
+  let h = Digest.to_hex (Digest.string (digest ^ body)) in
+  String.sub body 0 (String.length body - 1) ^ ",\"h\":\"" ^ h ^ "\"}"
+
+let test_line_decoder_torn () =
+  let module J = Csrtl_fault.Journal in
+  let digest = "475c87b38f653810729803b3f856fa95" in
+  let e =
+    { (mk_entry 3) with
+      J.fault_label = "stuck-at 7 on \"B\\1\"";
+      kernel = Csrtl_fault.Outcome.Corrupted { count = 2; first = "R1\t/" } }
+  in
+  let line = J.entry_line ~digest e in
+  let torn what l =
+    if J.entry_of_line ~digest l <> None then
+      Alcotest.failf "%s decoded: %s" what l
+  in
+  check_bool "the writer's line decodes" true
+    (J.entry_of_line ~digest line = Some e);
+  let n = String.length line in
+  for k = 0 to n do
+    if k < n then torn "strict prefix" (String.sub line 0 k);
+    torn "space inserted" (String.sub line 0 k ^ " " ^ String.sub line k (n - k))
+  done;
+  torn "line hashed under another digest"
+    (J.entry_line ~digest:"another digest" e);
+  (* well-formed JSON with a valid hash over its own bytes, but not
+     what the writer emits *)
+  List.iter
+    (fun (what, body) -> torn what (forge ~digest body))
+    [ ( "fields reordered",
+        "{\"fault\":\"f\",\"i\":3,\"kernel\":{\"o\":\"masked\"},\"interp\":\
+         {\"o\":\"masked\"},\"cycles\":6,\"law_ok\":true}" );
+      ( "whitespace after a colon",
+        "{\"i\": 3,\"fault\":\"f\",\"kernel\":{\"o\":\"masked\"},\"interp\":\
+         {\"o\":\"masked\"},\"cycles\":6,\"law_ok\":true}" );
+      ( "escaped slash",
+        "{\"i\":3,\"fault\":\"a\\/b\",\"kernel\":{\"o\":\"masked\"},\
+         \"interp\":{\"o\":\"masked\"},\"cycles\":6,\"law_ok\":true}" );
+      ( "\\u escape of a printable byte",
+        "{\"i\":3,\"fault\":\"\\u0041\",\"kernel\":{\"o\":\"masked\"},\
+         \"interp\":{\"o\":\"masked\"},\"cycles\":6,\"law_ok\":true}" );
+      ( "upper-case \\u escape",
+        "{\"i\":3,\"fault\":\"\\u001F\",\"kernel\":{\"o\":\"masked\"},\
+         \"interp\":{\"o\":\"masked\"},\"cycles\":6,\"law_ok\":true}" );
+      ( "raw control byte",
+        "{\"i\":3,\"fault\":\"\001\",\"kernel\":{\"o\":\"masked\"},\
+         \"interp\":{\"o\":\"masked\"},\"cycles\":6,\"law_ok\":true}" );
+      ( "leading zero",
+        "{\"i\":03,\"fault\":\"f\",\"kernel\":{\"o\":\"masked\"},\
+         \"interp\":{\"o\":\"masked\"},\"cycles\":6,\"law_ok\":true}" );
+      ( "negative zero",
+        "{\"i\":3,\"fault\":\"f\",\"kernel\":{\"o\":\"masked\"},\
+         \"interp\":{\"o\":\"masked\"},\"cycles\":-0,\"law_ok\":true}" );
+      ( "upper-case phase",
+        "{\"i\":3,\"fault\":\"f\",\"kernel\":{\"o\":\"detected\",\"step\":1,\
+         \"phase\":\"rA\",\"sink\":\"B\"},\"interp\":{\"o\":\"masked\"},\
+         \"cycles\":6,\"law_ok\":true}" );
+      ( "corrupted with no differences",
+        "{\"i\":3,\"fault\":\"f\",\"kernel\":{\"o\":\"corrupted\",\"n\":0,\
+         \"first\":\"x\"},\"interp\":{\"o\":\"masked\"},\"cycles\":6,\
+         \"law_ok\":true}" );
+      ( "wrong key",
+        "{\"i\":3,\"fault\":\"f\",\"kernel\":{\"o\":\"masked\"},\"interp\":\
+         {\"o\":\"masked\"},\"cycle\":6,\"law_ok\":true}" );
+      ( "extra field",
+        "{\"i\":3,\"fault\":\"f\",\"kernel\":{\"o\":\"masked\"},\"interp\":\
+         {\"o\":\"masked\"},\"cycles\":6,\"law_ok\":true,\"x\":1}" ) ];
+  (* the same forge over the canonical body decodes, so the cases above
+     are torn for their shape alone *)
+  check_bool "a forged canonical line decodes" true
+    (J.entry_of_line ~digest
+       (forge ~digest
+          "{\"i\":3,\"fault\":\"f\",\"kernel\":{\"o\":\"masked\"},\"interp\":\
+           {\"o\":\"masked\"},\"cycles\":6,\"law_ok\":true}")
+     <> None)
+
+(* corpus/conflict.jsonl was written by `csrtl inject conflict.rtm --jobs
+   1 --journal conflict.jsonl` before entry lines were decoded in one
+   pass: the decoder must reuse every line of it, and re-encode each
+   entry to exactly the line it came from. *)
+let test_journal_fixture_reused () =
+  let module J = Csrtl_fault.Journal in
+  let m = C.Rtm.of_file (Filename.concat "corpus" "conflict.rtm") in
+  let fixture = Filename.concat "corpus" "conflict.jsonl" in
+  let text = In_channel.with_open_bin fixture In_channel.input_all in
+  let lines = List.tl (String.split_on_char '\n' text) in
+  let lines = List.filter (fun l -> l <> "") lines in
+  (match J.read fixture with
+   | Error e -> Alcotest.failf "fixture unreadable: %s" e
+   | Ok (h, entries, torn) ->
+     check_int "no torn lines" 0 torn;
+     Alcotest.(check (list string)) "entries re-encode to their lines" lines
+       (List.map (J.entry_line ~digest:h.J.digest) entries));
+  with_temp_journal (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      let r, info = run_journaled ~journal:path ~resume:true m in
+      check_int "all reused" (List.length lines) info.F.Campaign.reused;
+      check_int "none re-run" 0 info.F.Campaign.rerun;
+      check_int "none torn" 0 info.F.Campaign.torn;
+      Alcotest.(check string) "report = a fresh run"
+        (report_string (F.Campaign.run m))
+        (report_string r))
+
 (* -- artifacts: the cacheable golden work ---------------------------------- *)
 
 let full_report_string r = report_string r ^ "\n" ^ entries_string r
@@ -1088,7 +1237,9 @@ let test_warm_custom_faults () =
   with_temp_journal (fun path ->
       let rj, _ =
         match
-          F.Campaign.run_journaled ~golden ~journal:path ~resume:false m
+          F.Campaign.run_journaled
+            ~warm:(fun () -> (None, Some golden))
+            ~journal:path ~resume:false m
         with
         | Ok v -> v
         | Error e -> Alcotest.failf "warm journaled run: %s" e
@@ -1199,7 +1350,12 @@ let () =
           Alcotest.test_case "concurrent appends stay line-granular" `Quick
             test_journal_concurrent_appends;
           Alcotest.test_case "outcome payloads round-trip" `Quick
-            test_journal_outcome_round_trip ] );
+            test_journal_outcome_round_trip;
+          Alcotest.test_case "non-canonical lines are torn" `Quick
+            test_line_decoder_torn;
+          Alcotest.test_case "a journal from the tree-parsing reader is reused"
+            `Quick test_journal_fixture_reused;
+          QCheck_alcotest.to_alcotest ~long:false line_decoder_round_trip ] );
       ( "artifact",
         [ Alcotest.test_case "serialization round-trips" `Quick
             test_artifact_round_trip;

@@ -396,6 +396,73 @@ let test_journal_bytes_per_fault () =
     Alcotest.failf "journal bytes per fault: %.0f at 32 steps, %.0f at 128"
       short long
 
+(* ---- replaying a finished journal -------------------------------- *)
+
+let with_journal m f =
+  let journal = Filename.temp_file "csrtl_replay" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove journal) @@ fun () ->
+  (match Campaign.run_journaled ~jobs:1 ~journal ~resume:false m with
+   | Error e -> Alcotest.failf "%s: %s" m.Model.name e
+   | Ok _ -> ());
+  f journal
+
+(* Reading a journal decodes each entry line in one pass over its own
+   bytes: at most 400 minor words per entry on a 200-entry journal
+   (about 170 measured, most of them the entry's own values).  Parsing
+   every line into a generic JSON tree and re-serializing it to check
+   its hash cost about 1,550. *)
+let test_journal_read_words () =
+  let m = chain 32 in
+  let faults = List.filteri (fun i _ -> i < 200) (Fault.enumerate m) in
+  if List.length faults < 200 then Alcotest.fail "chain 32 has < 200 faults";
+  let journal = Filename.temp_file "csrtl_read" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove journal) @@ fun () ->
+  (match Campaign.run_journaled ~jobs:1 ~faults ~journal ~resume:false m with
+   | Error e -> Alcotest.failf "chain 32: %s" e
+   | Ok _ -> ());
+  let read () =
+    match Csrtl_fault.Journal.read journal with
+    | Ok (_, entries, 0) -> entries
+    | Ok (_, _, torn) -> Alcotest.failf "%d torn lines" torn
+    | Error e -> Alcotest.failf "read: %s" e
+  in
+  ignore (read ());
+  let w0 = Gc.minor_words () in
+  let entries = Sys.opaque_identity (read ()) in
+  let per_entry = (Gc.minor_words () -. w0) /. 200. in
+  Alcotest.(check int) "entries" 200 (List.length entries);
+  if per_entry > 400. then
+    Alcotest.failf "Journal.read: %.0f minor words per entry, bound 400"
+      per_entry
+
+(* A resume whose journal covers every fault computes nothing, so it
+   builds nothing: [warm], which supplies the plan and the goldens the
+   set-up would otherwise build itself, is never forced.  Once one
+   entry is missing it is forced exactly once. *)
+let test_replay_builds_nothing () =
+  let m = chain 80 in
+  with_journal m @@ fun journal ->
+  let forced = ref 0 in
+  let replay () =
+    match
+      Campaign.run_journaled ~jobs:1
+        ~warm:(fun () -> incr forced; (None, None))
+        ~journal ~resume:true m
+    with
+    | Ok (_, info) -> info
+    | Error e -> Alcotest.failf "replay: %s" e
+  in
+  let info = replay () in
+  Alcotest.(check int) "full replay: nothing re-run" 0 info.Campaign.rerun;
+  Alcotest.(check int) "full replay: warm set-up never forced" 0 !forced;
+  let text = In_channel.with_open_bin journal In_channel.input_all in
+  let cut = String.rindex_from text (String.length text - 2) '\n' + 1 in
+  Out_channel.with_open_bin journal (fun oc ->
+      output_string oc (String.sub text 0 cut));
+  let info = replay () in
+  Alcotest.(check int) "one entry missing: one re-run" 1 info.Campaign.rerun;
+  Alcotest.(check int) "one entry missing: warm forced once" 1 !forced
+
 (* A golden artifact holds the two golden observations and no
    checkpoints, so its size is linear in the schedule: a chain 4x
    longer may cost at most 1.25x the bytes per control step.  Storing a
@@ -469,4 +536,9 @@ let () =
           Alcotest.test_case "artifact bytes per step bounded" `Quick
             test_artifact_bytes_per_step;
           Alcotest.test_case "IKS artifact fits the input limit" `Quick
-            test_iks_artifact_fits ] ) ]
+            test_iks_artifact_fits ] );
+      ( "replay",
+        [ Alcotest.test_case "journal read minor words per entry bounded"
+            `Quick test_journal_read_words;
+          Alcotest.test_case "full replay builds no plan and no golden"
+            `Quick test_replay_builds_nothing ] ) ]

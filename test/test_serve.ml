@@ -977,6 +977,116 @@ let test_daemon_sigkill_resume () =
   S.Client.close c;
   ignore (Unix.waitpid [] pid2)
 
+(* -- an orphaned worker drains itself ------------------------------------------- *)
+
+(* A worker whose supervisor dies (a SIGKILLed daemon) must stop at its
+   next work item instead of finishing the campaign that a restarted
+   daemon's worker resumes from the same journal.  The supervisor here
+   is a shell that starts the worker and is then SIGKILLed; the worker
+   keeps the frames pipe open, so EOF on it marks the worker's exit. *)
+let test_orphaned_worker_drains () =
+  let m = Chain_model.chain 160 in
+  let total = List.length (F.Fault.enumerate m) in
+  let dir = Filename.temp_file "csrtl_orphan" ".state" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let state = Filename.concat dir "state" in
+  Unix.mkdir state 0o700;
+  let job = Filename.concat dir "job" and pidfile = Filename.concat dir "pid" in
+  let limits =
+    let l = Diag.Limits.default in
+    F.Journal.Json.Obj
+      (List.map
+         (fun (k, v) -> (k, F.Journal.Json.Int v))
+         [ ("max_input_bytes", l.Diag.Limits.max_input_bytes);
+           ("max_tokens", l.max_tokens); ("max_nesting", l.max_nesting);
+           ("max_registers", l.max_registers); ("max_fus", l.max_fus);
+           ("max_buses", l.max_buses); ("max_steps", l.max_steps);
+           ("max_transfers", l.max_transfers) ])
+  in
+  Out_channel.with_open_bin job (fun oc ->
+      output_string oc
+        (S.Frame.encode_request
+           (S.Frame.Inject
+              { (basic_inject (C.Rtm.to_string m)) with
+                engine = `Kernel; resume = false }));
+      output_char oc '\n';
+      output_string oc
+        (F.Journal.Json.to_string
+           (F.Journal.Json.Obj
+              [ ("state_dir", F.Journal.Json.Str state);
+                ("jobs", F.Journal.Json.Int 1); ("limits", limits);
+                ("golden", F.Journal.Json.Str "off");
+                ("chaos", F.Journal.Json.Arr []) ]));
+      output_char oc '\n');
+  let csrtl =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "csrtl.exe" ]
+  in
+  let r, w = Unix.pipe ~cloexec:true () in
+  let shell =
+    Unix.create_process "/bin/sh"
+      [| "/bin/sh"; "-c"; "\"$0\" worker < \"$1\" & echo $! > \"$2\"; wait";
+         csrtl; job; pidfile |]
+      Unix.stdin w Unix.stderr
+  in
+  Unix.close w;
+  let journal_entries () =
+    match
+      List.find_opt
+        (fun f -> Filename.check_suffix f ".jsonl")
+        (Array.to_list (Sys.readdir state))
+    with
+    | None -> 0
+    | Some f ->
+      let text =
+        In_channel.with_open_bin (Filename.concat state f)
+          In_channel.input_all
+      in
+      List.length (String.split_on_char '\n' text) - 2
+  in
+  let worker_pid () =
+    try int_of_string (String.trim (In_channel.with_open_bin pidfile
+                                      In_channel.input_all))
+    with _ -> 0
+  in
+  (* kill the supervisor once the worker is computing *)
+  let t0 = Unix.gettimeofday () in
+  while journal_entries () < 1 && Unix.gettimeofday () -. t0 < 10. do
+    Unix.sleepf 0.005
+  done;
+  Unix.kill shell Sys.sigkill;
+  ignore (Unix.waitpid [] shell);
+  let killed = Unix.gettimeofday () in
+  let buf = Bytes.create 65536 in
+  let rec until_eof () =
+    let left = killed +. 1.5 -. Unix.gettimeofday () in
+    if left <= 0. then false
+    else
+      match Unix.select [ r ] [] [] left with
+      | [], _, _ -> false
+      | _ -> if Unix.read r buf 0 (Bytes.length buf) = 0 then true
+        else until_eof ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> until_eof ()
+  in
+  let exited = until_eof () in
+  Unix.close r;
+  if not exited then begin
+    (match worker_pid () with
+     | 0 -> ()
+     | pid -> (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()));
+    Alcotest.fail "the orphaned worker was still running 1.5 s after its \
+                   supervisor died"
+  end;
+  let entries = journal_entries () in
+  check_bool
+    (Printf.sprintf "the orphan stopped early (%d of %d entries)" entries
+       total)
+    true
+    (entries >= 1 && entries < total)
+
 (* -- client retry policy ---------------------------------------------------- *)
 
 let test_client_retry_policy () =
@@ -1273,6 +1383,8 @@ let () =
             test_quarantine;
           Alcotest.test_case "daemon SIGKILL, restart, token reuse" `Quick
             test_daemon_sigkill_resume;
+          Alcotest.test_case "orphaned worker drains itself" `Quick
+            test_orphaned_worker_drains;
           Alcotest.test_case "forked report after a domain ran" `Quick
             test_forked_after_domain ] );
       ( "client",
