@@ -49,10 +49,11 @@ let tests =
     (* C3: speed - same 64-transfer chain on each execution path *)
     Test.make ~name:"speed/clock-free-kernel"
       (Staged.stage (fun () -> ignore (C.Simulate.run chain64)));
-    (* C10: the phase-compiled fast path, plan reused across runs *)
-    (let plan = C.Compiled.of_model chain64 in
+    (* C10: the static-schedule arena's golden row (K = 0), plan and
+       arena reused across runs *)
+    (let plan = C.Batch.plan chain64 in
      Test.make ~name:"speed/phase-compiled"
-       (Staged.stage (fun () -> ignore (C.Compiled.run plan))));
+       (Staged.stage (fun () -> ignore (C.Batch.golden_with plan []))));
     Test.make ~name:"speed/interpreter"
       (Staged.stage (fun () -> ignore (C.Interp.run chain64)));
     Test.make ~name:"speed/handshake"

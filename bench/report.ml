@@ -500,8 +500,10 @@ let claim_multicore ?(smoke = false) () =
   Format.printf "%12s | %10s %10s %10s | %12s %12s@." "model" "compiled"
     "kernel" "interp" "kernel/comp" "interp/comp";
   let row m =
-    let plan = C.Compiled.of_model m in
-    let tc = Workloads.wall_us (fun () -> ignore (C.Compiled.run plan)) in
+    let plan = C.Batch.plan m in
+    let tc =
+      Workloads.wall_us (fun () -> ignore (C.Batch.golden_with plan []))
+    in
     let tk = Workloads.wall_us (fun () -> ignore (C.Simulate.run m)) in
     let ti = Workloads.wall_us (fun () -> ignore (C.Interp.run m)) in
     Format.printf "%12s | %10.1f %10.1f %10.1f | %11.1fx %11.1fx@."
@@ -515,9 +517,9 @@ let claim_multicore ?(smoke = false) () =
       row (Workloads.parallel_lanes ~lanes ~steps:(if smoke then 8 else 32)))
     (if smoke then [ 2 ] else [ 4; 16; 32 ]);
   Format.printf
-    "(compiled reuses one plan across runs; the kernel pays the event\n\
-    \ queue and waiter tables on every run, the interpreter its\n\
-    \ per-phase association lists)@.";
+    "(compiled is the K = 0 batch arena: one plan and one arena reused\n\
+    \ across runs; the kernel pays the event queue and waiter tables on\n\
+    \ every run, the interpreter its per-phase association lists)@.";
   let m = Workloads.chain (if smoke then 4 else 12) in
   let limit = if smoke then Some 20 else None in
   Format.printf

@@ -195,7 +195,7 @@ let sim_cmd =
              non-static features need the kernel *)
           match engine with
           | `Auto ->
-            if vcd = None && C.Compiled.compilable m = Ok () then `Compiled
+            if vcd = None && C.Sched.compilable m = Ok () then `Compiled
             else `Kernel
           | e -> e
         in
@@ -209,28 +209,35 @@ let sim_cmd =
                 kernel@.";
              exit 1
            | None -> ());
-          let plan = C.Compiled.of_model m in
+          (* the static-schedule arena's golden row: one uninjected
+             run, a checkpoint of it, or a resume from a snapshot *)
+          let plan = C.Batch.plan m in
           (match snapshot_at with
-           | Some step -> emit_snapshot (C.Compiled.snapshot_at plan ~step)
+           | Some step ->
+             List.iter emit_snapshot (C.Batch.snapshots_at plan ~steps:[ step ])
            | None ->
              let obs =
                match resume_from with
-               | Some from -> C.Compiled.resume plan ~from
-               | None -> C.Compiled.run plan
+               | Some from -> C.Batch.resume plan ~from
+               | None -> fst (C.Batch.golden_with plan [])
              in
              Format.printf "%a@." C.Observation.pp obs;
              if wave then Format.printf "@.%s@." (C.Waveform.render obs);
              (match resume_from with
               | None ->
+                (* the law the arena's cycle counts are read off *)
                 Format.printf "simulation cycles: %d (expected %d)@."
-                  (C.Compiled.cycles plan)
+                  (C.Simulate.expected_cycles_with (C.Batch.legs plan)
+                     ~inject:C.Inject.none 0)
                   (C.Simulate.expected_cycles m)
               | Some from ->
                 Format.printf "resumed at boundary %d@."
                   from.C.Snapshot.step);
+             (* the arena keeps no per-run counters: counting in its
+                step loop would tax every campaign *)
              if stats then
-               Format.printf "%a@." C.Compiled.pp_stats
-                 (C.Compiled.last_stats plan);
+               Format.printf "schedule actions : %d@."
+                 (C.Batch.base_sched plan).C.Sched.static_actions;
              if C.Observation.has_conflict obs then exit exit_findings)
         | `Interp ->
           (match snapshot_at with
@@ -908,7 +915,7 @@ let inject_cmd =
             List.iter
               (fun f ->
                 match
-                  C.Compiled.compilable
+                  C.Sched.compilable
                     ~inject:(Csrtl_fault.Fault.to_inject f) m
                 with
                 | Ok () -> ()
@@ -1113,8 +1120,9 @@ let fuzz_cmd =
   in
   let targets =
     let doc =
-      "Frontier to fuzz: $(b,vhdl), $(b,rtm), $(b,alg), $(b,frame) or \
-       $(b,journal) (repeatable; default all)."
+      "Frontier to fuzz: $(b,vhdl), $(b,rtm), $(b,alg), $(b,frame), \
+       $(b,journal), $(b,snapshot) or $(b,artifact) (repeatable; default \
+       all)."
     in
     Arg.(value & opt_all string [] & info [ "target" ] ~docv:"TARGET" ~doc)
   in
@@ -1143,7 +1151,10 @@ let fuzz_cmd =
                 match F.target_of_string n with
                 | Some t -> t
                 | None ->
-                  die2 "unknown fuzz target %s (vhdl|rtm|alg|frame|journal)" n)
+                  die2
+                    "unknown fuzz target %s \
+                     (vhdl|rtm|alg|frame|journal|snapshot|artifact)"
+                    n)
               names
         in
         let progress done_ crashes =

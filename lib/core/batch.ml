@@ -11,9 +11,10 @@
    ({!Domain.DLS}) and rebound per chunk, so a campaign's thousands of
    chunks reuse one allocation per worker.
 
-   The step function is the same slot walk as {!Compiled}'s, and the
-   differential suite pins the two executors (and the kernel, and the
-   interpreter) against each other on the full observation. *)
+   This is the one executor of the static schedule: a single golden
+   run, its checkpoints and a resume from a snapshot are row 0 of a
+   K = 0 binding, and the differential suites pin it against the
+   kernel and the interpreter on the full observation. *)
 
 type variant_spec = { inject : Inject.t; join : int; settle : int }
 
@@ -225,7 +226,7 @@ let bind (plan : plan) specs =
   let m = plan.pmodel in
   List.iter
     (fun { inject; join; settle = _ } ->
-      (match Compiled.compilable ~inject m with
+      (match Sched.compilable ~inject m with
        | Ok () -> ()
        | Error why ->
          invalid_arg (Printf.sprintf "Batch: model %s: %s" m.Model.name why));
@@ -402,6 +403,16 @@ let exec_row (a : arena) (sch : Sched.t) ~row ~step =
     end
   done
 
+(* The register view of a row whose registers were just installed at
+   [boundary]: each re-resolved through the row's tamper at its next
+   visibility point — the kernel's resume rule, shared by a joining
+   variant and a golden row resumed from a snapshot. *)
+let resume_views (a : arena) ~row ~boundary =
+  let rb = row * a.nr and sch = a.scheds.(row) in
+  for i = 0 to a.nr - 1 do
+    a.reg_vis.(rb + i) <- Sched.reg_view_resume sch i ~boundary a.regs.(rb + i)
+  done
+
 (* Copy the golden row's state at boundary [b] into a variant — the
    in-memory equivalent of restoring a golden checkpoint: raw machine
    state verbatim, the register view re-resolved through the variant's
@@ -414,10 +425,8 @@ let join_row (a : arena) ~row ~boundary =
   a.live_n.(row) <- a.live_n.(0);
   a.pend_n.(row) <- 0;
   Array.blit a.regs 0 a.regs rb a.nr;
+  resume_views a ~row ~boundary;
   let sch = a.scheds.(row) in
-  for i = 0 to a.nr - 1 do
-    a.reg_vis.(rb + i) <- Sched.reg_view_resume sch i ~boundary a.regs.(rb + i)
-  done;
   Array.blit a.fu_out 0 a.fu_out fb a.nf;
   let fob = row * a.fu_row in
   for f = 0 to a.nf - 1 do
@@ -767,6 +776,112 @@ let golden_with (plan : plan) specs =
   (observation a 0, results)
 
 let run_with plan specs = snd (golden_with plan specs)
+
+(* ---- the golden row alone: checkpoints and resumes -------------- *)
+
+(* Everything a K = 0 binding returns is copied out of the arena
+   ([observation], [capture]), and a [Finished] verdict of a batch is
+   an [observation] too: no result outlives the next binding of this
+   domain's arena by aliasing it.  Campaigns rely on that — a pool
+   domain captures a checkpoint on the arena that has just served its
+   chunk, while the chunk's results are still being classified. *)
+
+(* Step row 0 through the control steps after boundary [from] up to
+   and including [upto]. *)
+let step_golden (a : arena) ~from ~upto =
+  for step = from + 1 to upto do
+    exec_row a a.scheds.(0) ~row:0 ~step
+  done
+
+(* Row 0's output writes through [step] as the single chronological
+   list a snapshot holds: per step, ports in declaration order. *)
+let out_writes_upto (a : arena) (m : Model.t) ~step =
+  let cursor = Array.make a.np 0 in
+  let acc = ref [] in
+  for s = 1 to step do
+    List.iteri
+      (fun o name ->
+        let k = cursor.(o) in
+        if k < a.out_n.(o) && a.out_steps.((o * a.cs) + k) = s then begin
+          acc := (name, (s, a.out_vals.((o * a.cs) + k))) :: !acc;
+          cursor.(o) <- k + 1
+        end)
+      m.Model.outputs
+  done;
+  List.rev !acc
+
+let capture (a : arena) (m : Model.t) ~digest ~step =
+  { Snapshot.model_name = m.Model.name;
+    digest;
+    step;
+    regs =
+      List.mapi (fun i (r : Model.register) -> (r.reg_name, a.regs.(i)))
+        m.Model.registers;
+    fu_out =
+      List.mapi (fun f (u : Model.fu) -> (u.fu_name, a.fu_out.(f))) m.Model.fus;
+    fu_slots =
+      List.mapi
+        (fun f (u : Model.fu) ->
+          (u.fu_name, Array.sub a.fu_slots a.fu_off.(f) a.fu_lat.(f)))
+        m.Model.fus;
+    trace =
+      List.mapi
+        (fun i (r : Model.register) ->
+          (r.reg_name, Array.sub a.traces (i * a.cs) step))
+        m.Model.registers;
+    out_writes = out_writes_upto a m ~step;
+    conflicts = Snapshot.sort_conflicts a.conflicts.(0) }
+
+let snapshots_at (plan : plan) ~steps =
+  let m = plan.pmodel in
+  List.iter
+    (fun s ->
+      if s < 0 || s > m.Model.cs_max then
+        invalid_arg
+          (Printf.sprintf "Batch.snapshots_at: step %d outside [0, %d]" s
+             m.Model.cs_max))
+    steps;
+  let digest = Snapshot.digest_of_model m in
+  let a, _ = bind plan [] in
+  let at = ref 0 in
+  List.map
+    (fun step ->
+      step_golden a ~from:!at ~upto:step;
+      at := step;
+      capture a m ~digest ~step)
+    (List.sort_uniq Int.compare steps)
+
+(* Install a validated snapshot into the freshly bound row 0 — the
+   arena's live and pending sets start empty, as at any boundary of an
+   uninjected run — and step on from its boundary. *)
+let resume (plan : plan) ~(from : Snapshot.t) =
+  let m = plan.pmodel in
+  Snapshot.validate_exn m from;
+  let a, _ = bind plan [] in
+  List.iteri (fun i (_, v) -> a.regs.(i) <- v) from.Snapshot.regs;
+  resume_views a ~row:0 ~boundary:from.Snapshot.step;
+  List.iteri (fun f (_, v) -> a.fu_out.(f) <- v) from.Snapshot.fu_out;
+  List.iteri
+    (fun f (_, slots) ->
+      Array.blit slots 0 a.fu_slots a.fu_off.(f) (Array.length slots))
+    from.Snapshot.fu_slots;
+  List.iteri
+    (fun i (_, tr) -> Array.blit tr 0 a.traces (i * a.cs) (Array.length tr))
+    from.Snapshot.trace;
+  List.iter
+    (fun (name, (s, v)) ->
+      (* validation admits declared ports only, once per step *)
+      match List.find_index (String.equal name) m.Model.outputs with
+      | None -> ()
+      | Some o ->
+        let n = a.out_n.(o) in
+        a.out_steps.((o * a.cs) + n) <- s;
+        a.out_vals.((o * a.cs) + n) <- v;
+        a.out_n.(o) <- n + 1)
+    from.Snapshot.out_writes;
+  a.conflicts.(0) <- List.rev from.Snapshot.conflicts;
+  step_golden a ~from:from.Snapshot.step ~upto:a.cs;
+  observation a 0
 
 let golden (m : Model.t) specs = golden_with (plan m) specs
 

@@ -1,5 +1,5 @@
-(** Batched lockstep execution of fault variants on the compiled
-    schedule.
+(** The static-schedule executor: batched lockstep execution of fault
+    variants on the compiled schedule.
 
     A fault campaign runs the same model hundreds of times, each run
     differing from the golden one by a small injection overlay.  This
@@ -20,8 +20,12 @@
     pins.  Rows are row-major and stride-contiguous, so a variant's
     whole state is cache-linear and no step boxes a value.
 
+    It is also the single-run fast path: a golden run, its control-step
+    checkpoints ({!snapshots_at}) and a resume from a snapshot
+    ({!resume}) are row 0 of a K = 0 binding.
+
     Four campaign-shaped shortcuts make this faster than K independent
-    compiled runs:
+    golden-style runs:
 
     - {e joining}: a variant whose fault provably cannot act before
       control step [join + 1] ({!Csrtl_fault.Fault.first_step}) skips
@@ -73,12 +77,12 @@
     patch left ahead plus state-row equality implies equal futures.  The
     arena layout itself is observation-invariant (SEMANTICS §10): the
     differential suite ([test/test_batch.ml]) pins batched results
-    against the kernel, the interpreter and the per-variant compiled
-    overlay, and the scaling suite ([test/test_scaling.ml]) pins
+    against the kernel and the interpreter, and the scaling suite
+    ([test/test_scaling.ml]) pins
     report bytes across every (engine, jobs, batch) combination. *)
 
 type variant_spec = {
-  inject : Inject.t;  (** must be compilable ({!Compiled.compilable}) *)
+  inject : Inject.t;  (** must be compilable ({!Sched.compilable}) *)
   join : int;
       (** golden boundary to join from, [0 .. cs_max]; must be strictly
           below the first step the injection can act in ([0] = run the
@@ -125,9 +129,8 @@ val plan : Model.t -> plan
     when the model does not validate. *)
 
 val base_sched : plan -> Sched.t
-(** The plan's uninjected compiled schedule — campaigns derive their
-    golden fast path ({!Compiled.of_sched}) and checkpoints from it
-    instead of recompiling. *)
+(** The plan's uninjected compiled schedule, which every variant
+    overlays ([csrtl sim --stats] reports its size). *)
 
 val legs : plan -> Legs.t
 (** The plan's leg table, built with it: campaigns read their per-fault
@@ -136,14 +139,32 @@ val legs : plan -> Legs.t
 
 val run_with : plan -> variant_spec list -> result list
 (** Execute the golden run and every variant in lockstep on the
-    calling domain's cached arena; results are in input order.  Raises
+    calling domain's cached arena; results are in input order and own
+    their memory — no observation aliases the arena, so results stay
+    valid across later bindings of it on the same domain.  Raises
     [Invalid_argument] when a spec's injection has no static schedule
-    ({!Compiled.compilable}); campaigns route those variants to the
+    ({!Sched.compilable}); campaigns route those variants to the
     kernel instead. *)
 
 val golden_with : plan -> variant_spec list -> Observation.t * result list
-(** Like {!run_with}, also returning the golden row's observation
-    (equal to {!Compiled.run} of the uninjected plan). *)
+(** Like {!run_with}, also returning the golden row's observation.
+    [fst (golden_with plan [])] is a single uninjected run — the
+    [--engine compiled] simulation and a campaign's kernel-side golden
+    (when {!Sched.compilable} admits its config); the differential
+    suite pins it against the kernel and the interpreter. *)
+
+val snapshots_at : plan -> steps:int list -> Snapshot.t list
+(** One uninjected run on row 0, capturing every requested boundary
+    (0 captures the initial state); ascending order, duplicates
+    removed.  The bytes equal the kernel's and the interpreter's
+    snapshots at the same boundaries.  Raises [Invalid_argument] for a
+    step outside [0, cs_max]. *)
+
+val resume : plan -> from:Snapshot.t -> Observation.t
+(** Reinstall a snapshot (from any engine) on row 0 and execute the
+    remaining control steps; equals the uninterrupted run's
+    observation.  Raises [Invalid_argument] when the snapshot does not
+    validate against the plan's model ({!Snapshot.validate_exn}). *)
 
 val run : Model.t -> variant_spec list -> result list
 (** [run m specs] is [run_with (plan m) specs]. *)

@@ -34,7 +34,7 @@ type t = {
 let oscillator_error (m : Model.t) =
   invalid_arg
     (Printf.sprintf
-       "Compiled: model %s: an injected oscillator never settles, so \
+       "Sched: model %s: an injected oscillator never settles, so \
         there is no static schedule; use the kernel or the interpreter"
        m.name)
 
@@ -48,7 +48,7 @@ let sink_id_in (m : Model.t) sink_index site n =
        user input, checked with the same message as the kernel's. *)
     invalid_arg
       (Printf.sprintf
-         "Compiled: model %s declares no resource signal %S \
+         "Sched: model %s declares no resource signal %S \
           (referenced by %s)"
          m.name n site)
 
@@ -56,7 +56,7 @@ let sink_id_in (m : Model.t) sink_index site n =
    Fault overlays are patched onto this by [overlay] — they never
    recompile, so a campaign pays the hashtable and list walks below
    once per model, not once per variant. *)
-let compile_base (m : Model.t) =
+let compile (m : Model.t) =
   let sink_ids = Hashtbl.create 64 in
   let names = ref [] in
   let add_sink n =
@@ -201,7 +201,7 @@ let slot t k = if k > t.last_patched then t.slots.(k) else patched t k 0
    the base's slot table and records only the slots a dropped leg or
    an in-range saboteur touches, as a sorted sparse patch set, so its
    cost is independent of the schedule length.  The patched slot
-   contents replay [compile_base]'s ordering: surviving legs in leg
+   contents replay [compile]'s ordering: surviving legs in leg
    order, then op-selects, then saboteurs in plan order — so an
    overlay is action-for-action identical to a from-scratch compile of
    the injected model. *)
@@ -314,9 +314,36 @@ let overlay (base : t) (inject : Inject.t) =
       last_patched = (if n = 0 then -1 else patch_slot.(n - 1)) }
   end
 
-let compile ?(inject = Inject.none) (m : Model.t) =
-  if inject.Inject.oscillators <> [] then oscillator_error m;
-  overlay (compile_base m) inject
+(* What keeps a run off the static schedule: every blocker, in a fixed
+   order, so a diagnosis names them all at once. *)
+let blockers ~(inject : Inject.t) ~(config : Simulate.config) =
+  let b = ref [] in
+  let add why = b := why :: !b in
+  if inject.Inject.oscillators <> [] then
+    add
+      "an injected oscillator never settles, so no static schedule \
+       exists";
+  if
+    List.exists
+      (fun (sb : Inject.saboteur) -> Phase.equal sb.Inject.sab_phase Phase.Cr)
+      inject.Inject.saboteurs
+  then
+    add
+      "a spurious driver contributing during cr releases into the next \
+       control step, off the static schedule";
+  (match config.Simulate.on_illegal with
+   | Simulate.Record -> ()
+   | Simulate.Halt ->
+     add "the Halt conflict policy stops mid-schedule; use the kernel"
+   | Simulate.Degrade ->
+     add "the Degrade conflict policy is not static; use the kernel");
+  List.rev !b
+
+let compilable ?(inject = Inject.none) ?(config = Simulate.default)
+    (_ : Model.t) =
+  match blockers ~inject ~config with
+  | [] -> Ok ()
+  | bs -> Error (String.concat "; " bs)
 
 let resolve_value t id ~step ~phase v =
   match t.sink_tamper.(id) with

@@ -1,11 +1,12 @@
-(** The shared schedule compiler behind the phase-compiled executors.
+(** The schedule compiler behind the static-schedule executor.
 
     A conflict-free model's run is a static schedule: every
     contribution sits in one (control step, phase) slot.  [compile]
     lowers the model's legs and op-selections onto integer sink ids
-    and flattens them into one action array per slot.  {!Compiled}
-    (single run) and {!Batch} (lockstep fault batches) both execute
-    this representation, so the two executors cannot drift apart.
+    and flattens them into one action array per slot.  {!Batch}
+    executes this representation — a single golden run is its K = 0
+    case — so there is one static-schedule executor to keep in step
+    with {!Interp} and the kernel.
 
     An injection plan ({!Inject.t}) compiles into the same structure —
     the overlay that lets fault campaigns stay on the fast path:
@@ -22,8 +23,8 @@
       its state is created.
 
     Oscillators have no static schedule and are rejected
-    ([Invalid_argument]); {!Compiled.compilable} reports them (and
-    every other blocker) before anything calls [compile]. *)
+    ([Invalid_argument]); {!compilable} reports them (and every other
+    blocker) before anything calls {!overlay}. *)
 
 type src =
   | Const of Word.t  (** input-port reads, op-select indices, saboteurs *)
@@ -80,12 +81,20 @@ type t = {
           sound retirement boundary from this. *)
 }
 
-val compile : ?inject:Inject.t -> Model.t -> t
-(** Flatten the model (and the injection overlay) into slots.  Raises
-    [Invalid_argument] when a saboteur references an undeclared sink
-    or the plan contains an oscillator.  The model is {e not}
-    validated here — executors call {!Model.validate_exn} once.
-    [compile ~inject m] is [overlay (compile m) inject]. *)
+val compilable :
+  ?inject:Inject.t -> ?config:Simulate.config -> Model.t ->
+  (unit, string) result
+(** [Ok ()] when the model/run combination has a static schedule the
+    compiler covers; [Error why] names {e every} feature that forces
+    the kernel path ("; "-separated): an oscillator in the plan, a
+    saboteur contributing during [cr], or a conflict policy other than
+    [Record].  Tampers, dropped legs, non-[cr] saboteurs and latency
+    overrides compile. *)
+
+val compile : Model.t -> t
+(** Flatten the clean model into slots.  The model is {e not}
+    validated here — executors call {!Model.validate_exn} once.  An
+    injection compiles as {!overlay} of this. *)
 
 val overlay : t -> Inject.t -> t
 (** Patch an injection overlay onto a clean compile without

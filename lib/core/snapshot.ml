@@ -56,7 +56,20 @@ let validate ?digest (m : Model.t) s =
     else if
       List.exists (fun (_, (w, _)) -> w < 1 || w > s.step) s.out_writes
     then err "snapshot output write outside [1, %d]" s.step
-    else Ok ()
+    else
+      (* each port is written at most once per step, in step order:
+         the executors size a port's write log by [cs_max] *)
+      let rec writes_ok last = function
+        | [] -> Ok ()
+        | (n, (w, _)) :: rest ->
+          if not (List.mem n m.outputs) then
+            err "snapshot writes undeclared output port %s" n
+          else if
+            match List.assoc_opt n last with Some p -> w <= p | None -> false
+          then err "snapshot output %s written out of order at step %d" n w
+          else writes_ok ((n, w) :: last) rest
+      in
+      writes_ok [] s.out_writes
 
 let validate_exn ?digest m s =
   match validate ?digest m s with

@@ -11,7 +11,8 @@
     {!Observation} bit for bit.
 
     Snapshots are engine-independent: the kernel, the interpreter and
-    the phase-compiled executor all capture and accept the same value,
+    the static-schedule arena ({!Batch}) all capture and accept the
+    same value,
     and for the same model and step they produce byte-identical
     serializations.  Snapshots are only defined for uninjected
     (golden) runs; resuming {e with} an injection is how fault
@@ -47,7 +48,9 @@ val sort_conflicts :
 
 val validate : ?digest:string -> Model.t -> t -> (unit, string) result
 (** Structural compatibility with a model: digest, step range,
-    register/unit names and order, pipeline depths, trace lengths.
+    register/unit names and order, pipeline depths, trace lengths,
+    output writes (declared ports, each written at most once per step
+    and in step order).
     [digest], when given, must be [digest_of_model m]: a caller that
     already holds it (a campaign restoring the checkpoints it captured
     from [m]) skips re-rendering and hashing the model, and every

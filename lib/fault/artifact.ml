@@ -8,7 +8,8 @@ open Csrtl_core
 
    Golden checkpoints are deliberately absent, and so is the plan
    (compiled Sched + Batch closures).  Every control-step boundary is
-   quiescent, so the golden state there is one compiled run away; a
+   quiescent, so the golden state there is one golden-row run of the
+   static-schedule arena away; a
    stored checkpoint would carry its whole observation prefix, making
    the artifact quadratic in schedule length, and parsing it costs
    more than recomputing it.  A warm campaign rebuilds the plan and

@@ -9,7 +9,8 @@
 
     Golden checkpoints are not part of it.  Every control-step
     boundary is quiescent (SEMANTICS §10), so the golden state at a
-    boundary is one compiled run of the static schedule away, while a
+    boundary is one golden-row run of the static schedule away
+    ({!Csrtl_core.Batch.snapshots_at}), while a
     stored {!Csrtl_core.Snapshot} carries its whole observation prefix
     and made the artifact quadratic in schedule length.  A warm
     campaign builds the checkpoints its kernel-path faults read

@@ -117,27 +117,24 @@ let boundary_of_fault m f = boundary_in (Legs.of_model m) f
 
 (* One compile of the clean schedule serves the whole campaign: the
    lockstep batches overlay it per fault, and the golden run and the
-   checkpoint snapshots execute it through {!Compiled.of_sched} — the
-   per-worker golden recompiles this used to pay are gone.  A caller
+   checkpoint snapshots run it as row 0 of the same arena.  A caller
    holding a plan-cache hit passes it in and skips even the one. *)
 let make_plan ?plan m =
   match plan with
   | Some _ as p -> p
   | None -> ( match Batch.plan m with p -> Some p | exception _ -> None)
 
-let compiled_of ~config ~plan m =
-  match Compiled.compilable ~config m with
-  | Error _ -> None
-  | Ok () ->
-    Some
-      (match plan with
-       | Some p -> Compiled.of_sched (Batch.base_sched p)
-       | None -> Compiled.of_model m)
+(* The plan a golden-row run needs: a model whose plan did not build
+   fails here with the same diagnosis. *)
+let plan_exn ~plan m = match plan with Some p -> p | None -> Batch.plan m
 
-let golden_snapshots ~compiled m boundaries =
-  match compiled with
-  | Some cp -> Compiled.snapshots_at cp ~steps:boundaries
-  | None -> Interp.snapshots_at ~steps:boundaries m
+(* Golden checkpoints come off the static schedule when the config
+   stays on it — under [Record], the only policy that restores — and
+   off the interpreter otherwise. *)
+let golden_snapshots ~config ~plan m boundaries =
+  match Sched.compilable ~config m with
+  | Ok () -> Batch.snapshots_at (plan_exn ~plan m) ~steps:boundaries
+  | Error _ -> Interp.snapshots_at ~steps:boundaries m
 
 let boundaries_of ~faults lf =
   List.sort_uniq compare
@@ -152,31 +149,29 @@ let legs_of ~plan m =
 
 (* A campaign's goldens, computed afresh: the kernel-side one, timed
    as the campaign's [est_us], then the interpreter's.  The kernel-side
-   golden takes the phase-compiled fast path when the configuration
-   stays on its schedule (fault runs themselves always need the kernel
+   golden is the arena's golden row when the configuration stays on
+   the static schedule (fault runs themselves always need the kernel
    or the interpreter — injection is dynamic).  The differential suite
-   pins Compiled = Simulate on the full observation, so classification
-   is unchanged. *)
-let run_goldens ~config ~compiled m =
+   pins that row against [Simulate] on the full observation, so
+   classification is unchanged. *)
+let run_goldens ~config ~plan m =
   let t0 = Unix.gettimeofday () in
   let golden_k =
-    match compiled with
-    | Some cp -> Compiled.run cp
-    | None ->
+    match Sched.compilable ~config m with
+    | Ok () -> fst (Batch.golden_with (plan_exn ~plan m) [])
+    | Error _ ->
       (Simulate.run_cfg ~config:{ config with Simulate.watchdog = true } m)
         .Simulate.obs
   in
   let est_us = (Unix.gettimeofday () -. t0) *. 1e6 in
   (golden_k, Interp.run m, est_us)
 
-(* The artifact holds only the goldens: a checkpoint is one compiled
+(* The artifact holds only the goldens: a checkpoint is one golden-row
    run away at any boundary, which is cheaper than parsing it and far
    smaller than storing its observation prefix. *)
 let prepare ?(config = Simulate.default) ?plan (m : Model.t) =
   let plan = make_plan ?plan m in
-  let golden_k, golden_i, est_us =
-    run_goldens ~config ~compiled:(compiled_of ~config ~plan m) m
-  in
+  let golden_k, golden_i, est_us = run_goldens ~config ~plan m in
   { Artifact.digest = Snapshot.digest_of_model m;
     config = Journal.config_tag config; golden_k; golden_i; est_us }
 
@@ -195,7 +190,6 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
      (the differential suite pins it); [Halt]/[Degrade] goldens
      diverge, so those campaigns re-simulate from step 0. *)
   let restore_on = restore && config.Simulate.on_illegal = Simulate.Record in
-  let compiled = lazy (compiled_of ~config ~plan m) in
   let golden_k, golden_i, est_us =
     match golden with
     | Some (a : Artifact.t) ->
@@ -209,7 +203,7 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
               match this campaign"
              a.Artifact.digest a.Artifact.config);
       (a.Artifact.golden_k, a.Artifact.golden_i, a.Artifact.est_us)
-    | None -> run_goldens ~config ~compiled:(Lazy.force compiled) m
+    | None -> run_goldens ~config ~plan m
   in
   let checkpoints = Hashtbl.create 16 in
   if restore_on then (
@@ -218,7 +212,7 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
     | bs ->
       List.iter
         (fun (s : Snapshot.t) -> Hashtbl.replace checkpoints s.Snapshot.step s)
-        (golden_snapshots ~compiled:(Lazy.force compiled) m bs));
+        (golden_snapshots ~config ~plan m bs));
   { m; config; golden_k = golden_of golden_k; golden_i = golden_of golden_i;
     same_golden = Observation.equal golden_k golden_i; legs;
     law = Simulate.expected_cycles m; restore_on; checkpoints;
@@ -284,7 +278,10 @@ let join_of ~ctx fault =
    faults find theirs prebuilt; a batched fault needs one only when its
    chunk falls back to the kernel path or its interpreter side reruns,
    and then computes it on first use, under the lock, so every such
-   fault still restores from its own boundary. *)
+   fault still restores from its own boundary.  The capture runs on
+   this domain's arena, which may have just served the chunk being
+   classified; its results are copies ({!Batch.run_with}), so
+   rebinding the arena cannot change them. *)
 let checkpoint_for ~ctx fault =
   match join_of ~ctx fault with
   | 0 -> None
@@ -293,8 +290,10 @@ let checkpoint_for ~ctx fault =
         match Hashtbl.find_opt ctx.checkpoints b with
         | Some _ as s -> s
         | None ->
-          let compiled = compiled_of ~config:ctx.config ~plan:ctx.plan ctx.m in
-          let s = List.hd (golden_snapshots ~compiled ctx.m [ b ]) in
+          let s =
+            List.hd
+              (golden_snapshots ~config:ctx.config ~plan:ctx.plan ctx.m [ b ])
+          in
           Hashtbl.replace ctx.checkpoints b s;
           Atomic.incr ctx.built;
           Some s)
@@ -364,7 +363,7 @@ let add_stats a b =
    schedule under this campaign's config — the same gate the golden
    takes, evaluated per overlay. *)
 let batchable ~config m f =
-  Compiled.compilable ~inject:(Fault.to_inject f) ~config m = Ok ()
+  Sched.compilable ~inject:(Fault.to_inject f) ~config m = Ok ()
 
 (* The variant spec mirrors the kernel path decision for the same
    fault: join at the boundary [kernel_entry] would restore a snapshot

@@ -71,7 +71,7 @@ type engine = [ `Auto | `Kernel | `Compiled ]
     event kernel plus the interpreter per fault — the reference path.
     [`Auto] (the default) and [`Compiled] batch every fault whose
     injection compiles into the static schedule
-    ({!Csrtl_core.Compiled.compilable}) onto the lockstep executor
+    ({!Csrtl_core.Sched.compilable}) onto the lockstep executor
     ({!Csrtl_core.Batch}) and derive both engines' outcomes from the
     one batched observation — classified once when the kernel and
     interpreter goldens are equal (as under [Record]), against each
@@ -135,8 +135,9 @@ val run :
     [config] selects the kernel policies of every run (default
     {!Simulate.default}); the watchdog is always forced on so a
     stalling fault classifies as [Hung] instead of hanging the
-    campaign.  The clean kernel golden takes the phase-compiled fast
-    path when [config] permits.  [budget] bounds each fault run's wall
+    campaign.  The clean kernel golden is the static-schedule arena's
+    golden row ({!Csrtl_core.Batch.golden_with}) when [config]
+    permits.  [budget] bounds each fault run's wall
     clock (seconds; overruns classify as [Hung]; a batched chunk that
     overruns falls back to budgeted per-fault kernel runs).  [restore]
     (default on) enables the checkpoint fast path; it only engages
@@ -149,7 +150,8 @@ val run :
     plan-cache hit) and [golden] a pre-built {!Artifact} (a golden
     hit): with both, the campaign skips compilation and the golden
     simulations entirely; it still builds the checkpoints its
-    kernel-path faults read, from one compiled run.
+    kernel-path faults read, from one golden-row run
+    ({!Csrtl_core.Batch.snapshots_at}).
     Both are pure optimizations — report bytes are unchanged, which
     the warm-path qcheck suite pins.  A [golden] whose digest or
     config tag does not match this campaign raises

@@ -40,9 +40,9 @@ end
 
 (* -- targets ---------------------------------------------------------------- *)
 
-type target = Vhdl | Rtm | Alg | Frame | Journal
+type target = Vhdl | Rtm | Alg | Frame | Journal | Snapshot | Artifact
 
-let all_targets = [ Vhdl; Rtm; Alg; Frame; Journal ]
+let all_targets = [ Vhdl; Rtm; Alg; Frame; Journal; Snapshot; Artifact ]
 
 let target_to_string = function
   | Vhdl -> "vhdl"
@@ -50,6 +50,8 @@ let target_to_string = function
   | Alg -> "alg"
   | Frame -> "frame"
   | Journal -> "journal"
+  | Snapshot -> "snapshot"
+  | Artifact -> "artifact"
 
 let target_of_string = function
   | "vhdl" -> Some Vhdl
@@ -57,6 +59,8 @@ let target_of_string = function
   | "alg" -> Some Alg
   | "frame" -> Some Frame
   | "journal" -> Some Journal
+  | "snapshot" -> Some Snapshot
+  | "artifact" -> Some Artifact
   | _ -> None
 
 let extension = function
@@ -65,6 +69,8 @@ let extension = function
   | Alg -> ".alg"
   | Frame -> ".json"
   | Journal -> ".jsonl"
+  | Snapshot -> ".snap"
+  | Artifact -> ".art"
 
 (* -- seed corpus ------------------------------------------------------------ *)
 
@@ -356,6 +362,63 @@ let gen_journal r =
   if Rng.bool r then Buffer.add_char b '\n';
   Buffer.contents b
 
+(* The snapshot and artifact readers are fuzzed against the paper's
+   Fig. 1 model: its plan is built on first use only, so linking the
+   fuzzer costs a program nothing until it fuzzes. *)
+let fig1 = lazy (C.Builder.fig1 ())
+let fig1_plan = lazy (C.Batch.plan (Lazy.force fig1))
+
+let random_word r =
+  match Rng.int r 6 with
+  | 0 -> C.Word.disc
+  | 1 -> C.Word.illegal
+  | 2 -> Rng.int r 4
+  | _ -> Rng.int r (1 lsl 20)
+
+(* a Fig. 1 snapshot at a random boundary with its machine state and
+   observation prefix scrambled: still structurally valid, so most
+   reach the arena's resume *)
+let gen_snapshot r =
+  let m = Lazy.force fig1 in
+  let s = C.Interp.snapshot_at ~step:(Rng.int r (m.C.Model.cs_max + 1)) m in
+  let scramble = Array.map (fun v -> if Rng.bool r then random_word r else v) in
+  let s =
+    { s with
+      C.Snapshot.regs =
+        List.map
+          (fun (n, v) -> (n, if Rng.bool r then random_word r else v))
+          s.C.Snapshot.regs;
+      fu_out = List.map (fun (n, _) -> (n, random_word r)) s.C.Snapshot.fu_out;
+      fu_slots =
+        List.map (fun (n, a) -> (n, scramble a)) s.C.Snapshot.fu_slots;
+      trace = List.map (fun (n, a) -> (n, scramble a)) s.C.Snapshot.trace;
+      conflicts =
+        (if Rng.bool r then s.C.Snapshot.conflicts
+         else
+           [ ( Rng.int r (s.C.Snapshot.step + 1),
+               Rng.pick_list r C.Phase.all,
+               Rng.pick r [| "B1"; "ADD.in1"; "R1.in"; "x" |] ) ]) }
+  in
+  C.Snapshot.to_string s
+
+(* a Fig. 1 artifact whose goldens are the real ones or each other,
+   with a digest and config tag that mostly match *)
+let gen_artifact r =
+  let m = Lazy.force fig1 in
+  let golden = C.Interp.run m in
+  let other =
+    { golden with C.Observation.conflicts = [ (1, C.Phase.Ra, "B1") ] }
+  in
+  Csrtl_fault.Artifact.to_string
+    { Csrtl_fault.Artifact.digest =
+        (if Rng.int r 4 > 0 then C.Snapshot.digest_of_model m else "d0");
+      config =
+        (if Rng.int r 4 > 0 then J.config_tag C.Simulate.default
+         else "halt");
+      golden_k = (if Rng.bool r then golden else other);
+      golden_i = (if Rng.bool r then golden else other);
+      est_us = float_of_int (Rng.int r 100_000) /. 7. }
+
 let seeds target =
   match target with
   | Vhdl -> [ V.Emit.to_string tiny_model; "entity e is\nend e;\n" ]
@@ -370,6 +433,8 @@ let seeds target =
       S.Frame.encode_request S.Frame.Ping;
       "{\"csrtl\":\"req\",\"v\":1,\"op\":\"stats\"}" ]
   | Journal -> [ gen_journal (Rng.make 1) ]
+  | Snapshot -> [ gen_snapshot (Rng.make 1) ]
+  | Artifact -> [ gen_artifact (Rng.make 1) ]
 
 (* -- mutation --------------------------------------------------------------- *)
 
@@ -426,6 +491,8 @@ let gen_fresh r = function
   | Alg -> gen_alg r
   | Frame -> gen_frame r
   | Journal -> gen_journal r
+  | Snapshot -> gen_snapshot r
+  | Artifact -> gen_artifact r
 
 let gen_input r target =
   match Rng.int r 4 with
@@ -515,6 +582,34 @@ let exercise ?(limits = Diag.Limits.default) target (src : string) =
              failwith "Bug: a reused entry is not one of the journal's lines")
          entries;
        `Clean)
+  | Snapshot ->
+    (* [csrtl sim --from-snapshot] hands a file that validates straight
+       to the static-schedule arena: it must resume without raising,
+       and to the interpreter's observation *)
+    (match C.Snapshot.of_string src with
+     | Error _ -> `Rejected
+     | Ok s ->
+       let m = Lazy.force fig1 in
+       (match C.Snapshot.validate m s with
+        | Error _ -> `Rejected
+        | Ok () ->
+          let arena = C.Batch.resume (Lazy.force fig1_plan) ~from:s in
+          if not (C.Observation.equal arena (C.Interp.resume ~from:s m)) then
+            failwith "Bug: arena and interpreter resume disagree";
+          `Clean))
+  | Artifact ->
+    (* a cached artifact is read back from disk or the daemon's golden
+       tier: reading and validating must be total, and an accepted one
+       must re-serialize to itself *)
+    let module A = Csrtl_fault.Artifact in
+    (match A.of_string src with
+     | Error _ -> `Rejected
+     | Ok a ->
+       if A.of_string (A.to_string a) <> Ok a then
+         failwith "Bug: an accepted artifact does not round-trip";
+       (match A.validate (Lazy.force fig1) ~config:C.Simulate.default a with
+        | Error _ -> `Rejected
+        | Ok () -> `Clean))
 
 (* -- crash bookkeeping ------------------------------------------------------ *)
 

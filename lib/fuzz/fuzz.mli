@@ -3,7 +3,8 @@
     Every entry point that accepts bytes from outside — the VHDL
     lexer/parser/linter/extractor, the [.rtm] corpus reader, the
     [.alg] program parser, the serve daemon's wire-frame decoder,
-    the campaign journal reader, model validation and one bounded
+    the campaign journal reader, the snapshot and golden-artifact
+    readers, model validation and one bounded
     simulation step — promises to return diagnostics instead of raising.  This
     harness hammers that promise: seeded grammar-aware generation plus
     byte-level mutation produce inputs, each input is pushed through
@@ -16,7 +17,7 @@
     deduplicated by signature (exception text with digits masked) and
     shrunk greedily before being reported or written out. *)
 
-type target = Vhdl | Rtm | Alg | Frame | Journal
+type target = Vhdl | Rtm | Alg | Frame | Journal | Snapshot | Artifact
 
 val target_of_string : string -> target option
 val target_to_string : target -> string
@@ -49,7 +50,15 @@ val exercise :
     encode/decode round trip unchanged.  The [Journal] target reads
     the bytes as a campaign journal ({!Csrtl_fault.Journal.of_string}):
     it must answer [Ok] or [Error], count every line it does not reuse
-    as torn, and reuse only lines the writer would emit.  Raising is precisely the bug
+    as torn, and reuse only lines the writer would emit.  The
+    [Snapshot] target reads a control-step snapshot
+    ({!Csrtl_core.Snapshot.of_string}); one that validates against
+    the paper's Fig. 1 model must resume on the static-schedule arena
+    ({!Csrtl_core.Batch.resume}) without raising, to the interpreter's
+    observation.  The [Artifact] target reads a campaign golden
+    artifact ({!Csrtl_fault.Artifact.of_string}): reading and
+    validating must be total, and an accepted artifact must
+    re-serialize to itself.  Raising is precisely the bug
     the fuzzer exists to find; the {!run} driver supervises this
     call, tests may call it directly. *)
 

@@ -83,9 +83,9 @@ val map : ?chunks:int -> t -> ('a -> 'b) -> 'a list -> 'b list
     as {!Task_error} carrying the failing input's index.
 
     [f] runs on arbitrary domains: it must not touch shared mutable
-    state.  Kernel/interpreter/compiled runs are safe — each run owns
-    its state — but a single {!Csrtl_core.Compiled.t} plan must not be
-    shared across items. *)
+    state.  Kernel, interpreter and batch runs are safe — each run
+    owns its state, and the batch arena is per domain
+    ({!Csrtl_core.Batch}) while its plan is read-only. *)
 
 val break_even_us : float
 (** [10_000.]: the measured work (µs) that repays spawning a pool in

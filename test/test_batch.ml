@@ -1,8 +1,7 @@
 (* Differential lockdown of the batched lockstep executor: for every
-   compilable fault the four realizations — event kernel, interpreter,
-   per-variant compiled overlay, batched lockstep — must agree on the
-   full observation, the batched cycle prediction must equal what the
-   kernel actually ran, a variant retired early must provably be
+   compilable fault the three realizations — event kernel, interpreter,
+   batched lockstep — must agree on the full observation, the batched
+   cycle prediction must equal what the kernel actually ran, a variant retired early must provably be
    masked, and a variant stopped early must be detected at the
    kernel's diagnosis point.  The campaign suites then lock report and
    journal bytes on top of this. *)
@@ -54,16 +53,15 @@ let verdict_agrees name f ~golden_batch ~golden (r : Batch.result)
 
 let compilable_faults m =
   List.filter
-    (fun f -> Compiled.compilable ~inject:(Fault.to_inject f) m = Ok ())
+    (fun f -> Sched.compilable ~inject:(Fault.to_inject f) m = Ok ())
     (Fault.enumerate m)
 
-(* One model, all its compilable faults, all four engines from step 0
+(* One model, all its compilable faults, all three engines from step 0
    — plus the kernel resumed from the fault's golden boundary, which
    the batched join must reproduce byte-for-byte. *)
 let four_way (m : Model.t) =
   let faults = compilable_faults m in
   if faults <> [] then begin
-    let golden_compiled = Compiled.run (Compiled.of_model m) in
     let specs =
       List.map
         (fun f ->
@@ -73,8 +71,7 @@ let four_way (m : Model.t) =
     in
     let golden_batch, results = Batch.golden m specs in
     let golden = (Simulate.run_cfg m).Simulate.obs in
-    agree "batch-golden/compiled-golden"
-      (List.hd faults) golden_batch golden_compiled;
+    agree "batch-golden/kernel-golden" (List.hd faults) golden_batch golden;
     List.iter2
       (fun f (r : Batch.result) ->
         let inj = Fault.to_inject f in
@@ -90,8 +87,6 @@ let four_way (m : Model.t) =
           | None -> ("kernel", kernel.Simulate.obs)
         in
         agree (name ^ "/interp") f reference (Interp.run ~inject:inj m);
-        agree (name ^ "/compiled-overlay") f reference
-          (Compiled.run (Compiled.of_model ~inject:inj m));
         if r.Batch.cycles <> kernel.Simulate.cycles then
           Alcotest.failf "cycle law on %s: batch predicts %d, kernel ran %d"
             (Fault.to_string f) r.Batch.cycles kernel.Simulate.cycles)
@@ -426,8 +421,8 @@ let test_journal_parity () =
   if sorted_lines j_auto <> sorted_lines j_kernel then
     Alcotest.fail "journal contents differ between engines"
 
-let prop_four_engines =
-  QCheck.Test.make ~name:"batch = compiled = interp = kernel under faults"
+let prop_three_engines =
+  QCheck.Test.make ~name:"batch = interp = kernel under faults"
     ~count:40
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -490,5 +485,5 @@ let () =
           Alcotest.test_case "small campaign stays on one domain" `Quick
             test_small_campaign_one_domain ] );
       qsuite "differential"
-        [ prop_four_engines; prop_join_parity; prop_retirement;
+        [ prop_three_engines; prop_join_parity; prop_retirement;
           prop_detection; prop_invariance ] ]

@@ -1,8 +1,9 @@
-(* Differential lockdown of the phase-compiled executor: for any
-   model the three engines — event kernel (Simulate), dedicated
-   semantics (Interp), compiled schedule (Compiled) — must agree on
-   the full observation, and the compiled cycle count must obey the
-   delta-cycle law the kernel measures. *)
+(* Differential lockdown of the static-schedule executor run alone:
+   for any model the three realizations — event kernel (Simulate),
+   dedicated semantics (Interp), and the batch arena's golden row
+   (Batch with K = 0, what [--engine compiled] runs) — must agree on
+   the full observation, and the cycle count the arena reads off the
+   delta-cycle law must be what the kernel measures. *)
 
 open Csrtl_core
 module Consist = Csrtl_verify.Consist
@@ -17,61 +18,69 @@ let agree name a b =
       obs_pp b
       (String.concat "; " (Observation.diff a b))
 
+let golden plan = fst (Batch.golden_with plan [])
+
+(* the arena's cycle count of an uninjected run from reset *)
+let cycles plan =
+  Simulate.expected_cycles_with (Batch.legs plan) ~inject:Inject.none 0
+
 let three_way m =
-  let plan = Compiled.of_model m in
-  let compiled = Compiled.run plan in
+  let plan = Batch.plan m in
+  let compiled = golden plan in
   let interp = Interp.run m in
   let kernel = Simulate.run m in
   agree "compiled/interp" compiled interp;
   agree "compiled/kernel" compiled kernel.Simulate.obs;
-  if Compiled.cycles plan <> kernel.Simulate.cycles then
-    Alcotest.failf "cycle law: compiled says %d, kernel ran %d"
-      (Compiled.cycles plan) kernel.Simulate.cycles
+  if cycles plan <> kernel.Simulate.cycles then
+    Alcotest.failf "cycle law: compiled says %d, kernel ran %d" (cycles plan)
+      kernel.Simulate.cycles
 
 let test_fig1 () = three_way (Builder.fig1 ())
 
 let test_plan_reuse () =
-  (* one plan, many runs: the preallocated state resets fully *)
+  (* one plan, many runs: the domain's arena resets fully, also after
+     a wider batch grew it *)
   let m = Builder.fig1 () in
-  let plan = Compiled.of_model m in
-  let first = Compiled.run plan in
-  for _ = 1 to 5 do
-    check_bool "rerun identical" true
-      (Observation.equal first (Compiled.run plan))
+  let plan = Batch.plan m in
+  let first = golden plan in
+  let spec =
+    { Batch.inject = Inject.stuck_sink ~sink:"B1" Word.illegal; join = 0;
+      settle = m.Model.cs_max }
+  in
+  for k = 1 to 5 do
+    ignore (Batch.run_with plan (List.init k (fun _ -> spec)));
+    check_bool "rerun identical" true (Observation.equal first (golden plan))
   done;
-  let s = Compiled.last_stats plan in
-  check_bool "schedule non-empty" true (s.Compiled.static_actions > 0);
-  check_bool "did work" true
-    (s.Compiled.contributions > 0 && s.Compiled.fu_evals > 0
-     && s.Compiled.latches > 0)
+  check_bool "schedule non-empty" true
+    ((Batch.base_sched plan).Sched.static_actions > 0)
 
 let test_conflicted_model () =
-  (* deliberate double drive: the compiled path localizes the same
-     ILLEGAL the other engines do *)
+  (* deliberate double drive: the arena localizes the same ILLEGAL the
+     other engines do *)
   let m = Consist.random_model ~conflict:true 7 in
-  let obs = Compiled.run (Compiled.of_model m) in
+  let obs = golden (Batch.plan m) in
   check_bool "conflict surfaced" true (Observation.has_conflict obs);
   three_way m
 
 let test_compilable () =
   let m = Builder.fig1 () in
-  check_bool "clean model compiles" true (Compiled.compilable m = Ok ());
+  check_bool "clean model compiles" true (Sched.compilable m = Ok ());
   check_bool "stuck tamper compiles" true
-    (Compiled.compilable ~inject:(Inject.stuck_sink ~sink:"B1" Word.illegal) m
+    (Sched.compilable ~inject:(Inject.stuck_sink ~sink:"B1" Word.illegal) m
      = Ok ());
   check_bool "oscillator falls back" true
     (Result.is_error
-       (Compiled.compilable
+       (Sched.compilable
           ~inject:(Inject.oscillator ~sink:"B1" ~step:1 ~phase:Phase.Ra) m));
   check_bool "wb saboteur compiles" true
-    (Compiled.compilable
+    (Sched.compilable
        ~inject:
          (Inject.extra_driver ~sink:"B1" ~step:1 ~phase:Phase.Wb (Word.one))
        m
      = Ok ());
   check_bool "cr saboteur falls back" true
     (Result.is_error
-       (Compiled.compilable
+       (Sched.compilable
           ~inject:
             { Inject.none with
               Inject.saboteurs =
@@ -80,12 +89,12 @@ let test_compilable () =
           m));
   check_bool "Degrade falls back" true
     (Result.is_error
-       (Compiled.compilable
+       (Sched.compilable
           ~config:{ Simulate.default with on_illegal = Simulate.Degrade }
           m));
   (* every blocker is reported, "; "-joined *)
   match
-    Compiled.compilable
+    Sched.compilable
       ~inject:(Inject.oscillator ~sink:"B1" ~step:1 ~phase:Phase.Ra)
       ~config:{ Simulate.default with on_illegal = Simulate.Halt }
       m
@@ -114,7 +123,7 @@ let prop_cycles_law =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let m = Consist.random_model seed in
-      Compiled.cycles (Compiled.of_model m) = Simulate.expected_cycles m)
+      cycles (Batch.plan m) = Simulate.expected_cycles m)
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)

@@ -101,6 +101,43 @@ let prop_matrix =
       layout_matrix (Consist.random_model seed);
       true)
 
+(* The benchmark's own model shape — lanes of add/sub units over
+   random 20-bit initial values — through the (engine, jobs, batch)
+   matrix: every point must print the sequential kernel path's bytes.
+   One lane is a chain; four lanes put several units in every step. *)
+let test_matrix_lanes () =
+  List.iter
+    (fun (lanes, steps) ->
+      List.iter
+        (fun seed ->
+          let m =
+            Chain_model.lanes ~seed ~lanes ~steps ~ops:[ "add"; "sub" ]
+          in
+          let reference =
+            full_report_string
+              (Campaign.run_parallel ~jobs:1 ~engine:`Kernel m)
+          in
+          List.iter
+            (fun (engine, name) ->
+              List.iter
+                (fun jobs ->
+                  List.iter
+                    (fun batch ->
+                      let r =
+                        full_report_string
+                          (Campaign.run_parallel ~jobs
+                             ?chunks:(chunks_for jobs) ~engine ~batch m)
+                      in
+                      if r <> reference then
+                        Alcotest.failf
+                          "%s: %s report differs at jobs=%d batch=%d"
+                          m.Model.name name jobs batch)
+                    [ 1; 32 ])
+                [ 1; 2 ])
+            [ (`Auto, "auto"); (`Kernel, "kernel") ])
+        [ 1; 2; 3 ])
+    [ (1, 24); (4, 12) ]
+
 (* Chunk count is likewise pure scheduling: explicit counts around and
    beyond the planned one must reproduce the auto-planned bytes. *)
 let test_chunks_invariant () =
@@ -134,7 +171,7 @@ let compilable_specs (m : Model.t) =
   List.filter_map
     (fun f ->
       let inject = Fault.to_inject f in
-      if Compiled.compilable ~inject m = Ok () then
+      if Sched.compilable ~inject m = Ok () then
         Some { Batch.inject; join = 0; settle = Fault.last_step m f }
       else None)
     (Fault.enumerate m)
@@ -166,6 +203,33 @@ let test_arena_reuse () =
             Alcotest.failf "arena reuse diverged on pooled rerun %d" i)
         reruns)
 
+(* A campaign classifies a chunk's results after the chunk returns,
+   and may capture a checkpoint or run a golden on the same domain's
+   arena meanwhile.  No result may alias arena memory: rebinding the
+   arena for a capture, a resume, a golden run and another batch must
+   leave every observation the first batch returned unchanged. *)
+let test_results_own_memory () =
+  let m = Chain_model.chain 16 in
+  let plan = Batch.plan m in
+  let specs = compilable_specs m in
+  let results = Batch.run_with plan specs in
+  if
+    not
+      (List.exists
+         (fun (r : Batch.result) ->
+           match r.Batch.verdict with Batch.Finished _ -> true | _ -> false)
+         results)
+  then Alcotest.fail "chain16 batch finished no variant";
+  let copy : Batch.result list =
+    Marshal.from_string (Marshal.to_string results []) 0
+  in
+  let snaps = Batch.snapshots_at plan ~steps:[ 3; m.Model.cs_max ] in
+  ignore (Batch.resume plan ~from:(List.hd snaps));
+  ignore (Batch.golden_with plan []);
+  ignore (Batch.run_with plan (List.rev specs));
+  if results <> copy then
+    Alcotest.fail "a batch result changed when the arena was rebound"
+
 (* ---- the pinned zero-allocation law ----------------------------- *)
 
 (* Variants that never record a conflict exercise the whole loop
@@ -178,7 +242,7 @@ let conflict_free_spec m f =
   match f with
   | Fault.Dropped_leg _ ->
     let inject = Fault.to_inject f in
-    if Compiled.compilable ~inject m <> Ok () then None
+    if Sched.compilable ~inject m <> Ok () then None
     else begin
       let spec = { Batch.inject; join = 0; settle = Fault.last_step m f } in
       match Batch.run m [ spec ] with
@@ -301,8 +365,7 @@ let test_resume_words () =
   let m = chain 32 in
   let from =
     List.hd
-      (Compiled.snapshots_at (Compiled.of_model m)
-         ~steps:[ m.Model.cs_max / 2 ])
+      (Batch.snapshots_at (Batch.plan m) ~steps:[ m.Model.cs_max / 2 ])
   in
   let digest = from.Snapshot.digest in
   let inject = Inject.dropped_leg 20 in
@@ -354,7 +417,7 @@ let test_overlay_words () =
    renderer closure per differing cell made it about 4x. *)
 let test_witness_words () =
   let words steps =
-    let golden = Compiled.run (Compiled.of_model (chain steps)) in
+    let golden = fst (Batch.golden (chain steps) []) in
     let corrupted =
       { golden with
         Observation.regs =
@@ -509,11 +572,15 @@ let () =
           Alcotest.test_case "chunk count invisible" `Quick
             test_chunks_invariant;
           Alcotest.test_case "journal entries over engine x jobs x batch"
-            `Quick test_journal_matrix ] );
+            `Quick test_journal_matrix;
+          Alcotest.test_case "benchmark lanes engine x jobs x batch" `Quick
+            test_matrix_lanes ] );
       qsuite "matrix-random" [ prop_matrix ];
       ( "arena",
         [ Alcotest.test_case "per-domain arena reuse is deterministic" `Quick
             test_arena_reuse;
+          Alcotest.test_case "results never alias the arena" `Quick
+            test_results_own_memory;
           Alcotest.test_case "step loop allocates zero minor words" `Quick
             test_zero_alloc;
           Alcotest.test_case "merging step loop allocates zero minor words"

@@ -20,27 +20,30 @@ let obs_agree name full got =
     Alcotest.failf "%s diverged from the uninterrupted run:@ %s" name
       (String.concat "; " (Observation.diff full got))
 
+let arena_snapshot_at plan ~step =
+  List.hd (Batch.snapshots_at plan ~steps:[ step ])
+
 (* The full differential: at every boundary the three engines produce
    byte-identical serializations, and every engine resumes every
    engine's snapshot to the uninterrupted observation. *)
 let check_all_boundaries m =
   let full = Interp.run m in
-  let plan = Compiled.of_model m in
+  let plan = Batch.plan m in
   for step = 0 to m.Model.cs_max do
     let si = Interp.snapshot_at ~step m in
     let sk = Simulate.snapshot_at ~step m in
-    let sc = Compiled.snapshot_at plan ~step in
+    let sc = arena_snapshot_at plan ~step in
     let text = Snapshot.to_string si in
     Alcotest.(check string) "kernel snapshot bytes" text
       (Snapshot.to_string sk);
-    Alcotest.(check string) "compiled snapshot bytes" text
+    Alcotest.(check string) "arena snapshot bytes" text
       (Snapshot.to_string sc);
     (* serialization round trip *)
     (match Snapshot.of_string text with
      | Ok s -> check_bool "round trip equal" true (Snapshot.equal s si)
      | Error e -> Alcotest.failf "of_string failed at step %d: %s" step e);
     obs_agree "interp resume" full (Interp.resume ~from:sk m);
-    obs_agree "compiled resume" full (Compiled.resume plan ~from:si);
+    obs_agree "arena resume" full (Batch.resume plan ~from:si);
     let r = Simulate.resume ~from:sc m in
     obs_agree "kernel resume" full r.Simulate.obs;
     (* the delta-cycle law holds for the resumed segment (the full
@@ -93,6 +96,71 @@ let test_snapshots_at_single_run () =
     snaps
     [ 0; 1; 3; m.Model.cs_max ]
 
+(* The arena captures every boundary of one run as it passes it; each
+   capture is byte-identical to the interpreter's, and resuming the
+   arena from each — on the same domain arena the captures used —
+   reproduces the uninterrupted run. *)
+let test_arena_every_boundary () =
+  List.iter
+    (fun m ->
+      let plan = Batch.plan m in
+      let full = Interp.run m in
+      let all = List.init (m.Model.cs_max + 1) Fun.id in
+      let snaps = Batch.snapshots_at plan ~steps:(List.rev all) in
+      check_int "one capture per boundary" (m.Model.cs_max + 1)
+        (List.length snaps);
+      List.iter2
+        (fun step (s : Snapshot.t) ->
+          check_int "ascending" step s.Snapshot.step;
+          Alcotest.(check string)
+            (Printf.sprintf "%s boundary %d bytes" m.Model.name step)
+            (Snapshot.to_string (Interp.snapshot_at ~step m))
+            (Snapshot.to_string s);
+          obs_agree
+            (Printf.sprintf "%s arena resume from %d" m.Model.name step)
+            full (Batch.resume plan ~from:s))
+        all snaps;
+      match Batch.snapshots_at plan ~steps:[ m.Model.cs_max + 1 ] with
+      | _ -> Alcotest.fail "a boundary past cs_max was captured"
+      | exception Invalid_argument _ -> ())
+    [ fig1 (); Consist.random_model ~conflict:true 7;
+      Rtm.of_file (Filename.concat "corpus" "io.rtm") ]
+
+(* A snapshot that names an undeclared output port, or writes a port
+   twice in one step, must fail validation: every engine sizes a
+   port's write log by cs_max. *)
+let test_validate_out_writes () =
+  let m = Rtm.of_file (Filename.concat "corpus" "io.rtm") in
+  let s = Interp.snapshot_at ~step:m.Model.cs_max m in
+  check_bool "engine snapshot validates" true (Snapshot.validate m s = Ok ());
+  (match s.Snapshot.out_writes with
+   | [] -> Alcotest.fail "io.rtm writes no output"
+   | ((port, (w, v)) as first) :: _ ->
+     check_bool "undeclared port rejected" true
+       (Result.is_error
+          (Snapshot.validate m
+             { s with
+               Snapshot.out_writes =
+                 ("nope", (w, v)) :: s.Snapshot.out_writes }));
+     check_bool "repeated write rejected" true
+       (Result.is_error
+          (Snapshot.validate m
+             { s with
+               Snapshot.out_writes = first :: s.Snapshot.out_writes }));
+     check_bool "out-of-order write rejected" true
+       (Result.is_error
+          (Snapshot.validate m
+             { s with
+               Snapshot.out_writes =
+                 s.Snapshot.out_writes @ [ (port, (w - 1, v)) ] })));
+  let stray =
+    { s with
+      Snapshot.out_writes = ("nope", (1, 0)) :: s.Snapshot.out_writes }
+  in
+  match Batch.resume (Batch.plan m) ~from:stray with
+  | _ -> Alcotest.fail "arena resumed an invalid snapshot"
+  | exception Invalid_argument _ -> ()
+
 let test_save_load () =
   let m = fig1 () in
   let s = Simulate.snapshot_at ~step:4 m in
@@ -114,10 +182,10 @@ let prop_resume_equals_uninterrupted =
       let m = Consist.random_model ~conflict:(seed mod 3 = 0) seed in
       let step = boundary_seed mod (m.Model.cs_max + 1) in
       let full = Interp.run m in
-      let plan = Compiled.of_model m in
+      let plan = Batch.plan m in
       let si = Interp.snapshot_at ~step m in
       let sk = Simulate.snapshot_at ~step m in
-      let sc = Compiled.snapshot_at plan ~step in
+      let sc = arena_snapshot_at plan ~step in
       let text = Snapshot.to_string si in
       if Snapshot.to_string sk <> text || Snapshot.to_string sc <> text then
         QCheck.Test.fail_reportf
@@ -130,7 +198,7 @@ let prop_resume_equals_uninterrupted =
             (String.concat "; " (Observation.diff full got))
       in
       ok "interp" (Interp.resume ~from:sc m);
-      ok "compiled" (Compiled.resume plan ~from:sk);
+      ok "arena" (Batch.resume plan ~from:sk);
       ok "kernel" (Simulate.resume ~from:si m).Simulate.obs;
       true)
 
@@ -153,11 +221,15 @@ let () =
           Alcotest.test_case "conflicted model boundaries" `Quick
             test_conflicted_model_boundaries;
           Alcotest.test_case "snapshots_at: one run, many captures" `Quick
-            test_snapshots_at_single_run ] );
+            test_snapshots_at_single_run;
+          Alcotest.test_case "arena captures and resumes every boundary"
+            `Quick test_arena_every_boundary ] );
       ( "serialization",
         [ Alcotest.test_case "validate rejects misuse" `Quick
             test_validate_rejects;
-          Alcotest.test_case "save/load round trip" `Quick test_save_load ] );
+          Alcotest.test_case "save/load round trip" `Quick test_save_load;
+          Alcotest.test_case "validate checks output writes" `Quick
+            test_validate_out_writes ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest ~long:false
             prop_resume_equals_uninterrupted;
