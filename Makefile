@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke oneshot-smoke bench bench-smoke bench-json report examples doc clean
+.PHONY: all build test check fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke oneshot-smoke report examples doc clean
 
 all: build
 
@@ -87,16 +87,6 @@ check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke onesho
 	    { echo "batched-campaign smoke FAILED at --batch $$k"; exit 1; }; \
 	done; \
 	echo "  2-domain batched campaign (batch 32, 1, 64) and the --jobs 0 gate are byte-identical to the kernel path"
-	@echo "BENCH_batch.json schema smoke:"
-	@dune exec --no-build bench/main.exe -- bench-json \
-	  _build/check/BENCH_batch.json smoke
-	@dune exec --no-build bench/main.exe -- json-check \
-	  _build/check/BENCH_batch.json
-	@echo "BENCH_serve.json schema smoke:"
-	@dune exec --no-build bench/main.exe -- serve-json \
-	  _build/check/BENCH_serve.json smoke
-	@dune exec --no-build bench/main.exe -- json-check-serve \
-	  _build/check/BENCH_serve.json
 	@echo "make check: all corpus models validated"
 
 # A one-shot campaign on a 32-transfer chain allocates less than one
@@ -139,7 +129,8 @@ fuzz-smoke: build
 # The campaign-as-a-service lifecycle against a real daemon
 # (docs/SERVICE.md): cold + cached request pair byte-compared against
 # offline inject, an engine/batch differential, SIGKILL mid-campaign
-# followed by a restart that resumes from the journal, 10k fuzzed
+# followed by a restart that resumes from the journal while the
+# restarted daemon SIGKILLs every other worker it spawns, 10k fuzzed
 # request frames (the acceptance bar: zero crash signatures), and a
 # graceful shutdown.  The socket lives under /tmp to stay inside the
 # ~108-byte sun_path cap.
@@ -187,7 +178,8 @@ serve-smoke: build
 	  cpid=$$!; sleep 0.05; kill -9 $$SERVE_PID 2> /dev/null; \
 	  wait $$cpid 2> /dev/null; true ); \
 	wait $$SERVE_PID 2> /dev/null; rm -f $$SOCK; \
-	$$CSRTL serve --socket $$SOCK --state-dir $$STATE --quiet & \
+	CSRTL_SERVE_KILL_NTH=2 $$CSRTL serve --socket $$SOCK \
+	  --state-dir $$STATE --quiet & \
 	SERVE_PID=$$!; \
 	$$CSRTL request --socket $$SOCK --retry 100 \
 	  _build/check/serve_smoke.rtm \
@@ -196,6 +188,16 @@ serve-smoke: build
 	  { echo "serve smoke FAILED: post-SIGKILL resume differs"; exit 1; }; \
 	sed 's/^/  /' _build/check/serve_resumed.err; \
 	echo "  SIGKILLed daemon restarted and resumed to a byte-identical report"; \
+	$$CSRTL request --socket $$SOCK _build/check/serve_smoke.rtm \
+	  --no-resume > _build/check/serve_killed.out 2> /dev/null; \
+	cmp _build/check/serve_offline.out _build/check/serve_killed.out || \
+	  { echo "serve smoke FAILED: report after a worker SIGKILL differs"; \
+	    exit 1; }; \
+	$$CSRTL request --socket $$SOCK --stats | \
+	  grep -q 'workers: 2 crashes, 2 restarts' || \
+	  { echo "serve smoke FAILED: the killed workers were not restarted"; \
+	    exit 1; }; \
+	echo "  every other worker SIGKILLed (CSRTL_SERVE_KILL_NTH=2): restarted, byte-identical"; \
 	$$CSRTL request --socket $$SOCK --shutdown > /dev/null || \
 	  { echo "serve smoke FAILED: shutdown request"; exit 1; }; \
 	wait $$SERVE_PID; rc=$$?; \
@@ -262,25 +264,6 @@ chaos-smoke: build
 # passes on overhead alone) with byte-identical reports.
 scaling-smoke: build
 	@dune exec --no-build bench/main.exe -- scaling-check
-
-bench:
-	dune exec bench/main.exe
-
-# The C10 workloads (engine throughput + campaign scaling) at tiny
-# sizes: a seconds-long sanity run of the compiled engine and the
-# domain pool, not a measurement.
-bench-smoke:
-	dune exec bench/main.exe -- smoke
-
-# The C12 matrix (faults/sec: kernel vs batched lockstep at
-# K in {1,8,32,64}, per jobs count) and the C13 serve matrix
-# (requests/sec at N clients, cold vs cached, responses byte-compared
-# against offline inject) as machine-readable JSON.
-bench-json:
-	dune exec bench/main.exe -- bench-json BENCH_batch.json
-	dune exec bench/main.exe -- json-check BENCH_batch.json
-	dune exec bench/main.exe -- serve-json BENCH_serve.json
-	dune exec bench/main.exe -- json-check-serve BENCH_serve.json
 
 report:
 	dune exec bench/main.exe -- report

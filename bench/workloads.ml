@@ -1,5 +1,5 @@
-(* Workload generators shared by the report tables and the Bechamel
-   benches (DESIGN.md experiments index). *)
+(* Workload generators for the report tables and the scaling gate
+   (DESIGN.md experiments index). *)
 
 module C = Csrtl_core
 
@@ -63,15 +63,14 @@ let controller_only cs_max =
   C.Builder.reg b ~init:(C.Word.nat 0) "R0";
   C.Builder.finish b
 
-let time_it f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let t1 = Unix.gettimeofday () in
-  (r, (t1 -. t0) *. 1e6)
-
 (* median-of-3 wall-clock microseconds *)
 let wall_us f =
-  let xs = List.init 3 (fun _ -> snd (time_it f)) in
+  let once () =
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    (Unix.gettimeofday () -. t0) *. 1e6
+  in
+  let xs = List.init 3 (fun _ -> once ()) in
   match List.sort compare xs with
   | [ _; m; _ ] -> m
   | _ -> assert false

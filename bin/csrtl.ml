@@ -1121,8 +1121,8 @@ let fuzz_cmd =
   let targets =
     let doc =
       "Frontier to fuzz: $(b,vhdl), $(b,rtm), $(b,alg), $(b,frame), \
-       $(b,journal), $(b,snapshot) or $(b,artifact) (repeatable; default \
-       all)."
+       $(b,journal), $(b,snapshot), $(b,artifact) or $(b,job) (repeatable; \
+       default all)."
     in
     Arg.(value & opt_all string [] & info [ "target" ] ~docv:"TARGET" ~doc)
   in
@@ -1153,7 +1153,7 @@ let fuzz_cmd =
                 | None ->
                   die2
                     "unknown fuzz target %s \
-                     (vhdl|rtm|alg|frame|journal|snapshot|artifact)"
+                     (vhdl|rtm|alg|frame|journal|snapshot|artifact|job)"
                     n)
               names
         in

@@ -43,8 +43,8 @@ val build :
     on every control-signal event.  [resolution_impl] likewise selects
     O(1) counter-based bus resolution ([`Incremental], default) or a
     fold over all drivers per update ([`Fold]).  All four combinations
-    are observably identical (tested); the ablation benches quantify
-    the differences.
+    are observably identical (tested); the bench report's ablation
+    table (A) quantifies the differences.
 
     [inject] realizes a fault-injection plan ({!Inject}) on the
     kernel without touching the model: tampers wrap the resolution

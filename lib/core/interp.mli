@@ -9,7 +9,7 @@
     dedicated semantics with VHDL simulation semantics";
     {!Csrtl_verify.Consist} checks that theorem empirically against
     {!Simulate}.  The interpreter is also the fast execution path
-    (see the [speed/kernel-vs-interp] ablation bench). *)
+    (see table C3 of the bench report). *)
 
 exception Unstable of int * Phase.t * string
 (** Raised at the trigger slot of an injected {!Inject.oscillator}:

@@ -128,13 +128,12 @@ let make_plan ?plan m =
    fails here with the same diagnosis. *)
 let plan_exn ~plan m = match plan with Some p -> p | None -> Batch.plan m
 
-(* Golden checkpoints come off the static schedule when the config
-   stays on it — under [Record], the only policy that restores — and
-   off the interpreter otherwise. *)
-let golden_snapshots ~config ~plan m boundaries =
-  match Sched.compilable ~config m with
-  | Ok () -> Batch.snapshots_at (plan_exn ~plan m) ~steps:boundaries
-  | Error _ -> Interp.snapshots_at ~steps:boundaries m
+(* Golden checkpoints come off the static schedule.  Only [Record]
+   campaigns restore ([restore_on]), and with no injection
+   [Sched.compilable] rejects only [Halt] and [Degrade], so a
+   restoring campaign's golden row always compiles. *)
+let golden_snapshots ~plan m boundaries =
+  Batch.snapshots_at (plan_exn ~plan m) ~steps:boundaries
 
 let boundaries_of ~faults lf =
   List.sort_uniq compare
@@ -212,7 +211,7 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
     | bs ->
       List.iter
         (fun (s : Snapshot.t) -> Hashtbl.replace checkpoints s.Snapshot.step s)
-        (golden_snapshots ~config ~plan m bs));
+        (golden_snapshots ~plan m bs));
   { m; config; golden_k = golden_of golden_k; golden_i = golden_of golden_i;
     same_golden = Observation.equal golden_k golden_i; legs;
     law = Simulate.expected_cycles m; restore_on; checkpoints;
@@ -292,7 +291,7 @@ let checkpoint_for ~ctx fault =
         | None ->
           let s =
             List.hd
-              (golden_snapshots ~config:ctx.config ~plan:ctx.plan ctx.m [ b ])
+              (golden_snapshots ~plan:ctx.plan ctx.m [ b ])
           in
           Hashtbl.replace ctx.checkpoints b s;
           Atomic.incr ctx.built;
@@ -654,7 +653,7 @@ let run_parallel ?pool ?jobs ?chunks ?config ?limit ?faults ?budget ?restore
 
 type resume_info = { reused : int; rerun : int; torn : int; remaining : int }
 
-let run_journaled ?jobs ?chunks ?(config = Simulate.default) ?digest
+let run_journaled ?pool ?jobs ?chunks ?(config = Simulate.default) ?digest
     ?limit ?faults ?budget ?(restore = true) ?(engine : engine = `Auto)
     ?(batch = 32) ?warm ?should_stop ?on_entry:user_on_entry ~journal
     ~resume (m : Model.t) =
@@ -744,8 +743,8 @@ let run_journaled ?jobs ?chunks ?(config = Simulate.default) ?digest
           match user_on_entry with None -> () | Some f -> f i e
         in
         let computed, _ =
-          compute_all ?jobs ?chunks ?should_stop ~par:true ~ctx ~on_entry
-            work
+          compute_all ?pool ?jobs ?chunks ?should_stop ~par:true ~ctx
+            ~on_entry work
         in
         Journal.sync w;
         computed

@@ -199,7 +199,7 @@ type resume_info = {
 }
 
 val run_journaled :
-  ?jobs:int -> ?chunks:int ->
+  ?pool:Csrtl_par.Par.t -> ?jobs:int -> ?chunks:int ->
   ?config:Simulate.config -> ?digest:string -> ?limit:int ->
   ?faults:Fault.t list ->
   ?budget:float -> ?restore:bool -> ?engine:engine -> ?batch:int ->
@@ -207,7 +207,7 @@ val run_journaled :
   ?should_stop:(unit -> bool) -> ?on_entry:(int -> entry -> unit) ->
   journal:string -> resume:bool ->
   Model.t -> (report * resume_info, string) result
-(** {!run_parallel} (on a pool of its own, never a shared one) with
+(** {!run_parallel} (on [pool], or a pool of its own) with
     crash durability: every finished fault is
     appended to the JSONL [journal] ({!Journal}) before the campaign
     moves on, and the journal is fsynced ({!Journal.sync}) when the
@@ -249,9 +249,8 @@ val run_with_stats :
   ?plan:Batch.plan -> ?golden:Artifact.t ->
   Model.t -> report * batch_stats
 (** {!run_parallel}, additionally reporting how the faults were
-    dispatched — the bench harness uses the early-retirement hit rate
-    and the batched/kernel split for the C12 table, and perfbench's
-    probe reads all four counts. *)
+    dispatched — perfbench's probe reads the early-retirement hit rate
+    and the batched/kernel split. *)
 
 val outcomes_agree : outcome -> outcome -> bool
 (** Same class; [Detected] additionally requires the same localization. *)

@@ -40,9 +40,9 @@ end
 
 (* -- targets ---------------------------------------------------------------- *)
 
-type target = Vhdl | Rtm | Alg | Frame | Journal | Snapshot | Artifact
+type target = Vhdl | Rtm | Alg | Frame | Journal | Snapshot | Artifact | Job
 
-let all_targets = [ Vhdl; Rtm; Alg; Frame; Journal; Snapshot; Artifact ]
+let all_targets = [ Vhdl; Rtm; Alg; Frame; Journal; Snapshot; Artifact; Job ]
 
 let target_to_string = function
   | Vhdl -> "vhdl"
@@ -52,6 +52,7 @@ let target_to_string = function
   | Journal -> "journal"
   | Snapshot -> "snapshot"
   | Artifact -> "artifact"
+  | Job -> "job"
 
 let target_of_string = function
   | "vhdl" -> Some Vhdl
@@ -61,6 +62,7 @@ let target_of_string = function
   | "journal" -> Some Journal
   | "snapshot" -> Some Snapshot
   | "artifact" -> Some Artifact
+  | "job" -> Some Job
   | _ -> None
 
 let extension = function
@@ -71,6 +73,7 @@ let extension = function
   | Journal -> ".jsonl"
   | Snapshot -> ".snap"
   | Artifact -> ".art"
+  | Job -> ".job"
 
 (* -- seed corpus ------------------------------------------------------------ *)
 
@@ -419,6 +422,45 @@ let gen_artifact r =
       golden_i = (if Rng.bool r then golden else other);
       est_us = float_of_int (Rng.int r 100_000) /. 7. }
 
+(* worker jobs from the encoder: random config fields, a request, a
+   golden decision with its key or artifact bytes, journal injections *)
+let gen_job r =
+  let str () = Rng.pick r [| ""; "state"; "a\"b"; "x\ny"; "\t\000é" |] in
+  let limits =
+    if Rng.int r 4 > 0 then Diag.Limits.default
+    else
+      let n () = Rng.int r 100_000 in
+      { Diag.Limits.max_input_bytes = n (); max_tokens = n ();
+        max_nesting = n (); max_registers = n (); max_fus = n ();
+        max_buses = n (); max_steps = n (); max_transfers = n () }
+  in
+  S.Engine.encode_job
+    { S.Engine.cfg =
+        { S.Engine.default_config with
+          state_dir = str (); jobs = Rng.int r 9 - 1; limits;
+          default_deadline_ms =
+            (if Rng.bool r then None else Some (Rng.int r 999)) };
+      q =
+        { S.Frame.model =
+            (if Rng.bool r then C.Rtm.to_string tiny_model else gen_rtm r);
+          engine = Rng.pick r [| `Auto; `Kernel; `Compiled |];
+          batch = 1 + Rng.int r 64;
+          limit = (if Rng.bool r then None else Some (1 + Rng.int r 99));
+          budget_ms = (if Rng.bool r then None else Some (1 + Rng.int r 999));
+          deadline_ms = (if Rng.bool r then None else Some (Rng.int r 999));
+          table = Rng.bool r; stream = Rng.bool r; resume = Rng.bool r };
+      golden =
+        (match Rng.int r 3 with
+         | 0 -> `Off
+         | 1 -> `Miss (str ())
+         | _ -> `Hit (gen_artifact r));
+      chaos =
+        List.init (Rng.int r 3) (fun _ ->
+            { J.path = str ();
+              op = Rng.pick r [| `Create; `Append; `Sync |];
+              nth = Rng.int r 5;
+              errno = Rng.pick r [| `ENOSPC; `EIO |] }) }
+
 let seeds target =
   match target with
   | Vhdl -> [ V.Emit.to_string tiny_model; "entity e is\nend e;\n" ]
@@ -435,6 +477,7 @@ let seeds target =
   | Journal -> [ gen_journal (Rng.make 1) ]
   | Snapshot -> [ gen_snapshot (Rng.make 1) ]
   | Artifact -> [ gen_artifact (Rng.make 1) ]
+  | Job -> [ gen_job (Rng.make 1) ]
 
 (* -- mutation --------------------------------------------------------------- *)
 
@@ -493,6 +536,7 @@ let gen_fresh r = function
   | Journal -> gen_journal r
   | Snapshot -> gen_snapshot r
   | Artifact -> gen_artifact r
+  | Job -> gen_job r
 
 let gen_input r target =
   match Rng.int r 4 with
@@ -610,6 +654,19 @@ let exercise ?(limits = Diag.Limits.default) target (src : string) =
        (match A.validate (Lazy.force fig1) ~config:C.Simulate.default a with
         | Error _ -> `Rejected
         | Ok () -> `Clean))
+  | Job ->
+    (* a worker's stdin: [worker_entry] catches only [Json.Bad], so
+       anything else escaping [decode_job] leaves the worker as an
+       uncaught exception instead of its diagnosed exit 2; an accepted
+       job must re-encode to itself *)
+    (match S.Engine.decode_job src with
+     | exception J.Json.Bad _ -> `Rejected
+     | job ->
+       (match S.Engine.decode_job (S.Engine.encode_job job) with
+        | job2 when job2 = job -> `Clean
+        | _ -> failwith "Bug: a worker job does not round-trip"
+        | exception J.Json.Bad _ ->
+          failwith "Bug: a re-encoded worker job is rejected"))
 
 (* -- crash bookkeeping ------------------------------------------------------ *)
 

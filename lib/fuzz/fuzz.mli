@@ -4,7 +4,7 @@
     lexer/parser/linter/extractor, the [.rtm] corpus reader, the
     [.alg] program parser, the serve daemon's wire-frame decoder,
     the campaign journal reader, the snapshot and golden-artifact
-    readers, model validation and one bounded
+    readers, the campaign worker's job decoder, model validation and one bounded
     simulation step — promises to return diagnostics instead of raising.  This
     harness hammers that promise: seeded grammar-aware generation plus
     byte-level mutation produce inputs, each input is pushed through
@@ -17,7 +17,7 @@
     deduplicated by signature (exception text with digits masked) and
     shrunk greedily before being reported or written out. *)
 
-type target = Vhdl | Rtm | Alg | Frame | Journal | Snapshot | Artifact
+type target = Vhdl | Rtm | Alg | Frame | Journal | Snapshot | Artifact | Job
 
 val target_of_string : string -> target option
 val target_to_string : target -> string
@@ -58,7 +58,10 @@ val exercise :
     observation.  The [Artifact] target reads a campaign golden
     artifact ({!Csrtl_fault.Artifact.of_string}): reading and
     validating must be total, and an accepted artifact must
-    re-serialize to itself.  Raising is precisely the bug
+    re-serialize to itself.  The [Job] target decodes a campaign
+    worker's stdin ({!Csrtl_serve.Engine.decode_job}): it must return a
+    job or raise [Json.Bad], and an accepted job must survive an
+    encode/decode round trip unchanged.  Raising is precisely the bug
     the fuzzer exists to find; the {!run} driver supervises this
     call, tests may call it directly. *)
 

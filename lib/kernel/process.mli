@@ -41,7 +41,7 @@ val wait_keyed :
     monotonic control signals, but the kernel indexes the waiters by
     value, so only matching processes are scanned per event — the
     optimization that makes the paper's statically-scheduled TRANS
-    processes cheap.  See the [kernel/wait-*] ablation benches. *)
+    processes cheap.  See the ablation table (A) of the bench report. *)
 
 val name : Types.process -> string
 val activations : Types.process -> int

@@ -1,8 +1,8 @@
 (* Client-side plumbing for the daemon: connect to its Unix socket
    (with startup retry), send one request line, iterate response
-   lines.  Used by the [csrtl request] subcommand, the lifecycle tests
-   and the C13 bench — all of them speak through here, so they
-   exercise the same framing the daemon sees. *)
+   lines.  Used by the [csrtl request] subcommand and the lifecycle
+   tests — both speak through here, so they exercise the same framing
+   the daemon sees. *)
 
 type conn = {
   fd : Unix.file_descr;

@@ -1,6 +1,5 @@
 (** Client plumbing for the daemon's Unix socket, shared by the
-    [csrtl request] subcommand, the lifecycle tests and the C13
-    bench. *)
+    [csrtl request] subcommand and the lifecycle tests. *)
 
 type conn
 

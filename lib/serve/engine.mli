@@ -91,6 +91,27 @@ val worker_entry : unit -> unit
     once.  Every executable that creates an engine calls it at the top
     of its main, before parsing its own command line. *)
 
+type job = {
+  cfg : config;
+      (** the fields a worker reads — [state_dir], [jobs], [limits] and
+          [default_deadline_ms]; the rest decode as {!default_config} *)
+  q : Frame.inject;
+  golden : [ `Off | `Miss of string | `Hit of string ];
+      (** the golden-tier decision: [`Miss] carries the tier key,
+          [`Hit] the artifact bytes *)
+  chaos : F.Journal.injection list;  (** armed journal injections *)
+}
+(** What a worker reads on its stdin: everything a campaign needs that
+    the request text does not carry. *)
+
+val encode_job : job -> string
+
+val decode_job : string -> job
+(** Inverse of {!encode_job}: a job it encodes decodes to an equal job
+    when its [limits] admit its request.  Raises
+    [Csrtl_fault.Journal.Json.Bad] on anything else, and nothing else —
+    {!worker_entry} catches only that (exit 2). *)
+
 val request_stop : t -> unit
 (** Flip the drain flag: in-flight workers get SIGTERM and the grace
     period to checkpoint at the next work-item boundary and answer

@@ -54,7 +54,20 @@ let test_exercise_direct () =
   Alcotest.(check bool) "garbage rejected" true
     (F.exercise F.Rtm "\x00\xff garbage \x01" = `Rejected);
   Alcotest.(check bool) "garbage vhdl rejected" true
-    (F.exercise F.Vhdl "entity \x80 is port" = `Rejected)
+    (F.exercise F.Vhdl "entity \x80 is port" = `Rejected);
+  let module E = Csrtl_serve.Engine in
+  let job =
+    { E.cfg = E.default_config;
+      q =
+        { Csrtl_serve.Frame.model = "model m\ncsmax 2\nreg A init 1\n";
+          engine = `Kernel; batch = 8; limit = Some 3; budget_ms = None;
+          deadline_ms = Some 5; table = true; stream = false; resume = true };
+      golden = `Hit "artifact\nbytes\n"; chaos = [] }
+  in
+  Alcotest.(check bool) "encoded worker job accepted" true
+    (F.exercise F.Job (E.encode_job job) = `Clean);
+  Alcotest.(check bool) "worker job without a header rejected" true
+    (F.exercise F.Job "{}\n" = `Rejected)
 
 let () =
   Alcotest.run "fuzz"

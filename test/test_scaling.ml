@@ -28,6 +28,13 @@ let engines = [ (`Kernel, "kernel"); (`Auto, "auto"); (`Compiled, "compiled") ]
    keeps the multi-domain path covered. *)
 let chunks_for jobs = if jobs > 1 then Some 4 else None
 
+(* The multi-job legs run on an oversubscribed pool: [Par.create]
+   clamps a plain pool to the host's cores, so on a one-core host they
+   would otherwise run on one domain and miss every cross-domain bug. *)
+let with_jobs jobs f =
+  if jobs = 1 then f None
+  else Par.with_pool ~oversubscribe:true ~jobs (fun p -> f (Some p))
+
 let layout_matrix (m : Model.t) =
   let reference = full_report_string (Campaign.run ~engine:`Kernel m) in
   List.iter
@@ -37,9 +44,10 @@ let layout_matrix (m : Model.t) =
           List.iter
             (fun batch ->
               let r =
-                full_report_string
-                  (Campaign.run_parallel ~jobs ?chunks:(chunks_for jobs)
-                     ~engine ~batch m)
+                with_jobs jobs (fun pool ->
+                    full_report_string
+                      (Campaign.run_parallel ?pool ~jobs
+                         ?chunks:(chunks_for jobs) ~engine ~batch m))
               in
               if r <> reference then
                 Alcotest.failf "%s report differs at jobs=%d batch=%d"
@@ -50,6 +58,11 @@ let layout_matrix (m : Model.t) =
 
 let test_matrix_fig1 () = layout_matrix (Builder.fig1 ())
 
+(* The corpus model with the longest fault list: the most sinks and
+   legs, and a schedule conflict the campaign must carry unchanged. *)
+let test_matrix_conflict () =
+  layout_matrix (Rtm.of_file (Filename.concat "corpus" "conflict.rtm"))
+
 (* A journal holds more than the report prints: every entry's cycle
    count and law verdict.  Its entries, sorted by index (append order
    is scheduling), must be the kernel path's at every point of the
@@ -58,8 +71,9 @@ let journal_entries ~jobs ~engine ~batch m =
   let journal = Filename.temp_file "csrtl_matrix" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove journal) @@ fun () ->
   match
-    Campaign.run_journaled ~jobs ?chunks:(chunks_for jobs) ~engine ~batch
-      ~journal ~resume:false m
+    with_jobs jobs (fun pool ->
+        Campaign.run_journaled ?pool ~jobs ?chunks:(chunks_for jobs) ~engine
+          ~batch ~journal ~resume:false m)
   with
   | Error e -> Alcotest.failf "%s: %s" m.Model.name e
   | Ok _ ->
@@ -124,9 +138,10 @@ let test_matrix_lanes () =
                   List.iter
                     (fun batch ->
                       let r =
-                        full_report_string
-                          (Campaign.run_parallel ~jobs
-                             ?chunks:(chunks_for jobs) ~engine ~batch m)
+                        with_jobs jobs (fun pool ->
+                            full_report_string
+                              (Campaign.run_parallel ?pool ~jobs
+                                 ?chunks:(chunks_for jobs) ~engine ~batch m))
                       in
                       if r <> reference then
                         Alcotest.failf
@@ -569,6 +584,8 @@ let () =
     [ ( "matrix",
         [ Alcotest.test_case "fig1 engine x jobs x batch" `Quick
             test_matrix_fig1;
+          Alcotest.test_case "conflict engine x jobs x batch" `Quick
+            test_matrix_conflict;
           Alcotest.test_case "chunk count invisible" `Quick
             test_chunks_invariant;
           Alcotest.test_case "journal entries over engine x jobs x batch"
