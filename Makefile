@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke oneshot-smoke report examples doc clean
+.PHONY: all build test check fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke oneshot-smoke report examples clean
 
 all: build
 

@@ -1219,8 +1219,8 @@ let serve_cmd =
   let max_pending =
     Arg.(value & opt int 4
          & info [ "max-pending" ] ~docv:"N"
-             ~doc:"Campaigns running concurrently; excess requests wait \
-                   in the fair admission queue.")
+             ~doc:"Campaigns running concurrently, at most 256; excess \
+                   requests wait in the fair admission queue.")
   in
   let max_queue =
     Arg.(value & opt int 16
@@ -1276,8 +1276,8 @@ let serve_cmd =
           die2 "--plan-cache must be >= 0 (got %d)" plan_cache;
         if golden_cache < 0 then
           die2 "--golden-cache must be >= 0 (got %d)" golden_cache;
-        if max_pending < 1 then
-          die2 "--max-pending must be at least 1 (got %d)" max_pending;
+        if max_pending < 1 || max_pending > 256 then
+          die2 "--max-pending must be between 1 and 256 (got %d)" max_pending;
         if max_queue < 0 then
           die2 "--max-queue must be >= 0 (got %d)" max_queue;
         if max_restarts < 0 then
@@ -1322,7 +1322,7 @@ let serve_cmd =
                 quarantine_threshold = quarantine_after;
                 quarantine_cooloff_ms; on_worker;
                 default_deadline_ms = deadline_ms };
-            socket; max_request_bytes; signals = true;
+            socket; max_request_bytes;
             log =
               (if quiet then fun _ -> ()
                else fun msg -> Format.eprintf "serve: %s@." msg) }
@@ -1471,7 +1471,6 @@ let request_cmd =
             Format.eprintf "error: %s@." msg;
             exit exit_bad_input
         in
-        let finish_with_status status = exit status in
         (* a transient refusal (busy/quarantined/draining) with retry
            budget left unwinds to the resend loop instead of exiting *)
         let exception Retry_refused of int option in
@@ -1492,13 +1491,13 @@ let request_cmd =
                (match resp with
                 | Serve.Frame.Pong { version } ->
                   Format.printf "pong %s@." version;
-                  finish_with_status 0
+                  exit 0
                 | Serve.Frame.Stats_reply s ->
                   print_stats s;
-                  finish_with_status 0
+                  exit 0
                 | Serve.Frame.Bye ->
                   Format.printf "bye@.";
-                  finish_with_status 0
+                  exit 0
                 | Serve.Frame.Started
                     { token; total; cached; plan_cached; golden_cached } ->
                   let tags =
@@ -1530,7 +1529,7 @@ let request_cmd =
                   else on_report text;
                   Format.eprintf "journal: %d reused, %d re-run, %d torn@."
                     reused rerun torn;
-                  finish_with_status status
+                  exit status
                 | Serve.Frame.Drained
                     { status; token; completed; total; reason } ->
                   if jsonl then print_endline raw_line
@@ -1541,7 +1540,7 @@ let request_cmd =
                     "campaign drained after %d/%d fault(s); resend the \
                      request to resume@."
                     completed total;
-                  finish_with_status status
+                  exit status
                 | Serve.Frame.Refused { status; diags; _ } ->
                   (match
                      (if can_retry then Serve.Client.retryable resp
@@ -1550,7 +1549,7 @@ let request_cmd =
                    | Some hint -> raise (Retry_refused hint)
                    | None ->
                      prerr_string (Diag.render_all diags);
-                     finish_with_status status)))
+                     exit status)))
         in
         let send_or_die r =
           match r with
@@ -1583,19 +1582,15 @@ let request_cmd =
           in
           raw_loop ()
         | None ->
-          if ping then begin
-            send_or_die (Serve.Client.send conn Serve.Frame.Ping);
+          match
+            List.assoc_opt true
+              [ (ping, Serve.Frame.Ping); (stats, Serve.Frame.Stats);
+                (shutdown, Serve.Frame.Shutdown) ]
+          with
+          | Some control ->
+            send_or_die (Serve.Client.send conn control);
             drain_responses ~conn ~jsonl ~on_report:print_string ()
-          end
-          else if stats then begin
-            send_or_die (Serve.Client.send conn Serve.Frame.Stats);
-            drain_responses ~conn ~jsonl ~on_report:print_string ()
-          end
-          else if shutdown then begin
-            send_or_die (Serve.Client.send conn Serve.Frame.Shutdown);
-            drain_responses ~conn ~jsonl ~on_report:print_string ()
-          end
-          else
+          | None ->
             match model_pos with
             | None ->
               die2

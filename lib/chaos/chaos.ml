@@ -26,27 +26,7 @@ module C = Csrtl_core
 module F = Csrtl_fault
 module S = Csrtl_serve
 
-(* -- deterministic PRNG (splitmix64, same construction as lib/fuzz) -- *)
-
-module Rng = struct
-  type t = { mutable s : int64 }
-
-  let make seed = { s = Int64.of_int seed }
-
-  let next r =
-    let open Int64 in
-    r.s <- add r.s 0x9E3779B97F4A7C15L;
-    let z = r.s in
-    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-    logxor z (shift_right_logical z 31)
-
-  let int r bound =
-    if bound <= 0 then 0
-    else
-      Int64.to_int
-        (Int64.rem (Int64.logand (next r) Int64.max_int) (Int64.of_int bound))
-end
+module Rng = Csrtl_fuzz.Fuzz.Rng
 
 (* -- the corpus ----------------------------------------------------- *)
 
@@ -127,31 +107,19 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
       (Printf.sprintf "csrtl-chaos-%d" (Unix.getpid ()))
   in
   (* the kill hook: arm (token, delay, shots) before a scenario; every
-     worker spawned for that token gets a delayed SIGKILL from a side
-     thread until the shots run out.  Filtering by token keeps the
-     healthy model's workers safe *)
-  let arm_lock = Mutex.create () in
+     worker spawned for that token gets a SIGKILL [delay] ms later, from
+     the due list [pump] honours, until the shots run out.  Filtering
+     by token keeps the healthy model's workers safe *)
   let armed : (string * int * int ref) option ref = ref None in
+  let kills = ref [] in  (* (due time, pid) *)
   let on_worker ~pid ~token =
-    Mutex.lock arm_lock;
-    let fire =
-      match !armed with
-      | Some (t, delay_ms, shots) when t = token && !shots > 0 ->
-        decr shots;
-        Some delay_ms
-      | _ -> None
-    in
-    Mutex.unlock arm_lock;
-    match fire with
-    | None -> ()
-    | Some delay_ms ->
-      ignore
-        (Thread.create
-           (fun () ->
-             Thread.delay (float_of_int delay_ms /. 1000.);
-             try Unix.kill pid Sys.sigkill
-             with Unix.Unix_error (_, _, _) -> ())
-           ())
+    match !armed with
+    | Some (t, delay_ms, shots) when t = token && !shots > 0 ->
+      decr shots;
+      kills :=
+        (Unix.gettimeofday () +. (float_of_int delay_ms /. 1000.), pid)
+        :: !kills
+    | _ -> ()
   in
   let eng =
     S.Engine.create
@@ -174,23 +142,40 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
         log ("VIOLATION: " ^ msg))
       fmt
   in
-  let request ?(tap = fun _ -> ()) q =
-    let frames = ref [] in
-    let lock = Mutex.create () in
-    S.Engine.handle eng (S.Frame.Inject q)
-      ~emit:(fun r ->
+  (* one turn of the engine's loop, firing the kills that fall due *)
+  let pump () =
+    let now = Unix.gettimeofday () in
+    let due, later = List.partition (fun (at, _) -> at <= now) !kills in
+    kills := later;
+    List.iter
+      (fun (_, pid) ->
+        try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ())
+      due;
+    let timeout =
+      List.fold_left (fun acc (at, _) -> Float.min acc (at -. now)) 1. later
+    in
+    ignore (S.Engine.poll eng ~read:[] ~write:[] ~timeout)
+  in
+  (* start a request; the returned thunk tells whether it is terminal *)
+  let submit ?(tap = fun _ -> ()) q =
+    let frames = ref [] and finished = ref false in
+    S.Engine.submit eng (S.Frame.Inject q) ~emit:(fun r ->
         tap r;
-        Mutex.lock lock;
         frames := r :: !frames;
-        Mutex.unlock lock);
-    List.rev !frames
+        if S.Engine.terminal r then finished := true);
+    fun () -> if !finished then Some (List.rev !frames) else None
   in
-  let final frames =
-    match List.rev frames with f :: _ -> Some f | [] -> None
+  let rec await result =
+    match result () with
+    | Some frames -> frames
+    | None ->
+      pump ();
+      await result
   in
+  let request ?tap q = await (submit ?tap q) in
   let report_text frames =
-    match final frames with
-    | Some (S.Frame.Report { text; _ }) -> Some text
+    match List.rev frames with
+    | S.Frame.Report { text; _ } :: _ -> Some text
     | _ -> None
   in
   (* resend until a Report lands: transient chaos (exhausted restarts,
@@ -209,6 +194,12 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
         | None -> go (attempt + 1)
     in
     go 0
+  in
+  (* a Report must be offline's bytes; no Report heals by resending *)
+  let settle ~label ~what (target : target) frames =
+    match report_text frames with
+    | Some text -> if text <> target.expected then violate "%s: %s" label what
+    | None -> recover ~label target
   in
   let ping_alive label =
     let got = ref false in
@@ -266,11 +257,7 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
     F.Journal.set_chaos [];
     if (S.Engine.stats eng).S.Frame.crashes = crashes0 then
       violate "%s: scheduled journal fault never fired" label;
-    match report_text frames with
-    | Some text ->
-      if text <> target.expected then
-        violate "%s: report differs from offline inject" label
-    | None -> recover ~label target
+    settle ~label ~what:"report differs from offline inject" target frames
   in
   (* -- one scenario ------------------------------------------------- *)
   let scenario i =
@@ -279,62 +266,31 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
     let label = Printf.sprintf "run %d [%s]" i (fault_label fault) in
     (* every 4th run, a healthy client works the untouched model
        concurrently with the chaos — it must always complete *)
-    let healthy_thread =
-      if i mod 4 <> 0 then None
-      else
-        Some
-          (Thread.create
-             (fun () ->
-               let frames = request (base_inject healthy_t.text) in
-               match report_text frames with
-               | Some text when text = healthy_t.expected ->
-                 incr healthy_done
-               | _ ->
-                 violate "%s: healthy concurrent campaign disturbed" label)
-             ())
+    let healthy =
+      if i mod 4 = 0 then Some (submit (base_inject healthy_t.text)) else None
     in
     (match fault with
      | Worker_kill delay_ms ->
        incr kills;
-       Mutex.lock arm_lock;
        armed := Some (target.token, delay_ms, ref 1);
-       Mutex.unlock arm_lock;
        let frames = request { (base_inject target.text) with resume = false } in
-       Mutex.lock arm_lock;
        armed := None;
-       Mutex.unlock arm_lock;
-       (match report_text frames with
-        | Some text ->
-          if text <> target.expected then
-            violate "%s: report differs from offline inject" label
-        | None -> recover ~label target)
+       settle ~label ~what:"report differs from offline inject" target frames
      | Torn_tail n ->
        incr torn;
        (* make sure the journal is complete, then tear its tail *)
-       (match Sys.file_exists target.journal with
-        | true -> ()
-        | false -> ignore (request (base_inject target.text)));
-       (match open_in_bin target.journal with
-        | ic ->
-          let size = in_channel_length ic in
+       if not (Sys.file_exists target.journal) then
+         ignore (request (base_inject target.text));
+       (match In_channel.with_open_bin target.journal In_channel.input_all with
+        | text ->
+          let size = String.length text in
           let header_end =
-            let rec scan i =
-              if i >= size then size
-              else if (seek_in ic i; input_char ic) = '\n' then i + 1
-              else scan (i + 1)
-            in
-            scan 0
+            match String.index_opt text '\n' with Some i -> i + 1 | None -> size
           in
-          close_in ic;
-          let keep = max header_end (size - n) in
-          (try Unix.truncate target.journal keep
+          (try Unix.truncate target.journal (max header_end (size - n))
            with Unix.Unix_error (_, _, _) -> ());
-          let frames = request (base_inject target.text) in
-          (match report_text frames with
-           | Some text ->
-             if text <> target.expected then
-               violate "%s: resumed report differs after tear" label
-           | None -> recover ~label target)
+          settle ~label ~what:"resumed report differs after tear" target
+            (request (base_inject target.text))
         | exception Sys_error _ ->
           violate "%s: journal vanished before tear" label)
      | Journal_enospc n ->
@@ -353,17 +309,17 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
          request
            ~tap:(fun r ->
              match r with
-             | S.Frame.Entry _ -> Thread.delay (float_of_int ms /. 1000.)
+             | S.Frame.Entry _ -> Unix.sleepf (float_of_int ms /. 1000.)
              | _ -> ())
            { (base_inject target.text) with stream = true; resume = false }
        in
-       (match report_text frames with
-        | Some text ->
-          if text <> target.expected then
-            violate "%s: slow-consumer report differs" label
-        | None -> recover ~label target));
+       settle ~label ~what:"slow-consumer report differs" target frames);
     ping_alive label;
-    (match healthy_thread with Some th -> Thread.join th | None -> ());
+    (match Option.map await healthy with
+     | None -> ()
+     | Some frames when report_text frames = Some healthy_t.expected ->
+       incr healthy_done
+     | Some _ -> violate "%s: healthy concurrent campaign disturbed" label);
     if (i + 1) mod 25 = 0 then
       log
         (Printf.sprintf "chaos: %d/%d scenarios, %d violation(s)" (i + 1)
@@ -372,6 +328,7 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
   for i = 0 to runs - 1 do
     scenario i
   done;
+  while not (S.Engine.idle eng) do pump () done;
   let stats = S.Engine.stats eng in
   (* best-effort scrub of the scratch state dir *)
   (try

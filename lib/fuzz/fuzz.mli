@@ -17,6 +17,18 @@
     deduplicated by signature (exception text with digits masked) and
     shrunk greedily before being reported or written out. *)
 
+(** The splitmix64 generator behind every seeded harness: the fuzzer
+    and the chaos gate ([csrtl chaos]). *)
+module Rng : sig
+  type t
+
+  val make : int -> t
+
+  val int : t -> int -> int
+  (** [int r bound] is uniform in [0 .. bound - 1] for [bound >= 1], and
+      0 otherwise. *)
+end
+
 type target = Vhdl | Rtm | Alg | Frame | Journal | Snapshot | Artifact | Job
 
 val target_of_string : string -> target option

@@ -1,4 +1,5 @@
-(** Bounded, thread-safe LRU for the daemon's compile cache.
+(** Bounded LRU for the daemon's compile cache and warm tiers, owned
+    by the daemon's one loop (no locking).
 
     Keys are content digests (the md5 of the raw model text), values
     the elaborated model plus its structural digest — so a repeated
@@ -27,7 +28,7 @@ val add : 'a t -> string -> 'a -> unit
 (** Insert, evicting the least-recently-used entry at capacity.
     An existing key keeps the first writer's value (values are
     content-addressed, so a second insert is byte-equal anyway) but
-    its LRU stamp is refreshed — a racing second insert counts as a
+    its LRU stamp is refreshed — a second insert counts as a
     use, not a silent drop that leaves the entry cold. *)
 
 val stats : 'a t -> stats

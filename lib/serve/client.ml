@@ -41,7 +41,7 @@ let dial path =
 let connect ?(retries = 0) ?(delay = 0.05) path =
   let rec go attempt =
     match dial path with
-    | Ok fd -> Ok { fd; reader = Lineio.reader fd }
+    | Ok fd -> Ok { fd; reader = Lineio.reader () }
     | Error e when transient_error e && attempt < retries ->
       (* daemon still starting: the socket file appears before
          listen, so refusals and absences both deserve patience *)
@@ -54,20 +54,18 @@ let connect ?(retries = 0) ?(delay = 0.05) path =
   in
   go 0
 
-let send conn req =
-  if Lineio.write_line conn.fd (Frame.encode_request req) then Ok ()
-  else Error "connection lost while sending the request"
-
 (* for protocol poking and tests: ship a line as-is *)
 let send_raw conn line =
   if Lineio.write_line conn.fd line then Ok ()
   else Error "connection lost while sending the request"
 
+let send conn req = send_raw conn (Frame.encode_request req)
+
 (* Each response arrives as (raw line, decoded frame): the raw line is
    what [--jsonl] consumers print, the decoded frame is what drives
    the client state machine. *)
 let next ?limits conn =
-  match Lineio.read_line conn.reader with
+  match Lineio.read_line conn.reader conn.fd with
   | Lineio.Eof -> None
   | Lineio.Too_long ->
     Some ("", Error [ Frame.Diag.error ~rule:"serve.frame"

@@ -1,8 +1,9 @@
-(* The daemon's brain, socket-free: state plus a total [handle]
-   function from request to emitted responses.  Keeping the socket out
-   means the differential tests, the chaos harness, and the frame
-   fuzzer drive the exact code the daemon runs, and the server layer
-   reduces to line framing plus thread bookkeeping.
+(* The daemon's brain, socket-free and single-threaded: [submit]
+   starts a request and emits what it can at once; [poll] runs one
+   select turn over the worker pipes (plus the caller's descriptors)
+   and fires the continuations it wakes.  The differential tests, the
+   chaos harness and the frame fuzzer drive the exact code the daemon
+   runs; the server adds line framing and output queues around [poll].
 
    The engine is crash-only, and it never runs a campaign itself.
    Every campaign runs in a worker process supervised here: a worker
@@ -11,9 +12,8 @@
    backoff; a model whose campaigns keep crashing trips a circuit
    breaker and is quarantined for a cooloff.  What is left in the
    daemon is parsing, tier lookups, admission and moving bytes.
-   Admission is a bounded per-client-fair queue ({!Admission}) instead
-   of a hard busy refusal, and busy/quarantined refusals carry a
-   [retry_after_ms] backpressure hint. *)
+   Admission is a bounded per-client-fair queue ({!Admission}), and
+   busy/quarantined refusals carry a [retry_after_ms] hint. *)
 
 module C = Csrtl_core
 module Diag = Csrtl_diag.Diag
@@ -87,19 +87,14 @@ type t = {
      never runs a campaign, so parsing them here would be pure cost. *)
   plans : F.Fault.t list Cache.t option;
   goldens : string Cache.t option;
-  stop : bool Atomic.t;
+  mutable stop : bool;
   adm : Admission.t;
-  (* one campaign per resume token at a time: two concurrent requests
-     for the same model must not interleave appends in one journal
-     from two workers; the second waits and then resumes the first's
-     completed work *)
-  inflight : (string, unit) Hashtbl.t;
-  inflight_lock : Mutex.t;
-  inflight_cond : Condition.t;
+  (* a held resume token -> the requests waiting for it ([token_enter]) *)
+  inflight : (string, (unit -> unit) Queue.t) Hashtbl.t;
   breakers : (string, breaker) Hashtbl.t;
-  breakers_lock : Mutex.t;
-  counters_lock : Mutex.t;
   counters : counters;
+  mutable running : (Worker.t * (Worker.outcome -> unit)) list;
+  mutable timers : (float * (unit -> unit)) list;  (* due time, action *)
 }
 
 let rec mkdir_p dir =
@@ -118,25 +113,18 @@ let create cfg =
   { cfg; cache = Cache.create ~capacity:cfg.cache_capacity;
     plans = tier cfg.plan_cache_capacity;
     goldens = tier cfg.golden_cache_capacity;
-    stop = Atomic.make false;
+    stop = false;
     adm =
       Admission.create ~max_active:cfg.max_pending ~max_queue:cfg.max_queue
         ~max_per_client:cfg.max_queue_per_client ();
-    inflight = Hashtbl.create 8; inflight_lock = Mutex.create ();
-    inflight_cond = Condition.create ();
-    breakers = Hashtbl.create 8; breakers_lock = Mutex.create ();
-    counters_lock = Mutex.create ();
+    inflight = Hashtbl.create 8; breakers = Hashtbl.create 8;
     counters =
       { requests = 0; campaigns = 0; drained = 0; refused = 0;
-        restarts = 0; crashes = 0 } }
+        restarts = 0; crashes = 0 };
+    running = []; timers = [] }
 
-let request_stop t = Atomic.set t.stop true
-let stopping t = Atomic.get t.stop
-
-let bump t f =
-  Mutex.lock t.counters_lock;
-  f t.counters;
-  Mutex.unlock t.counters_lock
+let request_stop t = t.stop <- true
+let stopping t = t.stop
 
 (* The offline exit-code contract for a finished campaign (without
    [--strict]): hard evidence of a defect is 5, hangs are 4. *)
@@ -166,75 +154,52 @@ let journal_path cfg token =
 (* ---- circuit breaker --------------------------------------------- *)
 
 let quarantine_check t key =
-  if t.cfg.quarantine_threshold <= 0 then `Ok
-  else begin
-    Mutex.lock t.breakers_lock;
-    let r =
-      match Hashtbl.find_opt t.breakers key with
-      | None -> `Ok
-      | Some b ->
-        let now = Unix.gettimeofday () in
-        if now < b.opened_until then
-          `Quarantined (int_of_float ((b.opened_until -. now) *. 1000.) + 1)
-        else `Ok  (* closed, or cooled off: half-open, let a probe in *)
-    in
-    Mutex.unlock t.breakers_lock;
-    r
-  end
+  match Hashtbl.find_opt t.breakers key with
+  | Some b when t.cfg.quarantine_threshold > 0 ->
+    let now = Unix.gettimeofday () in
+    if now < b.opened_until then
+      `Quarantined (int_of_float ((b.opened_until -. now) *. 1000.) + 1)
+    else `Ok  (* closed, or cooled off: half-open, let a probe in *)
+  | Some _ | None -> `Ok
 
 (* Returns whether this crash opened (or re-opened) the breaker. *)
 let breaker_crash t key =
-  if t.cfg.quarantine_threshold <= 0 then false
-  else begin
-    Mutex.lock t.breakers_lock;
-    let b =
-      match Hashtbl.find_opt t.breakers key with
-      | Some b -> b
-      | None ->
-        let b = { crashes = 0; opened_until = 0. } in
-        Hashtbl.replace t.breakers key b;
-        b
-    in
-    b.crashes <- b.crashes + 1;
-    let opened = b.crashes >= t.cfg.quarantine_threshold in
-    if opened then
-      b.opened_until <-
-        Unix.gettimeofday ()
-        +. (float_of_int t.cfg.quarantine_cooloff_ms /. 1000.);
-    Mutex.unlock t.breakers_lock;
-    opened
-  end
-
-let breaker_success t key =
-  Mutex.lock t.breakers_lock;
-  Hashtbl.remove t.breakers key;
-  Mutex.unlock t.breakers_lock
+  t.cfg.quarantine_threshold > 0
+  &&
+  let b =
+    match Hashtbl.find_opt t.breakers key with
+    | Some b -> b
+    | None ->
+      let b = { crashes = 0; opened_until = 0. } in
+      Hashtbl.replace t.breakers key b;
+      b
+  in
+  b.crashes <- b.crashes + 1;
+  let opened = b.crashes >= t.cfg.quarantine_threshold in
+  if opened then
+    b.opened_until <-
+      Unix.gettimeofday ()
+      +. (float_of_int t.cfg.quarantine_cooloff_ms /. 1000.);
+  opened
 
 let quarantined_count t =
-  Mutex.lock t.breakers_lock;
   let now = Unix.gettimeofday () in
-  let n =
-    Hashtbl.fold
-      (fun _ b acc -> if now < b.opened_until then acc + 1 else acc)
-      t.breakers 0
-  in
-  Mutex.unlock t.breakers_lock;
-  n
+  Hashtbl.fold
+    (fun _ b acc -> if now < b.opened_until then acc + 1 else acc)
+    t.breakers 0
 
 (* ---- request handling -------------------------------------------- *)
 
 let refuse ?retry_after_ms t ~emit status diags =
-  bump t (fun c -> c.refused <- c.refused + 1);
+  t.counters.refused <- t.counters.refused + 1;
   emit (Frame.Refused { status; retry_after_ms; diags })
 
-(* Count a campaign's terminal frame before it goes out: a client that
-   asks for [--stats] as soon as it reads its report finds the
-   campaign counted. *)
-let count_terminal t = function
-  | Frame.Report _ -> bump t (fun c -> c.campaigns <- c.campaigns + 1)
-  | Frame.Drained _ -> bump t (fun c -> c.drained <- c.drained + 1)
-  | Frame.Refused _ -> bump t (fun c -> c.refused <- c.refused + 1)
-  | _ -> ()
+(* the [Bug:] marker: an escaped exception is a defect of the daemon,
+   not of the request *)
+let bug t ~emit e =
+  refuse t ~emit 3
+    [ Diag.error ~rule:"serve.bug" "Bug: unexpected exception: %s"
+        (Printexc.to_string e) ]
 
 let compile t (q : Frame.inject) =
   let key = Digest.to_hex (Digest.string q.Frame.model) in
@@ -533,18 +498,6 @@ let child_main ~stopping ~t0 { cfg; q; golden; chaos } fd =
       ~default_deadline_ms:cfg.default_deadline_ms q ~model ~digest ~faults
       ~labels ~token ~emit
 
-let read_all fd =
-  let b = Buffer.create 65536 and chunk = Bytes.create 65536 in
-  let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> Buffer.contents b
-    | n ->
-      Buffer.add_subbytes b chunk 0 n;
-      go ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
-
 let worker_entry () =
   if Array.length Sys.argv = 2 && Sys.argv.(1) = Worker.arg then begin
     (* the deadline anchors at the spawn, and a drain's SIGTERM may
@@ -560,7 +513,7 @@ let worker_entry () =
        and an orphan still computing would only duplicate its faults *)
     let ppid = Unix.getppid () in
     let stopping () = Atomic.get stop || Unix.getppid () <> ppid in
-    (match decode_job (read_all Unix.stdin) with
+    (match decode_job (In_channel.input_all stdin) with
      | job -> (try child_main ~stopping ~t0 job Unix.stdout with _ -> exit 1)
      | exception Json.Bad _ -> exit 2);
     exit 0
@@ -582,13 +535,42 @@ let tier_lookup tier key =
 
 let is_hit = function `Hit _ -> true | `Miss _ | `Off -> false
 
-(* Supervision loop: spawn the worker, relay its frames, and on a
-   crash restart it — resuming from the journal checkpoint — with
-   capped exponential backoff, up to [max_restarts] times or until the
+(* Every request's last frame; after it the request holds nothing but,
+   at most, a worker still to be reaped. *)
+let terminal = function
+  | Frame.Report _ | Frame.Drained _ | Frame.Refused _ | Frame.Pong _
+  | Frame.Stats_reply _ | Frame.Bye ->
+    true
+  | Frame.Started _ | Frame.Entry _ | Frame.Queued _ | Frame.Artifact _ ->
+    false
+
+let at t time k = t.timers <- (time, k) :: t.timers
+
+(* One campaign per resume token at a time: two workers must not
+   interleave appends in one journal.  A waiter starts when the
+   holder's last worker is reaped, and resumes the holder's journal;
+   it keeps its admission lane meanwhile — bounded by [max_pending],
+   so this cannot deadlock. *)
+let token_enter t token k =
+  match Hashtbl.find_opt t.inflight token with
+  | Some waiters -> Queue.add k waiters
+  | None ->
+    Hashtbl.replace t.inflight token (Queue.create ());
+    k ()
+
+let token_exit t token =
+  match Hashtbl.find_opt t.inflight token with
+  | Some waiters when not (Queue.is_empty waiters) -> (Queue.pop waiters) ()
+  | Some _ | None -> Hashtbl.remove t.inflight token
+
+(* Supervision: spawn the worker, relay its frames, and on a crash
+   restart it — resuming from the journal checkpoint — after a capped
+   exponential backoff timer, up to [max_restarts] times or until the
    circuit breaker opens.  The client sees at most one terminal frame;
    entries already journaled before a crash are reused, not
-   re-streamed. *)
-let run_worker (t : t) (q : Frame.inject) ~key ~tier_key ~golden0 ~token ~emit =
+   re-streamed.  The token is held until the last worker is reaped. *)
+let run_worker (t : t) (q : Frame.inject) ~paused ~key ~tier_key ~golden0
+    ~token ~emit =
   let cfg = t.cfg in
   let grace_s = float_of_int cfg.worker_grace_ms /. 1000. in
   let timeout_s =
@@ -604,108 +586,147 @@ let run_worker (t : t) (q : Frame.inject) ~key ~tier_key ~golden0 ~token ~emit =
     | None, Some wt -> Some (float_of_int wt /. 1000.)
     | None, None -> None
   in
+  let on_line line =
+    match Frame.decode_response ~limits:cfg.limits line with
+    | Ok (Frame.Artifact { key = akey; text }) ->
+      (* the worker's golden work, shipped home: deposit the bytes
+         unparsed and never relay — clients speak campaign frames
+         only.  The next worker for this key parses and checks them;
+         keyed-elsewhere ones are dropped *)
+      (match t.goldens with
+       | Some cache when akey = tier_key -> Cache.add cache tier_key text
+       | Some _ | None -> ());
+      `Continue
+    | Ok (Frame.Entry _ as resp) ->
+      emit resp;
+      `Continue
+    | Ok ((Frame.Report _ | Frame.Drained _ | Frame.Refused _) as resp) ->
+      (* counted before it goes out: a client that asks for [--stats]
+         as soon as it reads its report finds the campaign counted *)
+      let c = t.counters in
+      (match resp with
+       | Frame.Report _ ->
+         Hashtbl.remove t.breakers key;
+         c.campaigns <- c.campaigns + 1
+       | Frame.Drained _ -> c.drained <- c.drained + 1
+       | _ -> c.refused <- c.refused + 1);
+      emit resp;
+      `Terminal
+    | Ok _ | Error _ ->
+      (* a worker emitting junk is a worker bug; dropping the line
+         (rather than relaying rot) keeps the client's stream
+         well-formed, and a missing terminal frame will surface as a
+         crash *)
+      `Continue
+  in
   let rec attempt n ~resume =
     (* re-consult the golden tier on restarts: the first spawn ships
        the artifact before campaigning, so a crash-restart is already
        warm — it resumes from the journal AND skips the golden
-       rebuild.  Attempt 0 reuses the lookup [handle_inject] already
-       did for the [Started] flags *)
+       rebuild.  Attempt 0 reuses the lookup [start] already did for
+       the [Started] flags *)
     let golden = if n = 0 then golden0 else tier_lookup t.goldens tier_key in
-    let outcome =
-      Worker.supervise ?timeout_s ~grace_s
-        ~should_stop:(fun () -> Atomic.get t.stop)
-        ~on_spawn:(fun pid ->
-          match cfg.on_worker with
-          | Some f -> f ~pid ~token
-          | None -> ())
-        ~job:
-          (encode_job
-             { cfg; q = { q with Frame.resume }; golden;
-               chaos = F.Journal.chaos () })
-        ~on_line:(fun line ->
-          match Frame.decode_response ~limits:cfg.limits line with
-          | Ok (Frame.Artifact { key = akey; text }) ->
-            (* the worker's golden work, shipped home: deposit the bytes
-               unparsed and never relay — clients speak campaign frames
-               only.  The next worker for this key parses and checks
-               them; keyed-elsewhere ones are dropped *)
-            (match t.goldens with
-             | Some cache when akey = tier_key -> Cache.add cache tier_key text
-             | Some _ | None -> ());
-            `Continue
-          | Ok (Frame.Entry _ as resp) ->
-            emit resp;
-            `Continue
-          | Ok (Frame.Report _ as resp) ->
-            breaker_success t key;
-            count_terminal t resp;
-            emit resp;
-            `Terminal
-          | Ok ((Frame.Drained _ | Frame.Refused _) as resp) ->
-            count_terminal t resp;
-            emit resp;
-            `Terminal
-          | Ok _ | Error _ ->
-            (* a worker emitting junk is a worker bug; dropping the
-               line (rather than relaying rot) keeps the client's
-               stream well-formed, and a missing terminal frame will
-               surface as a crash *)
-            `Continue)
-        ()
-    in
-    match outcome with
-    | Worker.Terminal -> ()
+    match
+      Worker.spawn ?timeout_s ~grace_s ~paused ~on_line
+        (encode_job
+           { cfg; q = { q with Frame.resume }; golden;
+             chaos = F.Journal.chaos () })
+    with
+    | exception e ->
+      bug t ~emit e;
+      token_exit t token
+    | w ->
+      Option.iter (fun f -> f ~pid:(Worker.pid w) ~token) cfg.on_worker;
+      t.running <- (w, exited n) :: t.running
+  and exited n = function
+    | Worker.Terminal -> token_exit t token
     | Worker.Crashed crash ->
-      bump t (fun c -> c.crashes <- c.crashes + 1);
+      t.counters.crashes <- t.counters.crashes + 1;
       let opened = breaker_crash t key in
-      if (not opened) && n < cfg.max_restarts && not (Atomic.get t.stop)
-      then begin
-        bump t (fun c -> c.restarts <- c.restarts + 1);
-        Thread.delay (backoff_s cfg n);
-        attempt (n + 1) ~resume:true
+      if (not opened) && n < cfg.max_restarts && not t.stop then begin
+        t.counters.restarts <- t.counters.restarts + 1;
+        at t (Unix.gettimeofday () +. backoff_s cfg n) (fun () ->
+            attempt (n + 1) ~resume:true)
       end
-      else
+      else begin
         refuse t ~emit 3
           [ Diag.error ~rule:"serve.worker"
               "campaign worker %s (attempt %d/%d)%s; completed work is \
                journaled under token %s — resend the request to resume"
               (Worker.describe crash) (n + 1) (cfg.max_restarts + 1)
               (if opened then "; model quarantined" else "")
-              token ]
+              token ];
+        token_exit t token
+      end
   in
   attempt 0 ~resume:q.Frame.resume
 
 (* ---- the front door ---------------------------------------------- *)
 
-(* One campaign per token at a time (see [t.inflight]); waiting is the
-   same cheap poll the admission queue uses.  The waiter holds an
-   admission lane meanwhile — bounded by [max_pending], so this cannot
-   deadlock, and the second request then resumes the first's journal
-   instead of racing it. *)
-(* a condition, not a delay poll: warm-tier campaigns finish in
-   single-digit milliseconds, so a 10ms sleep would quantize every
-   queued same-token request up to the poll interval and dominate the
-   latency the tiers just removed *)
-let inflight_enter t token =
-  Mutex.lock t.inflight_lock;
-  while Hashtbl.mem t.inflight token do
-    Condition.wait t.inflight_cond t.inflight_lock
-  done;
-  Hashtbl.replace t.inflight token ();
-  Mutex.unlock t.inflight_lock
+let draining t ~emit =
+  refuse t ~emit 1
+    [ Diag.error ~rule:"serve.draining"
+        "daemon is draining; resend the request to the next instance" ]
 
-let inflight_exit t token =
-  Mutex.lock t.inflight_lock;
-  Hashtbl.remove t.inflight token;
-  Condition.broadcast t.inflight_cond;
-  Mutex.unlock t.inflight_lock
+(* A granted request: compile, consult the tiers, announce [Started],
+   and queue for the token.  The lane is free before the terminal
+   frame goes out, so the client's next request is never queued
+   behind, or counted with, the campaign it has just seen finish. *)
+let start t (q : Frame.inject) ~key ~paused ~emit =
+  let started = Unix.gettimeofday () in
+  let released = ref false in
+  let emit resp =
+    if terminal resp && not !released then begin
+      released := true;
+      Admission.release t.adm
+        ~wall_ms:((Unix.gettimeofday () -. started) *. 1000.)
+    end;
+    emit resp
+  in
+  try
+    if t.stop then draining t ~emit
+    else
+      match compile t q with
+      | _, Error diags -> refuse t ~emit 2 diags
+      | cached, Ok { model; digest } ->
+        let config_tag = F.Journal.config_tag C.Simulate.default in
+        (* warm tiers, keyed by (structural digest | config tag) —
+           content-addressed, so an edited model is a different key,
+           never a stale hit *)
+        let tier_key = digest ^ "|" ^ config_tag in
+        let all_faults, plan_cached =
+          match t.plans with
+          | None -> (F.Fault.enumerate model, false)
+          | Some cache ->
+            (match Cache.find cache tier_key with
+             | Some faults -> (faults, true)
+             | None ->
+               (* enumerate once in the daemon: bounded, deterministic,
+                  exception-fenced work, safe outside the crash boundary *)
+               let faults = F.Fault.enumerate model in
+               Cache.add cache tier_key faults;
+               (faults, false))
+        in
+        let faults =
+          match q.Frame.limit with
+          | None -> all_faults
+          | Some n -> F.Fault.subsample n all_faults
+        in
+        let labels = List.map F.Fault.to_string faults in
+        let faults_digest = F.Journal.faults_digest labels in
+        let token = token_of ~digest ~config_tag ~faults_digest in
+        let golden0 = tier_lookup t.goldens tier_key in
+        emit
+          (Frame.Started
+             { token; total = List.length faults; cached; plan_cached;
+               golden_cached = is_hit golden0 });
+        token_enter t token (fun () ->
+            run_worker t q ~paused ~key ~tier_key ~golden0 ~token ~emit)
+  with e -> bug t ~emit e
 
-let handle_inject t (q : Frame.inject) ~client ~emit =
+let submit_inject t (q : Frame.inject) ~client ~paused ~emit =
   let t0 = Unix.gettimeofday () in
-  if stopping t then
-    refuse t ~emit 1
-      [ Diag.error ~rule:"serve.draining"
-          "daemon is draining; resend the request to the next instance" ]
+  if t.stop then draining t ~emit
   else
     match Diag.Limits.check_input_bytes ~file:"<request>" t.cfg.limits
             q.Frame.model with
@@ -731,119 +752,48 @@ let handle_inject t (q : Frame.inject) ~client ~emit =
            | None | Some 0 -> None
            | Some ms -> Some (t0 +. (float_of_int ms /. 1000.))
          in
-         match
-           Admission.admit t.adm ~client ~deadline:qdeadline
-             ~stopping:(fun () -> Atomic.get t.stop)
-             ~on_queued:(fun ~position ~retry_after_ms ->
-               emit (Frame.Queued { position; retry_after_ms }))
-         with
+         let busy ~retry_after_ms why =
+           refuse t ~emit ~retry_after_ms 1
+             [ Diag.error ~rule:"serve.busy" "%s; retry after the hint" why ]
+         in
+         let on_wake = function
+           | Admission.Granted ->
+             (* at the end of this turn: the release that granted the
+                lane is about to send its own terminal frame *)
+             at t neg_infinity (fun () -> start t q ~key ~paused ~emit)
+           | Admission.Expired { Admission.retry_after_ms } ->
+             busy ~retry_after_ms "request deadline expired while queued"
+           | Admission.Draining -> draining t ~emit
+         in
+         match Admission.admit t.adm ~client ~deadline:qdeadline ~on_wake with
+         | Admission.Admitted -> start t q ~key ~paused ~emit
+         | Admission.Queued { position; retry_after_ms } ->
+           emit (Frame.Queued { position; retry_after_ms })
          | Admission.Busy { Admission.retry_after_ms } ->
-           refuse t ~emit ~retry_after_ms 1
-             [ Diag.error ~rule:"serve.busy"
-                 "daemon at capacity (admission queue full); retry after \
-                  the hint" ]
-         | Admission.Expired { Admission.retry_after_ms } ->
-           refuse t ~emit ~retry_after_ms 1
-             [ Diag.error ~rule:"serve.busy"
-                 "request deadline expired while queued; retry after the \
-                  hint" ]
-         | Admission.Draining ->
-           refuse t ~emit 1
-             [ Diag.error ~rule:"serve.draining"
-                 "daemon is draining; resend the request to the next \
-                  instance" ]
-         | Admission.Admitted ->
-           let started = Unix.gettimeofday () in
-           let released = ref false in
-           let release () =
-             if not !released then begin
-               released := true;
-               Admission.release t.adm
-                 ~wall_ms:((Unix.gettimeofday () -. started) *. 1000.)
-             end
-           in
-           (* the lane is free before the terminal frame goes out, so
-              the client's next request is never queued behind, or
-              counted with, the campaign it has just seen finish *)
-           let emit resp =
-             (match resp with
-              | Frame.Report _ | Frame.Drained _ | Frame.Refused _ ->
-                release ()
-              | _ -> ());
-             emit resp
-           in
-           Fun.protect ~finally:release @@ fun () ->
-           let cached, compiled = compile t q in
-           (match compiled with
-            | Error diags -> refuse t ~emit 2 diags
-            | Ok { model; digest } ->
-              let config_tag = F.Journal.config_tag C.Simulate.default in
-              (* warm tiers, keyed by (structural digest | config tag)
-                 — content-addressed, so an edited model is a
-                 different key, never a stale hit *)
-              let tier_key = digest ^ "|" ^ config_tag in
-              let all_faults, plan_cached =
-                match t.plans with
-                | None -> (F.Fault.enumerate model, false)
-                | Some cache ->
-                  (match Cache.find cache tier_key with
-                   | Some faults -> (faults, true)
-                   | None ->
-                     (* enumerate once in the daemon: bounded,
-                        deterministic, exception-fenced work, safe
-                        outside the crash boundary *)
-                     let faults = F.Fault.enumerate model in
-                     Cache.add cache tier_key faults;
-                     (faults, false))
-              in
-              let faults =
-                match q.Frame.limit with
-                | None -> all_faults
-                | Some n -> F.Fault.subsample n all_faults
-              in
-              let labels = List.map F.Fault.to_string faults in
-              let faults_digest = F.Journal.faults_digest labels in
-              let token = token_of ~digest ~config_tag ~faults_digest in
-              let golden0 = tier_lookup t.goldens tier_key in
-              emit
-                (Frame.Started
-                   { token; total = List.length faults; cached; plan_cached;
-                     golden_cached = is_hit golden0 });
-              inflight_enter t token;
-              Fun.protect ~finally:(fun () -> inflight_exit t token)
-              @@ fun () -> run_worker t q ~key ~tier_key ~golden0 ~token ~emit))
+           busy ~retry_after_ms "daemon at capacity (admission queue full)")
 
-let tier_stats (cs : Cache.stats) =
-  { Frame.hits = cs.Cache.hits; misses = cs.Cache.misses;
-    evictions = cs.Cache.evictions; entries = cs.Cache.entries;
-    capacity = cs.Cache.capacity }
-
-let disabled_tier =
-  { Frame.hits = 0; misses = 0; evictions = 0; entries = 0; capacity = 0 }
-
-let opt_tier = function
-  | None -> disabled_tier
-  | Some cache -> tier_stats (Cache.stats cache)
+let tier_stats = function
+  | None ->
+    { Frame.hits = 0; misses = 0; evictions = 0; entries = 0; capacity = 0 }
+  | Some cache ->
+    let cs = Cache.stats cache in
+    { Frame.hits = cs.Cache.hits; misses = cs.Cache.misses;
+      evictions = cs.Cache.evictions; entries = cs.Cache.entries;
+      capacity = cs.Cache.capacity }
 
 let stats t =
-  let cs = Cache.stats t.cache in
   let snap = Admission.snapshot t.adm in
-  let quarantined = quarantined_count t in
-  Mutex.lock t.counters_lock;
   let c = t.counters in
-  let r =
-    { Frame.requests = c.requests; campaigns = c.campaigns;
-      drained = c.drained; refused = c.refused;
-      active = snap.Admission.active; queued = snap.Admission.queued;
-      restarts = c.restarts; crashes = c.crashes; quarantined;
-      model = tier_stats cs; plan = opt_tier t.plans;
-      golden = opt_tier t.goldens }
-  in
-  Mutex.unlock t.counters_lock;
-  r
+  { Frame.requests = c.requests; campaigns = c.campaigns;
+    drained = c.drained; refused = c.refused;
+    active = snap.Admission.active; queued = snap.Admission.queued;
+    restarts = c.restarts; crashes = c.crashes;
+    quarantined = quarantined_count t; model = tier_stats (Some t.cache);
+    plan = tier_stats t.plans; golden = tier_stats t.goldens }
 
-let handle ?(client = 0) t (req : Frame.request) ~emit =
-  bump t (fun c -> c.requests <- c.requests + 1);
+let submit ?(client = 0) ?(paused = fun () -> false) t (req : Frame.request)
+    ~emit =
+  t.counters.requests <- t.counters.requests + 1;
   match req with
   | Frame.Ping -> emit (Frame.Pong { version = "csrtl-serve/3" })
   | Frame.Stats -> emit (Frame.Stats_reply (stats t))
@@ -851,10 +801,52 @@ let handle ?(client = 0) t (req : Frame.request) ~emit =
     request_stop t;
     emit Frame.Bye
   | Frame.Inject q ->
-    (try handle_inject t q ~client ~emit
-     with e ->
-       (* the [Bug:] marker: an escaped exception here is a defect of
-          the daemon, not of the request *)
-       refuse t ~emit 3
-         [ Diag.error ~rule:"serve.bug" "Bug: unexpected exception: %s"
-             (Printexc.to_string e) ])
+    (try submit_inject t q ~client ~paused ~emit with e -> bug t ~emit e)
+
+let poll t ~read ~write ~timeout =
+  let now = Unix.gettimeofday () in
+  if t.stop then Admission.drain t.adm;
+  let running = t.running in
+  let watched = List.map (fun (w, _) -> Worker.watch w) running in
+  let timeout =
+    List.fold_left
+      (fun acc due -> Float.min acc (due -. now))
+      timeout
+      ((Admission.expire t.adm ~now :: List.map fst t.timers)
+      @ List.filter_map (fun (w, _) -> Worker.wake_at w) running)
+  in
+  let readable, writable =
+    match
+      Unix.select
+        (read @ List.concat_map fst watched)
+        (write @ List.concat_map snd watched)
+        [] (Float.max 0. timeout)
+    with
+    | r, w, _ -> (r, w)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
+  in
+  List.iter
+    (fun (w, exited) ->
+      match Worker.step w ~readable ~writable ~stop:t.stop with
+      | None -> ()
+      | Some outcome ->
+        t.running <- List.filter (fun (w', _) -> w' != w) t.running;
+        exited outcome)
+    running;
+  let now = Unix.gettimeofday () in
+  let due, later = List.partition (fun (time, _) -> time <= now) t.timers in
+  t.timers <- later;
+  List.iter (fun (_, k) -> k ()) due;
+  ( List.filter (fun fd -> List.memq fd readable) read,
+    List.filter (fun fd -> List.memq fd writable) write )
+
+let idle t = t.running = [] && t.timers = []
+
+let handle ?client t req ~emit =
+  let finished = ref false in
+  submit ?client t req ~emit:(fun r ->
+      if terminal r then finished := true;
+      emit r);
+  while not !finished do
+    ignore (poll t ~read:[] ~write:[] ~timeout:1.)
+  done

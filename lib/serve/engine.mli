@@ -1,11 +1,13 @@
-(** The daemon's request engine, socket-free.
+(** The daemon's request engine, socket-free and single-threaded.
 
-    {!handle} maps one decoded request to a sequence of emitted
-    responses and {e never raises}: admission failures, bad models,
-    stale journals and even daemon bugs all come back as status-coded
-    [Refused] frames.  The server layer adds line framing and threads;
-    the differential, chaos, and fuzz suites drive [handle] directly,
-    so the bytes they pin are the bytes the socket carries.
+    {!submit} starts one decoded request and {!poll} runs one turn of
+    the select loop that carries it on: together they map a request to
+    a sequence of emitted responses and {e never raise}: admission
+    failures, bad models, stale journals and even daemon bugs all come
+    back as status-coded [Refused] frames.  The server layer adds line
+    framing and output queues around {!poll}; the differential, chaos,
+    and fuzz suites drive the same calls (or {!handle}), so the bytes
+    they pin are the bytes the socket carries.
 
     Campaign responses are byte-identical to offline [csrtl inject]
     stdout for the same (model, fault list, config) — the report
@@ -117,17 +119,44 @@ val request_stop : t -> unit
     period to checkpoint at the next work-item boundary and answer
     [Drained]; queued requests are
     released with [serve.draining]; new inject requests are refused.
-    Signal-handler safe (one atomic store). *)
+    Signal-handler safe (one field store). *)
 
 val stopping : t -> bool
 
+val submit :
+  ?client:int -> ?paused:(unit -> bool) -> t -> Frame.request ->
+  emit:(Frame.response -> unit) -> unit
+(** Start one request, emitting at once what needs no wait: a control
+    reply, a [Refused] or [Queued], or [Started] after compile and
+    fault enumeration.  Later {!poll} turns emit the rest, ending with
+    exactly one {!terminal} frame.  [client] identifies the connection
+    for queue fairness (default 0: plain FIFO).  While [paused] holds,
+    the request's worker pipe is left unread, so a slow consumer
+    throttles only its own worker.  [emit] must not raise. *)
+
+val poll :
+  t ->
+  read:Unix.file_descr list ->
+  write:Unix.file_descr list ->
+  timeout:float ->
+  Unix.file_descr list * Unix.file_descr list
+(** One select turn of at most [timeout] seconds over the worker pipes
+    and the caller's descriptors, returning the caller's ready ones.
+    It relays frames, reaps, fires restart timers and queue-deadline
+    expiry and, once the stop flag is up, drains the queue and sends
+    every worker SIGTERM. *)
+
+val terminal : Frame.response -> bool
+(** A request's last frame: [Report], [Drained], [Refused] or a
+    control reply. *)
+
+val idle : t -> bool
+(** No worker left to reap and no restart pending. *)
+
 val handle :
   ?client:int -> t -> Frame.request -> emit:(Frame.response -> unit) -> unit
-(** Process one request, calling [emit] for each response frame in
-    order.  [client] identifies the connection for queue fairness
-    (default 0 — embedders that don't multiplex clients get plain
-    FIFO).  Never raises; [emit] runs only on the calling thread,
-    which also supervises the campaign's worker. *)
+(** {!submit}, then {!poll} until the request's terminal frame (its
+    worker may be reaped by a later {!poll}). *)
 
 val stats : t -> Frame.stats
 

@@ -1,13 +1,19 @@
-(* The daemon transport: accept loop on the main thread, one thread
-   per connection, the engine doing all the thinking.  Line-framed
-   JSON over a Unix socket; filesystem permissions on the socket are
-   the access control.  Built for graceful degradation end to end:
+(* The daemon transport: one select loop ({!Engine.poll}) over the
+   listening socket, the client connections and the worker pipes, the
+   engine doing all the thinking.  Line-framed JSON over a Unix
+   socket; filesystem permissions on the socket are the access
+   control.  Built for graceful degradation end to end:
 
-   - SIGTERM/SIGINT flip the engine's drain flag; the accept loop
-     notices within its select timeout, stops accepting, shuts down
-     every connection's read side, and joins the client threads.
-     In-flight campaigns checkpoint to their journal and answer
-     [Drained] with a resume token before the join completes.
+   - A connection runs one request at a time; its next line is read
+     once the last one's terminal frame is queued.  Output goes to a
+     per-connection queue written without blocking, so a client that
+     stops reading stalls nobody else; past one pipe chunk unsent, its
+     worker's pipe is left unread, which throttles only that worker.
+   - SIGTERM/SIGINT flip the engine's drain flag; the loop stops
+     accepting, shuts down every connection's read side, and keeps
+     turning until in-flight campaigns have checkpointed to their
+     journal, answered [Drained] with a resume token, and every
+     queued byte is written.
    - SIGPIPE is ignored and every write failure just marks the
      connection dead: a vanished client never kills the daemon, and
      its campaign keeps journaling so the work is resumable.
@@ -25,92 +31,80 @@ type config = {
   engine : Engine.config;
   socket : string;  (* Unix socket path *)
   max_request_bytes : int;  (* per-line transport cap *)
-  signals : bool;  (* install SIGTERM/SIGINT handlers *)
   log : string -> unit;
 }
 
 let default_config =
   { engine = Engine.default_config; socket = "csrtl.sock";
-    max_request_bytes = 64 * 1024 * 1024; signals = true;
-    log = (fun _ -> ()) }
+    max_request_bytes = 64 * 1024 * 1024; log = (fun _ -> ()) }
 
 type conn = {
   id : int;
   fd : Unix.file_descr;
-  wlock : Mutex.t;
-  dead : bool Atomic.t;
+  lines : Lineio.reader;
+  out : Lineio.reader;  (* frames not yet written *)
+  mutable busy : bool;  (* a request is in flight *)
+  mutable eof : bool;  (* every request line has been taken *)
+  mutable dead : bool;  (* a write failed; output is dropped *)
 }
 
-type server = {
-  cfg : config;
-  eng : Engine.t;
-  conns : (int, conn) Hashtbl.t;  (* keyed by conn id, under lock *)
-  conns_lock : Mutex.t;
-  (* conn ids whose client_loop has returned and whose thread is ready
-     to join — the accept loop reaps these each pass, so a long-lived
-     daemon holds O(live connections) threads, not O(all ever) *)
-  finished : int list ref;
-  next_id : int Atomic.t;
-}
+(* one pipe chunk: past this much unsent, read no more requests and
+   leave the connection's worker pipe unread *)
+let backlog = 65536
 
-let emit_to conn resp =
-  if not (Atomic.get conn.dead) then begin
-    Mutex.lock conn.wlock;
-    let ok =
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock conn.wlock)
-        (fun () -> Lineio.write_line conn.fd (Frame.encode_response resp))
-    in
-    if not ok then Atomic.set conn.dead true
+let unsent c = Lineio.pending c.out
+
+(* Write what the socket takes now; the rest waits for writability. *)
+let flush c =
+  if unsent c > 0 && not (Lineio.flush c.out c.fd) then c.dead <- true
+
+let emit_to c resp =
+  if Engine.terminal resp then c.busy <- false;
+  if not c.dead then begin
+    let idle = unsent c = 0 in
+    Lineio.feed c.out (Frame.encode_response resp);
+    Lineio.feed c.out "\n";
+    (* straight out when nothing is queued ahead of it: a frame never
+       waits for the work the rest of the loop turn starts *)
+    if idle then flush c
   end
 
-let too_long_diags max_bytes =
-  [ Diag.error ~rule:"serve.frame"
-      "request frame exceeds the %d-byte line cap" max_bytes ]
+(* [Unix.select] raises EINVAL for a descriptor at or past FD_SETSIZE.
+   The loop selects the listening socket, every connection and two
+   pipe ends per running worker; [fd_reserve] covers stdio and a
+   worker that has answered but not yet exited. *)
+let fd_setsize = 1024
+let fd_reserve = 64
 
-let client_loop srv conn =
-  let r = Lineio.reader ~max_line:srv.cfg.max_request_bytes conn.fd in
-  let rec loop () =
-    match Lineio.read_line r with
-    | Lineio.Eof -> ()
-    | Lineio.Too_long ->
-      emit_to conn
+let accepts ~live ~max_pending =
+  live < fd_setsize - fd_reserve - (2 * max 1 max_pending)
+
+(* Hand the connection's buffered lines to the engine, one request at
+   a time; after a drain request the daemon reads no more. *)
+let rec pump cfg eng c =
+  if not (c.busy || c.dead || Engine.stopping eng || unsent c > backlog) then
+    match Lineio.next c.lines with
+    | None -> ()
+    | Some Lineio.Eof -> c.eof <- true
+    | Some Lineio.Too_long ->
+      emit_to c
         (Frame.Refused
            { status = 2; retry_after_ms = None;
-             diags = too_long_diags srv.cfg.max_request_bytes });
-      loop ()
-    | Lineio.Line line ->
-      (match Frame.decode_request ~limits:srv.cfg.engine.Engine.limits line with
+             diags =
+               [ Diag.error ~rule:"serve.frame"
+                   "request frame exceeds the %d-byte line cap"
+                   cfg.max_request_bytes ] });
+      pump cfg eng c
+    | Some (Lineio.Line line) ->
+      (match Frame.decode_request ~limits:cfg.engine.Engine.limits line with
        | Error diags ->
-         emit_to conn
-           (Frame.Refused { status = 2; retry_after_ms = None; diags })
+         emit_to c (Frame.Refused { status = 2; retry_after_ms = None; diags })
        | Ok req ->
-         Engine.handle ~client:conn.id srv.eng req ~emit:(emit_to conn));
-      (* after a drain request (or a shutdown from another client) the
-         daemon stops reading: the main loop is about to close us *)
-      if not (Engine.stopping srv.eng) then loop ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock srv.conns_lock;
-      Hashtbl.remove srv.conns conn.id;
-      srv.finished := conn.id :: !(srv.finished);
-      Mutex.unlock srv.conns_lock;
-      Atomic.set conn.dead true;
-      try Unix.close conn.fd with Unix.Unix_error (_, _, _) -> ())
-    loop
-
-let shutdown_reads srv =
-  Mutex.lock srv.conns_lock;
-  let cs = Hashtbl.fold (fun _ c acc -> c :: acc) srv.conns [] in
-  Mutex.unlock srv.conns_lock;
-  List.iter
-    (fun c ->
-      (* stop the reader (it sees EOF); pending writes still flow, so
-         a draining campaign can deliver its [Drained] frame first *)
-      try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
-      with Unix.Unix_error (_, _, _) -> ())
-    cs
+         c.busy <- true;
+         Engine.submit ~client:c.id
+           ~paused:(fun () -> unsent c > backlog)
+           eng req ~emit:(emit_to c));
+      pump cfg eng c
 
 (* Bind the socket path without stealing it.  A connect probe first:
    if a daemon answers, the path is taken and this one refuses to
@@ -170,63 +164,99 @@ let serve ?(config = default_config) () =
       (try Unix.close lfd with Unix.Unix_error (_, _, _) -> ());
       release config.socket bound)
   @@ fun () ->
-  let srv =
-    { cfg = config; eng = Engine.create config.engine;
-      conns = Hashtbl.create 16; conns_lock = Mutex.create ();
-      finished = ref []; next_id = Atomic.make 0 }
-  in
+  let eng = Engine.create config.engine in
   let log = config.log in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  if config.signals then begin
-    let stop _ = Engine.request_stop srv.eng in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop)
-  end;
+  let stop _ = Engine.request_stop eng in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+  Unix.set_nonblock lfd;
   log (Printf.sprintf "listening on %s" config.socket);
-  (* live connection threads, keyed by conn id; accept-loop private *)
-  let threads : (int, Thread.t) Hashtbl.t = Hashtbl.create 16 in
-  let reap () =
-    Mutex.lock srv.conns_lock;
-    let ids = !(srv.finished) in
-    srv.finished := [];
-    Mutex.unlock srv.conns_lock;
-    List.iter
-      (fun id ->
-        match Hashtbl.find_opt threads id with
-        | Some th ->
-          (* the loop already returned; this join is immediate *)
-          Thread.join th;
-          Hashtbl.remove threads id
-        | None -> ())
-      ids
+  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
+  let next_id = ref 0 in
+  let close c =
+    Hashtbl.remove conns c.fd;
+    (* unsent bytes go too: a closed client's worker must not stay
+       paused behind them *)
+    c.dead <- true;
+    Lineio.clear c.out;
+    try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()
   in
-  let rec accept_loop () =
-    if not (Engine.stopping srv.eng) then begin
-      reap ();
-      (match Unix.select [ lfd ] [] [] 0.2 with
-       | [], _, _ -> ()
-       | _ ->
-         (match Unix.accept ~cloexec:true lfd with
-          | fd, _ ->
-            let conn =
-              { id = Atomic.fetch_and_add srv.next_id 1; fd;
-                wlock = Mutex.create (); dead = Atomic.make false }
-            in
-            Mutex.lock srv.conns_lock;
-            Hashtbl.replace srv.conns conn.id conn;
-            Mutex.unlock srv.conns_lock;
-            Hashtbl.replace threads conn.id
-              (Thread.create (client_loop srv) conn)
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      accept_loop ()
+  let accept () =
+    match Unix.accept ~cloexec:true lfd with
+    | fd, _ ->
+      Unix.set_nonblock fd;
+      incr next_id;
+      if accepts ~live:(Hashtbl.length conns)
+           ~max_pending:config.engine.Engine.max_pending
+      then
+        Hashtbl.replace conns fd
+          { id = !next_id; fd;
+            lines = Lineio.reader ~max_line:config.max_request_bytes ();
+            out = Lineio.reader ~size:4096 (); busy = false; eof = false;
+            dead = false }
+      else begin
+        (* one best-effort write: the frame is far below a socket
+           buffer, and this client gets nothing else *)
+        ignore
+          (Lineio.write_line fd
+             (Frame.encode_response
+                (Frame.Refused
+                   { status = 1; retry_after_ms = Some 1000;
+                     diags =
+                       [ Diag.error ~rule:"serve.busy"
+                           "too many open connections; retry after the \
+                            hint" ] })));
+        Unix.close fd
+      end
+    | exception Unix.Unix_error (_, _, _) -> ()
+  in
+  let rec loop draining =
+    let stopping = Engine.stopping eng in
+    if stopping && not draining then begin
+      log "draining: no longer accepting connections";
+      (* readers see EOF; pending writes still flow, so a draining
+         campaign can deliver its [Drained] frame first *)
+      Hashtbl.iter
+        (fun fd _ ->
+          try Unix.shutdown fd SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+        conns
+    end;
+    let all = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
+    if
+      stopping && Engine.idle eng
+      && List.for_all (fun c -> (not c.busy) && unsent c = 0) all
+    then List.iter close all
+    else begin
+      let wants f =
+        List.filter_map (fun c -> if f c then Some c.fd else None) all
+      in
+      let readable, _ =
+        Engine.poll eng
+          ~read:
+            ((if stopping then [] else [ lfd ])
+            @ wants (fun c ->
+                  not (c.busy || c.eof || stopping || unsent c > backlog)))
+          ~write:(wants (fun c -> unsent c > 0))
+          ~timeout:0.2
+      in
+      List.iter
+        (fun fd ->
+          if fd = lfd then accept ()
+          else
+            Option.iter
+              (fun c -> Lineio.read c.lines fd)
+              (Hashtbl.find_opt conns fd))
+        readable;
+      List.iter
+        (fun c ->
+          pump config eng c;
+          flush c;
+          if c.dead || (c.eof && (not c.busy) && unsent c = 0) then close c)
+        (Hashtbl.fold (fun _ c acc -> c :: acc) conns []);
+      loop stopping
     end
   in
-  accept_loop ();
-  log "draining: no longer accepting connections";
-  shutdown_reads srv;
-  Hashtbl.iter (fun _ th -> Thread.join th) threads;
+  loop false;
   log "drained; all connections closed";
   Ok ()

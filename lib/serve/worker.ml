@@ -8,22 +8,17 @@
    died, and decides whether to restart from the journal checkpoint.
 
    Workers are fresh processes of the running executable, started with
-   [Unix.create_process] (posix_spawn), never [fork]: a forked child of
-   a multi-threaded OCaml process inherits whatever runtime lock
-   another thread held and can deadlock on its first allocation, and
-   OCaml 5 refuses [fork] outright once the process has ever spawned
-   a domain.  An exec'd worker starts a clean runtime instead, so
-   nothing about the daemon's threads or domains reaches it.  The
-   price is that nothing crosses the boundary but bytes: the worker
-   reads its whole job from stdin and writes frames to stdout, and
-   the executable must route the {!arg} invocation to the worker
-   entry point before doing anything else.
+   [Unix.create_process] (posix_spawn), never [fork], which OCaml 5
+   refuses once the process has ever spawned a domain.  Nothing
+   crosses the boundary but bytes: the worker reads its whole job from
+   stdin and writes frames to stdout, and the executable must route
+   the {!arg} invocation to the worker entry point first thing.
 
-   Every pipe end is created close-on-exec (the spawn dup2s the
-   worker's two ends onto its stdin and stdout, which clears the flag
-   there only): a worker spawned concurrently by another thread must
-   not inherit this worker's stdout write end, or this worker's death
-   would never read as EOF. *)
+   The daemon's select loop drives a worker through {!step}: job bytes
+   out, frame lines in, drain and wall-cap signals, and a non-blocking
+   reap after its pipe's EOF.  Every pipe end is close-on-exec (the
+   spawn's dup2 clears the flag on the worker's own two ends only), so
+   no worker holds another's stdout open and hides its death. *)
 
 type crash =
   | Exited of int  (* worker exited without delivering a terminal frame *)
@@ -35,14 +30,14 @@ type outcome =
   | Crashed of crash
 
 let signal_name s =
-  if s = Sys.sigkill then "SIGKILL"
-  else if s = Sys.sigterm then "SIGTERM"
-  else if s = Sys.sigsegv then "SIGSEGV"
-  else if s = Sys.sigabrt then "SIGABRT"
-  else if s = Sys.sigbus then "SIGBUS"
-  else if s = Sys.sigill then "SIGILL"
-  else if s = Sys.sigfpe then "SIGFPE"
-  else Printf.sprintf "signal %d" s
+  match
+    List.assoc_opt s
+      Sys.[ (sigkill, "SIGKILL"); (sigterm, "SIGTERM"); (sigsegv, "SIGSEGV");
+            (sigabrt, "SIGABRT"); (sigbus, "SIGBUS"); (sigill, "SIGILL");
+            (sigfpe, "SIGFPE") ]
+  with
+  | Some name -> name
+  | None -> Printf.sprintf "signal %d" s
 
 let describe = function
   | Exited n -> Printf.sprintf "exited with code %d before finishing" n
@@ -53,9 +48,27 @@ let ignoring_unix f = try f () with Unix.Unix_error (_, _, _) -> ()
 
 let arg = "worker"
 
-let supervise ?timeout_s ~grace_s ~should_stop ~on_spawn ~job ~on_line () =
+type t = {
+  pid : int;
+  job : Lineio.reader;  (* job bytes not yet written *)
+  mutable job_w : Unix.file_descr option;  (* until the job is out *)
+  mutable frames : Unix.file_descr option;  (* until EOF *)
+  lines : Lineio.reader;
+  paused : unit -> bool;
+  on_line : string -> [ `Continue | `Terminal ];
+  cap : float option;  (* absolute wall-clock cap *)
+  grace_s : float;
+  mutable termed : float option;  (* when we sent SIGTERM *)
+  mutable killed : bool;
+  mutable terminal : bool;
+  mutable reap_by : float option;  (* SIGKILL a lingering worker then *)
+}
+
+let pid w = w.pid
+
+let spawn ?timeout_s ~grace_s ~paused ~on_line job =
   (* a worker that dies before reading its whole job must cost an
-     EPIPE on the write below, not the supervising process *)
+     EPIPE on a write, not the supervising process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let job_r, job_w = Unix.pipe ~cloexec:true () in
   let r, w = Unix.pipe ~cloexec:true () in
@@ -81,147 +94,111 @@ let supervise ?timeout_s ~grace_s ~should_stop ~on_spawn ~job ~on_line () =
   in
   ignoring_unix (fun () -> Unix.close job_r);
   ignoring_unix (fun () -> Unix.close w);
-  on_spawn pid;
-  (* the job goes out from the pump loop below, never in a blocking
-     write: a worker that stops reading must not wedge the supervisor
-     past its drain flag and wall cap *)
+  (* neither end may ever block the loop: a worker that stops reading
+     its job must not wedge the daemon past its drain flag and cap *)
   Unix.set_nonblock job_w;
-  let sent = ref 0 in
-  let job_open = ref true in
-  let close_job () =
-    if !job_open then begin
-      job_open := false;
-      ignoring_unix (fun () -> Unix.close job_w)
-    end
-  in
-  let send () =
-    match
-      Unix.write_substring job_w job !sent
-        (min 65536 (String.length job - !sent))
-    with
-    | n ->
-      sent := !sent + n;
-      if !sent = String.length job then close_job ()
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-      ()
-    | exception Unix.Unix_error (_, _, _) ->
-      (* EPIPE: the worker is gone; its EOF on [r] tells the rest *)
-      close_job ()
-  in
-  let t0 = Unix.gettimeofday () in
-  let terminal = ref false in
-  let termed = ref None in  (* when we sent SIGTERM *)
-  let killed = ref false in
-  let soft_kill () =
-    match !termed with
-    | Some _ -> ()
-    | None ->
-      termed := Some (Unix.gettimeofday ());
-      ignoring_unix (fun () -> Unix.kill pid Sys.sigterm)
-  in
-  let hard_kill () =
-    if not !killed then begin
-      killed := true;
-      ignoring_unix (fun () -> Unix.kill pid Sys.sigkill)
-    end
-  in
-  (* pump complete lines to [on_line] until a terminal frame or EOF,
-     turning drain requests and wall caps into signals as we go *)
-  let pending = ref "" in
-  let feed data =
-    pending := !pending ^ data;
-    let rec split () =
-      if not !terminal then
-        match String.index_opt !pending '\n' with
-        | None -> ()
-        | Some i ->
-          let line = String.sub !pending 0 i in
-          pending :=
-            String.sub !pending (i + 1) (String.length !pending - i - 1);
-          (match on_line line with
-           | `Terminal -> terminal := true
-           | `Continue -> ());
-          split ()
-    in
-    split ()
-  in
-  let chunk = Bytes.create 65536 in
-  let rec pump () =
-    if not !terminal then begin
-      if should_stop () then soft_kill ();
-      (match timeout_s with
-       | Some cap when Unix.gettimeofday () -. t0 > cap -> soft_kill ()
-       | _ -> ());
-      (match !termed with
-       | Some at when Unix.gettimeofday () -. at > grace_s -> hard_kill ()
-       | _ -> ());
-      match
-        Unix.select [ r ] (if !job_open then [ job_w ] else []) [] 0.05
-      with
-      | readable, writable, _ ->
-        if writable <> [] then send ();
-        if readable = [] then pump ()
-        else (
-          match Unix.read r chunk 0 (Bytes.length chunk) with
-          | 0 -> ()  (* EOF: the worker is gone or closed its end *)
-          | n ->
-            feed (Bytes.sub_string chunk 0 n);
-            pump ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-          | exception Unix.Unix_error (_, _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-    end
-  in
-  pump ();
-  close_job ();
-  (* a worker's stdout closes as it exits: after a terminal frame,
-     wait for that EOF rather than poll for the exit, so the caller
-     gets its lane back as soon as the worker is gone *)
-  let rec await_eof deadline =
-    let left = deadline -. Unix.gettimeofday () in
-    if left > 0. then
-      match Unix.select [ r ] [] [] left with
-      | [], _, _ -> ()
-      | _ ->
-        (match Unix.read r chunk 0 (Bytes.length chunk) with
-         | 0 -> ()
-         | _ -> await_eof deadline
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> await_eof deadline
-         | exception Unix.Unix_error (_, _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> await_eof deadline
-  in
-  if !terminal then await_eof (Unix.gettimeofday () +. grace_s);
-  ignoring_unix (fun () -> Unix.close r);
-  (* reap, escalating to SIGKILL if the worker lingers past grace —
-     a worker that delivered its terminal frame but will not die
-     still must not become a zombie *)
-  let rec reap deadline =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-      if Unix.gettimeofday () > deadline then begin
-        hard_kill ();
-        match Unix.waitpid [] pid with
-        | _, st -> st
-        | exception Unix.Unix_error (_, _, _) -> Unix.WEXITED 0
-      end
-      else begin
-        Thread.delay 0.001;
-        reap deadline
-      end
-    | _, st -> st
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Unix.WEXITED 0
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap deadline
-  in
-  let status = reap (Unix.gettimeofday () +. grace_s) in
-  if !terminal then Terminal
-  else if !killed then Crashed Hung
+  Unix.set_nonblock r;
+  let queue = Lineio.reader ~size:(String.length job) () in
+  Lineio.feed queue job;
+  { pid; job = queue; job_w = Some job_w; frames = Some r;
+    lines = Lineio.reader ~max_line:Sys.max_string_length (); paused;
+    on_line; cap = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s;
+    grace_s; termed = None; killed = false; terminal = false;
+    reap_by = None }
+
+let close_job w =
+  Option.iter (fun fd -> ignoring_unix (fun () -> Unix.close fd)) w.job_w;
+  w.job_w <- None
+
+let watch w =
+  ( (match w.frames with
+     | Some fd when w.terminal || not (w.paused ()) -> [ fd ]
+     | _ -> []),
+    Option.to_list w.job_w )
+
+let soft_kill w now =
+  if w.termed = None then begin
+    w.termed <- Some now;
+    ignoring_unix (fun () -> Unix.kill w.pid Sys.sigterm)
+  end
+
+let hard_kill w =
+  if not w.killed then begin
+    w.killed <- true;
+    ignoring_unix (fun () -> Unix.kill w.pid Sys.sigkill)
+  end
+
+(* Complete lines go to [on_line] until it answers [`Terminal]; what a
+   worker writes after its terminal frame is read and dropped, so its
+   exit shows as EOF. *)
+let rec deliver w =
+  match Lineio.next w.lines with
+  | Some (Lineio.Line line) when not w.terminal ->
+    if w.on_line line = `Terminal then w.terminal <- true;
+    deliver w
+  | Some (Lineio.Line _ | Lineio.Too_long) -> deliver w
+  | Some Lineio.Eof | None -> ()
+
+let classify w status =
+  if w.terminal then Terminal
+  else if w.killed then Crashed Hung
   else
-    (match status with
-     | Unix.WEXITED 0 ->
-       (* protocol violation: a clean exit with no terminal frame
-          still counts as a crash — the campaign did not finish *)
-       Crashed (Exited 0)
-     | Unix.WEXITED n -> Crashed (Exited n)
-     | Unix.WSIGNALED s | Unix.WSTOPPED s -> Crashed (Signaled s))
+    match status with
+    | Unix.WEXITED n ->
+      (* [Exited 0] is a protocol violation: a clean exit with no
+         terminal frame still counts as a crash — the campaign did not
+         finish *)
+      Crashed (Exited n)
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> Crashed (Signaled s)
+
+let step w ~readable ~writable ~stop =
+  let now = Unix.gettimeofday () in
+  (match w.job_w with
+   | Some fd when List.memq fd writable ->
+     (* a failed write is EPIPE: the worker is gone, and its EOF on
+        the frames pipe tells the rest *)
+     if not (Lineio.flush w.job fd) || Lineio.pending w.job = 0 then
+       close_job w
+   | _ -> ());
+  (match w.frames with
+   | Some fd when List.memq fd readable ->
+     Lineio.read w.lines fd;
+     deliver w;
+     if w.lines.Lineio.eof then begin
+       ignoring_unix (fun () -> Unix.close fd);
+       w.frames <- None;
+       close_job w
+     end
+   | _ -> ());
+  if w.terminal || w.frames = None then begin
+    if w.reap_by = None then w.reap_by <- Some (now +. w.grace_s)
+  end
+  else begin
+    if stop then soft_kill w now;
+    (match w.cap with Some cap when now > cap -> soft_kill w now | _ -> ());
+    match w.termed with
+    | Some at when now -. at > w.grace_s -> hard_kill w
+    | _ -> ()
+  end;
+  (* a worker that delivered its terminal frame, or closed its pipe,
+     but will not die still must not become a zombie *)
+  (match w.reap_by with Some t when now > t -> hard_kill w | _ -> ());
+  (* reap only after EOF: every frame the worker wrote is read first *)
+  if w.frames <> None then None
+  else
+    match Unix.waitpid [ Unix.WNOHANG ] w.pid with
+    | 0, _ -> None
+    | _, status -> Some (classify w status)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
+    | exception Unix.Unix_error (_, _, _) -> Some (classify w (Unix.WEXITED 0))
+
+let wake_at w =
+  if w.frames = None then
+    (* exited, or exiting: try the reap again on the next turn *)
+    Some (Unix.gettimeofday () +. 0.001)
+  else if w.killed then None
+  else if w.terminal then w.reap_by
+  else
+    match w.termed with
+    | None -> w.cap
+    | Some at -> Some (at +. w.grace_s)

@@ -9,8 +9,8 @@
 
     The worker is a fresh process of the running executable
     ([Sys.executable_name {!arg}], started with [Unix.create_process],
-    never [fork]), so supervising is sound from any process: one with
-    threads, one that has spawned domains.  The executable must hand
+    never [fork]), so supervising is sound from any process, including
+    one that has spawned domains.  The executable must hand
     that invocation to the worker entry point at the top of its main
     ({!Engine.worker_entry}). *)
 
@@ -33,25 +33,42 @@ val arg : string
 (** The command-line argument that marks a worker invocation:
     ["worker"], as in [csrtl worker]. *)
 
-val supervise :
+type t  (** a spawned worker, driven by the caller's select loop *)
+
+val spawn :
   ?timeout_s:float ->
   grace_s:float ->
-  should_stop:(unit -> bool) ->
-  on_spawn:(int -> unit) ->
-  job:string ->
+  paused:(unit -> bool) ->
   on_line:(string -> [ `Continue | `Terminal ]) ->
-  unit ->
-  outcome
-(** Spawn [Sys.executable_name {!arg}], feed it [job] on its stdin
-    (then close it), and pump the lines it writes to its stdout to
-    [on_line] until [on_line] answers [`Terminal] or the pipe hits
-    EOF.  The worker's stderr is the supervisor's.  While pumping:
-    [should_stop] true sends the worker one SIGTERM (giving it
-    [grace_s] to drain and checkpoint before SIGKILL); exceeding
-    [timeout_s] does the same and classifies the worker as {!Hung}.
-    [on_spawn] fires with the worker pid right after the spawn (the
-    chaos harness's kill hook).  Always reaps the child — no zombies,
-    whatever the path out.  Sets SIGPIPE to ignored in the calling
-    process, so a worker that dies before reading its job costs an
-    [EPIPE], not the supervisor.  Raises [Unix.Unix_error] only when
-    the spawn itself fails. *)
+  string ->
+  t
+(** Spawn [Sys.executable_name {!arg}] with this job on its stdin; its
+    stderr is the caller's.  {!step} passes its frame lines to
+    [on_line] until that answers [`Terminal].  Past [timeout_s] the
+    worker gets SIGTERM, and [grace_s] later SIGKILL ({!Hung}).
+    Ignores SIGPIPE in the calling process, so a worker that dies
+    before reading its job costs an [EPIPE].  Raises [Unix.Unix_error]
+    only when the spawn itself fails. *)
+
+val pid : t -> int
+
+val watch : t -> Unix.file_descr list * Unix.file_descr list
+(** The descriptors to select for reading and writing.  While [paused]
+    answers true (the frames' consumer is backed up) the frames pipe
+    is left out until the worker's terminal frame. *)
+
+val step :
+  t ->
+  readable:Unix.file_descr list ->
+  writable:Unix.file_descr list ->
+  stop:bool ->
+  outcome option
+(** One loop turn: write job bytes, read frame lines, SIGTERM the
+    worker when [stop] (it has [grace_s] to checkpoint before
+    SIGKILL), and after the pipe's EOF reap it without blocking.
+    [Some] exactly once, at the reap; a worker that lingers [grace_s]
+    past its terminal frame or EOF is SIGKILLed, so none is left a
+    zombie. *)
+
+val wake_at : t -> float option
+(** When {!step} next has work no descriptor signals. *)

@@ -216,6 +216,13 @@ let rec rm_rf path =
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
+(* the real daemon binary, built next to this test (a test/dune
+   dependency) *)
+let csrtl_exe () =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "csrtl.exe" ]
+
 (* every campaign runs in a worker process: a re-execution of this
    binary (see the [worker_entry] call in main) *)
 let with_engine ?(tweak = fun c -> c) f =
@@ -225,8 +232,8 @@ let with_engine ?(tweak = fun c -> c) f =
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
       f (S.Engine.create cfg))
 
-(* collect every emitted frame, in order; emit runs on the calling
-   thread, so a plain accumulator will do *)
+(* collect every emitted frame, in order; the engine is
+   single-threaded, so a plain accumulator will do *)
 let collect t req =
   let acc = ref [] in
   S.Engine.handle t req ~emit:(fun r -> acc := r :: !acc);
@@ -489,53 +496,45 @@ let test_control_requests () =
 
 (* -- admission queue -------------------------------------------------------- *)
 
-let admit_simple a ~client ?deadline ?(stopping = fun () -> false) () =
-  S.Admission.admit a ~client ~deadline ~stopping
-    ~on_queued:(fun ~position:_ ~retry_after_ms:_ -> ())
+(* The queue is a plain data structure: every call decides at once,
+   and a lane freed by [release] is granted within that call. *)
+let admit a ~client ?deadline ?(on_wake = fun _ -> ()) () =
+  S.Admission.admit a ~client ~deadline ~on_wake
 
-let wait_queued a n =
-  let rec go i =
-    if (S.Admission.snapshot a).S.Admission.queued >= n then ()
-    else if i > 1000 then Alcotest.failf "queue never reached %d waiters" n
-    else begin
-      Thread.delay 0.005;
-      go (i + 1)
-    end
-  in
-  go 0
+let queued = function
+  | S.Admission.Queued { position; _ } -> position
+  | _ -> Alcotest.fail "expected the request to queue"
 
 let test_admission_fairness () =
   let a =
     S.Admission.create ~max_active:1 ~max_queue:8 ~max_per_client:4 ()
   in
-  (match admit_simple a ~client:1 () with
+  (match admit a ~client:1 () with
    | S.Admission.Admitted -> ()
    | _ -> Alcotest.fail "empty queue must admit on the fast path");
-  let order = ref [] and lock = Mutex.create () in
-  let spawn label client =
-    Thread.create
-      (fun () ->
-        match admit_simple a ~client () with
-        | S.Admission.Admitted ->
-          Mutex.lock lock;
-          order := label :: !order;
-          Mutex.unlock lock;
-          S.Admission.release a ~wall_ms:(-1.)
-        | _ -> ())
-      ()
+  let order = ref [] in
+  let wait label client =
+    queued
+      (admit a ~client
+         ~on_wake:(function
+           | S.Admission.Granted -> order := label :: !order
+           | _ -> Alcotest.failf "%s woken without a grant" label)
+         ())
   in
   (* client 1 queues two requests, then client 2 queues one; the
      grant order must interleave clients, not drain client 1 first *)
-  let t1 = spawn "A2" 1 in
-  wait_queued a 1;
-  let t2 = spawn "A3" 1 in
-  wait_queued a 2;
-  let t3 = spawn "B1" 2 in
-  wait_queued a 3;
-  S.Admission.release a ~wall_ms:(-1.);
-  List.iter Thread.join [ t1; t2; t3 ];
+  check_int "A2 first in line" 1 (wait "A2" 1);
+  check_int "A3 second" 2 (wait "A3" 1);
+  check_int "B1 third" 3 (wait "B1" 2);
+  List.iteri
+    (fun i _ ->
+      S.Admission.release a ~wall_ms:(-1.);
+      check_int "granted inside the release, no wait" (i + 1)
+        (List.length !order))
+    [ (); (); () ];
   Alcotest.(check (list string))
     "round-robin across clients" [ "A2"; "B1"; "A3" ] (List.rev !order);
+  S.Admission.release a ~wall_ms:(-1.);
   let snap = S.Admission.snapshot a in
   check_int "no lanes leak" 0 snap.S.Admission.active;
   check_int "queue empty" 0 snap.S.Admission.queued
@@ -545,53 +544,60 @@ let test_admission_bounds () =
   let a =
     S.Admission.create ~max_active:1 ~max_queue:0 ~max_per_client:4 ()
   in
-  (match admit_simple a ~client:1 () with
+  (match admit a ~client:1 () with
    | S.Admission.Admitted -> ()
    | _ -> Alcotest.fail "first admit");
-  (match admit_simple a ~client:2 () with
+  (match admit a ~client:2 () with
    | S.Admission.Busy { retry_after_ms } ->
      check_bool "hint at least the floor" true (retry_after_ms >= 50)
    | _ -> Alcotest.fail "full queue must refuse, not block");
   S.Admission.release a ~wall_ms:100.;
-  (* a queued request whose deadline passes is abandoned as Expired *)
+  (* a queued request whose deadline passes is abandoned as Expired at
+     the loop's next [expire]; one with time left stays *)
   let a = S.Admission.create ~max_active:1 ~max_queue:4 ~max_per_client:4 () in
-  (match admit_simple a ~client:1 () with
+  (match admit a ~client:1 () with
    | S.Admission.Admitted -> ()
    | _ -> Alcotest.fail "first admit");
-  (match
-     admit_simple a ~client:2 ~deadline:(Unix.gettimeofday () -. 1.) ()
-   with
-   | S.Admission.Expired _ -> ()
+  let now = Unix.gettimeofday () in
+  let late = ref None and patient = ref None in
+  ignore
+    (queued
+       (admit a ~client:2 ~deadline:(now -. 1.)
+          ~on_wake:(fun w -> late := Some w) ()));
+  ignore
+    (queued
+       (admit a ~client:3 ~deadline:(now +. 60.)
+          ~on_wake:(fun w -> patient := Some w) ()));
+  Alcotest.(check (float 0.)) "the survivor's deadline is the next wake"
+    (now +. 60.) (S.Admission.expire a ~now);
+  (match !late with
+   | Some (S.Admission.Expired { retry_after_ms }) ->
+     check_bool "expiry carries a hint" true (retry_after_ms >= 50)
    | _ -> Alcotest.fail "past deadline must expire in the queue");
+  check_bool "a deadline still ahead keeps its place" true (!patient = None);
+  S.Admission.release a ~wall_ms:(-1.);
+  check_bool "the survivor is granted at the release" true
+    (!patient = Some S.Admission.Granted);
   (* one client cannot take the whole queue, and draining releases
      every waiter *)
   let a = S.Admission.create ~max_active:1 ~max_queue:8 ~max_per_client:1 () in
-  (match admit_simple a ~client:1 () with
+  (match admit a ~client:1 () with
    | S.Admission.Admitted -> ()
    | _ -> Alcotest.fail "first admit");
-  let stop = Atomic.make false in
   let got = ref None in
-  let th =
-    Thread.create
-      (fun () ->
-        got :=
-          Some
-            (admit_simple a ~client:2
-               ~stopping:(fun () -> Atomic.get stop)
-               ()))
-      ()
-  in
-  wait_queued a 1;
-  (match admit_simple a ~client:2 () with
+  ignore (queued (admit a ~client:2 ~on_wake:(fun w -> got := Some w) ()));
+  (match admit a ~client:2 () with
    | S.Admission.Busy _ -> ()
    | _ -> Alcotest.fail "per-client share must refuse the second waiter");
-  Atomic.set stop true;
-  Thread.join th;
+  S.Admission.drain a;
   (match !got with
    | Some S.Admission.Draining -> ()
    | _ -> Alcotest.fail "drain must release the waiter as Draining");
   check_int "queue empty after drain" 0
-    (S.Admission.snapshot a).S.Admission.queued
+    (S.Admission.snapshot a).S.Admission.queued;
+  S.Admission.release a ~wall_ms:(-1.);
+  check_int "nothing granted after the drain" 0
+    (S.Admission.snapshot a).S.Admission.active
 
 (* -- cache tiers ------------------------------------------------------------ *)
 
@@ -613,30 +619,6 @@ let test_cache_lru_stamp_refresh () =
   let st = S.Cache.stats c in
   check_int "exactly one eviction" 1 st.S.Cache.evictions;
   check_int "at capacity" 2 st.S.Cache.entries
-
-let test_cache_concurrent_threads () =
-  (* capacity 1 under 8 threads: every op total, entries stay bounded,
-     hit/miss accounting covers every find *)
-  let c = S.Cache.create ~capacity:1 in
-  let n_threads = 8 and per = 200 in
-  let ts =
-    List.init n_threads (fun tid ->
-        Thread.create
-          (fun () ->
-            for k = 0 to per - 1 do
-              let key = Printf.sprintf "%d-%d" tid (k mod 5) in
-              (match S.Cache.find c key with Some _ | None -> ());
-              S.Cache.add c key ((tid * per) + k)
-            done)
-          ())
-  in
-  List.iter Thread.join ts;
-  let st = S.Cache.stats c in
-  check_int "entries bounded by capacity" 1 st.S.Cache.entries;
-  check_int "every find accounted"
-    (n_threads * per)
-    (st.S.Cache.hits + st.S.Cache.misses);
-  check_bool "churn evicted" true (st.S.Cache.evictions > 0)
 
 let test_warm_requests_byte_identical () =
   (* second identical request rides the plan and golden tiers; the
@@ -681,10 +663,30 @@ let test_tiers_disabled_byte_identical () =
       check_int "disabled golden tier shows zero capacity" 0
         st.S.Frame.golden.S.Frame.capacity)
 
+(* Submit without waiting; the thunk answers the frames (Queued frames
+   dropped) once the request is terminal. *)
+let submit ?client t req =
+  let acc = ref [] and finished = ref false in
+  S.Engine.submit ?client t req ~emit:(fun r ->
+      (match r with S.Frame.Queued _ -> () | _ -> acc := r :: !acc);
+      if S.Engine.terminal r then finished := true);
+  fun () -> if !finished then Some (List.rev !acc) else None
+
+(* poll the engine until every submitted request is terminal *)
+let settle t pending =
+  let rec go () =
+    match List.map (fun p -> p ()) pending with
+    | rs when List.for_all Option.is_some rs -> List.map Option.get rs
+    | _ ->
+      ignore (S.Engine.poll t ~read:[] ~write:[] ~timeout:1.);
+      go ()
+  in
+  go ()
+
 let test_tier_eviction_under_concurrency () =
-  (* distinct models churning width-1 tiers from three threads: the
-     reports stay byte-identical to offline and the tiers stay bounded
-     while evicting *)
+  (* distinct models churning width-1 tiers from three clients' requests
+     interleaved on one engine: the reports stay byte-identical to
+     offline and the tiers stay bounded while evicting *)
   let module V = Csrtl_verify in
   let models =
     List.init 4 (fun i -> V.Consist.random_model ((i * 7) + 1))
@@ -704,38 +706,25 @@ let test_tier_eviction_under_concurrency () =
         golden_cache_capacity = 1; max_pending = 4; max_queue = 64;
         max_queue_per_client = 16 })
     (fun t ->
-      let failures = ref [] in
-      let lock = Mutex.create () in
-      let worker tid =
-        Thread.create
-          (fun () ->
-            List.iteri
-              (fun i (text, want) ->
-                let q =
-                  { (basic_inject text) with
-                    limit = Some 8; resume = false }
-                in
-                match report_of (collect t (S.Frame.Inject q)) with
-                | r when r.text = want -> ()
-                | _ ->
-                  Mutex.lock lock;
-                  failures := (tid, i) :: !failures;
-                  Mutex.unlock lock
-                | exception e ->
-                  Mutex.lock lock;
-                  failures := (tid, i) :: !failures;
-                  Mutex.unlock lock;
-                  ignore e)
+      let pending =
+        List.concat_map
+          (fun client ->
+            List.map
+              (fun (text, _) ->
+                submit ~client t
+                  (S.Frame.Inject
+                     { (basic_inject text) with
+                       limit = Some 8; resume = false }))
               jobs)
-          ()
+          [ 0; 1; 2 ]
       in
-      let ts = List.init 3 worker in
-      List.iter Thread.join ts;
-      (match !failures with
-       | [] -> ()
-       | (tid, i) :: _ ->
-         Alcotest.failf "thread %d model %d: report differs under churn"
-           tid i);
+      List.iteri
+        (fun i rs ->
+          let want = snd (List.nth jobs (i mod List.length jobs)) in
+          if (report_of rs).text <> want then
+            Alcotest.failf "client %d model %d: report differs under churn"
+              (i / List.length jobs) (i mod List.length jobs))
+        (settle t pending);
       let st = S.Engine.stats t in
       check_bool "plan tier evicted" true
         (st.S.Frame.plan.S.Frame.evictions > 0);
@@ -851,6 +840,51 @@ let test_worker_kill_restart () =
       check_int "one restart performed" 1 stats.S.Frame.restarts;
       check_int "nothing quarantined" 0 stats.S.Frame.quarantined)
 
+(* Two requests for one campaign share its token and journal: the
+   second starts its worker only once the first's is reaped, and then
+   resumes every entry the first journaled. *)
+let test_same_token_waits_for_reap () =
+  let text = fig1_text () in
+  let m, _ = Result.get_ok (C.Rtm.parse text) in
+  let offline =
+    F.Campaign.render_report ~table:false (F.Campaign.run ~batch:32 m)
+  in
+  let pids = ref [] in
+  with_workers
+    ~tweak:(fun c ->
+      { c with
+        S.Engine.on_worker =
+          Some
+            (fun ~pid ~token:_ ->
+              (* the earlier worker must be gone, not just a zombie *)
+              List.iter
+                (fun earlier ->
+                  match Unix.kill earlier 0 with
+                  | () -> Alcotest.fail "second worker spawned before the reap"
+                  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
+                !pids;
+              pids := pid :: !pids) })
+    (fun t ->
+      let q = basic_inject text in
+      let first = submit t (S.Frame.Inject { q with resume = false }) in
+      let second = submit t (S.Frame.Inject q) in
+      match settle t [ first; second ] with
+      | [ first; second ] ->
+        let total =
+          match second with
+          | S.Frame.Started { total; _ } :: _ -> total
+          | _ -> Alcotest.fail "no Started frame"
+        in
+        check_int "two workers" 2 (List.length !pids);
+        check_int "the first ran fresh" 0 (report_of first).reused;
+        check_int "the second reused every entry" total
+          (report_of second).reused;
+        Alcotest.(check string) "first = offline bytes" offline
+          (report_of first).text;
+        Alcotest.(check string) "second = offline bytes" offline
+          (report_of second).text
+      | _ -> Alcotest.fail "two requests, two answers")
+
 let test_quarantine () =
   let text = fig1_text () in
   let arm = ref true in
@@ -905,13 +939,7 @@ let test_daemon_sigkill_resume () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let sock = Filename.concat dir "d.sock" in
   let state = Filename.concat dir "state" in
-  (* the daemon is the real csrtl binary in its own process, built
-     next to this test (a test/dune dependency) *)
-  let csrtl =
-    List.fold_left Filename.concat
-      (Filename.dirname Sys.executable_name)
-      [ Filename.parent_dir_name; "bin"; "csrtl.exe" ]
-  in
+  let csrtl = csrtl_exe () in
   let spawn_daemon () =
     Unix.create_process csrtl
       [| csrtl; "serve"; "--socket"; sock; "--state-dir"; state; "--jobs";
@@ -1020,11 +1048,7 @@ let test_orphaned_worker_drains () =
                 ("golden", F.Journal.Json.Str "off");
                 ("chaos", F.Journal.Json.Arr []) ]));
       output_char oc '\n');
-  let csrtl =
-    List.fold_left Filename.concat
-      (Filename.dirname Sys.executable_name)
-      [ Filename.parent_dir_name; "bin"; "csrtl.exe" ]
-  in
+  let csrtl = csrtl_exe () in
   let r, w = Unix.pipe ~cloexec:true () in
   let shell =
     Unix.create_process "/bin/sh"
@@ -1169,34 +1193,95 @@ let test_lineio_final_line () =
     let rd, wr = Unix.pipe () in
     ignore (Unix.write_substring wr bytes 0 (String.length bytes));
     Unix.close wr;
-    (rd, S.Lineio.reader rd)
+    let r = S.Lineio.reader () in
+    (rd, fun () -> S.Lineio.read_line r rd)
   in
-  let rd, r = feed "one\ntwo" in
-  (match S.Lineio.read_line r with
+  let rd, next = feed "one\ntwo" in
+  (match next () with
    | S.Lineio.Line "one" -> ()
    | _ -> Alcotest.fail "terminated line reads normally");
-  (match S.Lineio.read_line r with
+  (match next () with
    | S.Lineio.Line "two" -> ()
    | _ -> Alcotest.fail "unterminated final line must be delivered");
-  (match S.Lineio.read_line r with
+  (match next () with
    | S.Lineio.Eof -> ()
    | _ -> Alcotest.fail "then Eof");
   Unix.close rd;
   (* a lone unterminated line *)
-  let rd, r = feed "solo" in
-  (match S.Lineio.read_line r with
+  let rd, next = feed "solo" in
+  (match next () with
    | S.Lineio.Line "solo" -> ()
    | _ -> Alcotest.fail "lone unterminated line must be delivered");
-  (match S.Lineio.read_line r with
+  (match next () with
    | S.Lineio.Eof -> ()
    | _ -> Alcotest.fail "then Eof after the lone line");
   Unix.close rd;
   (* an empty stream is just Eof — no phantom empty Line *)
-  let rd, r = feed "" in
-  (match S.Lineio.read_line r with
+  let rd, next = feed "" in
+  (match next () with
    | S.Lineio.Eof -> ()
    | _ -> Alcotest.fail "empty stream is Eof");
   Unix.close rd
+
+(* The splitter's contract on a whole stream: each terminated line,
+   less one trailing CR, is a Line within the cap and Too_long past
+   it; an unterminated tail is a Line within the cap, dropped past it. *)
+let lines_of_stream ~max_line stream =
+  let parts = String.split_on_char '\n' stream in
+  let rec go = function
+    | [] -> []
+    | [ tail ] ->
+      if tail = "" || String.length tail > max_line then []
+      else [ S.Lineio.Line tail ]
+    | l :: rest ->
+      let n = String.length l in
+      let l = if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l in
+      (if String.length l > max_line then S.Lineio.Too_long
+       else S.Lineio.Line l)
+      :: go rest
+  in
+  go parts
+
+let lineio_chunking =
+  let gen =
+    QCheck.Gen.(
+      let* stream =
+        string_size ~gen:(oneofl [ 'a'; 'b'; '\n'; '\r' ]) (int_bound 120)
+      in
+      let* cuts = list_size (int_bound 12) (int_bound 120) in
+      let* max_line = int_bound 10 in
+      return (stream, cuts, max_line))
+  in
+  let print (stream, cuts, max_line) =
+    Printf.sprintf "%S cut at [%s], cap %d" stream
+      (String.concat "; " (List.map string_of_int cuts))
+      max_line
+  in
+  QCheck.Test.make ~name:"any chunking yields the lines of one chunk"
+    ~count:1000 (QCheck.make ~print gen) (fun (stream, cuts, max_line) ->
+      let split chunks =
+        let r = S.Lineio.reader ~max_line () in
+        let rec take acc =
+          match S.Lineio.next r with
+          | None -> acc
+          | Some S.Lineio.Eof -> acc
+          | Some l -> take (l :: acc)
+        in
+        let acc =
+          List.fold_left (fun acc c -> S.Lineio.feed r c; take acc) [] chunks
+        in
+        r.S.Lineio.eof <- true;
+        List.rev (take acc)
+      in
+      let n = String.length stream in
+      let cuts = List.sort_uniq compare (List.filter (fun c -> c < n) cuts) in
+      let chunks =
+        List.map2
+          (fun a b -> String.sub stream a (b - a))
+          (0 :: cuts) (cuts @ [ n ])
+      in
+      let whole = split [ stream ] in
+      whole = lines_of_stream ~max_line stream && split chunks = whole)
 
 let contains ~sub s =
   let n = String.length sub in
@@ -1210,6 +1295,120 @@ let scratch_dir prefix =
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   dir
+
+let test_connection_bound () =
+  let limit ~max_pending =
+    let rec go n =
+      if S.Server.accepts ~live:n ~max_pending then go (n + 1) else n
+    in
+    go 0
+  in
+  let l4 = limit ~max_pending:4 in
+  check_bool "hundreds of clients fit" true (l4 >= 512);
+  check_bool "connections and 4 workers' pipes stay below FD_SETSIZE" true
+    (l4 + (2 * 4) < 1024);
+  check_int "each lane costs two connections" (l4 - 2) (limit ~max_pending:5);
+  check_bool "the connection past the bound is refused" false
+    (S.Server.accepts ~live:l4 ~max_pending:4)
+
+(* Connection A streams a long campaign (~1 MB of entry frames) and
+   never reads a byte; once A's worker has stalled behind the full
+   buffers, B's exchange must still complete, byte-identical to
+   offline.  A then hangs up unread, and its campaign still journals to
+   the end: a resend reuses every entry. *)
+let test_slow_client_isolated () =
+  let dir = scratch_dir "csrtl_slow" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sock = Filename.concat dir "d.sock" in
+  let csrtl = csrtl_exe () in
+  let daemon =
+    Unix.create_process csrtl
+      [| csrtl; "serve"; "--socket"; sock; "--state-dir";
+         Filename.concat dir "state"; "--jobs"; "1"; "--quiet" |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  (* a daemon left behind by a failure would hold the test's output *)
+  Fun.protect ~finally:(fun () ->
+      (try Unix.kill daemon Sys.sigkill with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] daemon) with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  (match S.Client.connect ~retries:500 ~delay:0.01 sock with
+   | Ok c -> S.Client.close c
+   | Error msg -> Alcotest.failf "connect: %s" msg);
+  let dial () = Result.get_ok (S.Client.dial sock) in
+  let send fd req =
+    check_bool "sent" true (S.Lineio.write_line fd (S.Frame.encode_request req))
+  in
+  (* a stalled daemon fails the test instead of hanging it *)
+  let answer fd =
+    let r = S.Lineio.reader () and deadline = Unix.gettimeofday () +. 30. in
+    let rec go acc =
+      match S.Lineio.next r with
+      | Some (S.Lineio.Line l) ->
+        (match S.Frame.decode_response l with
+         | Ok resp when S.Engine.terminal resp -> List.rev (resp :: acc)
+         | Ok (S.Frame.Queued _) -> go acc
+         | Ok resp -> go (resp :: acc)
+         | Error _ -> Alcotest.fail "undecodable frame")
+      | Some (S.Lineio.Too_long | S.Lineio.Eof) ->
+        Alcotest.fail "connection closed before a terminal frame"
+      | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "no terminal frame within 30 s";
+        (match Unix.select [ fd ] [] [] 1. with
+         | [], _, _ -> ()
+         | _ -> S.Lineio.read r fd);
+        go acc
+    in
+    go []
+  in
+  let big = Chain_model.chain 600 in
+  let q_big =
+    { (basic_inject (C.Rtm.to_string big)) with stream = true; resume = false }
+  in
+  let a = dial () in
+  send a (S.Frame.Inject q_big);
+  (* A's journal grows an entry per fault until its frames back up *)
+  let journal_bytes () =
+    Array.fold_left
+      (fun acc f ->
+        if Filename.check_suffix f ".jsonl" then
+          acc + (Unix.stat (Filename.concat dir ("state/" ^ f))).Unix.st_size
+        else acc)
+      0
+      (try Sys.readdir (Filename.concat dir "state") with Sys_error _ -> [||])
+  in
+  let rec stalled last still tries =
+    Unix.sleepf 0.05;
+    let now = journal_bytes () in
+    if tries > 0 && (now = 0 || now <> last || still < 6) then
+      stalled now (if now = last then still + 1 else 0) (tries - 1)
+  in
+  stalled 0 0 400;
+  let text = fig1_text () in
+  let m, _ = Result.get_ok (C.Rtm.parse text) in
+  let b = dial () in
+  send b (S.Frame.Inject { (basic_inject text) with resume = false });
+  Alcotest.(check string) "B's report = offline bytes"
+    (F.Campaign.render_report ~table:false (F.Campaign.run ~batch:32 m))
+    (report_of (answer b)).text;
+  Unix.close b;
+  Unix.close a;
+  let c = dial () in
+  send c (S.Frame.Inject { q_big with stream = false; resume = true });
+  (match answer c with
+   | [ S.Frame.Started { total; _ }; S.Frame.Report { reused; text; _ } ] ->
+     check_int "A's journal was complete" total reused;
+     Alcotest.(check string) "A's campaign = offline bytes"
+       (F.Campaign.render_report ~table:false (F.Campaign.run ~batch:32 big))
+       text
+   | _ -> Alcotest.fail "expected Started; Report");
+  send c S.Frame.Shutdown;
+  check_bool "bye" true (answer c = [ S.Frame.Bye ]);
+  Unix.close c;
+  match Unix.waitpid [] daemon with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "the daemon did not drain to exit 0"
 
 (* the hints an operator meets most: no socket file at all, and a
    socket file nobody listens on (a crashed daemon's leftover) *)
@@ -1246,25 +1445,22 @@ let test_socket_ownership () =
   let sock = Filename.concat dir "d.sock" in
   let config state =
     { S.Server.default_config with
-      S.Server.socket = sock; signals = false;
+      S.Server.socket = sock;
       engine =
         { S.Engine.default_config with
           S.Engine.state_dir = Filename.concat dir state; jobs = 1 } }
   in
   let start state =
-    let result = ref (Error "never ran") in
-    let th =
-      Thread.create
-        (fun () -> result := S.Server.serve ~config:(config state) ())
-        ()
-    in
-    (th, result)
+    let csrtl = csrtl_exe () in
+    Unix.create_process csrtl
+      [| csrtl; "serve"; "--socket"; sock; "--state-dir";
+         Filename.concat dir state; "--jobs"; "1"; "--quiet" |]
+      Unix.stdin Unix.stdout Unix.stderr
   in
-  let finished label (th, result) =
-    Thread.join th;
-    match !result with
-    | Ok () -> ()
-    | Error msg -> Alcotest.failf "%s: %s" label msg
+  let finished label pid =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.failf "%s: the daemon did not exit 0" label
   in
   let connect () =
     match S.Client.connect ~retries:500 ~delay:0.01 sock with
@@ -1348,8 +1544,6 @@ let () =
             test_cache_and_token_stability;
           Alcotest.test_case "re-add refreshes the LRU stamp" `Quick
             test_cache_lru_stamp_refresh;
-          Alcotest.test_case "concurrent threads, capacity 1" `Quick
-            test_cache_concurrent_threads;
           Alcotest.test_case "warm requests byte-identical" `Quick
             test_warm_requests_byte_identical;
           Alcotest.test_case "disabled tiers byte-identical" `Quick
@@ -1379,6 +1573,8 @@ let () =
             test_forked_matches_offline;
           Alcotest.test_case "SIGKILL mid-campaign, journal restart" `Quick
             test_worker_kill_restart;
+          Alcotest.test_case "same token waits for the reap" `Quick
+            test_same_token_waits_for_reap;
           Alcotest.test_case "repeated crashes quarantine the model" `Quick
             test_quarantine;
           Alcotest.test_case "daemon SIGKILL, restart, token reuse" `Quick
@@ -1395,6 +1591,11 @@ let () =
       ( "transport",
         [ Alcotest.test_case "unterminated final line at EOF" `Quick
             test_lineio_final_line;
+          QCheck_alcotest.to_alcotest ~long:false lineio_chunking;
+          Alcotest.test_case "connection bound below FD_SETSIZE" `Quick
+            test_connection_bound;
+          Alcotest.test_case "a client that never reads stalls nobody"
+            `Quick test_slow_client_isolated;
           Alcotest.test_case "connect hints" `Quick test_connect_hints;
           Alcotest.test_case "socket ownership" `Quick
             test_socket_ownership ] ) ]
