@@ -14,8 +14,9 @@ test:
 # backtraces on, then sweep the corpus through the CLI validators.
 # `csrtl check` exits 1 on a model whose schedule conflicts
 # (conflict.rtm does, by design), so both 0 and 1 count as a clean
-# diagnosis here; any other exit fails.  The closing inject run shards
-# across two domains, smoking the worker pool end to end.
+# diagnosis here; any other exit fails.  The closing batched smoke
+# runs a campaign large enough for the gate to fan it out across two
+# domains, smoking the worker pool end to end.
 check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke oneshot-smoke
 	OCAMLRUNPARAM=b dune runtest
 	@mkdir -p _build/check
@@ -67,26 +68,33 @@ check: build fuzz-smoke serve-smoke scaling-smoke chaos-smoke cache-smoke onesho
 	cmp _build/check/smoke_clean.out _build/check/smoke_resumed.out || \
 	  { echo "kill-and-resume smoke FAILED"; exit 1; }; \
 	echo "  SIGKILLed journaled campaign resumed a partial journal to a byte-identical report"
-	@echo "batched-campaign smoke (2 domains, lockstep vs kernel path):"
+	@echo "batched-campaign smoke (lockstep vs kernel path, 2 domains):"
 	@CSRTL=_build/default/bin/csrtl.exe; \
 	$$CSRTL inject _build/check/smoke.rtm --engine kernel --jobs 1 --table \
 	  > _build/check/smoke_kernel.out; \
-	$$CSRTL inject _build/check/smoke.rtm --engine auto --jobs 2 --chunks 4 \
-	  --table > _build/check/smoke_batched.out; \
-	cmp _build/check/smoke_kernel.out _build/check/smoke_batched.out || \
-	  { echo "batched-campaign smoke FAILED: reports differ"; exit 1; }; \
-	$$CSRTL inject _build/check/smoke.rtm --jobs 0 --table \
-	  > _build/check/smoke_gated.out; \
-	cmp _build/check/smoke_kernel.out _build/check/smoke_gated.out || \
-	  { echo "batched-campaign smoke FAILED: --jobs 0 report differs"; \
-	    exit 1; }; \
-	for k in 1 64; do \
-	  $$CSRTL inject _build/check/smoke.rtm --engine auto --jobs 2 --chunks 4 \
-	    --batch $$k --table > _build/check/smoke_batch$$k.out; \
-	  cmp _build/check/smoke_kernel.out _build/check/smoke_batch$$k.out || \
-	    { echo "batched-campaign smoke FAILED at --batch $$k"; exit 1; }; \
+	for j in 2 0; do \
+	  $$CSRTL inject _build/check/smoke.rtm --engine auto --jobs $$j --table \
+	    > _build/check/smoke_batched$$j.out; \
+	  cmp _build/check/smoke_kernel.out _build/check/smoke_batched$$j.out || \
+	    { echo "batched-campaign smoke FAILED at --jobs $$j"; exit 1; }; \
 	done; \
-	echo "  2-domain batched campaign (batch 32, 1, 64) and the --jobs 0 gate are byte-identical to the kernel path"
+	{ echo "model chain200"; echo "csmax 401"; \
+	  echo "reg R0 init 1"; echo "reg R1 init 2"; \
+	  echo "bus BA BB"; echo "unit ADD ops add latency 1"; \
+	  i=0; while [ $$i -lt 200 ]; do r=$$((2 * i + 1)); \
+	    d=R1; [ $$((i % 2)) -eq 1 ] && d=R0; \
+	    echo "transfer R0 BA R1 BB $$r ADD $$((r + 1)) BA $$d"; \
+	    i=$$((i + 1)); done; } > _build/check/chain200.rtm; \
+	$$CSRTL inject _build/check/chain200.rtm --jobs 1 --table \
+	  > _build/check/chain200_seq.out; \
+	for k in 1 32 64; do \
+	  $$CSRTL inject _build/check/chain200.rtm --jobs 2 --batch $$k --table \
+	    > _build/check/chain200_batch$$k.out; \
+	  cmp _build/check/chain200_seq.out _build/check/chain200_batch$$k.out || \
+	    { echo "batched-campaign smoke FAILED: chain200 at --batch $$k"; \
+	      exit 1; }; \
+	done; \
+	echo "  batched campaign (--jobs 2, 0) = kernel path; a 200-transfer chain the gate fans out at --jobs 2 (batch 1, 32, 64) = --jobs 1"
 	@echo "make check: all corpus models validated"
 
 # A one-shot campaign on a 32-transfer chain allocates less than one

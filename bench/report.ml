@@ -521,9 +521,9 @@ let scaling_check () =
       (Format.pp_print_list F.Campaign.pp_entry)
       r.F.Campaign.entries
   in
-  let reference = full (F.Campaign.run ~engine:`Kernel m) in
+  let reference = full (F.Campaign.run ~jobs:1 ~engine:`Kernel m) in
   let batched =
-    full (F.Campaign.run_parallel ~jobs:2 ~engine:`Auto ~batch:32 m)
+    full (F.Campaign.run ~jobs:2 ~engine:`Auto ~batch:32 m)
   in
   let host = host_domains () in
   let epar = float_of_int (max 1 (min 2 host)) in
@@ -533,7 +533,7 @@ let scaling_check () =
     for _ = 1 to 3 do
       let t =
         Workloads.wall_us (fun () ->
-            rep := Some (F.Campaign.run_parallel ~jobs ~engine:`Kernel m))
+            rep := Some (F.Campaign.run ~jobs ~engine:`Kernel m))
       in
       if t < !best then best := t
     done;

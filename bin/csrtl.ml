@@ -805,18 +805,13 @@ let inject_cmd =
   in
   let jobs =
     let doc =
-      "Shard the campaign across $(docv) domains.  The report is \
-       byte-identical at any job count; 0 means one per core."
+      "Shard the campaign across up to $(docv) domains; 0 (the default) \
+       means one per core.  The campaign runs on the calling domain \
+       until its measured per-fault times say the rest repays more \
+       domains, journaled or not.  The report is byte-identical at any \
+       job count."
     in
-    Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
-  in
-  let chunks =
-    let doc =
-      "Split the sharded work into $(docv) pool chunks.  The report is \
-       byte-identical at any chunk count; by default the campaign plans \
-       the count from the measured per-fault cost."
-    in
-    Arg.(value & opt (some int) None & info [ "chunks" ] ~docv:"N" ~doc)
+    Arg.(value & opt int 0 & info [ "jobs" ] ~docv:"N" ~doc)
   in
   let journal =
     let doc =
@@ -870,8 +865,8 @@ let inject_cmd =
     Arg.(value & opt (some string) None
          & info [ "artifact-cache" ] ~docv:"DIR" ~doc)
   in
-  let run path engine batch list_flag fault_idx limit table jobs chunks
-      journal resume strict budget no_restore artifact_cache =
+  let run path engine batch list_flag fault_idx limit table jobs journal
+      resume strict budget no_restore artifact_cache =
     handle_errors (fun () ->
         (match limit with
          | Some k when k < 1 ->
@@ -882,16 +877,11 @@ let inject_cmd =
           Format.eprintf "--batch must be at least 1 (got %d)@." batch;
           exit exit_bad_input
         end;
-        (match jobs with
-         | Some j when j < 0 ->
-           Format.eprintf "--jobs must be at least 0 (got %d)@." j;
-           exit exit_bad_input
-         | _ -> ());
-        (match chunks with
-         | Some c when c < 1 ->
-           Format.eprintf "--chunks must be at least 1 (got %d)@." c;
-           exit exit_bad_input
-         | _ -> ());
+        if jobs < 0 then begin
+          Format.eprintf "--jobs must be at least 0 (got %d)@." jobs;
+          exit exit_bad_input
+        end;
+        let jobs = if jobs = 0 then None else Some jobs in
         (match budget with
          | Some b when b <= 0. ->
            Format.eprintf "--budget must be positive (got %g)@." b;
@@ -1037,16 +1027,8 @@ let inject_cmd =
             let r =
               match journal, resume with
               | None, None ->
-                (match jobs with
-                 | None | Some 1 ->
-                   Csrtl_fault.Campaign.run ~faults ?budget ~restore ~engine
-                     ~batch ?plan ?golden m
-                 | Some 0 ->
-                   Csrtl_fault.Campaign.run_parallel ?chunks ~faults ?budget
-                     ~restore ~engine ~batch ?plan ?golden m
-                 | Some j ->
-                   Csrtl_fault.Campaign.run_parallel ~jobs:j ?chunks ~faults
-                     ?budget ~restore ~engine ~batch ?plan ?golden m)
+                Csrtl_fault.Campaign.run ?jobs ~faults ?budget ~restore
+                  ~engine ~batch ?plan ?golden m
               | _ ->
                 let journal_path, resuming =
                   match journal, resume with
@@ -1055,9 +1037,8 @@ let inject_cmd =
                   | _ -> assert false
                 in
                 (match
-                   Csrtl_fault.Campaign.run_journaled
-                     ?jobs:(match jobs with Some 0 -> None | j -> j)
-                     ?chunks ~faults ?budget ~restore ~engine ~batch
+                   Csrtl_fault.Campaign.run_journaled ?jobs ~faults ?budget
+                     ~restore ~engine ~batch
                      ~warm:(fun () -> (plan, golden))
                      ~journal:journal_path ~resume:resuming m
                  with
@@ -1100,7 +1081,7 @@ let inject_cmd =
   Cmd.v
     (Cmd.info "inject" ~doc)
     Term.(const run $ model_arg $ engine $ batch $ list_flag $ fault_idx
-          $ limit $ table $ jobs $ chunks $ journal $ resume $ strict
+          $ limit $ table $ jobs $ journal $ resume $ strict
           $ budget $ no_restore $ artifact_cache)
 
 (* -- info -------------------------------------------------------------------- *)

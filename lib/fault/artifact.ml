@@ -1,8 +1,7 @@
 open Csrtl_core
 
 (* The cacheable result of a campaign's golden work: both engines'
-   clean observations and the measured golden wall cost that feeds
-   chunk planning.  Content-addressed by (model digest, config tag):
+   clean observations.  Content-addressed by (model digest, config tag):
    the digest covers the model text, so a changed model can never
    reuse a stale artifact.
 
@@ -21,7 +20,6 @@ type t = {
   config : string;
   golden_k : Observation.t;
   golden_i : Observation.t;
-  est_us : float;
 }
 
 (* ---- validation ------------------------------------------------- *)
@@ -51,7 +49,7 @@ let validate (m : Model.t) ~config a =
    so their own [end] lines never terminate the artifact — only the
    top-level [end] does. *)
 
-let magic = "csrtl-artifact 2"
+let magic = "csrtl-artifact 3"
 
 let to_string a =
   let b = Buffer.create 1024 in
@@ -62,7 +60,6 @@ let to_string a =
   line magic;
   line ("digest " ^ a.digest);
   line ("config " ^ a.config);
-  line (Printf.sprintf "est_us %h" a.est_us);
   line "golden-kernel";
   Buffer.add_string b (Observation.to_string a.golden_k);
   line "golden-kernel-end";
@@ -83,7 +80,7 @@ let of_string text =
   try
     match lines with
     | m :: rest when String.trim m = magic ->
-      let digest = ref "" and config = ref "" and est_us = ref 0. in
+      let digest = ref "" and config = ref "" in
       let golden_k = ref None and golden_i = ref None in
       let seen_end = ref false in
       (* [section] is [Some (end_marker, deposit, accumulated)] while
@@ -106,10 +103,6 @@ let of_string text =
             (match fields with
              | [ "digest"; d ] -> digest := d
              | [ "config"; c ] -> config := c
-             | [ "est_us"; f ] ->
-               (match float_of_string_opt f with
-                | Some v when v >= 0. -> est_us := v
-                | Some _ | None -> bad "bad est_us %S" f)
              | [ "golden-kernel" ] ->
                section :=
                  Some
@@ -137,14 +130,7 @@ let of_string text =
       if !config = "" then bad "missing config line";
       (match (!golden_k, !golden_i) with
        | Some golden_k, Some golden_i ->
-         Ok
-           {
-             digest = !digest;
-             config = !config;
-             golden_k;
-             golden_i;
-             est_us = !est_us;
-           }
+         Ok { digest = !digest; config = !config; golden_k; golden_i }
        | None, _ -> bad "missing kernel golden"
        | _, None -> bad "missing interpreter golden")
     | _ -> Error "not a csrtl artifact (bad magic line)"

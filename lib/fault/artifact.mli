@@ -1,11 +1,10 @@
 (** The cacheable golden work of a fault campaign.
 
     An artifact holds what a warm campaign cannot cheaply rebuild:
-    both engines' clean golden observations and the measured wall
-    cost of one golden run (which shapes chunk planning only, never
-    report bytes).  Build one with {!Campaign.prepare}; pass it back
-    via the campaign entry points' [?golden] argument and the warm
-    campaign skips the golden simulations.
+    both engines' clean golden observations.  Build one with
+    {!Campaign.prepare}; pass it back via the campaign entry points'
+    [?golden] argument and the warm campaign skips the golden
+    simulations.
 
     Golden checkpoints are not part of it.  Every control-step
     boundary is quiescent (SEMANTICS §10), so the golden state at a
@@ -34,7 +33,6 @@ type t = {
   config : string;  (** {!Journal.config_tag} of the build config *)
   golden_k : Observation.t;  (** kernel-side clean golden *)
   golden_i : Observation.t;  (** interpreter clean golden *)
-  est_us : float;  (** measured golden wall cost, microseconds *)
 }
 
 val matches : digest:string -> config_tag:string -> t -> bool
@@ -52,16 +50,17 @@ val validate : Model.t -> config:Simulate.config -> t -> (unit, string) result
     a crash. *)
 
 val to_string : t -> string
-(** Versioned text serialization (magic ["csrtl-artifact 2"]): the
+(** Versioned text serialization (magic ["csrtl-artifact 3"]): the
     golden observations are embedded verbatim in their own versioned
     format between section markers.  Its size is linear in the
     schedule length. *)
 
 val of_string : string -> (t, string) result
 (** Total inverse of {!to_string} — any input yields [Ok] or a
-    human-readable [Error], never an exception.  Any other version,
-    the checkpoint-carrying ["csrtl-artifact 1"] included, is an
-    [Error]: a cache holding one rebuilds it. *)
+    human-readable [Error], never an exception.  Any other version is
+    an [Error] — the checkpoint-carrying ["csrtl-artifact 1"] and
+    ["csrtl-artifact 2"], which also stored a timed golden cost,
+    included: a cache holding one rebuilds it. *)
 
 val save : string -> t -> unit
 (** Write-then-rename: a concurrent {!load} sees complete bytes or

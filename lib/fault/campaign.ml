@@ -104,10 +104,6 @@ type ctx = {
   plan : Batch.plan option;
       (* None only when the model does not validate or compile — and
          then no fault is batchable either, so it is never consulted *)
-  est_us : float;
-      (* measured wall cost of one golden run, the campaign's proxy
-         for per-fault cost.  Feeds only the chunk-count heuristic —
-         never report bytes, which stay wall-clock-independent. *)
 }
 
 let boundary_in (lf : Legs.t) f =
@@ -146,15 +142,13 @@ let boundaries_of ~faults lf =
 let legs_of ~plan m =
   match plan with Some p -> Batch.legs p | None -> Legs.of_model m
 
-(* A campaign's goldens, computed afresh: the kernel-side one, timed
-   as the campaign's [est_us], then the interpreter's.  The kernel-side
-   golden is the arena's golden row when the configuration stays on
-   the static schedule (fault runs themselves always need the kernel
-   or the interpreter — injection is dynamic).  The differential suite
-   pins that row against [Simulate] on the full observation, so
-   classification is unchanged. *)
+(* A campaign's goldens, computed afresh: the kernel-side one, then
+   the interpreter's.  The kernel-side golden is the arena's golden row
+   when the configuration stays on the static schedule (fault runs
+   themselves always need the kernel or the interpreter — injection is
+   dynamic).  The differential suite pins that row against [Simulate]
+   on the full observation, so classification is unchanged. *)
 let run_goldens ~config ~plan m =
-  let t0 = Unix.gettimeofday () in
   let golden_k =
     match Sched.compilable ~config m with
     | Ok () -> fst (Batch.golden_with (plan_exn ~plan m) [])
@@ -162,17 +156,16 @@ let run_goldens ~config ~plan m =
       (Simulate.run_cfg ~config:{ config with Simulate.watchdog = true } m)
         .Simulate.obs
   in
-  let est_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-  (golden_k, Interp.run m, est_us)
+  (golden_k, Interp.run m)
 
 (* The artifact holds only the goldens: a checkpoint is one golden-row
    run away at any boundary, which is cheaper than parsing it and far
    smaller than storing its observation prefix. *)
 let prepare ?(config = Simulate.default) ?plan (m : Model.t) =
   let plan = make_plan ?plan m in
-  let golden_k, golden_i, est_us = run_goldens ~config ~plan m in
+  let golden_k, golden_i = run_goldens ~config ~plan m in
   { Artifact.digest = Snapshot.digest_of_model m;
-    config = Journal.config_tag config; golden_k; golden_i; est_us }
+    config = Journal.config_tag config; golden_k; golden_i }
 
 (* [kernel_faults] are the faults the campaign sends to the kernel
    path, the only runs that read a checkpoint's observation prefix.  A
@@ -189,7 +182,7 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
      (the differential suite pins it); [Halt]/[Degrade] goldens
      diverge, so those campaigns re-simulate from step 0. *)
   let restore_on = restore && config.Simulate.on_illegal = Simulate.Record in
-  let golden_k, golden_i, est_us =
+  let golden_k, golden_i =
     match golden with
     | Some (a : Artifact.t) ->
       if
@@ -201,7 +194,7 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
              "Campaign: golden artifact (digest %s, config %s) does not \
               match this campaign"
              a.Artifact.digest a.Artifact.config);
-      (a.Artifact.golden_k, a.Artifact.golden_i, a.Artifact.est_us)
+      (a.Artifact.golden_k, a.Artifact.golden_i)
     | None -> run_goldens ~config ~plan m
   in
   let checkpoints = Hashtbl.create 16 in
@@ -216,7 +209,7 @@ let make_ctx ~config ?budget ?plan:plan0 ?golden ~restore ~kernel_faults
     same_golden = Observation.equal golden_k golden_i; legs;
     law = Simulate.expected_cycles m; restore_on; checkpoints;
     ck_lock = Mutex.create ();
-    built = Atomic.make (Hashtbl.length checkpoints); budget; plan; est_us }
+    built = Atomic.make (Hashtbl.length checkpoints); budget; plan }
 
 (* [Simulate.expected_cycles_from ctx.m s0], off the law computed once *)
 let law_from ctx s0 = ctx.law - (Phase.count * s0)
@@ -537,8 +530,6 @@ let summarize (m : Model.t) entries =
 let fault_list ?limit ?faults m =
   match faults with Some fs -> fs | None -> Fault.enumerate ?limit m
 
-let faults_of = function Chunk ifs -> List.length ifs | Single _ -> 1
-
 (* Domains of the pool's last map that ran at least one item. *)
 let busy_domains p =
   Array.fold_left
@@ -546,56 +537,34 @@ let busy_domains p =
       if w.Csrtl_par.Par.w_items > 0 then n + 1 else n)
     0 (Csrtl_par.Par.last_stats p)
 
-(* Run the work items and count the domains that ran them.  Without a
-   pool or a chunk count, the gate in {!Csrtl_par.Par.map_gated} runs
-   items inline and spawns a pool only once their measured time says
-   the rest repays it: a batched fault costs about a tenth of a golden
-   run, so most campaigns finish before that.  An explicit pool or
-   chunk count fans out at once, its chunk count planned from [est_us]
-   times the faults per item — one golden run per fault, which prices
-   a batched fault about ten times too high.  Either way the chunking
-   only shapes scheduling: results are chunk-count invariant (the
-   pool's contract), so reports stay deterministic. *)
-let map_faults ?pool ?jobs ?chunks ~est_us compute work =
-  let planned p =
-    match chunks with
-    | Some _ -> chunks
-    | None ->
-      let items = List.length work in
-      let faults = List.fold_left (fun n w -> n + faults_of w) 0 work in
-      Some
-        (Csrtl_par.Par.plan_chunks ~jobs:(Csrtl_par.Par.jobs p) ~items
-           ~item_cost_us:
-             (est_us *. float_of_int faults /. float_of_int (max items 1)))
-  in
-  let fan_out p =
-    let r = Csrtl_par.Par.map ?chunks:(planned p) p compute work in
-    (r, busy_domains p)
-  in
-  let jobs =
-    match jobs with Some j -> j | None -> Csrtl_par.Par.default_jobs ()
-  in
-  match (pool, chunks) with
-  | Some p, _ -> fan_out p
-  | None, Some _ -> Csrtl_par.Par.with_pool ~jobs fan_out
-  | None, None -> Csrtl_par.Par.map_gated ~jobs compute work
-
-(* Shard the planned work across the pool (or run it inline), then
-   reassemble entries in fault order — the report is independent of
-   jobs, chunking and batch size.  [should_stop] is polled before each
-   work item: once it answers true, remaining items are skipped (their
-   faults simply produce no entry), which is how a daemon drains an
-   in-flight campaign to its journal checkpoint without killing the
-   pool.  Completed items are never discarded, so a drained campaign
-   plus its resumption is byte-identical to an uninterrupted one. *)
-let compute_all ?pool ?jobs ?chunks ?(should_stop = fun () -> false) ~par
-    ~ctx ~on_entry work =
+(* Shard the planned work across domains (or run it inline), count the
+   domains that ran it, then reassemble entries in fault order — the
+   report is independent of jobs and batch size.  A caller's pool fans
+   out at once, at {!Csrtl_par.Par.map}'s default chunking.  Otherwise
+   the gate in {!Csrtl_par.Par.map_gated} runs items inline and spawns
+   a pool of [jobs] only once their measured time says the rest repays
+   it: a batched fault costs about a tenth of a golden run, so most
+   campaigns finish before that.  Either way results are placed by
+   input index (the pool's contract), so reports stay deterministic.
+   [should_stop] is polled before each work item: once it answers true,
+   remaining items are skipped (their faults simply produce no entry),
+   which is how a daemon drains an in-flight campaign to its journal
+   checkpoint without killing the pool.  Completed items are never
+   discarded, so a drained campaign plus its resumption is
+   byte-identical to an uninterrupted one. *)
+let compute_all ?pool ?jobs ?(should_stop = fun () -> false) ~ctx ~on_entry
+    work =
   let compute w =
     if should_stop () then ([], no_stats) else compute_work ~ctx ~on_entry w
   in
   let results, domains =
-    if par then map_faults ?pool ?jobs ?chunks ~est_us:ctx.est_us compute work
-    else (List.map compute work, min (List.length work) 1)
+    match pool with
+    | Some p -> (Csrtl_par.Par.map p compute work, busy_domains p)
+    | None ->
+      let jobs =
+        Option.value jobs ~default:(Csrtl_par.Par.available_parallelism ())
+      in
+      Csrtl_par.Par.map_gated ~jobs compute work
   in
   let entries =
     List.sort
@@ -616,21 +585,9 @@ let setup ~config ?budget ?plan ?golden ~restore ~engine ~batch m indexed =
   in
   (ctx, work)
 
-let run ?(config = Simulate.default) ?limit ?faults ?budget ?(restore = true)
-    ?(engine : engine = `Auto) ?(batch = 32) ?plan ?golden (m : Model.t) =
-  let faults = fault_list ?limit ?faults m in
-  let ctx, work =
-    setup ~config ?budget ?plan ?golden ~restore ~engine ~batch m
-      (List.mapi (fun i f -> (i, f)) faults)
-  in
-  let entries, _ =
-    compute_all ~par:false ~ctx ~on_entry:(fun _ _ -> ()) work
-  in
-  summarize m (List.map snd entries)
-
-let run_with_stats ?pool ?jobs ?chunks ?(config = Simulate.default) ?limit
-    ?faults ?budget ?(restore = true) ?(engine : engine = `Auto)
-    ?(batch = 32) ?plan ?golden (m : Model.t) =
+let run_with_stats ?pool ?jobs ?(config = Simulate.default) ?limit ?faults
+    ?budget ?(restore = true) ?(engine : engine = `Auto) ?(batch = 32) ?plan
+    ?golden (m : Model.t) =
   let faults = fault_list ?limit ?faults m in
   (* goldens and checkpoints computed once in the caller and shared
      read-only with every domain; each faulted run owns all its
@@ -640,20 +597,19 @@ let run_with_stats ?pool ?jobs ?chunks ?(config = Simulate.default) ?limit
       (List.mapi (fun i f -> (i, f)) faults)
   in
   let entries, stats =
-    compute_all ?pool ?jobs ?chunks ~par:true ~ctx
-      ~on_entry:(fun _ _ -> ()) work
+    compute_all ?pool ?jobs ~ctx ~on_entry:(fun _ _ -> ()) work
   in
   (summarize m (List.map snd entries), stats)
 
-let run_parallel ?pool ?jobs ?chunks ?config ?limit ?faults ?budget ?restore
-    ?engine ?batch ?plan ?golden (m : Model.t) =
+let run ?pool ?jobs ?config ?limit ?faults ?budget ?restore ?engine ?batch
+    ?plan ?golden (m : Model.t) =
   fst
-    (run_with_stats ?pool ?jobs ?chunks ?config ?limit ?faults ?budget
-       ?restore ?engine ?batch ?plan ?golden m)
+    (run_with_stats ?pool ?jobs ?config ?limit ?faults ?budget ?restore
+       ?engine ?batch ?plan ?golden m)
 
 type resume_info = { reused : int; rerun : int; torn : int; remaining : int }
 
-let run_journaled ?pool ?jobs ?chunks ?(config = Simulate.default) ?digest
+let run_journaled ?pool ?jobs ?(config = Simulate.default) ?digest
     ?limit ?faults ?budget ?(restore = true) ?(engine : engine = `Auto)
     ?(batch = 32) ?warm ?should_stop ?on_entry:user_on_entry ~journal
     ~resume (m : Model.t) =
@@ -743,8 +699,7 @@ let run_journaled ?pool ?jobs ?chunks ?(config = Simulate.default) ?digest
           match user_on_entry with None -> () | Some f -> f i e
         in
         let computed, _ =
-          compute_all ?pool ?jobs ?chunks ?should_stop ~par:true ~ctx
-            ~on_entry work
+          compute_all ?pool ?jobs ?should_stop ~ctx ~on_entry work
         in
         Journal.sync w;
         computed

@@ -118,20 +118,21 @@ val boundary_of_fault : Model.t -> Fault.t -> int
 val prepare :
   ?config:Simulate.config -> ?plan:Batch.plan -> Model.t -> Artifact.t
 (** Compute the campaign's golden work once, as a cacheable
-    {!Artifact}: both engines' clean golden runs and the measured
-    golden wall cost.  No fault is enumerated and no boundary is
-    snapshotted: a campaign builds the checkpoints its kernel-path
-    faults restore from itself, warm or cold, so both restore from the
-    same boundaries.  [plan] reuses an existing compile.  Passing the
+    {!Artifact}: both engines' clean golden runs.  No fault is
+    enumerated and no boundary is snapshotted: a campaign builds the
+    checkpoints its kernel-path faults restore from itself, warm or
+    cold, so both restore from the same boundaries.  [plan] reuses an existing compile.  Passing the
     artifact back through [?golden] below yields byte-identical
     reports to a cold run — the warm path is a pure optimization. *)
 
 val run :
+  ?pool:Csrtl_par.Par.t -> ?jobs:int ->
   ?config:Simulate.config -> ?limit:int -> ?faults:Fault.t list ->
   ?budget:float -> ?restore:bool -> ?engine:engine -> ?batch:int ->
   ?plan:Batch.plan -> ?golden:Artifact.t ->
   Model.t -> report
-(** [faults] overrides {!Fault.enumerate} (then [limit] is unused).
+(** Run the campaign, its fault list sharded across domains.
+    [faults] overrides {!Fault.enumerate} (then [limit] is unused).
     [config] selects the kernel policies of every run (default
     {!Simulate.default}); the watchdog is always forced on so a
     stalling fault classifies as [Hung] instead of hanging the
@@ -146,6 +147,21 @@ val run :
     batched fast path; [batch] (default 32) is the lockstep batch
     size K — results do not depend on it.
 
+    The goldens and kernel-path checkpoints are computed once in the
+    caller; each faulted run owns its kernel/interpreter state, so
+    runs are embarrassingly parallel.  A work item is one kernel-path
+    fault, or a batched chunk of K faults stepping K + 1 arena rows.
+    The items run on the calling domain, timed, until their measured
+    times say the rest repays a pool of [jobs] (default one per core,
+    {!Csrtl_par.Par.available_parallelism}; [Invalid_argument] when
+    [jobs < 1]), which then takes them ({!Csrtl_par.Par.map_gated}):
+    a small campaign never spawns a domain.  [pool] instead fans the
+    items out on an existing pool at once (then [jobs] is ignored).
+    Entry order follows the fault list regardless of scheduling: the
+    report is the same bytes from {!pp_report} at any
+    [jobs]/[pool]/[batch], which the determinism suite checks.  The
+    measurements shape scheduling only, never the report bytes.
+
     [plan] supplies a pre-compiled {!Csrtl_core.Batch.plan} (a
     plan-cache hit) and [golden] a pre-built {!Artifact} (a golden
     hit): with both, the campaign skips compilation and the golden
@@ -157,33 +173,6 @@ val run :
     config tag does not match this campaign raises
     [Invalid_argument]; validate cached artifacts before passing
     them. *)
-
-val run_parallel :
-  ?pool:Csrtl_par.Par.t -> ?jobs:int -> ?chunks:int ->
-  ?config:Simulate.config -> ?limit:int -> ?faults:Fault.t list ->
-  ?budget:float -> ?restore:bool -> ?engine:engine -> ?batch:int ->
-  ?plan:Batch.plan -> ?golden:Artifact.t ->
-  Model.t -> report
-(** {!run} with the fault list sharded across a domain pool.  The
-    goldens and kernel-path checkpoints are computed once in the
-    caller; each faulted run owns its kernel/interpreter state, so runs
-    are embarrassingly parallel.  Entry order follows the fault list
-    regardless of scheduling: the report is {e identical} to {!run}'s
-    — same bytes from {!pp_report} at any [jobs]/[chunks]/[batch] —
-    which the determinism suite checks.  [pool] reuses an existing pool (then
-    [jobs] is ignored); otherwise a pool of [jobs] (default
-    {!Csrtl_par.Par.default_jobs}) is created for the call, sized to
-    the host's cores; when the runtime cannot provide the requested domains the pool shrinks
-    gracefully down to sequential ({!Csrtl_par.Par.create}).  A work
-    item is one kernel-path fault, or a batched chunk of K faults
-    stepping K + 1 arena rows.  With neither [pool] nor [chunks], the
-    items run on the calling domain until their measured times say the
-    rest repays a pool ({!Csrtl_par.Par.map_gated}), so a small
-    campaign never spawns a domain.  With a [pool] and no [chunks], the
-    chunk count is planned from the measured golden-run cost
-    ({!Csrtl_par.Par.plan_chunks}, each item costing its fault count
-    times the golden cost).  The measurements shape scheduling only,
-    never the report bytes. *)
 
 type resume_info = {
   reused : int;  (** journal entries accepted without re-running *)
@@ -199,7 +188,7 @@ type resume_info = {
 }
 
 val run_journaled :
-  ?pool:Csrtl_par.Par.t -> ?jobs:int -> ?chunks:int ->
+  ?pool:Csrtl_par.Par.t -> ?jobs:int ->
   ?config:Simulate.config -> ?digest:string -> ?limit:int ->
   ?faults:Fault.t list ->
   ?budget:float -> ?restore:bool -> ?engine:engine -> ?batch:int ->
@@ -207,7 +196,7 @@ val run_journaled :
   ?should_stop:(unit -> bool) -> ?on_entry:(int -> entry -> unit) ->
   journal:string -> resume:bool ->
   Model.t -> (report * resume_info, string) result
-(** {!run_parallel} (on [pool], or a pool of its own) with
+(** {!run} (on [pool], or behind the gate at [jobs]) with
     crash durability: every finished fault is
     appended to the JSONL [journal] ({!Journal}) before the campaign
     moves on, and the journal is fsynced ({!Journal.sync}) when the
@@ -243,12 +232,12 @@ val run_journaled :
     journal could lose. *)
 
 val run_with_stats :
-  ?pool:Csrtl_par.Par.t -> ?jobs:int -> ?chunks:int ->
+  ?pool:Csrtl_par.Par.t -> ?jobs:int ->
   ?config:Simulate.config -> ?limit:int -> ?faults:Fault.t list ->
   ?budget:float -> ?restore:bool -> ?engine:engine -> ?batch:int ->
   ?plan:Batch.plan -> ?golden:Artifact.t ->
   Model.t -> report * batch_stats
-(** {!run_parallel}, additionally reporting how the faults were
+(** {!run}, additionally reporting how the faults were
     dispatched — perfbench's probe reads the early-retirement hit rate
     and the batched/kernel split. *)
 

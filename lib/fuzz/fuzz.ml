@@ -419,8 +419,7 @@ let gen_artifact r =
         (if Rng.int r 4 > 0 then J.config_tag C.Simulate.default
          else "halt");
       golden_k = (if Rng.bool r then golden else other);
-      golden_i = (if Rng.bool r then golden else other);
-      est_us = float_of_int (Rng.int r 100_000) /. 7. }
+      golden_i = (if Rng.bool r then golden else other) }
 
 (* worker jobs from the encoder: random config fields, a request, a
    golden decision with its key or artifact bytes, journal injections *)

@@ -42,7 +42,6 @@ type t = {
 }
 
 let available_parallelism () = Domain.recommended_domain_count ()
-let default_jobs = available_parallelism
 let jobs t = t.njobs
 
 let run_chunks t (j : job) w =

@@ -35,9 +35,6 @@ val available_parallelism : unit -> int
 (** [Domain.recommended_domain_count ()] — the core count the runtime
     advertises, and the clamp {!create} applies. *)
 
-val default_jobs : unit -> int
-(** Alias of {!available_parallelism} — the default worker count. *)
-
 val create : ?oversubscribe:bool -> jobs:int -> unit -> t
 (** Spawn worker domains ([Invalid_argument] when [jobs < 1]).  The
     spawn target is [min jobs (available_parallelism ())] unless
@@ -68,16 +65,16 @@ val plan_chunks : jobs:int -> items:int -> item_cost_us:float -> int
     [item_cost_us] µs each: about 5 ms of work per chunk, clamped to
     [\[jobs, 4 * jobs\]] and to one chunk per item — and [1] when the
     whole job is under 1 ms or [jobs <= 1].  Deterministic in its
-    inputs; callers feed it a {e measured} cost, so the chunk count may
-    vary run to run — chunk count never changes {!map} results, only
-    scheduling. *)
+    inputs; its one caller, {!map_gated}, feeds it the mean item time
+    it measured inline, so the chunk count may vary run to run — chunk
+    count never changes {!map} results, only scheduling. *)
 
 val map : ?chunks:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** Apply [f] to every element, fanning chunks out across the pool.
     [chunks] defaults to [4 * jobs] (bounded by the list length) —
     small enough to amortize hand-off, large enough to rebalance when
-    items vary in cost; pass {!plan_chunks} of a measured cost to do
-    better.  The result list matches the input order exactly.  If any
+    items vary in cost.  The result list matches the input order
+    exactly.  If any
     application raises, the first failure (by completion time) is
     re-raised after all workers finish their in-flight chunks, wrapped
     as {!Task_error} carrying the failing input's index.

@@ -454,7 +454,9 @@ let child_main ~stopping ~t0 { cfg; q; golden; chaos } fd =
     let faults_digest = F.Journal.faults_digest labels in
     let token = token_of ~digest ~config_tag ~faults_digest in
     let journal = journal_path cfg token in
-    let jobs = if cfg.jobs <= 0 then Par.default_jobs () else cfg.jobs in
+    let jobs =
+      if cfg.jobs <= 0 then Par.available_parallelism () else cfg.jobs
+    in
     let plan () =
       match C.Batch.plan model with p -> Some p | exception _ -> None
     in

@@ -29,7 +29,7 @@ type config = {
   state_dir : string;  (** journals live here, one per resume token *)
   jobs : int;
       (** each worker's domain-pool width; [<= 0] means
-          {!Csrtl_par.Par.default_jobs} *)
+          {!Csrtl_par.Par.available_parallelism} *)
   cache_capacity : int;  (** compile-cache entries (LRU beyond that) *)
   plan_cache_capacity : int;
       (** fault-enumeration tier, keyed by (model digest | config

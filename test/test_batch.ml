@@ -319,10 +319,12 @@ let full_report_string (r : Campaign.report) =
 (* One reference campaign on the kernel path; every (engine, jobs,
    batch) combination must print the same bytes. *)
 let campaign_invariance (m : Model.t) =
-  let reference = full_report_string (Campaign.run ~engine:`Kernel m) in
+  let reference =
+    full_report_string (Campaign.run ~jobs:1 ~engine:`Kernel m)
+  in
   List.iter
     (fun (engine, name) ->
-      let seq = full_report_string (Campaign.run ~engine m) in
+      let seq = full_report_string (Campaign.run ~jobs:1 ~engine m) in
       if seq <> reference then
         Alcotest.failf "sequential %s report differs from kernel path" name)
     [ (`Auto, "auto"); (`Compiled, "compiled") ];
@@ -331,8 +333,9 @@ let campaign_invariance (m : Model.t) =
       List.iter
         (fun jobs ->
           let r =
-            full_report_string
-              (Campaign.run_parallel ~jobs ~engine:`Auto ~batch m)
+            Pools.with_jobs jobs (fun pool ->
+                full_report_string
+                  (Campaign.run ?pool ~jobs ~engine:`Auto ~batch m))
           in
           if r <> reference then
             Alcotest.failf "report differs at jobs=%d batch=%d" jobs batch)
@@ -376,8 +379,11 @@ let test_oscillator_in_batch () =
     Fault.enumerate m
     @ [ Fault.Oscillator { sink = "B1"; step = 1; phase = Phase.Ra } ]
   in
-  let auto = Campaign.run_parallel ~jobs:2 ~engine:`Auto ~faults m in
-  let kernel = Campaign.run_parallel ~jobs:2 ~engine:`Kernel ~faults m in
+  let auto, kernel =
+    Pools.with_jobs 2 (fun pool ->
+        ( Campaign.run ?pool ~engine:`Auto ~faults m,
+          Campaign.run ?pool ~engine:`Kernel ~faults m ))
+  in
   if full_report_string auto <> full_report_string kernel then
     Alcotest.fail "oscillator campaign differs between engines";
   match List.rev auto.Campaign.entries with

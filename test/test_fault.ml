@@ -1207,7 +1207,8 @@ let warm_matrix (m : C.Model.t) =
         (fun (jobs, batch) ->
           check
             (Printf.sprintf "parallel warm jobs=%d batch=%d" jobs batch)
-            (F.Campaign.run_parallel ~jobs ~engine ~batch ?plan ~golden m))
+            (Pools.with_jobs jobs (fun pool ->
+                 F.Campaign.run ?pool ~jobs ~engine ~batch ?plan ~golden m)))
         [ (1, 1); (2, 8); (2, 64) ])
     [ `Auto; `Kernel; `Compiled ]
 

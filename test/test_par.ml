@@ -267,8 +267,8 @@ let entries_string r =
 
 let test_campaign_parallel_matches_sequential () =
   let m = C.Builder.fig1 () in
-  let seq = F.Campaign.run m in
-  let par = F.Campaign.run_parallel ~jobs:3 m in
+  let seq = F.Campaign.run ~jobs:1 m in
+  let par = Pools.with_jobs 3 (fun pool -> F.Campaign.run ?pool m) in
   Alcotest.(check string) "report bytes" (report_string seq)
     (report_string par);
   Alcotest.(check string) "entry bytes" (entries_string seq)
@@ -277,7 +277,9 @@ let test_campaign_parallel_matches_sequential () =
 let test_campaign_jobs_invariance () =
   (* same seed, different shard counts: byte-identical reports *)
   let m = C.Builder.fig1 () in
-  let at jobs = F.Campaign.run_parallel ~jobs ~chunks:(2 * jobs) m in
+  let at jobs =
+    Pools.with_jobs jobs (fun pool -> F.Campaign.run ?pool ~jobs m)
+  in
   let r1 = at 1 in
   List.iter
     (fun jobs ->
@@ -291,8 +293,8 @@ let test_campaign_jobs_invariance () =
 let test_campaign_shared_pool () =
   let m = C.Builder.fig1 () in
   Par.with_pool ~jobs:2 (fun pool ->
-      let r1 = F.Campaign.run_parallel ~pool m in
-      let r2 = F.Campaign.run_parallel ~pool ~limit:5 m in
+      let r1 = F.Campaign.run ~pool m in
+      let r2 = F.Campaign.run ~pool ~limit:5 m in
       check_bool "full campaign" true (r1.F.Campaign.total > 5);
       check_int "limited campaign" 5 r2.F.Campaign.total)
 

@@ -1,6 +1,6 @@
 (* Scaling lockdown for the structure-of-arrays lockstep executor and
    the clamped domain pool.  The arena layout, per-domain arena reuse,
-   pool width, chunk count and batch size are scheduling and
+   pool width and batch size are scheduling and
    representation choices: none may show up in campaign bytes at any
    point of the (engine, jobs, batch) acceptance matrix, repeated runs
    on one cached arena must be bit-stable, and the step loop itself is
@@ -22,21 +22,12 @@ let full_report_string (r : Campaign.report) =
 let engines = [ (`Kernel, "kernel"); (`Auto, "auto"); (`Compiled, "compiled") ]
 
 (* Every engine at every jobs in {1,2,4} and batch in {1,8,32,64}
-   must print the reference (sequential kernel-path) bytes.  Campaigns
-   this small never repay a pool on their own ([Par.map_gated]), so
-   the multi-job legs fix a chunk count, which fans out at once and
-   keeps the multi-domain path covered. *)
-let chunks_for jobs = if jobs > 1 then Some 4 else None
-
-(* The multi-job legs run on an oversubscribed pool: [Par.create]
-   clamps a plain pool to the host's cores, so on a one-core host they
-   would otherwise run on one domain and miss every cross-domain bug. *)
-let with_jobs jobs f =
-  if jobs = 1 then f None
-  else Par.with_pool ~oversubscribe:true ~jobs (fun p -> f (Some p))
-
+   must print the reference (sequential kernel-path) bytes; the
+   multi-job legs run on real domains ({!Pools.with_jobs}). *)
 let layout_matrix (m : Model.t) =
-  let reference = full_report_string (Campaign.run ~engine:`Kernel m) in
+  let reference =
+    full_report_string (Campaign.run ~jobs:1 ~engine:`Kernel m)
+  in
   List.iter
     (fun (engine, name) ->
       List.iter
@@ -44,10 +35,9 @@ let layout_matrix (m : Model.t) =
           List.iter
             (fun batch ->
               let r =
-                with_jobs jobs (fun pool ->
+                Pools.with_jobs jobs (fun pool ->
                     full_report_string
-                      (Campaign.run_parallel ?pool ~jobs
-                         ?chunks:(chunks_for jobs) ~engine ~batch m))
+                      (Campaign.run ?pool ~jobs ~engine ~batch m))
               in
               if r <> reference then
                 Alcotest.failf "%s report differs at jobs=%d batch=%d"
@@ -71,9 +61,9 @@ let journal_entries ~jobs ~engine ~batch m =
   let journal = Filename.temp_file "csrtl_matrix" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove journal) @@ fun () ->
   match
-    with_jobs jobs (fun pool ->
-        Campaign.run_journaled ?pool ~jobs ?chunks:(chunks_for jobs) ~engine
-          ~batch ~journal ~resume:false m)
+    Pools.with_jobs jobs (fun pool ->
+        Campaign.run_journaled ?pool ~jobs ~engine ~batch ~journal
+          ~resume:false m)
   with
   | Error e -> Alcotest.failf "%s: %s" m.Model.name e
   | Ok _ ->
@@ -129,7 +119,7 @@ let test_matrix_lanes () =
           in
           let reference =
             full_report_string
-              (Campaign.run_parallel ~jobs:1 ~engine:`Kernel m)
+              (Campaign.run ~jobs:1 ~engine:`Kernel m)
           in
           List.iter
             (fun (engine, name) ->
@@ -138,10 +128,9 @@ let test_matrix_lanes () =
                   List.iter
                     (fun batch ->
                       let r =
-                        with_jobs jobs (fun pool ->
+                        Pools.with_jobs jobs (fun pool ->
                             full_report_string
-                              (Campaign.run_parallel ?pool ~jobs
-                                 ?chunks:(chunks_for jobs) ~engine ~batch m))
+                              (Campaign.run ?pool ~jobs ~engine ~batch m))
                       in
                       if r <> reference then
                         Alcotest.failf
@@ -152,23 +141,6 @@ let test_matrix_lanes () =
             [ (`Auto, "auto"); (`Kernel, "kernel") ])
         [ 1; 2; 3 ])
     [ (1, 24); (4, 12) ]
-
-(* Chunk count is likewise pure scheduling: explicit counts around and
-   beyond the planned one must reproduce the auto-planned bytes. *)
-let test_chunks_invariant () =
-  let m = Builder.fig1 () in
-  let reference =
-    full_report_string (Campaign.run_parallel ~jobs:4 ~engine:`Auto m)
-  in
-  List.iter
-    (fun chunks ->
-      let r =
-        full_report_string
-          (Campaign.run_parallel ~jobs:4 ~chunks ~engine:`Auto m)
-      in
-      if r <> reference then
-        Alcotest.failf "report differs at chunks=%d" chunks)
-    [ 1; 3; 16; 64 ]
 
 (* ---- arena reuse ------------------------------------------------ *)
 
@@ -586,8 +558,6 @@ let () =
             test_matrix_fig1;
           Alcotest.test_case "conflict engine x jobs x batch" `Quick
             test_matrix_conflict;
-          Alcotest.test_case "chunk count invisible" `Quick
-            test_chunks_invariant;
           Alcotest.test_case "journal entries over engine x jobs x batch"
             `Quick test_journal_matrix;
           Alcotest.test_case "benchmark lanes engine x jobs x batch" `Quick
