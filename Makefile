@@ -148,6 +148,13 @@ serve-smoke: build
 	SOCK=/tmp/csrtl-smoke-$$$$.sock; STATE=_build/check/serve-state; \
 	mkdir -p _build/check; rm -rf $$STATE; rm -f $$SOCK; \
 	trap 'rm -f '"$$SOCK" EXIT; \
+	running () { s=$$(ps -o stat= -p $$1 2> /dev/null); \
+	  [ -n "$$s" ] && [ "$${s#Z}" = "$$s" ]; }; \
+	outlived () { [ -n "$$1" ] || { echo "no worker to watch"; return 0; }; \
+	  n=0; for p in $$1; do \
+	    while running $$p && [ $$n -lt 100 ]; do sleep 0.02; n=$$((n + 1)); done; \
+	    running $$p && { echo "worker $$p still running"; return 0; }; \
+	  done; return 1; }; \
 	{ echo "model smoke"; echo "csmax 65"; \
 	  echo "reg R0 init 1"; echo "reg R1 init 2"; \
 	  echo "bus BA BB"; echo "unit ADD ops add latency 1"; \
@@ -181,11 +188,17 @@ serve-smoke: build
 	cmp _build/check/serve_offline_k.out _build/check/serve_k.out || \
 	  { echo "serve smoke FAILED: engine/batch differential"; exit 1; }; \
 	echo "  cold + cached + kernel/batch=1 responses byte-identical"; \
-	( $$CSRTL request --socket $$SOCK _build/check/serve_smoke.rtm \
+	WORKERS=$$( $$CSRTL request --socket $$SOCK \
+	    _build/check/serve_smoke.rtm \
 	    --no-resume --engine kernel --batch 1 > /dev/null 2>&1 & \
-	  cpid=$$!; sleep 0.05; kill -9 $$SERVE_PID 2> /dev/null; \
+	  cpid=$$!; sleep 0.05; pgrep -P $$SERVE_PID; \
+	  kill -9 $$SERVE_PID 2> /dev/null; \
 	  wait $$cpid 2> /dev/null; true ); \
 	wait $$SERVE_PID 2> /dev/null; rm -f $$SOCK; \
+	if outlived "$$WORKERS"; then \
+	  echo "serve smoke FAILED: a worker outlived the SIGKILLed daemon"; \
+	  exit 1; fi; \
+	echo "  no worker outlived the SIGKILLed daemon"; \
 	CSRTL_SERVE_KILL_NTH=2 $$CSRTL serve --socket $$SOCK \
 	  --state-dir $$STATE --quiet & \
 	SERVE_PID=$$!; \
@@ -205,15 +218,18 @@ serve-smoke: build
 	  grep -q 'workers: 2 crashes, 2 restarts' || \
 	  { echo "serve smoke FAILED: the killed workers were not restarted"; \
 	    exit 1; }; \
-	echo "  every other worker SIGKILLed (CSRTL_SERVE_KILL_NTH=2): restarted, byte-identical"; \
+	echo "  every other job's worker SIGKILLed (CSRTL_SERVE_KILL_NTH=2): restarted, byte-identical"; \
+	WORKERS=$$(pgrep -P $$SERVE_PID); \
 	$$CSRTL request --socket $$SOCK --shutdown > /dev/null || \
 	  { echo "serve smoke FAILED: shutdown request"; exit 1; }; \
 	wait $$SERVE_PID; rc=$$?; \
 	[ $$rc -eq 0 ] || \
 	  { echo "serve smoke FAILED: daemon exit $$rc"; exit 1; }; \
+	if outlived "$$WORKERS"; then \
+	  echo "serve smoke FAILED: a worker outlived the shutdown"; exit 1; fi; \
 	test ! -e $$SOCK || \
 	  { echo "serve smoke FAILED: socket left behind"; exit 1; }; \
-	echo "  graceful shutdown: exit 0, socket removed"
+	echo "  graceful shutdown: exit 0, socket removed, no worker left"
 	@echo "wire-frame fuzz (10k frames, zero-crash acceptance bar):"
 	@dune exec --no-build csrtl -- fuzz --target frame --seed 42 \
 	  --runs 10000 --out _build/fuzz-frames

@@ -1257,8 +1257,9 @@ let serve_cmd =
           die2 "--plan-cache must be >= 0 (got %d)" plan_cache;
         if golden_cache < 0 then
           die2 "--golden-cache must be >= 0 (got %d)" golden_cache;
-        if max_pending < 1 || max_pending > 256 then
-          die2 "--max-pending must be between 1 and 256 (got %d)" max_pending;
+        if max_pending < 1 || max_pending > Serve.Server.max_pending_cap then
+          die2 "--max-pending must be between 1 and %d (got %d)"
+            Serve.Server.max_pending_cap max_pending;
         if max_queue < 0 then
           die2 "--max-queue must be >= 0 (got %d)" max_queue;
         if max_restarts < 0 then
@@ -1276,8 +1277,9 @@ let serve_cmd =
            die2 "--deadline-ms must be >= 0 (got %d)" ms
          | _ -> ());
         (* chaos knob (docs/SERVICE.md): CSRTL_SERVE_KILL_NTH=n
-           SIGKILLs every nth worker spawn, exercising the
-           crash-restart path from outside.  Unset means disabled. *)
+           SIGKILLs the worker of every nth job as it is handed out,
+           exercising the crash-restart path from outside.  Unset
+           means disabled. *)
         let on_worker =
           match
             Option.bind
@@ -1285,10 +1287,11 @@ let serve_cmd =
               int_of_string_opt
           with
           | Some n when n > 0 ->
-            let spawns = Atomic.make 0 in
+            let jobs = ref 0 in
             Some
               (fun ~pid ~token:_ ->
-                if Atomic.fetch_and_add spawns 1 mod n = 0 then
+                incr jobs;
+                if (!jobs - 1) mod n = 0 then
                   try Unix.kill pid Sys.sigkill
                   with Unix.Unix_error _ -> ())
           | _ -> None

@@ -7,8 +7,8 @@
    engine — the exact code [csrtl serve] runs, minus the socket —
    through seeded sequences of:
 
-   - worker SIGKILL at a random point in the campaign lifecycle
-     (before the journal opens, mid-append, after completion);
+   - worker SIGKILL at a random point of its job (before the journal
+     opens, mid-append, near completion);
    - torn journal tails (truncate a random number of bytes off the
      end, including mid-line tears);
    - ENOSPC on the Nth journal append and EIO on the checkpoint fsync
@@ -54,19 +54,20 @@ type target = {
   expected : string;  (* offline inject stdout, the oracle *)
   mutable token : string;  (* learned from the priming run *)
   mutable journal : string;
+  mutable job_s : float;  (* fastest warm job, handout to report *)
 }
 
 (* -- fault plan ----------------------------------------------------- *)
 
 type fault =
-  | Worker_kill of int  (* SIGKILL the worker after ~n ms *)
+  | Worker_kill of int  (* SIGKILL the worker n/16 into its job's kill span *)
   | Torn_tail of int  (* truncate n bytes off the journal tail *)
   | Journal_enospc of int  (* the nth append raises ENOSPC *)
   | Journal_eio  (* the checkpoint fsync raises EIO *)
   | Frame_delay of int  (* delay each streamed frame by n ms *)
 
 let fault_label = function
-  | Worker_kill ms -> Printf.sprintf "worker-kill@%dms" ms
+  | Worker_kill n -> Printf.sprintf "worker-kill@%d/16" n
   | Torn_tail n -> Printf.sprintf "torn-tail-%db" n
   | Journal_enospc n -> Printf.sprintf "enospc@append-%d" n
   | Journal_eio -> "eio@sync"
@@ -107,18 +108,25 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
       (Printf.sprintf "csrtl-chaos-%d" (Unix.getpid ()))
   in
   (* the kill hook: arm (token, delay, shots) before a scenario; every
-     worker spawned for that token gets a SIGKILL [delay] ms later, from
-     the due list [pump] honours, until the shots run out.  Filtering
-     by token keeps the healthy model's workers safe *)
-  let armed : (string * int * int ref) option ref = ref None in
-  let kills = ref [] in  (* (due time, pid) *)
+     job handed out for that token has its worker SIGKILLed [delay]
+     seconds later, from the due list [pump] honours, until the shots
+     run out.  Filtering by token keeps the healthy model's workers
+     safe.  The delay is a share of the first [kill_span] of the
+     target's fastest warm job, so the kill lands inside its own job
+     (over the whole job, about 1 kill in 180 fell after a job that
+     ran faster than its primes); should the job still end first, the
+     scenario drops the kill, since workers outlive their jobs and a
+     late kill would land on an idle worker or on a later job *)
+  let kill_span = 0.75 in
+  let armed : (string * float * int ref) option ref = ref None in
+  let due_kills = ref [] in  (* (due time, pid) *)
+  let handed_at = ref 0. in  (* when the last job was handed out *)
   let on_worker ~pid ~token =
+    handed_at := Unix.gettimeofday ();
     match !armed with
-    | Some (t, delay_ms, shots) when t = token && !shots > 0 ->
+    | Some (t, delay_s, shots) when t = token && !shots > 0 ->
       decr shots;
-      kills :=
-        (Unix.gettimeofday () +. (float_of_int delay_ms /. 1000.), pid)
-        :: !kills
+      due_kills := (!handed_at +. delay_s, pid) :: !due_kills
     | _ -> ()
   in
   let eng =
@@ -145,8 +153,8 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
   (* one turn of the engine's loop, firing the kills that fall due *)
   let pump () =
     let now = Unix.gettimeofday () in
-    let due, later = List.partition (fun (at, _) -> at <= now) !kills in
-    kills := later;
+    let due, later = List.partition (fun (at, _) -> at <= now) !due_kills in
+    due_kills := later;
     List.iter
       (fun (_, pid) ->
         try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ())
@@ -217,7 +225,7 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
           (F.Campaign.run ~engine:`Auto ~batch:32 m)
       | Error _ -> failwith "chaos: corpus model failed to parse"
     in
-    { text; expected; token = ""; journal = "" }
+    { text; expected; token = ""; journal = ""; job_s = 0. }
   in
   let corpus = [| mk "chaos_a" 3; mk "chaos_b" 4; mk "chaos_c" 5 |] in
   let healthy_t = mk "chaos_healthy" 6 in
@@ -235,9 +243,24 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
        target.journal <-
          Filename.concat state_dir ("inj-" ^ token ^ ".jsonl")
      | None -> failwith "chaos: priming run produced no Started frame");
-    match report_text frames with
-    | Some text when text = target.expected -> ()
-    | _ -> failwith "chaos: priming run did not match offline inject"
+    (match report_text frames with
+     | Some text when text = target.expected -> ()
+     | _ -> failwith "chaos: priming run did not match offline inject");
+    (* time three warm jobs, the shape a kill scenario sends *)
+    let warm_job () =
+      let ended = ref 0. in
+      let frames =
+        request
+          ~tap:(fun r ->
+            if S.Engine.terminal r then ended := Unix.gettimeofday ())
+          { (base_inject target.text) with resume = false }
+      in
+      if report_text frames <> Some target.expected then
+        failwith "chaos: warm priming run did not match offline inject";
+      !ended -. !handed_at
+    in
+    target.job_s <-
+      List.fold_left Float.min infinity (List.init 3 (fun _ -> warm_job ()))
   in
   Array.iter prime corpus;
   prime healthy_t;
@@ -270,10 +293,18 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
       if i mod 4 = 0 then Some (submit (base_inject healthy_t.text)) else None
     in
     (match fault with
-     | Worker_kill delay_ms ->
+     | Worker_kill sixteenths ->
        incr kills;
-       armed := Some (target.token, delay_ms, ref 1);
-       let frames = request { (base_inject target.text) with resume = false } in
+       armed :=
+         Some
+           (target.token,
+            float_of_int sixteenths /. 16. *. kill_span *. target.job_s,
+            ref 1);
+       let frames =
+         request
+           ~tap:(fun r -> if S.Engine.terminal r then due_kills := [])
+           { (base_inject target.text) with resume = false }
+       in
        armed := None;
        settle ~label ~what:"report differs from offline inject" target frames
      | Torn_tail n ->
@@ -328,7 +359,7 @@ let run ?(log = fun _ -> ()) ~seed ~runs () =
   for i = 0 to runs - 1 do
     scenario i
   done;
-  while not (S.Engine.idle eng) do pump () done;
+  S.Engine.shutdown eng;
   let stats = S.Engine.stats eng in
   (* best-effort scrub of the scratch state dir *)
   (try

@@ -236,7 +236,7 @@ let check_limits ?(limits = Csrtl_diag.Diag.Limits.default) m =
 let validate_diags ?limits m =
   check_limits ?limits m @ List.map (error_to_diag m) (validate m)
 
-let all_legs m =
+let build_legs m =
   (* from the last tuple to the first, so each tuple's legs are copied
      once onto the result *)
   List.fold_right
@@ -249,6 +249,25 @@ let all_legs m =
       let l, s = Transfer.decompose t in
       (l @ legs, s @ sels))
     m.transfers ([], [])
+
+(* The decomposition of the last model asked about, keyed by physical
+   identity: a model is immutable, so the same value always decomposes
+   the same way.  Parsing, scheduling, enumeration and every
+   interpreter run of a campaign ask about one model, often from pool
+   domains at once; the entry is one immutable pair behind an
+   [Atomic.t], so a reader never sees a torn entry, and a lost race
+   only costs a rebuild. *)
+let last_legs :
+    (t * (Transfer.leg list * Transfer.op_select list)) option Atomic.t =
+  Atomic.make None
+
+let all_legs m =
+  match Atomic.get last_legs with
+  | Some (m', legs) when m' == m -> legs
+  | Some _ | None ->
+    let legs = build_legs m in
+    Atomic.set last_legs (Some (m, legs));
+    legs
 
 let pp_error ppf e =
   match e.transfer with

@@ -97,7 +97,9 @@ val validate_diags :
 
 val all_legs : t -> Transfer.leg list * Transfer.op_select list
 (** Decomposition of every transfer, with operation defaults filled
-    in from the units. *)
+    in from the units.  The last model asked about is remembered by
+    physical identity: a second call on it returns the same lists and
+    allocates nothing.  Safe to call from any domain. *)
 
 val pp_error : Format.formatter -> error -> unit
 val pp : Format.formatter -> t -> unit

@@ -559,12 +559,15 @@ let compute_all ?pool ?jobs ?(should_stop = fun () -> false) ~ctx ~on_entry
   in
   let results, domains =
     match pool with
-    | Some p -> (Csrtl_par.Par.map p compute work, busy_domains p)
+    | Some p ->
+      (* the stats are the map's own only once it has run: a tuple's
+         components evaluate right to left *)
+      let results = Csrtl_par.Par.map p compute work in
+      (results, busy_domains p)
     | None ->
-      let jobs =
-        Option.value jobs ~default:(Csrtl_par.Par.available_parallelism ())
-      in
-      Csrtl_par.Par.map_gated ~jobs compute work
+      let cores = Csrtl_par.Par.available_parallelism () in
+      let jobs = Option.value jobs ~default:cores in
+      Csrtl_par.Par.map_gated ~width:(min jobs cores) compute work
   in
   let entries =
     List.sort
@@ -607,7 +610,13 @@ let run ?pool ?jobs ?config ?limit ?faults ?budget ?restore ?engine ?batch
     (run_with_stats ?pool ?jobs ?config ?limit ?faults ?budget ?restore
        ?engine ?batch ?plan ?golden m)
 
-type resume_info = { reused : int; rerun : int; torn : int; remaining : int }
+type resume_info = {
+  reused : int;
+  rerun : int;
+  torn : int;
+  remaining : int;
+  domains : int;
+}
 
 let run_journaled ?pool ?jobs ?(config = Simulate.default) ?digest
     ?limit ?faults ?budget ?(restore = true) ?(engine : engine = `Auto)
@@ -674,8 +683,8 @@ let run_journaled ?pool ?jobs ?(config = Simulate.default) ?digest
     (* a wholesale replay computes nothing, so it builds nothing: no
        plan, no goldens, no checkpoints, and no fsync, since there is
        nothing new to pin *)
-    let computed =
-      if todo = [] then []
+    let computed, domains =
+      if todo = [] then ([], 0)
       else begin
         let plan, golden =
           match warm with Some f -> f () | None -> (None, None)
@@ -698,11 +707,11 @@ let run_journaled ?pool ?jobs ?(config = Simulate.default) ?digest
               cycles = e.kernel_cycles; law_ok = e.law_ok };
           match user_on_entry with None -> () | Some f -> f i e
         in
-        let computed, _ =
+        let computed, stats =
           compute_all ?pool ?jobs ?should_stop ~ctx ~on_entry work
         in
         Journal.sync w;
-        computed
+        (computed, stats.domains)
       end
     in
     let computed_tbl = Hashtbl.create 64 in
@@ -733,7 +742,8 @@ let run_journaled ?pool ?jobs ?(config = Simulate.default) ?digest
     Ok
       ( summarize m entries,
         { reused = List.length reused_entries; rerun; torn;
-          remaining = total - List.length reused_entries - rerun } )
+          remaining = total - List.length reused_entries - rerun;
+          domains } )
 
 let pp_outcome = Outcome.pp
 

@@ -185,6 +185,11 @@ type resume_info = {
           campaign; [0] for a completed run.  When non-zero the
           report is partial — its [total] counts only the entries it
           has — and re-invoking with [resume:true] finishes it. *)
+  domains : int;
+      (** domains that ran a work item this invocation, the caller
+          included ({!batch_stats}[.domains]); [0] when nothing ran.
+          Above [1] the campaign spawned a pool, which a daemon's
+          worker reads as its cue to retire *)
 }
 
 val run_journaled :

@@ -226,19 +226,22 @@ let last_stats t = Array.copy t.stats
    0.1-0.2 ms in a warm process and 1-2 ms in a fresh one, about as
    much as a whole small campaign.  So items run inline on the calling
    domain, timed, until the measured mean item time times the items
-   left exceeds [break_even_us]; only then is a pool of [jobs] spawned,
-   and it takes the remainder in chunks priced from the measured mean.
+   left exceeds [break_even_us]; only then is a pool of [width]
+   domains spawned, and it takes the remainder in chunks priced from
+   the measured mean.  The width is the caller's, unclamped, so a test
+   can fan out on one core; a campaign passes its jobs clamped to the
+   host's cores.
    10 ms keeps the spawn under about a fifth of the work it shares.
    Items are timed in processor time ([Sys.time]), so a caller that is
    descheduled mid-item does not mistake the wait for work. *)
 let break_even_us = 10_000.
 
-let map_gated ~jobs f xs =
-  if jobs < 1 then
-    invalid_arg (Printf.sprintf "Par.map_gated: jobs must be >= 1 (got %d)" jobs);
+let map_gated ~width f xs =
+  if width < 1 then
+    invalid_arg
+      (Printf.sprintf "Par.map_gated: width must be >= 1 (got %d)" width);
   let arr = Array.of_list xs in
   let n = Array.length arr in
-  let width = min jobs (available_parallelism ()) in
   let results = Array.make n None in
   let t0 = Sys.time () in
   (* index of the first item left for a pool, with the measured mean
@@ -260,7 +263,7 @@ let map_gated ~jobs f xs =
   match inline 0 with
   | None -> (Array.to_list (Array.map Option.get results), min n 1)
   | Some (first, mean_us) ->
-    with_pool ~jobs (fun p ->
+    with_pool ~oversubscribe:true ~jobs:width (fun p ->
         let rest = List.init (n - first) (fun k -> arr.(first + k)) in
         let chunks =
           plan_chunks ~jobs:p.njobs ~items:(n - first) ~item_cost_us:mean_us

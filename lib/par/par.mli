@@ -89,18 +89,19 @@ val break_even_us : float
     {!map_gated}.  A domain spawn and join costs 0.1-0.2 ms in a warm
     process and 1-2 ms in a fresh one. *)
 
-val map_gated : jobs:int -> ('a -> 'b) -> 'a list -> 'b list * int
-(** [map_gated ~jobs f xs] applies [f] to every element like {!map},
+val map_gated : width:int -> ('a -> 'b) -> 'a list -> 'b list * int
+(** [map_gated ~width f xs] applies [f] to every element like {!map},
     but spawns a pool only when the work repays it.  Items run inline
     on the calling domain, timed in processor time ([Sys.time]), until
     the measured mean item time times the number of items left exceeds
-    {!break_even_us}; then a pool of [jobs] ({!with_pool}, clamped like
-    {!create}) takes the rest, in {!plan_chunks} chunks priced from
-    that mean, and is shut down before returning.  With one core, or
-    [jobs = 1], everything runs inline; [Invalid_argument] when
-    [jobs < 1], as {!create}.  Results are in input order, independent
-    of where the gate fell; a raise is re-raised as {!Task_error} with
-    the index in [xs].  The second component counts the domains that ran at least
+    {!break_even_us}; then a pool of exactly [width] domains
+    ({!with_pool} [~oversubscribe:true]: the caller clamps, see
+    {!available_parallelism}) takes the rest, in {!plan_chunks} chunks
+    priced from that mean, and is shut down before returning.  With
+    [width = 1] everything runs inline; [Invalid_argument] when
+    [width < 1].  Results are in input order, independent of where the
+    gate fell; a raise is re-raised as {!Task_error} with the index in
+    [xs].  The second component counts the domains that ran at least
     one item (the caller included; [0] for an empty list).  The gate
     reads a clock, so it shapes scheduling only: [f] must give the same
     result on any domain. *)

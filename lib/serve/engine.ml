@@ -93,7 +93,8 @@ type t = {
   inflight : (string, (unit -> unit) Queue.t) Hashtbl.t;
   breakers : (string, breaker) Hashtbl.t;
   counters : counters;
-  mutable running : (Worker.t * (Worker.outcome -> unit)) list;
+  (* every live worker process, running a job or idle between jobs *)
+  mutable workers : Worker.t list;
   mutable timers : (float * (unit -> unit)) list;  (* due time, action *)
 }
 
@@ -121,7 +122,7 @@ let create cfg =
     counters =
       { requests = 0; campaigns = 0; drained = 0; refused = 0;
         restarts = 0; crashes = 0 };
-    running = []; timers = [] }
+    workers = []; timers = [] }
 
 let request_stop t = t.stop <- true
 let stopping t = t.stop
@@ -219,9 +220,10 @@ let compile t (q : Frame.inject) =
 
 (* ---- the campaign worker ----------------------------------------- *)
 
-(* The campaign core a worker runs.  [stopping] is the drain flag only
-   (the worker's SIGTERM, or its supervisor's death); the deadline is
-   computed here from [t0]. *)
+(* The campaign core a worker runs: it streams entries through [emit]
+   and returns the terminal frame, with the domains the campaign ran
+   on.  [stopping] is the drain flag only (the worker's SIGTERM, or its
+   supervisor's death); the deadline is computed here from [t0]. *)
 let exec_campaign ~warm ~jobs ~stopping ~journal ~t0
     ~default_deadline_ms (q : Frame.inject) ~model ~digest ~faults ~labels
     ~token ~emit =
@@ -276,26 +278,25 @@ let exec_campaign ~warm ~jobs ~stopping ~journal ~t0
   in
   match result with
   | Error msg ->
-    emit
-      (Frame.Refused
-         { status = 2; retry_after_ms = None;
-           diags = [ Diag.error ~rule:"serve.journal" "%s" msg ] })
+    ( Frame.Refused
+        { status = 2; retry_after_ms = None;
+          diags = [ Diag.error ~rule:"serve.journal" "%s" msg ] },
+      0 )
   | Ok (report, info) ->
-    if info.F.Campaign.remaining > 0 then
-      emit
-        (Frame.Drained
+    ( (if info.F.Campaign.remaining > 0 then
+         Frame.Drained
            { status = 1; token;
              completed = info.F.Campaign.reused + info.F.Campaign.rerun;
              total;
-             reason = (if stopping () then "shutdown" else "deadline") })
-    else
-      let code = inject_code report in
-      emit
-        (Frame.Report
+             reason = (if stopping () then "shutdown" else "deadline") }
+       else
+         let code = inject_code report in
+         Frame.Report
            { status = (if code = 0 then 0 else 1); code; token;
              reused = info.F.Campaign.reused; rerun = info.F.Campaign.rerun;
              torn = info.F.Campaign.torn;
-             text = F.Campaign.render_report ~table:q.Frame.table report })
+             text = F.Campaign.render_report ~table:q.Frame.table report }),
+      info.F.Campaign.domains )
 
 (* What a worker process is told, as bytes on its stdin: line 1 is the
    request as the wire encodes it; line 2 a JSON object with the config
@@ -415,13 +416,15 @@ let decode_job text =
        | Some (Json.Arr js) -> List.map injection js
        | _ -> raise (Json.Bad "missing chaos list")) }
 
-(* Worker body, in a fresh process: fresh stop flag, fresh journal
-   writer, fresh width-limited pool — nothing shared with the daemon
-   beyond the pipes and the journal file (O_APPEND, so even an orphan
-   from a killed daemon interleaves safely until it drains).  The
+(* One job, in a worker process: fresh journal injections, fresh
+   journal writer, the worker's own domains — nothing shared with the
+   daemon beyond the pipes and the journal file (O_APPEND, so even an
+   orphan from a killed daemon interleaves safely until it drains), and
+   nothing carried from the worker's earlier jobs but its heap.  The
    parent already validated the model from the same bytes, so a parse
    failure here is unreachable; it still exits cleanly rather than
-   trusting that.
+   trusting that.  Returns the job's terminal frame, unsent, and the
+   domains its campaign ran on.
 
    The plan is compiled here, at most once: a [Batch.plan] holds
    closures and cannot be sent.  [golden] is the golden-tier decision:
@@ -500,12 +503,33 @@ let child_main ~stopping ~t0 { cfg; q; golden; chaos } fd =
       ~default_deadline_ms:cfg.default_deadline_ms q ~model ~digest ~faults
       ~labels ~token ~emit
 
+(* The recycle rule ([retires]): a worker leaves after its job's
+   terminal frame once it has run [max_jobs] jobs, once its major heap
+   has passed [max_heap_words], or when the job ran on more than one
+   domain.
+
+   Measured on a 2-vCPU host, OCaml 5.1.  A worker that ran 1000
+   serve-mix-shaped jobs (80-transfer chains, [--limit 200]: cold,
+   warm and replay) held its heap at 4-5 MB and its RSS at 13.5 MB from
+   the 100th job on, with no drift in job time; the job cap only bounds
+   what such a run cannot show, and amortizes a 3 ms start over 1000
+   jobs.  A full 200-transfer chain leaves 5 MB.  One IKS
+   [--limit 100] job leaves 80 MB of heap (114 MB RSS) that later small
+   jobs never give back, and three leave 162 MB: the cap sits at six
+   times the small-model plateau, so such a worker goes after its
+   job.  From the fourth pool a process spawns, each further spawn
+   costs about ten times the first three (4 ms against 0.3-0.8 ms),
+   which would eat what reuse saves. *)
+let max_jobs = 1000
+let max_heap_words = 32 * 1024 * 1024 / (Sys.word_size / 8)
+
+let retires ~ran ~domains ~heap_words =
+  ran >= max_jobs || domains > 1 || heap_words > max_heap_words
+
 let worker_entry () =
   if Array.length Sys.argv = 2 && Sys.argv.(1) = Worker.arg then begin
-    (* the deadline anchors at the spawn, and a drain's SIGTERM may
-       arrive while the job is still being read *)
-    let t0 = Unix.gettimeofday () in
     let stop = Atomic.make false in
+    (* a drain's SIGTERM may arrive while a job is still being read *)
     Sys.set_signal Sys.sigterm
       (Sys.Signal_handle (fun _ -> Atomic.set stop true));
     Sys.set_signal Sys.sigint Sys.Signal_ignore;
@@ -515,10 +539,29 @@ let worker_entry () =
        and an orphan still computing would only duplicate its faults *)
     let ppid = Unix.getppid () in
     let stopping () = Atomic.get stop || Unix.getppid () <> ppid in
-    (match decode_job (In_channel.input_all stdin) with
-     | job -> (try child_main ~stopping ~t0 job Unix.stdout with _ -> exit 1)
-     | exception Json.Bad _ -> exit 2);
-    exit 0
+    let rec serve ran =
+      match Worker.read_job stdin with
+      | `Eof -> exit 0
+      | `Bad -> exit 2
+      | `Job text ->
+        (* a job's deadline anchors when the job is read *)
+        let t0 = Unix.gettimeofday () in
+        let job = try decode_job text with Json.Bad _ -> exit 2 in
+        let terminal, domains =
+          try child_main ~stopping ~t0 job Unix.stdout with _ -> exit 1
+        in
+        let last =
+          stopping ()
+          || retires ~ran:(ran + 1) ~domains
+               ~heap_words:(Gc.quick_stat ()).Gc.heap_words
+        in
+        (* closed before the frame: a job sent after it cannot be
+           written, so it never lands on a worker that is leaving *)
+        if last then Unix.close Unix.stdin;
+        ignore (Lineio.write_line Unix.stdout (Frame.encode_response terminal));
+        if last then exit 0 else serve (ran + 1)
+    in
+    serve 0
   end
 
 let backoff_s cfg attempt =
@@ -550,7 +593,8 @@ let at t time k = t.timers <- (time, k) :: t.timers
 
 (* One campaign per resume token at a time: two workers must not
    interleave appends in one journal.  A waiter starts when the
-   holder's last worker is reaped, and resumes the holder's journal;
+   holder's last job ends (a worker writes its terminal frame only
+   after closing the journal) and resumes the holder's journal;
    it keeps its admission lane meanwhile — bounded by [max_pending],
    so this cannot deadlock. *)
 let token_enter t token k =
@@ -565,12 +609,31 @@ let token_exit t token =
   | Some waiters when not (Queue.is_empty waiters) -> (Queue.pop waiters) ()
   | Some _ | None -> Hashtbl.remove t.inflight token
 
-(* Supervision: spawn the worker, relay its frames, and on a crash
-   restart it — resuming from the journal checkpoint — after a capped
-   exponential backoff timer, up to [max_restarts] times or until the
-   circuit breaker opens.  The client sees at most one terminal frame;
-   entries already journaled before a crash are reused, not
-   re-streamed.  The token is held until the last worker is reaped. *)
+(* Hand a job to an idle worker, or to a fresh one when none takes it
+   or [fresh] asks for one.  An idle worker that has closed its stdin
+   to retire refuses the job, so the job never runs on a worker that is
+   leaving, and never counts as its crash.  Live workers, running or
+   idle, never outnumber the admission lanes, which {!Server.accepts}
+   counts on: a worker is spawned only when no idle one is left, for a
+   job holding a lane, or to restart a crashed job, whose worker was
+   reaped first. *)
+let dispatch (t : t) ~fresh ?timeout_s ~grace_s ~paused ~on_line ~on_end text =
+  let give w = Worker.give ?timeout_s ~paused ~on_line ~on_end w text in
+  match if fresh then None else List.find_opt give t.workers with
+  | Some w -> w
+  | None ->
+    let w = Worker.spawn ~grace_s in
+    t.workers <- w :: t.workers;
+    ignore (give w);
+    w
+
+(* Supervision: hand the job to a worker, relay its frames, and on a
+   crash restart it on a fresh worker — resuming from the journal
+   checkpoint — after a capped exponential backoff timer, up to
+   [max_restarts] times or until the circuit breaker opens.  The
+   client sees at most one terminal frame; entries already journaled
+   before a crash are reused, not re-streamed.  The token is held until
+   the job's terminal frame, or until its crashed worker is reaped. *)
 let run_worker (t : t) (q : Frame.inject) ~paused ~key ~tier_key ~golden0
     ~token ~emit =
   let cfg = t.cfg in
@@ -629,7 +692,8 @@ let run_worker (t : t) (q : Frame.inject) ~paused ~key ~tier_key ~golden0
        the [Started] flags *)
     let golden = if n = 0 then golden0 else tier_lookup t.goldens tier_key in
     match
-      Worker.spawn ?timeout_s ~grace_s ~paused ~on_line
+      dispatch t ~fresh:(n > 0) ?timeout_s ~grace_s ~paused ~on_line
+        ~on_end:(exited n)
         (encode_job
            { cfg; q = { q with Frame.resume }; golden;
              chaos = F.Journal.chaos () })
@@ -637,9 +701,7 @@ let run_worker (t : t) (q : Frame.inject) ~paused ~key ~tier_key ~golden0
     | exception e ->
       bug t ~emit e;
       token_exit t token
-    | w ->
-      Option.iter (fun f -> f ~pid:(Worker.pid w) ~token) cfg.on_worker;
-      t.running <- (w, exited n) :: t.running
+    | w -> Option.iter (fun f -> f ~pid:(Worker.pid w) ~token) cfg.on_worker
   and exited n = function
     | Worker.Terminal -> token_exit t token
     | Worker.Crashed crash ->
@@ -808,14 +870,14 @@ let submit ?(client = 0) ?(paused = fun () -> false) t (req : Frame.request)
 let poll t ~read ~write ~timeout =
   let now = Unix.gettimeofday () in
   if t.stop then Admission.drain t.adm;
-  let running = t.running in
-  let watched = List.map (fun (w, _) -> Worker.watch w) running in
+  let workers = t.workers in
+  let watched = List.map Worker.watch workers in
   let timeout =
     List.fold_left
       (fun acc due -> Float.min acc (due -. now))
       timeout
       ((Admission.expire t.adm ~now :: List.map fst t.timers)
-      @ List.filter_map (fun (w, _) -> Worker.wake_at w) running)
+      @ List.filter_map Worker.wake_at workers)
   in
   let readable, writable =
     match
@@ -828,13 +890,9 @@ let poll t ~read ~write ~timeout =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
   in
   List.iter
-    (fun (w, exited) ->
-      match Worker.step w ~readable ~writable ~stop:t.stop with
-      | None -> ()
-      | Some outcome ->
-        t.running <- List.filter (fun (w', _) -> w' != w) t.running;
-        exited outcome)
-    running;
+    (fun w -> Worker.step w ~readable ~writable ~stop:t.stop)
+    workers;
+  t.workers <- List.filter (fun w -> not (Worker.gone w)) t.workers;
   let now = Unix.gettimeofday () in
   let due, later = List.partition (fun (time, _) -> time <= now) t.timers in
   t.timers <- later;
@@ -842,7 +900,13 @@ let poll t ~read ~write ~timeout =
   ( List.filter (fun fd -> List.memq fd readable) read,
     List.filter (fun fd -> List.memq fd writable) write )
 
-let idle t = t.running = [] && t.timers = []
+let idle t = t.workers = [] && t.timers = []
+
+let shutdown t =
+  request_stop t;
+  while not (idle t) do
+    ignore (poll t ~read:[] ~write:[] ~timeout:1.)
+  done
 
 let handle ?client t req ~emit =
   let finished = ref false in

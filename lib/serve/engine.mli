@@ -15,8 +15,10 @@
     {!Csrtl_fault.Campaign.run_journaled} unchanged.
 
     The engine is {e crash-only}: every campaign runs in a supervised
-    worker process, restarted from its journal checkpoint (capped
-    exponential backoff) when it crashes, and a model whose workers
+    worker process (one job at a time; a worker takes the next job
+    when its last one ended cleanly), restarted on a fresh worker from
+    its journal checkpoint (capped exponential backoff) when it
+    crashes, and a model whose workers
     keep crashing is quarantined by a per-digest circuit breaker; the
     engine itself never runs a campaign.  Admission is a bounded per-client-fair queue
     ({!Admission}); busy and quarantined refusals carry a
@@ -70,7 +72,8 @@ type config = {
       (** wall cap for workers on requests with no deadline; [None]
           means no cap (deadlined requests get deadline + grace) *)
   on_worker : (pid:int -> token:string -> unit) option;
-      (** test/chaos hook: called with each spawned worker pid *)
+      (** test/chaos hook: called once per job handed to a worker,
+          with the pid of the worker that runs it *)
 }
 
 val default_config : config
@@ -87,11 +90,21 @@ val create : config -> t
 val worker_entry : unit -> unit
 (** The campaign worker's entry point.  When this process was started
     as an engine's worker ([argv] is exactly the executable and
-    {!Worker.arg}), read the job from stdin, run the campaign, write
-    its frames to stdout and exit — 0 after a terminal frame, 1 on an
-    escaped exception, 2 on an unreadable job.  Otherwise return at
-    once.  Every executable that creates an engine calls it at the top
-    of its main, before parsing its own command line. *)
+    {!Worker.arg}), read {!Worker.framed} jobs from stdin until EOF,
+    running each job's campaign and writing its frames to stdout, and
+    exit — 0 at EOF or after a terminal frame that retires the worker
+    ({!retires}, or a drain), 1 on an escaped exception, 2 on an
+    unreadable job.  Otherwise return at once.  Every executable that
+    creates an engine calls it at the top of its main, before parsing
+    its own command line. *)
+
+val retires : ran:int -> domains:int -> heap_words:int -> bool
+(** The recycle rule a worker applies after each job's campaign:
+    whether it leaves once that job's terminal frame is out, having run
+    [ran] jobs, the last on [domains] domains, with a major heap of
+    [heap_words] words.  It leaves after 1000 jobs, past a 32 MB heap,
+    or when the job ran on more than one domain (a process pays more
+    for each pool it spawns after its third). *)
 
 type job = {
   cfg : config;
@@ -115,9 +128,9 @@ val decode_job : string -> job
     {!worker_entry} catches only that (exit 2). *)
 
 val request_stop : t -> unit
-(** Flip the drain flag: in-flight workers get SIGTERM and the grace
+(** Flip the drain flag: busy workers get SIGTERM and the grace
     period to checkpoint at the next work-item boundary and answer
-    [Drained]; queued requests are
+    [Drained], and idle workers are retired; queued requests are
     released with [serve.draining]; new inject requests are refused.
     Signal-handler safe (one field store). *)
 
@@ -143,20 +156,26 @@ val poll :
 (** One select turn of at most [timeout] seconds over the worker pipes
     and the caller's descriptors, returning the caller's ready ones.
     It relays frames, reaps, fires restart timers and queue-deadline
-    expiry and, once the stop flag is up, drains the queue and sends
-    every worker SIGTERM. *)
+    expiry and, once the stop flag is up, drains the queue, sends every
+    busy worker SIGTERM and retires the idle ones. *)
 
 val terminal : Frame.response -> bool
 (** A request's last frame: [Report], [Drained], [Refused] or a
     control reply. *)
 
 val idle : t -> bool
-(** No worker left to reap and no restart pending. *)
+(** No worker process left, busy or idle, and no restart pending.  An
+    engine keeps idle workers until it drains, so this holds only after
+    {!request_stop}. *)
+
+val shutdown : t -> unit
+(** {!request_stop}, then {!poll} until {!idle}: every worker is
+    retired or drained and reaped. *)
 
 val handle :
   ?client:int -> t -> Frame.request -> emit:(Frame.response -> unit) -> unit
 (** {!submit}, then {!poll} until the request's terminal frame (its
-    worker may be reaped by a later {!poll}). *)
+    worker stays for the next job, or is reaped by a later {!poll}). *)
 
 val stats : t -> Frame.stats
 

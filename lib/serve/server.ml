@@ -70,14 +70,17 @@ let emit_to c resp =
   end
 
 (* [Unix.select] raises EINVAL for a descriptor at or past FD_SETSIZE.
-   The loop selects the listening socket, every connection and two
-   pipe ends per running worker; [fd_reserve] covers stdio and a
-   worker that has answered but not yet exited. *)
+   The loop selects the listening socket, every connection, two pipe
+   ends per live worker (running or idle; at most one per lane, see
+   [Engine.dispatch]) and one per worker retiring after a job (its
+   stdin closed; it exits within milliseconds of its last frame, so
+   about one per lane); [fd_reserve] covers stdio and stragglers. *)
 let fd_setsize = 1024
 let fd_reserve = 64
+let max_pending_cap = 256
 
 let accepts ~live ~max_pending =
-  live < fd_setsize - fd_reserve - (2 * max 1 max_pending)
+  live < fd_setsize - fd_reserve - (3 * max 1 max_pending)
 
 (* Hand the connection's buffered lines to the engine, one request at
    a time; after a drain request the daemon reads no more. *)

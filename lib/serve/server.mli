@@ -32,10 +32,15 @@ type config = {
 
 val default_config : config
 
+val max_pending_cap : int
+(** The largest [max_pending] a daemon takes (256): below it
+    {!accepts} leaves room for 192 connections or more. *)
+
 val accepts : live:int -> max_pending:int -> bool
 (** Whether a connection is served beside [live] others: [Unix.select]
     takes descriptors below FD_SETSIZE (1024) only, less a reserve and
-    two pipe ends per [max_pending] worker.  The excess gets one
+    three pipe ends per [max_pending] lane (a live worker's two, and
+    one of a worker retiring after a job).  The excess gets one
     status-1 [serve.busy] refusal and is closed. *)
 
 val serve : ?config:config -> unit -> (unit, string) result

@@ -156,42 +156,52 @@ let test_chunk_edges () =
         (List.map (fun x -> x * 3) xs)
         (Par.map ~chunks:12 p expensive xs))
 
+(* 1 ms of busy work per item: after the first item the 99 left
+   measure about 99 ms, well past the gate's break-even *)
+let spin x =
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < 0.001 do
+    ()
+  done;
+  2 * x
+
 (* The measured gate: results in input order wherever the gate falls,
    cheap work stays on the caller, a raise names its index in the
    whole list, and a width below one is refused. *)
 let test_map_gated () =
   let xs = List.init 100 Fun.id in
   let doubled = List.map (fun x -> 2 * x) xs in
-  let r, domains = Par.map_gated ~jobs:4 (fun x -> 2 * x) xs in
+  let r, domains = Par.map_gated ~width:4 (fun x -> 2 * x) xs in
   Alcotest.(check (list int)) "cheap items" doubled r;
   check_int "cheap items stay on the caller" 1 domains;
-  let r, domains = Par.map_gated ~jobs:4 succ [] in
+  let r, domains = Par.map_gated ~width:4 succ [] in
   Alcotest.(check (list int)) "no items" [] r;
   check_int "no items, no domain" 0 domains;
-  (* 1 ms per item: after the first item the 99 left measure about
-     99 ms, well past the break-even, so a multi-core host fans out *)
-  let spin x =
-    let t0 = Unix.gettimeofday () in
-    while Unix.gettimeofday () -. t0 < 0.001 do
-      ()
-    done;
-    2 * x
-  in
-  let r, domains = Par.map_gated ~jobs:2 spin xs in
-  Alcotest.(check (list int)) "slow items" doubled r;
-  check_bool "domains within the pool's width" true
-    (domains >= 1 && domains <= min 2 (Par.available_parallelism ()));
-  let r, domains = Par.map_gated ~jobs:1 spin xs in
-  Alcotest.(check (list int)) "slow items, one job" doubled r;
-  check_int "one job, one domain" 1 domains;
-  (match
-     Par.map_gated ~jobs:2 (fun x -> if x = 57 then failwith "boom" else spin x) xs
-   with
-   | _ -> Alcotest.fail "the raise must propagate"
-   | exception Par.Task_error (i, Failure _) -> check_int "failing index" 57 i);
-  match Par.map_gated ~jobs:0 succ xs with
-  | _ -> Alcotest.fail "jobs=0 must be rejected"
+  let r, domains = Par.map_gated ~width:1 spin xs in
+  Alcotest.(check (list int)) "slow items, width one" doubled r;
+  check_int "width one, one domain" 1 domains;
+  match Par.map_gated ~width:0 succ xs with
+  | _ -> Alcotest.fail "width=0 must be rejected"
   | exception Invalid_argument _ -> ()
+
+(* The gate's pool branch, forced at width 2 whatever the host's core
+   count (the pool is oversubscribed on one core).  The first ten items
+   are free, so the gate falls a dozen items in: the inline prefix and
+   the pool's tail are stitched back in input order, a raise in the
+   tail names its index in the whole list, and both domains count. *)
+let test_map_gated_pool () =
+  let xs = List.init 100 Fun.id in
+  let doubled = List.map (fun x -> 2 * x) xs in
+  let f x = if x < 10 then 2 * x else spin x in
+  let r, domains = Par.map_gated ~width:2 f xs in
+  Alcotest.(check (list int)) "prefix and tail stitched in order" doubled r;
+  check_int "both domains ran items" 2 domains;
+  match
+    Par.map_gated ~width:2 (fun x -> if x = 57 then failwith "boom" else f x) xs
+  with
+  | _ -> Alcotest.fail "the raise must propagate"
+  | exception Par.Task_error (i, Failure _) ->
+    check_int "failing index in the whole list" 57 i
 
 let test_plan_chunks () =
   let pc = Par.plan_chunks in
@@ -315,6 +325,8 @@ let () =
           Alcotest.test_case "chunk edge cases" `Quick test_chunk_edges;
           Alcotest.test_case "chunk planning" `Quick test_plan_chunks;
           Alcotest.test_case "measured fan-out gate" `Quick test_map_gated;
+          Alcotest.test_case "gate's pool branch at width 2" `Quick
+            test_map_gated_pool;
           Alcotest.test_case "retry accounting" `Quick test_retry_accounting;
           Alcotest.test_case "no-alloc tasks scale" `Quick
             test_pool_scales_no_alloc_tasks ] );

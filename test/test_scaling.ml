@@ -342,6 +342,30 @@ let test_interp_words () =
     Alcotest.failf "Interp.run (chain 32): %.0f minor words, bound 10000"
       words
 
+(* [Model.all_legs] is built once per model: parsing, scheduling,
+   enumeration and every interpreter run of a campaign ask for it, and
+   the first call keeps it, so the next call allocates nothing.
+   [Gc.minor_words] boxes its result, so an empty probe calibrates that
+   out. *)
+let test_all_legs_built_once () =
+  let m = chain 32 in
+  let kept = Model.all_legs m in
+  let b0 = Gc.minor_words () in
+  let b1 = Gc.minor_words () in
+  let w0 = Gc.minor_words () in
+  let again = Sys.opaque_identity (Model.all_legs m) in
+  let words = Gc.minor_words () -. w0 -. (b1 -. b0) in
+  if words <> 0. then
+    Alcotest.failf "a second Model.all_legs call allocated %.0f minor words"
+      words;
+  Alcotest.(check bool) "the kept lists" true (again == kept);
+  (* another model value, even an equal one, is asked about afresh *)
+  let copy = { m with Model.name = m.Model.name } in
+  Alcotest.(check bool) "a copy decomposes equally" true
+    (Model.all_legs copy = kept);
+  Alcotest.(check bool) "a copy is not served the original's lists" true
+    (Model.all_legs copy != kept)
+
 (* A kernel-path fault resumes the interpreter from a checkpoint the
    campaign captured from its own model, passing the digest it holds:
    resuming at the middle boundary of the 32-transfer chain may cost at
@@ -576,6 +600,8 @@ let () =
             test_alloc_per_fault;
           Alcotest.test_case "plan of a long chain forces no minor GC" `Quick
             test_plan_forces_no_minor_gc;
+          Alcotest.test_case "all_legs kept from its first call" `Quick
+            test_all_legs_built_once;
           Alcotest.test_case "interpreter golden minor words bounded" `Quick
             test_interp_words;
           Alcotest.test_case "campaign-side resume minor words bounded"

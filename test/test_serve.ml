@@ -230,7 +230,9 @@ let with_engine ?(tweak = fun c -> c) f =
   Sys.remove dir;
   let cfg = tweak { S.Engine.default_config with state_dir = dir } in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
-      f (S.Engine.create cfg))
+      let t = S.Engine.create cfg in
+      (* workers wait for their next job: drain them with the engine *)
+      Fun.protect ~finally:(fun () -> S.Engine.shutdown t) (fun () -> f t))
 
 (* collect every emitted frame, in order; the engine is
    single-threaded, so a plain accumulator will do *)
@@ -841,32 +843,30 @@ let test_worker_kill_restart () =
       check_int "nothing quarantined" 0 stats.S.Frame.quarantined)
 
 (* Two requests for one campaign share its token and journal: the
-   second starts its worker only once the first's is reaped, and then
-   resumes every entry the first journaled. *)
+   second's job is handed out only once the first's has ended (its
+   worker writes the terminal frame after closing the journal), and
+   then resumes every entry the first journaled. *)
 let test_same_token_waits_for_reap () =
   let text = fig1_text () in
   let m, _ = Result.get_ok (C.Rtm.parse text) in
   let offline =
     F.Campaign.render_report ~table:false (F.Campaign.run ~batch:32 m)
   in
-  let pids = ref [] in
+  let jobs = ref 0 in
+  let first_ended = ref (fun () -> false) in
   with_workers
     ~tweak:(fun c ->
       { c with
         S.Engine.on_worker =
           Some
-            (fun ~pid ~token:_ ->
-              (* the earlier worker must be gone, not just a zombie *)
-              List.iter
-                (fun earlier ->
-                  match Unix.kill earlier 0 with
-                  | () -> Alcotest.fail "second worker spawned before the reap"
-                  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
-                !pids;
-              pids := pid :: !pids) })
+            (fun ~pid:_ ~token:_ ->
+              if !jobs = 1 && not (!first_ended ()) then
+                Alcotest.fail "second job handed out before the first ended";
+              incr jobs) })
     (fun t ->
       let q = basic_inject text in
       let first = submit t (S.Frame.Inject { q with resume = false }) in
+      (first_ended := fun () -> Option.is_some (first ()));
       let second = submit t (S.Frame.Inject q) in
       match settle t [ first; second ] with
       | [ first; second ] ->
@@ -875,7 +875,7 @@ let test_same_token_waits_for_reap () =
           | S.Frame.Started { total; _ } :: _ -> total
           | _ -> Alcotest.fail "no Started frame"
         in
-        check_int "two workers" 2 (List.length !pids);
+        check_int "two jobs" 2 !jobs;
         check_int "the first ran fresh" 0 (report_of first).reused;
         check_int "the second reused every entry" total
           (report_of second).reused;
@@ -924,6 +924,220 @@ let test_quarantine () =
       let stats = S.Engine.stats t in
       check_int "one model quarantined" 1 stats.S.Frame.quarantined;
       check_int "crashes counted" 2 stats.S.Frame.crashes)
+
+(* -- warm workers: one process, many jobs ------------------------------------ *)
+
+(* [f t pids dir]: [pids ()] lists the pid behind each job handed out,
+   oldest first; [dir] is the engine's state directory *)
+let with_job_pids ?(tweak = fun c -> c) ?(kill = fun _ -> false) f =
+  let pids = ref [] and dir = ref "" in
+  with_workers
+    ~tweak:(fun c ->
+      dir := c.S.Engine.state_dir;
+      tweak
+        { c with
+          S.Engine.on_worker =
+            Some
+              (fun ~pid ~token:_ ->
+                pids := pid :: !pids;
+                if kill (List.length !pids) then Unix.kill pid Sys.sigkill) })
+    (fun t -> f t (fun () -> List.rev !pids) !dir)
+
+let offline_text ?(table = false) ?(engine = `Auto) m =
+  F.Campaign.render_report ~table (F.Campaign.run ~engine ~batch:32 m)
+
+let ask t q = report_of (collect t (S.Frame.Inject q))
+
+let check_crashes t n =
+  let stats = S.Engine.stats t in
+  check_int "crashes" n stats.S.Frame.crashes;
+  check_int "restarts" n stats.S.Frame.restarts
+
+(* Cold, warm, replay, kernel-engine and table requests, one after
+   another: one worker runs all five jobs, and every report is the
+   offline bytes. *)
+let test_warm_worker_runs_many () =
+  let text = fig1_text () in
+  let m, _ = Result.get_ok (C.Rtm.parse text) in
+  with_job_pids @@ fun t pids _ ->
+  let q = basic_inject text in
+  let check what expected q =
+    Alcotest.(check string) what expected (ask t q).text
+  in
+  check "cold" (offline_text m) { q with resume = false };
+  check "warm" (offline_text m) { q with resume = false };
+  check "replay" (offline_text m) q;
+  check "kernel engine" (offline_text ~engine:`Kernel m)
+    { q with engine = `Kernel; batch = 1; resume = false };
+  check "replay with a table" (offline_text ~table:true m) { q with table = true };
+  (match pids () with
+   | [ p; p2; p3; p4; p5 ] ->
+     check_bool "one pid for all five jobs" true
+       (List.for_all (( = ) p) [ p2; p3; p4; p5 ])
+   | l -> Alcotest.failf "%d jobs handed out, expected 5" (List.length l));
+  check_crashes t 0
+
+(* Journal injections are per job: a job that armed one (aimed at
+   another campaign's journal, so it never fires) leaves nothing armed
+   for the next job on the same worker, which writes that very journal
+   intact. *)
+let test_warm_worker_chaos_not_inherited () =
+  let fig1 = fig1_text () in
+  let fm, _ = Result.get_ok (C.Rtm.parse fig1) in
+  let cm = Chain_model.chain 4 in
+  let chain = C.Rtm.to_string cm in
+  with_job_pids @@ fun t pids dir ->
+  let cq = { (basic_inject chain) with resume = false } in
+  let token =
+    match collect t (S.Frame.Inject cq) with
+    | S.Frame.Started { token; _ } :: _ -> token
+    | _ -> Alcotest.fail "no Started frame"
+  in
+  F.Journal.set_chaos
+    [ { F.Journal.path = Filename.concat dir ("inj-" ^ token ^ ".jsonl");
+        op = `Append; nth = 1; errno = `ENOSPC } ];
+  let armed =
+    Fun.protect ~finally:(fun () -> F.Journal.set_chaos []) (fun () ->
+        ask t { (basic_inject fig1) with resume = false })
+  in
+  Alcotest.(check string) "armed job = offline bytes" (offline_text fm)
+    armed.text;
+  Alcotest.(check string) "next job = offline bytes" (offline_text cm)
+    (ask t cq).text;
+  let replay = ask t { cq with resume = true } in
+  Alcotest.(check string) "replay = offline bytes" (offline_text cm)
+    replay.text;
+  check_int "the journal is whole" (List.length (F.Fault.enumerate cm))
+    replay.reused;
+  (match pids () with
+   | p :: rest ->
+     check_bool "one worker" true (List.for_all (( = ) p) rest)
+   | [] -> Alcotest.fail "no job handed out");
+  check_crashes t 0
+
+(* A SIGKILLed worker is never handed another job: the restart and the
+   next request run on other pids, with offline bytes. *)
+let test_job_after_kill_new_pid () =
+  let text = fig1_text () in
+  let m, _ = Result.get_ok (C.Rtm.parse text) in
+  with_job_pids ~kill:(fun n -> n = 2) @@ fun t pids _ ->
+  let q = { (basic_inject text) with resume = false } in
+  for i = 1 to 3 do
+    Alcotest.(check string)
+      (Printf.sprintf "request %d = offline bytes" i)
+      (offline_text m) (ask t q).text
+  done;
+  (match pids () with
+   | [ p1; killed; restart; next ] ->
+     check_bool "the killed job ran on a reused worker" true (p1 = killed);
+     check_bool "the restart runs on a new pid" true (restart <> killed);
+     check_bool "the next job runs on a new pid" true (next <> killed)
+   | l -> Alcotest.failf "%d jobs handed out, expected 4" (List.length l));
+  check_crashes t 1
+
+(* The recycle rule itself, on any host: a job count, a heap cap and
+   a fan-out each retire a worker. *)
+let test_recycle_rule () =
+  let retires = S.Engine.retires in
+  let small = 1024 * 1024 in
+  check_bool "a small one-domain job keeps its worker" false
+    (retires ~ran:1 ~domains:1 ~heap_words:small);
+  check_bool "a job that ran nothing keeps its worker" false
+    (retires ~ran:999 ~domains:0 ~heap_words:small);
+  check_bool "the 1000th job retires it" true
+    (retires ~ran:1000 ~domains:1 ~heap_words:small);
+  check_bool "a fan-out retires it" true
+    (retires ~ran:1 ~domains:2 ~heap_words:small);
+  check_bool "a heap past 32 MB retires it" true
+    (retires ~ran:1 ~domains:1
+       ~heap_words:((32 * 1024 * 1024 / (Sys.word_size / 8)) + 1))
+
+(* The multi-domain legs below go through the campaign's own gate,
+   which clamps its pool to the host's cores: a one-core host cannot
+   fan out, and skips them. *)
+let needs_two_cores () =
+  if Csrtl_par.Par.available_parallelism () < 2 then Alcotest.skip ()
+
+(* A job whose campaign ran on a pool leaves its worker retiring: the
+   next job gets a new process, and the retirement is no crash.  A
+   16-transfer chain on the kernel engine takes tens of milliseconds,
+   well past the gate's break-even, so two jobs fan out. *)
+let test_fanned_out_worker_retires () =
+  needs_two_cores ();
+  let m = Chain_model.chain 16 in
+  let q =
+    { (basic_inject (C.Rtm.to_string m)) with
+      engine = `Kernel; batch = 1; resume = false }
+  in
+  with_job_pids ~tweak:(fun c -> { c with S.Engine.jobs = 2 })
+  @@ fun t pids _ ->
+  for i = 1 to 2 do
+    Alcotest.(check string)
+      (Printf.sprintf "request %d = offline bytes" i)
+      (offline_text ~engine:`Kernel m) (ask t q).text
+  done;
+  (match pids () with
+   | [ p1; p2 ] -> check_bool "a new worker after a fan-out" true (p1 <> p2)
+   | l -> Alcotest.failf "%d jobs handed out, expected 2" (List.length l));
+  check_crashes t 0
+
+(* A retiring worker closes its stdin before its last terminal frame,
+   so a job handed to it as that frame is read is refused, never sent
+   to a process that is leaving.  Driven through [Worker] directly: the
+   first job fans out, which retires the worker. *)
+let test_retiring_worker_refuses_jobs () =
+  needs_two_cores ();
+  let m = Chain_model.chain 16 in
+  let dir = Filename.temp_file "csrtl_retire" ".state" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let job =
+    S.Engine.encode_job
+      { S.Engine.cfg =
+          { S.Engine.default_config with state_dir = dir; jobs = 2 };
+        q =
+          { (basic_inject (C.Rtm.to_string m)) with
+            engine = `Kernel; resume = false };
+        golden = `Off; chaos = [] }
+  in
+  let give w ~on_line ~on_end =
+    S.Worker.give ~paused:(fun () -> false) ~on_line ~on_end w job
+  in
+  let w = S.Worker.spawn ~grace_s:2. in
+  let refused = ref None in
+  let on_line line =
+    match S.Frame.decode_response ~limits:Diag.Limits.default line with
+    | Ok (S.Frame.Report _) -> `Terminal
+    | Ok _ | Error _ -> `Continue
+  in
+  let on_end = function
+    | S.Worker.Terminal ->
+      refused :=
+        Some
+          (not
+             (give w ~on_line:(fun _ -> `Continue) ~on_end:(fun _ -> ())))
+    | S.Worker.Crashed c -> Alcotest.failf "the worker %s" (S.Worker.describe c)
+  in
+  check_bool "a fresh worker takes its job" true (give w ~on_line ~on_end);
+  (* a worker that stays after its fan-out would keep the loop going *)
+  let deadline = Unix.gettimeofday () +. 30. in
+  while not (S.Worker.gone w) do
+    if Unix.gettimeofday () > deadline then begin
+      (try Unix.kill (S.Worker.pid w) Sys.sigkill
+       with Unix.Unix_error _ -> ());
+      Alcotest.fail "the worker did not leave after its fan-out"
+    end;
+    let r, wr = S.Worker.watch w in
+    let r, wr, _ =
+      try Unix.select r wr [] 0.05
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+    in
+    S.Worker.step w ~readable:r ~writable:wr ~stop:false
+  done;
+  match !refused with
+  | Some refused -> check_bool "the retiring worker refused the job" true refused
+  | None -> Alcotest.fail "the first job never ended"
 
 (* -- daemon SIGKILL recovery (satellite: resume-token reuse) ---------------- *)
 
@@ -1035,19 +1249,20 @@ let test_orphaned_worker_drains () =
   in
   Out_channel.with_open_bin job (fun oc ->
       output_string oc
-        (S.Frame.encode_request
-           (S.Frame.Inject
-              { (basic_inject (C.Rtm.to_string m)) with
-                engine = `Kernel; resume = false }));
-      output_char oc '\n';
-      output_string oc
-        (F.Journal.Json.to_string
-           (F.Journal.Json.Obj
-              [ ("state_dir", F.Journal.Json.Str state);
-                ("jobs", F.Journal.Json.Int 1); ("limits", limits);
-                ("golden", F.Journal.Json.Str "off");
-                ("chaos", F.Journal.Json.Arr []) ]));
-      output_char oc '\n');
+        (S.Worker.framed
+           (String.concat ""
+              [ S.Frame.encode_request
+                  (S.Frame.Inject
+                     { (basic_inject (C.Rtm.to_string m)) with
+                       engine = `Kernel; resume = false });
+                "\n";
+                F.Journal.Json.to_string
+                  (F.Journal.Json.Obj
+                     [ ("state_dir", F.Journal.Json.Str state);
+                       ("jobs", F.Journal.Json.Int 1); ("limits", limits);
+                       ("golden", F.Journal.Json.Str "off");
+                       ("chaos", F.Journal.Json.Arr []) ]);
+                "\n" ])));
   let csrtl = csrtl_exe () in
   let r, w = Unix.pipe ~cloexec:true () in
   let shell =
@@ -1305,11 +1520,13 @@ let test_connection_bound () =
   in
   let l4 = limit ~max_pending:4 in
   check_bool "hundreds of clients fit" true (l4 >= 512);
-  check_bool "connections and 4 workers' pipes stay below FD_SETSIZE" true
-    (l4 + (2 * 4) < 1024);
-  check_int "each lane costs two connections" (l4 - 2) (limit ~max_pending:5);
+  check_bool "connections and 4 lanes' worker pipes stay below FD_SETSIZE"
+    true (l4 + (3 * 4) < 1024);
+  check_int "each lane costs three connections" (l4 - 3) (limit ~max_pending:5);
   check_bool "the connection past the bound is refused" false
-    (S.Server.accepts ~live:l4 ~max_pending:4)
+    (S.Server.accepts ~live:l4 ~max_pending:4);
+  check_bool "the largest --max-pending still takes connections" true
+    (limit ~max_pending:S.Server.max_pending_cap >= 128)
 
 (* Connection A streams a long campaign (~1 MB of entry frames) and
    never reads a byte; once A's worker has stalled behind the full
@@ -1582,7 +1799,18 @@ let () =
           Alcotest.test_case "orphaned worker drains itself" `Quick
             test_orphaned_worker_drains;
           Alcotest.test_case "forked report after a domain ran" `Quick
-            test_forked_after_domain ] );
+            test_forked_after_domain;
+          Alcotest.test_case "five jobs, one warm worker" `Quick
+            test_warm_worker_runs_many;
+          Alcotest.test_case "journal injections are per job" `Quick
+            test_warm_worker_chaos_not_inherited;
+          Alcotest.test_case "the job after a SIGKILL gets a new pid" `Quick
+            test_job_after_kill_new_pid;
+          Alcotest.test_case "the recycle rule" `Quick test_recycle_rule;
+          Alcotest.test_case "a worker that fanned out is not reused" `Quick
+            test_fanned_out_worker_retires;
+          Alcotest.test_case "a retiring worker refuses the next job" `Quick
+            test_retiring_worker_refuses_jobs ] );
       ( "client",
         [ Alcotest.test_case "retry classification and backoff" `Quick
             test_client_retry_policy;
