@@ -292,65 +292,72 @@ let of_file path =
   close_in ic;
   of_string text
 
-let render_source = function
-  | None -> "-"
-  | Some (Transfer.From_reg r) -> r
-  | Some (Transfer.From_input i) -> i ^ "!"
-
-let render_dest = function
-  | None -> "-"
-  | Some (Transfer.To_reg r) -> r
-  | Some (Transfer.To_output o) -> o ^ "!"
-
-let render_opt = function None -> "-" | Some s -> s
-let render_opt_int = function None -> "-" | Some n -> string_of_int n
-
+(* The canonical text under every model digest
+   ({!Snapshot.digest_of_model}), so a daemon renders it on every
+   request: each line is written straight into one buffer, field by
+   field, with no [Format] and no per-line string. *)
 let to_string (m : Model.t) =
-  let buf = Buffer.create 1024 in
-  let line fmt = Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "model %s" m.name;
-  line "csmax %d" m.cs_max;
+  let b = Buffer.create 4096 in
+  let str = Buffer.add_string b in
+  let chr = Buffer.add_char b in
+  let int n = str (string_of_int n) in
+  let word v = str (Word.to_string v) in
+  (* a field after the first: its separating space, then the field *)
+  let opt = function None -> str " -" | Some s -> chr ' '; str s in
+  let opt_int = function None -> str " -" | Some n -> chr ' '; int n in
+  let source = function
+    | None -> str " -"
+    | Some (Transfer.From_reg r) -> chr ' '; str r
+    | Some (Transfer.From_input i) -> chr ' '; str i; chr '!'
+  in
+  str "model "; str m.name;
+  str "\ncsmax "; int m.cs_max; chr '\n';
   List.iter
     (fun (r : Model.register) ->
-      if Word.is_disc r.init then line "reg %s" r.reg_name
-      else line "reg %s init %s" r.reg_name (Word.to_string r.init))
+      str "reg "; str r.reg_name;
+      if not (Word.is_disc r.init) then (str " init "; word r.init);
+      chr '\n')
     m.registers;
   List.iter
     (fun (f : Model.fu) ->
-      line "unit %s ops %s latency %d%s%s" f.fu_name
-        (String.concat "," (List.map Ops.to_string f.ops))
-        f.latency
-        (if f.pipelined then "" else " nonpipelined")
-        (if f.sticky_illegal then "" else " transparent-illegal"))
+      str "unit "; str f.fu_name; str " ops ";
+      List.iteri
+        (fun i op -> if i > 0 then chr ','; str (Ops.to_string op))
+        f.ops;
+      str " latency "; int f.latency;
+      if not f.pipelined then str " nonpipelined";
+      if not f.sticky_illegal then str " transparent-illegal";
+      chr '\n')
     m.fus;
-  List.iter (fun b -> line "bus %s" b) m.buses;
+  List.iter (fun bus -> str "bus "; str bus; chr '\n') m.buses;
   List.iter
     (fun (i : Model.input) ->
-      match i.drive with
-      | Model.Const v -> line "input %s const %s" i.in_name (Word.to_string v)
-      | Model.Schedule entries ->
-        line "input %s schedule %s" i.in_name
-          (String.concat " "
-             (List.map
-                (fun (s, v) -> Printf.sprintf "%d:%s" s (Word.to_string v))
-                entries)))
+      str "input "; str i.in_name;
+      (match i.drive with
+       | Model.Const v -> str " const "; word v
+       | Model.Schedule entries ->
+         str " schedule ";
+         List.iteri
+           (fun k (s, v) -> if k > 0 then chr ' '; int s; chr ':'; word v)
+           entries);
+      chr '\n')
     m.inputs;
-  List.iter (fun o -> line "output %s" o) m.outputs;
+  List.iter (fun o -> str "output "; str o; chr '\n') m.outputs;
   List.iter
     (fun (t : Transfer.t) ->
-      let fu_field =
-        match t.op with
-        | None -> t.fu
-        | Some op -> t.fu ^ ":" ^ Ops.to_string op
-      in
-      line "transfer %s %s %s %s %s %s %s %s %s"
-        (render_source t.src_a) (render_opt t.bus_a)
-        (render_source t.src_b) (render_opt t.bus_b)
-        (render_opt_int t.read_step) fu_field
-        (render_opt_int t.write_step) (render_opt t.write_bus)
-        (render_dest t.dst))
+      str "transfer";
+      source t.src_a; opt t.bus_a; source t.src_b; opt t.bus_b;
+      opt_int t.read_step;
+      chr ' '; str t.fu;
+      (match t.op with None -> () | Some op -> chr ':'; str (Ops.to_string op));
+      opt_int t.write_step; opt t.write_bus;
+      (match t.dst with
+       | None -> str " -"
+       | Some (Transfer.To_reg r) -> chr ' '; str r
+       | Some (Transfer.To_output o) -> chr ' '; str o; chr '!');
+      chr '\n')
     m.transfers;
-  Buffer.contents buf
+  Buffer.contents b
 
 let to_file m path =
   let oc = open_out path in

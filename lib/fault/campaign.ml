@@ -451,10 +451,10 @@ let kernel_faults work =
    per-fault kernel path, whose entries the batched ones are
    byte-compatible with — so pathological chunks degrade to exactly
    the unbatched campaign. *)
-let compute_work ~ctx ~on_entry = function
+let compute_work ~ctx ~on_item = function
   | Single (i, f) ->
     let e = supervised_entry ~ctx f in
-    on_entry i e;
+    on_item [ (i, e) ];
     ([ (i, e) ], { no_stats with kernel_path = 1 })
   | Chunk ifs ->
     let specs = List.map (fun (_, f) -> batch_spec ~ctx f) ifs in
@@ -472,7 +472,7 @@ let compute_work ~ctx ~on_entry = function
            (fun (i, f) (spec, r) -> (i, entry_of_verdict ~ctx f spec r))
            ifs (List.combine specs results)
        in
-       List.iter (fun (i, e) -> on_entry i e) entries;
+       on_item entries;
        let count p =
          List.length
            (List.filter (fun (r : Batch.result) -> p r.Batch.verdict) results)
@@ -490,13 +490,9 @@ let compute_work ~ctx ~on_entry = function
          } )
      | Csrtl_par.Par.Crashed _ | Csrtl_par.Par.Over_budget _ ->
        let entries =
-         List.map
-           (fun (i, f) ->
-             let e = supervised_entry ~ctx f in
-             on_entry i e;
-             (i, e))
-           ifs
+         List.map (fun (i, f) -> (i, supervised_entry ~ctx f)) ifs
        in
+       on_item entries;
        (entries, { no_stats with kernel_path = List.length ifs }))
 
 let summarize (m : Model.t) entries =
@@ -552,10 +548,10 @@ let busy_domains p =
    checkpoint without killing the pool.  Completed items are never
    discarded, so a drained campaign plus its resumption is
    byte-identical to an uninterrupted one. *)
-let compute_all ?pool ?jobs ?(should_stop = fun () -> false) ~ctx ~on_entry
+let compute_all ?pool ?jobs ?(should_stop = fun () -> false) ~ctx ~on_item
     work =
   let compute w =
-    if should_stop () then ([], no_stats) else compute_work ~ctx ~on_entry w
+    if should_stop () then ([], no_stats) else compute_work ~ctx ~on_item w
   in
   let results, domains =
     match pool with
@@ -600,7 +596,7 @@ let run_with_stats ?pool ?jobs ?(config = Simulate.default) ?limit ?faults
       (List.mapi (fun i f -> (i, f)) faults)
   in
   let entries, stats =
-    compute_all ?pool ?jobs ~ctx ~on_entry:(fun _ _ -> ()) work
+    compute_all ?pool ?jobs ~ctx ~on_item:ignore work
   in
   (summarize m (List.map snd entries), stats)
 
@@ -694,21 +690,25 @@ let run_journaled ?pool ?jobs ?(config = Simulate.default) ?digest
           setup ~config ?budget ?plan ?golden ~restore ~engine ~batch m
             (List.map (fun i -> (i, fault_arr.(i))) todo)
         in
-        (* every finished fault is journaled before its work item
-           returns — batched chunks append their entries as a group, so
-           a crash loses at most the chunk in flight.  The user callback
-           (a daemon streaming entries to its client) fires after the
-           journal write: a streamed entry is always recoverable from
-           disk *)
-        let on_entry i (e : entry) =
+        (* a work item's entries are journaled together before it
+           returns, in one write, so a crash loses at most the item in
+           flight.  The user callback (a daemon streaming entries to
+           its client) fires after that write: a streamed entry is
+           always recoverable from disk *)
+        let on_item items =
           Journal.append w
-            { Journal.index = i; fault_label = label_arr.(i);
-              kernel = e.kernel_outcome; interp = e.interp_outcome;
-              cycles = e.kernel_cycles; law_ok = e.law_ok };
-          match user_on_entry with None -> () | Some f -> f i e
+            (List.map
+               (fun (i, (e : entry)) ->
+                 { Journal.index = i; fault_label = label_arr.(i);
+                   kernel = e.kernel_outcome; interp = e.interp_outcome;
+                   cycles = e.kernel_cycles; law_ok = e.law_ok })
+               items);
+          match user_on_entry with
+          | None -> ()
+          | Some f -> List.iter (fun (i, e) -> f i e) items
         in
         let computed, stats =
-          compute_all ?pool ?jobs ?should_stop ~ctx ~on_entry work
+          compute_all ?pool ?jobs ?should_stop ~ctx ~on_item work
         in
         Journal.sync w;
         (computed, stats.domains)

@@ -202,9 +202,11 @@ val run_journaled :
   journal:string -> resume:bool ->
   Model.t -> (report * resume_info, string) result
 (** {!run} (on [pool], or behind the gate at [jobs]) with
-    crash durability: every finished fault is
-    appended to the JSONL [journal] ({!Journal}) before the campaign
-    moves on, and the journal is fsynced ({!Journal.sync}) when the
+    crash durability: each work item (a batched chunk, or one
+    kernel-path fault) appends its finished faults to the JSONL
+    [journal] ({!Journal}) in one write and flush before the campaign
+    moves on, so a crash loses at most the item in flight, and the
+    journal is fsynced ({!Journal.sync}) when the
     campaign completes or drains with new entries — a wholesale replay
     writes nothing and skips the fsync.  With [resume] false the
     journal is truncated and the whole campaign runs.  [digest], when
@@ -232,9 +234,9 @@ val run_journaled :
     deadline comparison); once true, unstarted items are skipped and
     the run returns early with [resume_info.remaining] counting the
     skipped faults — the daemon's graceful-drain path.  [on_entry]
-    fires after each computed entry has been journaled (also from
-    pool domains), so a streaming consumer never sees an entry the
-    journal could lose. *)
+    fires for each computed entry once its work item's lines are
+    written and flushed (also from pool domains), so a streaming
+    consumer never sees an entry the journal could lose. *)
 
 val run_with_stats :
   ?pool:Csrtl_par.Par.t -> ?jobs:int ->

@@ -1,9 +1,10 @@
-(* Crash-durable campaign journal: one JSON object per line, appended
-   and flushed as each fault finishes, so a killed campaign loses at
-   most the entry being written.  Every entry carries an integrity
-   hash over (model digest, entry body); a torn tail line or a line
-   from a different campaign fails the hash and is re-run on resume
-   instead of poisoning the report.
+(* Crash-durable campaign journal: one JSON object per line.  A work
+   item's lines (a batched chunk, or one kernel-path fault) are
+   appended and flushed together as the item finishes, so a killed
+   campaign loses at most the item being written.  Every entry carries
+   an integrity hash over (model digest, entry body); a torn tail line
+   or a line from a different campaign fails the hash and is re-run on
+   resume instead of poisoning the report.
 
    There is no JSON library in the toolchain, so a minimal generator
    and recursive-descent parser for the subset we emit (objects,
@@ -24,27 +25,42 @@ module Json = struct
     | Arr of t list
     | Obj of (string * t) list
 
+  let hex_digit = "0123456789abcdef"
+
+  (* Copies each run of bytes that need no escape with one blit; only
+     ['"'], ['\\'] and control bytes are written one at a time. *)
   let buf_add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+    let n = String.length s in
+    let rec go start i =
+      if i >= n then Buffer.add_substring b s start (i - start)
+      else
+        match String.unsafe_get s i with
+        | ('"' | '\\' | '\000' .. '\031') as c ->
+          Buffer.add_substring b s start (i - start);
+          (match c with
+           | '"' -> Buffer.add_string b "\\\""
+           | '\\' -> Buffer.add_string b "\\\\"
+           | '\n' -> Buffer.add_string b "\\n"
+           | '\t' -> Buffer.add_string b "\\t"
+           | '\r' -> Buffer.add_string b "\\r"
+           | c ->
+             Buffer.add_string b "\\u00";
+             Buffer.add_char b hex_digit.[Char.code c lsr 4];
+             Buffer.add_char b hex_digit.[Char.code c land 15]);
+          go (i + 1) (i + 1)
+        | _ -> go start (i + 1)
+    in
+    go 0 0
+
+  let buf_add_string b s =
+    Buffer.add_char b '"';
+    buf_add_escaped b s;
+    Buffer.add_char b '"'
 
   let rec buf_add_json b = function
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
   | Int i -> Buffer.add_string b (string_of_int i)
-  | Str s ->
-    Buffer.add_char b '"';
-    buf_add_escaped b s;
-    Buffer.add_char b '"'
+  | Str s -> buf_add_string b s
   | Arr vs ->
     Buffer.add_char b '[';
     List.iteri
@@ -58,14 +74,26 @@ module Json = struct
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
-        buf_add_json b (Str k);
+        buf_add_string b k;
         Buffer.add_char b ':';
         buf_add_json b v)
       fields;
     Buffer.add_char b '}'
 
+  (* The encoded length when nothing needs escaping: enough for most
+     values at once, so the buffer seldom grows. *)
+  let rec size = function
+    | Bool _ -> 5
+    | Int _ -> 20
+    | Str s -> String.length s + 2
+    | Arr vs -> List.fold_left (fun n v -> n + size v + 1) 2 vs
+    | Obj fields ->
+      List.fold_left
+        (fun n (k, v) -> n + String.length k + size v + 4)
+        2 fields
+
   let to_string v =
-    let b = Buffer.create 128 in
+    let b = Buffer.create (size v) in
     buf_add_json b v;
     Buffer.contents b
 
@@ -73,74 +101,82 @@ module Json = struct
 
   let fail_at pos msg = raise (Bad (Printf.sprintf "%s at offset %d" msg pos))
 
+  let hex_value = function
+    | '0' .. '9' as c -> Char.code c - 48
+    | 'a' .. 'f' as c -> Char.code c - 87
+    | 'A' .. 'F' as c -> Char.code c - 55
+    | _ -> -1
+
   (* The one JSON string unescaper.  Reads the literal opening at
-     [!pos] and leaves [pos] just past its closing quote.  A literal
-     without escapes is one [String.sub].  With [canonical], only the
-     bytes [buf_add_escaped] writes are accepted: no raw control byte,
-     no [\/], and a [\u] escape only in the lower-case [%04x] form of a
+     [!pos] and leaves [pos] just past its closing quote.  The bytes
+     between one ['\\'] or ['"'] and the next are copied as one run; a
+     literal without escapes is one [String.sub].  A [\u] escape is
+     exactly four hex digits.  With [canonical], only the bytes
+     [buf_add_escaped] writes are accepted: no raw control byte, no
+     [\/], and a [\u] escape only in the lower-case [%04x] form of a
      control byte that has no short escape — so a decoded string
      re-escapes to exactly the bytes it was read from. *)
   let read_string ?(canonical = false) s pos =
     let n = String.length s in
     if !pos >= n || s.[!pos] <> '"' then fail_at !pos "expected \"";
-    incr pos;
-    let start = !pos in
-    let rec plain i =
-      if i >= n then (pos := i; fail_at i "unterminated string")
+    (* the index of the next ['"'] or ['\\'] at or after [i] *)
+    let rec special i =
+      if i >= n then fail_at i "unterminated string"
       else
-        match s.[i] with
-        | '"' -> i
-        | '\\' -> -1
+        match String.unsafe_get s i with
+        | '"' | '\\' -> i
         | c when canonical && Char.code c < 0x20 ->
           fail_at i "raw control byte in string"
-        | _ -> plain (i + 1)
+        | _ -> special (i + 1)
     in
-    match plain start with
-    | stop when stop >= 0 ->
+    let start = !pos + 1 in
+    let stop = special start in
+    if s.[stop] = '"' then begin
       pos := stop + 1;
       String.sub s start (stop - start)
-    | _ ->
-      let b = Buffer.create 16 in
-      let rec loop () =
-        if !pos >= n then fail_at !pos "unterminated string";
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          incr pos;
-          if !pos >= n then fail_at !pos "unterminated escape";
-          (match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' when not canonical -> Buffer.add_char b '/'
-           | 'n' -> Buffer.add_char b '\n'
-           | 't' -> Buffer.add_char b '\t'
-           | 'r' -> Buffer.add_char b '\r'
-           | 'u' ->
-             if !pos + 4 >= n then fail_at !pos "truncated \\u escape";
-             let hex = String.sub s (!pos + 1) 4 in
-             (match int_of_string_opt ("0x" ^ hex) with
-              | Some code
-                when canonical
-                     && (code >= 0x20 || code = 0x09 || code = 0x0a
-                         || code = 0x0d
-                         || hex <> Printf.sprintf "%04x" code) ->
-                fail_at !pos "non-canonical \\u escape"
-              | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-              | Some _ -> fail_at !pos "non-ASCII \\u escape"
-              | None -> fail_at !pos "bad \\u escape");
-             pos := !pos + 4
-           | _ -> fail_at !pos "unknown escape");
-          incr pos;
-          loop ()
-        | c when canonical && Char.code c < 0x20 ->
-          fail_at !pos "raw control byte in string"
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          loop ()
+    end
+    else begin
+      let b = Buffer.create (stop - start + 16) in
+      (* [s.[stop]] is the ['"'] or ['\\'] that ends the run at [start] *)
+      let rec run start stop =
+        Buffer.add_substring b s start (stop - start);
+        if s.[stop] = '"' then pos := stop + 1
+        else begin
+          let i = stop + 1 in
+          if i >= n then fail_at i "unterminated escape";
+          let next =
+            match s.[i] with
+            | '"' -> Buffer.add_char b '"'; i + 1
+            | '\\' -> Buffer.add_char b '\\'; i + 1
+            | '/' when not canonical -> Buffer.add_char b '/'; i + 1
+            | 'n' -> Buffer.add_char b '\n'; i + 1
+            | 't' -> Buffer.add_char b '\t'; i + 1
+            | 'r' -> Buffer.add_char b '\r'; i + 1
+            | 'u' ->
+              if i + 4 >= n then fail_at i "truncated \\u escape";
+              let code = ref 0 in
+              for k = 1 to 4 do
+                let d = hex_value s.[i + k] in
+                if d < 0 then fail_at i "bad \\u escape";
+                code := (!code lsl 4) lor d
+              done;
+              let code = !code in
+              (* below 0x20 only the last digit can be a letter *)
+              if canonical
+                 && (code >= 0x20 || code = 0x09 || code = 0x0a || code = 0x0d
+                     || match s.[i + 4] with 'A' .. 'F' -> true | _ -> false)
+              then fail_at i "non-canonical \\u escape";
+              if code >= 0x80 then fail_at i "non-ASCII \\u escape";
+              Buffer.add_char b (Char.chr code);
+              i + 5
+            | _ -> fail_at i "unknown escape"
+          in
+          run next (special next)
+        end
       in
-      loop ();
+      run start stop;
       Buffer.contents b
+    end
 
   (* [max_depth] bounds container nesting: this parser also sits on the
      serve daemon's wire frontier, where an adversarial ["[[[[..."] line
@@ -164,8 +200,9 @@ module Json = struct
     else fail (Printf.sprintf "expected %c" c)
   in
   let literal lit v =
-    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit
-    then (pos := !pos + String.length lit; v)
+    let k = String.length lit in
+    let rec matches j = j >= k || (s.[!pos + j] = lit.[j] && matches (j + 1)) in
+    if !pos + k <= n && matches 0 then (pos := !pos + k; v)
     else fail ("expected " ^ lit)
   in
   let parse_string () = read_string s pos in
@@ -353,26 +390,27 @@ let header_of_line line =
 (* The integrity hash binds an entry to its campaign: md5 over the
    model digest and the entry body (the line without the "h" field).
    A line truncated by a crash, or copied from another campaign's
-   journal, fails the check and counts as torn. *)
-let entry_body (e : entry) =
-  json_to_string
-    (Obj
-       [ ("i", Int e.index); ("fault", Str e.fault_label);
-         ("kernel", json_of_outcome e.kernel);
-         ("interp", json_of_outcome e.interp); ("cycles", Int e.cycles);
-         ("law_ok", Bool e.law_ok) ])
+   journal, fails the check and counts as torn.
 
-let entry_hash ~digest body = Digest.to_hex (Digest.string (digest ^ body))
-
+   The line is serialized once, into a buffer that starts with the
+   digest: the hash covers the buffer, and the line is the body with
+   its closing brace replaced by [,"h":"<md5>"}]. *)
 let entry_line ~digest e =
-  let body = entry_body e in
-  let h = entry_hash ~digest body in
-  json_to_string
+  let dl = String.length digest in
+  let b = Buffer.create (dl + 320) in
+  Buffer.add_string b digest;
+  Json.buf_add_json b
     (Obj
        [ ("i", Int e.index); ("fault", Str e.fault_label);
          ("kernel", json_of_outcome e.kernel);
          ("interp", json_of_outcome e.interp); ("cycles", Int e.cycles);
-         ("law_ok", Bool e.law_ok); ("h", Str h) ])
+         ("law_ok", Bool e.law_ok) ]);
+  let h = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  Buffer.truncate b (Buffer.length b - 1);
+  Buffer.add_string b ",\"h\":\"";
+  Buffer.add_string b h;
+  Buffer.add_string b "\"}";
+  Buffer.sub b dl (Buffer.length b - dl)
 
 (* An entry line is decoded in one pass over its own bytes, without a
    JSON tree: each field must sit exactly where [entry_line] puts it,
@@ -587,15 +625,20 @@ let reopen path (h : header) =
   if needs_newline then (output_char oc '\n'; flush oc);
   { oc; path; digest = h.digest; lock = Mutex.create () }
 
-let append w (e : entry) =
-  let line = entry_line ~digest:w.digest e in
+(* One work item's entries, flushed once: each line still passes the
+   [`Append] seam, and the item's lines reach the kernel together. *)
+let append w (es : entry list) =
+  let lines = List.map (entry_line ~digest:w.digest) es in
   Mutex.lock w.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.lock)
     (fun () ->
-      chaos_poke `Append w.path;
-      output_string w.oc line;
-      output_char w.oc '\n';
+      List.iter
+        (fun line ->
+          chaos_poke `Append w.path;
+          output_string w.oc line;
+          output_char w.oc '\n')
+        lines;
       flush w.oc)
 
 let sync w =

@@ -1,7 +1,9 @@
 (** Crash-durable campaign journal (JSONL).
 
-    A campaign appends one line per finished fault and flushes
-    immediately, so a killed run loses at most the line being written.
+    A campaign appends one line per finished fault.  The lines of one
+    work item (a batched chunk, or a single kernel-path fault) are
+    written and flushed together, so a killed run loses at most the
+    work item in flight.
     The header line pins the campaign identity (model name, model
     digest, kernel-config tag, fault count, digest of the fault
     labels); each entry line carries an md5 integrity hash over the
@@ -86,7 +88,7 @@ val outcome_of_json : Json.t -> Outcome.t
 
 type writer
 (** Append handle; thread-safe (one mutex-protected write+flush per
-    entry), shared across pool domains.  The file is opened with
+    {!append}), shared across pool domains.  The file is opened with
     [O_APPEND], so concurrent writers interleave at line granularity
     instead of clobbering each other's offsets. *)
 
@@ -126,11 +128,14 @@ val reopen : string -> header -> writer
     newline, a newline is inserted first so the torn line stays an
     isolated parse failure. *)
 
-val append : writer -> entry -> unit
+val append : writer -> entry list -> unit
+(** Append one work item's entries and flush once: each line is built
+    by {!entry_line} and passes the [`Append] injection seam on its
+    own, and all of them reach the kernel in one write. *)
 
 val sync : writer -> unit
 (** Flush and [fsync] — a checkpoint boundary.  Appends are flushed
-    per entry (crash loses at most the line being written); [sync]
+    per work item (a crash loses at most the item being written); [sync]
     additionally survives the machine dying, so campaigns call it at
     completion and the daemon at drain points.  fsync failure (e.g. a
     filesystem that refuses it) is swallowed: durability degrades, the

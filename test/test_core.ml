@@ -557,6 +557,116 @@ let test_rtm_roundtrip () =
   Alcotest.(check (option word)) "still computes" (Some (Word.nat 7))
     (Observation.final_reg r.obs "R1")
 
+(* [Rtm.to_string] as it was written with [Format]: one
+   [Format.kasprintf] per line.  The buffer-built renderer must give
+   exactly these bytes, since every model digest hashes them. *)
+let format_to_string (m : Model.t) =
+  let buf = Buffer.create 1024 in
+  let line fmt =
+    Format.kasprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt
+  in
+  let source = function
+    | None -> "-"
+    | Some (Transfer.From_reg r) -> r
+    | Some (Transfer.From_input i) -> i ^ "!"
+  in
+  let dest = function
+    | None -> "-"
+    | Some (Transfer.To_reg r) -> r
+    | Some (Transfer.To_output o) -> o ^ "!"
+  in
+  let opt = function None -> "-" | Some s -> s in
+  let opt_int = function None -> "-" | Some n -> string_of_int n in
+  line "model %s" m.name;
+  line "csmax %d" m.cs_max;
+  List.iter
+    (fun (r : Model.register) ->
+      if Word.is_disc r.init then line "reg %s" r.reg_name
+      else line "reg %s init %s" r.reg_name (Word.to_string r.init))
+    m.registers;
+  List.iter
+    (fun (f : Model.fu) ->
+      line "unit %s ops %s latency %d%s%s" f.fu_name
+        (String.concat "," (List.map Ops.to_string f.ops))
+        f.latency
+        (if f.pipelined then "" else " nonpipelined")
+        (if f.sticky_illegal then "" else " transparent-illegal"))
+    m.fus;
+  List.iter (fun b -> line "bus %s" b) m.buses;
+  List.iter
+    (fun (i : Model.input) ->
+      match i.drive with
+      | Model.Const v -> line "input %s const %s" i.in_name (Word.to_string v)
+      | Model.Schedule entries ->
+        line "input %s schedule %s" i.in_name
+          (String.concat " "
+             (List.map
+                (fun (s, v) -> Printf.sprintf "%d:%s" s (Word.to_string v))
+                entries)))
+    m.inputs;
+  List.iter (fun o -> line "output %s" o) m.outputs;
+  List.iter
+    (fun (t : Transfer.t) ->
+      let fu_field =
+        match t.op with
+        | None -> t.fu
+        | Some op -> t.fu ^ ":" ^ Ops.to_string op
+      in
+      line "transfer %s %s %s %s %s %s %s %s %s" (source t.src_a)
+        (opt t.bus_a) (source t.src_b) (opt t.bus_b) (opt_int t.read_step)
+        fu_field (opt_int t.write_step) (opt t.write_bus) (dest t.dst))
+    m.transfers;
+  Buffer.contents buf
+
+(* every construct the text format has, including the corners a
+   parsed model cannot reach: an empty schedule, no ops, and a unit
+   that is neither pipelined nor sticky *)
+let every_construct_model () =
+  let t ?src_a ?src_b ?read_step ?op ?write_step ?dst fu =
+    { Transfer.src_a; bus_a = Some "B1"; src_b; bus_b = None; read_step;
+      fu; op; write_step; write_bus = Some "B2"; dst }
+  in
+  { Model.name = "every";
+    cs_max = 3;
+    registers =
+      [ Model.register "R0"; Model.register ~init:(Word.nat 42) "R1";
+        Model.register ~init:Word.illegal "R2" ];
+    fus =
+      [ Model.fu ~latency:3 ~pipelined:false ~sticky_illegal:false
+          ~ops:[ Ops.Add; Ops.Shli 3; Ops.Asri 2 ] "U0";
+        { (Model.fu ~ops:[ Ops.Sub ] "U1") with Model.ops = [] } ];
+    buses = [ "B1"; "B2" ];
+    inputs =
+      [ { Model.in_name = "X"; drive = Model.Const Word.disc };
+        { Model.in_name = "Y"; drive = Model.Schedule [] };
+        { Model.in_name = "Z";
+          drive = Model.Schedule [ (1, Word.nat 5); (2, Word.illegal) ] } ];
+    outputs = [ "O" ];
+    transfers =
+      [ t ~src_a:(Transfer.From_input "X") ~src_b:(Transfer.From_reg "R1")
+          ~read_step:1 ~op:(Ops.Shli 3) ~write_step:3
+          ~dst:(Transfer.To_output "O") "U0";
+        t "U1"; t ~src_a:(Transfer.From_reg "R0") ~write_step:2
+          ~dst:(Transfer.To_reg "R2") "U1" ] }
+
+let test_rtm_to_string_reference () =
+  let corpus =
+    Sys.readdir "corpus" |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".rtm")
+    |> List.map (fun f -> Rtm.of_file (Filename.concat "corpus" f))
+  in
+  check_bool "corpus found" true (corpus <> []);
+  let models =
+    (every_construct_model () :: Builder.fig1 () :: corpus)
+    @ List.init 30 random_linear_model
+    @ List.init 30 (fun seed ->
+        Csrtl_verify.Consist.random_model ~conflict:(seed mod 3 = 0) seed)
+  in
+  List.iter
+    (fun (m : Model.t) ->
+      Alcotest.(check string) m.name (format_to_string m) (Rtm.to_string m))
+    models
+
 let test_rtm_parse_features () =
   let text =
     {|model demo
@@ -973,7 +1083,9 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_rtm_roundtrip;
           Alcotest.test_case "feature parsing" `Quick
             test_rtm_parse_features;
-          Alcotest.test_case "errors" `Quick test_rtm_errors ] );
+          Alcotest.test_case "errors" `Quick test_rtm_errors;
+          Alcotest.test_case "to_string = the Format reference" `Quick
+            test_rtm_to_string_reference ] );
       qsuite "rtm-props"
         [ QCheck.Test.make ~name:"rtm print/parse identity on random models"
             ~count:30

@@ -876,7 +876,7 @@ let test_journal_torn_tail_then_append () =
   with_temp_journal (fun path ->
       let h = mk_header 10 in
       let w = J.start path h in
-      for i = 0 to 4 do J.append w (mk_entry i) done;
+      J.append w (List.init 5 mk_entry);
       J.sync w;
       J.close w;
       (* crash mid-write: the last line loses its tail and newline *)
@@ -886,7 +886,7 @@ let test_journal_torn_tail_then_append () =
       Unix.close fd;
       (* a resumed campaign appends through a fresh writer *)
       let w = J.reopen path h in
-      for i = 5 to 9 do J.append w (mk_entry i) done;
+      for i = 5 to 9 do J.append w [ mk_entry i ] done;
       J.sync w;
       J.close w;
       match J.read path with
@@ -912,7 +912,7 @@ let test_journal_concurrent_appends () =
             Thread.create
               (fun () ->
                 for k = 0 to per - 1 do
-                  J.append w (mk_entry ((t * per) + k))
+                  J.append w [ mk_entry ((t * per) + k) ]
                 done)
               ())
       in
@@ -987,6 +987,86 @@ let line_decoder_round_trip =
     (fun (e, digest) ->
       let module J = Csrtl_fault.Journal in
       J.entry_of_line ~digest (J.entry_line ~digest e) = Some e)
+
+(* The string escaper as first written, one character at a time: the
+   run-based one must write exactly these bytes. *)
+let escape_per_char s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* [s] escaped by the run-based escaper equals the reference, and both
+   readers invert it: [Json.parse] (non-canonical, as frames are read)
+   and the canonical reader behind [entry_of_line]. *)
+let escape_round_trips s =
+  let module J = Csrtl_fault.Journal in
+  let lit = J.Json.to_string (J.Json.Str s) in
+  let e =
+    { (mk_entry 0) with
+      J.fault_label = s; kernel = Csrtl_fault.Outcome.Hung s }
+  in
+  lit = escape_per_char s
+  && J.Json.parse lit = J.Json.Str s
+  && J.entry_of_line ~digest:"d" (J.entry_line ~digest:"d" e) = Some e
+
+let escaper_identity =
+  QCheck.Test.make
+    ~name:"run escaper = per-character reference, inverted in both modes"
+    ~count:1000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         oneof
+           [ nasty_string;
+             string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 300)
+           ]))
+    escape_round_trips
+
+let test_escaper_every_byte () =
+  for code = 0 to 255 do
+    let c = String.make 1 (Char.chr code) in
+    List.iter
+      (fun s ->
+        if not (escape_round_trips s) then
+          Alcotest.failf "byte %d in %S" code s)
+      [ c; "ab" ^ c; c ^ "yz"; "a" ^ c ^ c ^ "z" ]
+  done;
+  check_bool "all 256 bytes in one string" true
+    (escape_round_trips (String.init 512 (fun i -> Char.chr (i mod 256))))
+
+(* [entry_line] writes its body straight into a buffer: the bytes must
+   be those of the JSON tree over the same fields, with the hash over
+   the digest and the tree's body. *)
+let entry_line_reference =
+  QCheck.Test.make ~name:"entry_line = the JSON tree's bytes" ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_entry (string_size (int_range 0 40))))
+    (fun (e, digest) ->
+      let module J = Csrtl_fault.Journal in
+      let fields =
+        J.Json.
+          [ ("i", Int e.J.index); ("fault", Str e.J.fault_label);
+            ("kernel", J.json_of_outcome e.J.kernel);
+            ("interp", J.json_of_outcome e.J.interp);
+            ("cycles", Int e.J.cycles); ("law_ok", Bool e.J.law_ok) ]
+      in
+      let h =
+        Digest.to_hex
+          (Digest.string (digest ^ J.Json.to_string (J.Json.Obj fields)))
+      in
+      J.entry_line ~digest e
+      = J.Json.to_string (J.Json.Obj (fields @ [ ("h", J.Json.Str h) ])))
 
 (* [body] with the "h" field the writer would append, hashed over
    exactly these bytes: only its shape can make it torn. *)
@@ -1356,7 +1436,11 @@ let () =
             test_line_decoder_torn;
           Alcotest.test_case "a journal from the tree-parsing reader is reused"
             `Quick test_journal_fixture_reused;
-          QCheck_alcotest.to_alcotest ~long:false line_decoder_round_trip ] );
+          QCheck_alcotest.to_alcotest ~long:false line_decoder_round_trip;
+          QCheck_alcotest.to_alcotest ~long:false escaper_identity;
+          Alcotest.test_case "every byte escapes and reads back" `Quick
+            test_escaper_every_byte;
+          QCheck_alcotest.to_alcotest ~long:false entry_line_reference ] );
       ( "artifact",
         [ Alcotest.test_case "serialization round-trips" `Quick
             test_artifact_round_trip;

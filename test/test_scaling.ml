@@ -509,6 +509,54 @@ let test_journal_read_words () =
     Alcotest.failf "Journal.read: %.0f minor words per entry, bound 400"
       per_entry
 
+(* A model's canonical text, under every model digest, is written
+   straight into one buffer: at most 10k minor words for the
+   80-transfer chain (about 400 measured, the buffer itself being
+   major-heap sized; one [Format.kasprintf] per line cost about 51k). *)
+let test_rtm_to_string_words () =
+  let m = chain 80 in
+  ignore (Rtm.to_string m);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Rtm.to_string m));
+  let words = Gc.minor_words () -. w0 in
+  if words > 10_000. then
+    Alcotest.failf "Rtm.to_string (chain 80): %.0f minor words, bound 10000"
+      words
+
+(* A journal line is built once, into a buffer that the hash and the
+   line share: at most 600 minor words per entry (about 390 measured;
+   serializing a JSON tree twice, once to hash and once to write, cost
+   about 720). *)
+let test_entry_line_words () =
+  let m = chain 32 in
+  let faults = List.filteri (fun i _ -> i < 200) (Fault.enumerate m) in
+  let journal = Filename.temp_file "csrtl_line" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove journal) @@ fun () ->
+  (match Campaign.run_journaled ~jobs:1 ~faults ~journal ~resume:false m with
+   | Error e -> Alcotest.failf "chain 32: %s" e
+   | Ok _ -> ());
+  let module J = Csrtl_fault.Journal in
+  match J.read journal with
+  | Ok (h, entries, 0) ->
+    let write () =
+      List.iter
+        (fun e ->
+          ignore (Sys.opaque_identity (J.entry_line ~digest:h.J.digest e)))
+        entries
+    in
+    write ();
+    let w0 = Gc.minor_words () in
+    write ();
+    let per_entry =
+      (Gc.minor_words () -. w0) /. float_of_int (List.length entries)
+    in
+    Alcotest.(check int) "entries" 200 (List.length entries);
+    if per_entry > 600. then
+      Alcotest.failf "Journal.entry_line: %.0f minor words per entry, bound 600"
+        per_entry
+  | Ok (_, _, torn) -> Alcotest.failf "%d torn lines" torn
+  | Error e -> Alcotest.failf "read: %s" e
+
 (* A resume whose journal covers every fault computes nothing, so it
    builds nothing: [warm], which supplies the plan and the goldens the
    set-up would otherwise build itself, is never forced.  Once one
@@ -620,5 +668,9 @@ let () =
       ( "replay",
         [ Alcotest.test_case "journal read minor words per entry bounded"
             `Quick test_journal_read_words;
+          Alcotest.test_case "journal line minor words per entry bounded"
+            `Quick test_entry_line_words;
+          Alcotest.test_case "model text minor words bounded" `Quick
+            test_rtm_to_string_words;
           Alcotest.test_case "full replay builds no plan and no golden"
             `Quick test_replay_builds_nothing ] ) ]

@@ -13,6 +13,13 @@ module Diag = Csrtl_diag.Diag
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
 (* -- generators ------------------------------------------------------------- *)
 
 (* full byte range: the model field carries whatever the client read
@@ -179,6 +186,31 @@ let test_decode_hostile () =
    with
    | Ok _ -> Alcotest.fail "trailing garbage accepted"
    | Error _ -> ());
+  (* a \u escape is exactly four hex digits: OCaml integer syntax
+     such as an underscore is no hex digit, so none of these is a
+     newline or byte 4 *)
+  let inject_with model_literal =
+    "{\"csrtl\":\"req\",\"v\":3,\"op\":\"inject\",\"model\":\""
+    ^ model_literal ^ "\"}"
+  in
+  List.iter
+    (fun esc ->
+      match S.Frame.decode_request (inject_with esc) with
+      | Ok _ -> Alcotest.failf "%s accepted as a \\u escape" esc
+      | Error ds ->
+        check_bool (esc ^ " is a bad escape") true
+          (List.exists
+             (fun (d : Diag.t) -> contains ~sub:"bad \\u escape" d.Diag.message)
+             ds))
+    [ "\\u00_4"; "\\u0_4_"; "\\u00_a"; "\\u_00a"; "\\u+00a"; "\\u 00a" ];
+  (* while four hex digits of either case decode *)
+  List.iter
+    (fun (esc, want) ->
+      match S.Frame.decode_request (inject_with esc) with
+      | Ok (S.Frame.Inject q) ->
+        Alcotest.(check string) esc want q.S.Frame.model
+      | Ok _ | Error _ -> Alcotest.failf "%s rejected" esc)
+    [ ("\\u000a", "\n"); ("\\u000A", "\n"); ("\\u0041\\u004A", "AJ") ];
   (* wrong version — past or future — is refused deterministically *)
   (match S.Frame.decode_request "{\"csrtl\":\"req\",\"v\":2,\"op\":\"ping\"}" with
    | Ok _ -> Alcotest.fail "stale protocol version accepted"
@@ -396,18 +428,22 @@ let test_old_journal_version_reruns () =
       | Ok (_, _, torn) -> Alcotest.failf "%d torn lines after rerun" torn
       | Error e -> Alcotest.failf "journal unreadable after rerun: %s" e)
 
+(* [request_stop] on the first streamed entry must drain with work
+   still left, however late its SIGTERM lands: the campaign runs the
+   kernel path on a 100-transfer chain, about 1 ms per fault, so the
+   faults after the first take some 200 ms. *)
 let test_shutdown_drain_then_resume () =
-  let text = fig1_text () in
-  let m, _ = Result.get_ok (C.Rtm.parse text) in
-  let offline = F.Campaign.run ~engine:`Kernel m in
+  let m = Chain_model.chain 100 in
+  let text = C.Rtm.to_string m in
+  let limit = 200 in
+  let offline = F.Campaign.run ~engine:`Kernel ~limit m in
   let dir = Filename.temp_file "csrtl_serve" ".state" in
   Sys.remove dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cfg = { S.Engine.default_config with state_dir = dir } in
-  (* kernel path computes fault-by-fault, so stopping after the first
-     streamed entry drains mid-campaign with work still remaining *)
   let q =
-    { (basic_inject text) with engine = `Kernel; stream = true }
+    { (basic_inject text) with
+      engine = `Kernel; limit = Some limit; stream = true }
   in
   let t1 = S.Engine.create cfg in
   let drained =
@@ -429,10 +465,42 @@ let test_shutdown_drain_then_resume () =
      byte-identical report *)
   let t2 = S.Engine.create cfg in
   let r = report_of (collect t2 (S.Frame.Inject { q with stream = false })) in
+  S.Engine.shutdown t2;
   check_bool "journal prefix reused" true (r.reused >= 1);
   Alcotest.(check string) "resumed report = offline bytes"
     (F.Campaign.render_report ~table:false offline)
     r.text
+
+(* A streamed entry is always recoverable from disk: when the daemon
+   emits an [Entry], the journal already holds its line, on the
+   batched path (whole chunks) and on the kernel path (one fault per
+   work item). *)
+let test_streamed_entries_on_disk () =
+  let text = C.Rtm.to_string (Chain_model.chain 24) in
+  let dir = ref "" in
+  with_engine ~tweak:(fun c -> dir := c.S.Engine.state_dir; c) @@ fun t ->
+  List.iter
+    (fun (engine, name) ->
+      let journal = ref "" and total = ref 0 and streamed = ref 0 in
+      let q =
+        { (basic_inject text) with engine; stream = true; resume = false }
+      in
+      S.Engine.handle t (S.Frame.Inject q) ~emit:(function
+        | S.Frame.Started s ->
+          journal := Filename.concat !dir ("inj-" ^ s.token ^ ".jsonl");
+          total := s.total
+        | S.Frame.Entry e ->
+          incr streamed;
+          (match F.Journal.read !journal with
+           | Ok (_, entries, _) ->
+             if not (List.mem e entries) then
+               Alcotest.failf "%s: entry %d streamed before it was on disk"
+                 name e.F.Journal.index
+           | Error msg -> Alcotest.failf "%s: journal unreadable: %s" name msg)
+        | _ -> ());
+      check_bool (name ^ ": faults to stream") true (!total > 0);
+      check_int (name ^ ": every fault streamed") !total !streamed)
+    [ (`Auto, "batched"); (`Kernel, "kernel") ]
 
 let refused = function
   | [ S.Frame.Refused { status; diags; _ } ] -> (status, diags)
@@ -1498,13 +1566,6 @@ let lineio_chunking =
       let whole = split [ stream ] in
       whole = lines_of_stream ~max_line stream && split chunks = whole)
 
-let contains ~sub s =
-  let n = String.length sub in
-  let rec at i =
-    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
-  in
-  at 0
-
 let scratch_dir prefix =
   let dir = Filename.temp_file prefix ".d" in
   Sys.remove dir;
@@ -1772,6 +1833,8 @@ let () =
             test_deadline_drain_then_resume;
           Alcotest.test_case "shutdown drain then resume" `Quick
             test_shutdown_drain_then_resume;
+          Alcotest.test_case "a streamed entry is already on disk" `Quick
+            test_streamed_entries_on_disk;
           Alcotest.test_case "old journal version reruns fresh" `Quick
             test_old_journal_version_reruns ] );
       ( "admission",
